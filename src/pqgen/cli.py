@@ -179,7 +179,8 @@ def cmd_train(ns: argparse.Namespace) -> int:
     _say(f"checkpoint: {eff['out']}")
     _say(f"log: {log_path}")
     _say(f"best_epoch={result.best_epoch}")
-    print(f"final_val_cg={result.best_val_cg:.10f}")
+    print(f"best_val_cg={result.best_val_cg:.10f}")
+    print(f"final_val_cg={result.final_val_cg:.10f}")
     return 0
 
 

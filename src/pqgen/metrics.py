@@ -57,10 +57,10 @@ def bleu(hypothesis: Sequence[str], references: Sequence[Sequence[str]],
     for n in range(1, max_n + 1):
         counts = _ngram_counts(hyp, n)
         total = sum(counts.values())
+        ref_counts = [_ngram_counts(r, n) for r in references]
         clipped = 0
         for gram, c in counts.items():
-            cap = max((_ngram_counts(r, n)[gram] for r in references), default=0)
-            clipped += min(c, cap)
+            clipped += min(c, max(rc[gram] for rc in ref_counts))
         if total == 0:
             p = 1.0 if n >= 2 else 0.0
         elif clipped == 0:
@@ -259,12 +259,17 @@ def embed_questions(params: ModelParams,
     if not question_ids:
         raise MetricInputError("embed_questions needs at least one question")
     rows = []
+    seen: dict[tuple[int, ...], np.ndarray] = {}
     with T.no_grad():
         for ids in question_ids:
             if not ids:
                 raise MetricInputError("cannot embed an empty question")
-            enc = encode(params, ids)
-            rows.append(enc.h_e.data.mean(axis=0))
+            key = tuple(ids)
+            row = seen.get(key)
+            if row is None:
+                # A repeated question reuses its row: the encoder is deterministic.
+                row = seen[key] = encode(params, key).h_e.data.mean(axis=0)
+            rows.append(row)
     return EmbeddingMatrix(rows=np.stack(rows))
 
 

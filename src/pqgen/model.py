@@ -30,7 +30,8 @@ class SequenceLengthError(ValueError):
 
 
 class CheckpointError(ValueError):
-    """A checkpoint file fails magic/version/manifest validation."""
+    """A checkpoint file is truncated, fails magic/version/manifest validation,
+    or holds non-finite parameters."""
 
 
 @dataclass(frozen=True)
@@ -157,28 +158,40 @@ def _check_length(cfg: ModelConfig, n: int, what: str) -> None:
         raise SequenceLengthError(f"{what} length {n} exceeds max_len {cfg.max_len}")
 
 
-def _embed(params: ModelParams, ids: Sequence[int]) -> Tensor:
+def _context(cfg: ModelConfig, context_ids: Sequence[int]) -> tuple[tuple[int, ...], np.ndarray]:
+    """Validated context ids and their key mask (False at pad positions)."""
+    ids = tuple(int(i) for i in context_ids)
+    _check_length(cfg, len(ids), "context")
+    key_mask = np.array([i != cfg.pad_id for i in ids], dtype=bool)
+    if not key_mask.any():
+        raise T.EmptyPoolError("context consists only of pad tokens")
+    return ids, key_mask
+
+
+def _decoder_input(cfg: ModelConfig, target_ids: Sequence[int]) -> tuple[int, ...]:
+    """The BOS-prefixed teacher-forcing input of a validated target."""
+    tgt = tuple(int(i) for i in target_ids)
+    if any(t in (cfg.bos_id, cfg.eos_id) for t in tgt):
+        raise ValueError(f"target must not contain BOS/EOS ids: {tgt}")
+    _check_length(cfg, len(tgt), "target")
+    input_ids = (cfg.bos_id,) + tgt
+    _check_length(cfg, len(input_ids), "decoder input")
+    return input_ids
+
+
+def _embed(params: ModelParams, ids: Sequence[int], positions) -> Tensor:
     tok = T.embedding(params["tok_emb"], ids)
-    pos = T.embedding(params["pos_emb"], list(range(len(ids))))
+    pos = T.embedding(params["pos_emb"], positions)
     return T.add(tok, pos)
 
 
 def _attention(params: ModelParams, prefix: str, x_q: Tensor, x_kv: Tensor,
-               bias: np.ndarray | None) -> Tensor:
-    cfg = params.config
-    dh = cfg.d_model // cfg.n_heads
+               layout: T.AttentionLayout) -> Tensor:
     q = T.matmul(x_q, params[f"{prefix}.wq"])
     k = T.matmul(x_kv, params[f"{prefix}.wk"])
     v = T.matmul(x_kv, params[f"{prefix}.wv"])
-    heads = []
-    for h in range(cfg.n_heads):
-        lo, hi = h * dh, (h + 1) * dh
-        scores = T.scale(T.matmul_t(T.slice_cols(q, lo, hi), T.slice_cols(k, lo, hi)),
-                         1.0 / np.sqrt(dh))
-        if bias is not None:
-            scores = T.add_const(scores, bias)
-        heads.append(T.matmul(T.softmax(scores), T.slice_cols(v, lo, hi)))
-    return T.matmul(T.concat_cols(heads), params[f"{prefix}.wo"])
+    return T.matmul(T.attention(q, k, v, params.config.n_heads, layout),
+                    params[f"{prefix}.wo"])
 
 
 def _sublayer(params: ModelParams, prefix: str, x: Tensor, fn) -> Tensor:
@@ -191,28 +204,45 @@ def _ffn(params: ModelParams, prefix: str, x: Tensor) -> Tensor:
     return T.add(T.matmul(h, params[f"{prefix}.w2"]), params[f"{prefix}.b2"])
 
 
-def _key_bias(key_mask: np.ndarray) -> np.ndarray | None:
-    if key_mask.all():
-        return None
-    return np.where(key_mask, 0.0, -np.inf)[None, :]
+def _encoder_stack(params: ModelParams, ids: Sequence[int], positions,
+                   layout: T.AttentionLayout) -> Tensor:
+    """Encoder over stacked context rows; `layout` keeps contexts apart."""
+    cfg = params.config
+    x = _embed(params, ids, positions)
+    for i in range(cfg.n_enc_layers):
+        x = _sublayer(params, f"enc{i}.self", x,
+                      lambda a, i=i: _attention(params, f"enc{i}.self", a, a, layout))
+        x = _sublayer(params, f"enc{i}.ffn", x,
+                      lambda a, i=i: _ffn(params, f"enc{i}.ffn", a))
+    return T.layer_norm(x, params["enc_ln.g"], params["enc_ln.b"])
+
+
+def _decoder_stack(params: ModelParams, h_e: Tensor, input_ids: Sequence[int], positions,
+                   self_layout: T.AttentionLayout,
+                   cross_layout: T.AttentionLayout) -> tuple[list[Tensor], Tensor]:
+    """Decoder over stacked input rows attending to stacked encoder rows."""
+    cfg = params.config
+    x = _embed(params, input_ids, positions)
+    blocks: list[Tensor] = []
+    for i in range(cfg.n_dec_layers):
+        x = _sublayer(params, f"dec{i}.self", x,
+                      lambda a, i=i: _attention(params, f"dec{i}.self", a, a, self_layout))
+        x = _sublayer(params, f"dec{i}.cross", x,
+                      lambda a, i=i: _attention(params, f"dec{i}.cross", a, h_e,
+                                                cross_layout))
+        x = _sublayer(params, f"dec{i}.ffn", x,
+                      lambda a, i=i: _ffn(params, f"dec{i}.ffn", a))
+        blocks.append(x)
+    h = T.layer_norm(x, params["dec_ln.g"], params["dec_ln.b"])
+    # The last reported layer state is exactly the CG head's input.
+    return blocks[:-1] + [h], h
 
 
 def encode(params: ModelParams, context_ids: Sequence[int]) -> EncoderOutput:
     """Encode a context; pad positions are masked out of attention keys."""
-    cfg = params.config
-    ids = tuple(int(i) for i in context_ids)
-    _check_length(cfg, len(ids), "context")
-    key_mask = np.array([i != cfg.pad_id for i in ids], dtype=bool)
-    if not key_mask.any():
-        raise T.EmptyPoolError("context consists only of pad tokens")
-    bias = _key_bias(key_mask)
-    x = _embed(params, ids)
-    for i in range(cfg.n_enc_layers):
-        x = _sublayer(params, f"enc{i}.self", x,
-                      lambda a, i=i: _attention(params, f"enc{i}.self", a, a, bias))
-        x = _sublayer(params, f"enc{i}.ffn", x,
-                      lambda a, i=i: _ffn(params, f"enc{i}.ffn", a))
-    h_e = T.layer_norm(x, params["enc_ln.g"], params["enc_ln.b"])
+    ids, key_mask = _context(params.config, context_ids)
+    n = len(ids)
+    h_e = _encoder_stack(params, ids, range(n), T.AttentionLayout([n], [n], key_ok=key_mask))
     return EncoderOutput(h_e=h_e, context_ids=ids, key_mask=key_mask)
 
 
@@ -220,24 +250,11 @@ def _decoder_forward(params: ModelParams, enc: EncoderOutput,
                      input_ids: tuple[int, ...]) -> tuple[list[Tensor], Tensor]:
     cfg = params.config
     n = len(input_ids)
-    causal = np.where(np.tril(np.ones((n, n), dtype=bool)), 0.0, -np.inf)
     self_key = np.array([i != cfg.pad_id for i in input_ids], dtype=bool)
-    self_bias = causal if self_key.all() else causal + _key_bias(self_key)
-    cross_bias = _key_bias(enc.key_mask)
-    x = _embed(params, input_ids)
-    blocks: list[Tensor] = []
-    for i in range(cfg.n_dec_layers):
-        x = _sublayer(params, f"dec{i}.self", x,
-                      lambda a, i=i: _attention(params, f"dec{i}.self", a, a, self_bias))
-        x = _sublayer(params, f"dec{i}.cross", x,
-                      lambda a, i=i: _attention(params, f"dec{i}.cross", a, enc.h_e,
-                                                cross_bias))
-        x = _sublayer(params, f"dec{i}.ffn", x,
-                      lambda a, i=i: _ffn(params, f"dec{i}.ffn", a))
-        blocks.append(x)
-    h = T.layer_norm(x, params["dec_ln.g"], params["dec_ln.b"])
-    # The last reported layer state is exactly the CG head's input.
-    return blocks[:-1] + [h], h
+    return _decoder_stack(
+        params, enc.h_e, input_ids, range(n),
+        T.AttentionLayout([n], [n], causal=True, key_ok=self_key),
+        T.AttentionLayout([n], [len(enc.context_ids)], key_ok=enc.key_mask))
 
 
 def decode_teacher_forced(params: ModelParams, enc: EncoderOutput,
@@ -249,18 +266,77 @@ def decode_teacher_forced(params: ModelParams, enc: EncoderOutput,
     target_mask; BOS/EOS must not appear inside the target.
     """
     cfg = params.config
-    tgt = tuple(int(i) for i in target_ids)
-    if any(t in (cfg.bos_id, cfg.eos_id) for t in tgt):
-        raise ValueError(f"target must not contain BOS/EOS ids: {tgt}")
-    _check_length(cfg, len(tgt), "target")
-    input_ids = (cfg.bos_id,) + tgt
-    _check_length(cfg, len(input_ids), "decoder input")
+    input_ids = _decoder_input(cfg, target_ids)
+    tgt = input_ids[1:]
     layer_states, h = _decoder_forward(params, enc, input_ids)
     logits = T.matmul(h, params["cg_head.w"])
     target_mask = [False] + [t != cfg.pad_id for t in tgt]
     return DecoderTrace(layer_states=layer_states, logits=logits,
                         target_mask=target_mask, input_ids=input_ids,
                         predict_ids=tgt + (cfg.eos_id,))
+
+
+@dataclass
+class PackedTrace:
+    """Teacher-forced decode of several examples, their rows stacked.
+
+    Rows are grouped by context; `branch_of_row` maps each row back to the
+    example (in input order) it belongs to.
+    """
+    layer_states: list[Tensor]       # L_dec entries, each [rows, d_model]
+    logits: Tensor                   # [rows, vocab_size]
+    branch_of_row: np.ndarray        # int [rows]
+    target_mask: np.ndarray          # bool [rows]; False at BOS and pad rows
+    predict_ids: np.ndarray          # int [rows]; shifted targets, EOS closing each
+
+
+def decode_packed(params: ModelParams,
+                  examples: Sequence[tuple[Sequence[int], Sequence[int]]]) -> PackedTrace:
+    """Teacher-forced decode of (context_ids, target_ids) examples in one
+    encoder pass over the distinct contexts and one decoder pass over every
+    target. Row for row this is what `encode` and `decode_teacher_forced`
+    compute per example, under the same input rules."""
+    cfg = params.config
+    if not examples:
+        raise ValueError("decode_packed needs at least one example")
+    contexts: dict[tuple[int, ...], int] = {}
+    context_rows: list[tuple[tuple[int, ...], np.ndarray]] = []
+    branches_of: list[list[int]] = []
+    inputs: list[tuple[int, ...]] = []
+    for b, (context_ids, target_ids) in enumerate(examples):
+        key = tuple(context_ids)
+        c = contexts.get(key)
+        if c is None:
+            c = contexts[key] = len(context_rows)
+            context_rows.append(_context(cfg, key))
+            branches_of.append([])
+        branches_of[c].append(b)
+        inputs.append(_decoder_input(cfg, target_ids))
+
+    ctx_lens = [len(ids) for ids, _ in context_rows]
+    enc_ids = [i for ids, _ in context_rows for i in ids]
+    enc_key = np.concatenate([mask for _, mask in context_rows])
+    h_e = _encoder_stack(params, enc_ids, np.concatenate([np.arange(n) for n in ctx_lens]),
+                         T.AttentionLayout(ctx_lens, ctx_lens, key_ok=enc_key))
+
+    order = [b for group in branches_of for b in group]
+    dec_lens = np.array([len(inputs[b]) for b in order])
+    dec_ids = np.array([i for b in order for i in inputs[b]], dtype=np.int64)
+    rows_per_context = [sum(len(inputs[b]) for b in group) for group in branches_of]
+    layer_states, h = _decoder_stack(
+        params, h_e, dec_ids, np.concatenate([np.arange(n) for n in dec_lens]),
+        T.AttentionLayout(dec_lens, dec_lens, causal=True, key_ok=dec_ids != cfg.pad_id),
+        T.AttentionLayout(rows_per_context, ctx_lens, key_ok=enc_key))
+    ends = np.cumsum(dec_lens)
+    # Row r predicts the input token of row r + 1; each branch's last row, EOS.
+    predict = np.roll(dec_ids, -1)
+    predict[ends - 1] = cfg.eos_id
+    target_mask = dec_ids != cfg.pad_id
+    target_mask[ends - dec_lens] = False  # BOS rows
+    return PackedTrace(layer_states=layer_states,
+                       logits=T.matmul(h, params["cg_head.w"]),
+                       branch_of_row=np.repeat(order, dec_lens),
+                       target_mask=target_mask, predict_ids=predict)
 
 
 def decode_step(params: ModelParams, enc: EncoderOutput,
@@ -323,12 +399,18 @@ def load_checkpoint(path) -> tuple[ModelParams, list[str] | None]:
     if raw[:len(MAGIC)] != MAGIC:
         raise CheckpointError(f"bad magic in {path}: not a checkpoint file")
     offset = len(MAGIC)
+    if len(raw) < offset + 4:
+        raise CheckpointError(f"checkpoint {path} truncated inside its header length")
     (header_len,) = struct.unpack_from("<I", raw, offset)
     offset += 4
+    if len(raw) < offset + header_len:
+        raise CheckpointError(f"checkpoint {path} truncated inside its header")
     try:
         header = json.loads(raw[offset:offset + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"corrupt checkpoint header: {e}") from e
+    if not isinstance(header, dict):
+        raise CheckpointError("corrupt checkpoint header: not a JSON object")
     offset += header_len
     if header.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(
@@ -338,7 +420,10 @@ def load_checkpoint(path) -> tuple[ModelParams, list[str] | None]:
     except (TypeError, KeyError, ConfigError) as e:
         raise CheckpointError(f"invalid config in checkpoint: {e}") from e
     expected = [(name, list(shape)) for name, shape in _param_manifest(config)]
-    declared = [(name, list(shape)) for name, shape in header.get("tensors", [])]
+    try:
+        declared = [(name, list(shape)) for name, shape in header.get("tensors", [])]
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"malformed tensor manifest in checkpoint: {e}") from e
     if declared != expected:
         raise CheckpointError("checkpoint tensor manifest does not match its config")
     tensors: dict[str, Tensor] = {}
@@ -348,6 +433,8 @@ def load_checkpoint(path) -> tuple[ModelParams, list[str] | None]:
             raise CheckpointError(f"checkpoint truncated while reading {name}")
         data = np.frombuffer(raw, dtype="<f8", count=int(np.prod(shape)),
                              offset=offset).reshape(shape).astype(np.float64)
+        if not np.isfinite(data).all():
+            raise CheckpointError(f"checkpoint parameter {name} holds non-finite values")
         tensors[name] = Tensor(data, requires_grad=True)
         offset += size
     if offset != len(raw):

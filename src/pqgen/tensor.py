@@ -336,6 +336,113 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _emit((x,), s, bwd)
 
 
+class AttentionLayout:
+    """Which key rows each query row of `attention` may see.
+
+    Segment s pairs the next q_lens[s] query rows with the next k_lens[s] key
+    rows: the segments tile both row blocks in order, and no row sees a row of
+    another segment. `causal` hides later keys (self-attention, so q_lens must
+    equal k_lens); `key_ok`, one flag per key row, hides keys marked False
+    (pad tokens). Build one per forward pass and share it across layers.
+    """
+
+    __slots__ = ("n_q", "n_k", "q_slots", "k_slots", "bias")
+
+    def __init__(self, q_lens: Sequence[int], k_lens: Sequence[int], causal: bool = False,
+                 key_ok: Sequence[bool] | np.ndarray | None = None):
+        q_lens = [int(n) for n in q_lens]
+        k_lens = [int(n) for n in k_lens]
+        if not q_lens or len(q_lens) != len(k_lens) or min(q_lens + k_lens) < 1:
+            raise ShapeError(f"attention segments need matching positive lengths: "
+                             f"{q_lens} vs {k_lens}")
+        if causal and q_lens != k_lens:
+            raise ShapeError("causal attention needs equal query and key segments")
+        self.n_q, self.n_k = sum(q_lens), sum(k_lens)
+        lq, lk = max(q_lens), max(k_lens)
+        if key_ok is not None:
+            key_ok = np.asarray(key_ok, dtype=bool)
+            if key_ok.shape != (self.n_k,):
+                raise ShapeError(f"key_ok has shape {key_ok.shape}, want ({self.n_k},)")
+        if len(q_lens) == 1:
+            # One segment: its block is the rows themselves, nothing to gather.
+            self.q_slots = self.k_slots = None
+            hidden = None if key_ok is None or key_ok.all() else ~key_ok[None, None, :]
+        else:
+            # Slot masks of the zero-padded [segments, L] blocks.
+            self.q_slots = np.arange(lq) < np.array(q_lens)[:, None]
+            self.k_slots = np.arange(lk) < np.array(k_lens)[:, None]
+            visible = self.k_slots if key_ok is None else _to_blocks(key_ok, self.k_slots)
+            # Pad query slots see every key: their rows are dropped, and this
+            # keeps them free of all -inf rows.
+            hidden = ~visible[:, None, :] & self.q_slots[:, :, None]
+        if causal:
+            later = ~np.tri(lq, lk, dtype=bool)
+            hidden = later[None] if hidden is None else hidden | later
+        self.bias = (None if hidden is None or not hidden.any()       # [S, 1, Lq|1, Lk]
+                     else np.where(hidden, -np.inf, 0.0)[:, None])
+
+
+def _to_blocks(x: np.ndarray, slots: np.ndarray | None) -> np.ndarray:
+    """Stacked rows -> zero-padded [segments, L, ...] block."""
+    if slots is None:
+        return x[None]
+    out = np.zeros(slots.shape + x.shape[1:], dtype=x.dtype)
+    out[slots] = x
+    return out
+
+
+def _from_blocks(xb: np.ndarray, slots: np.ndarray | None) -> np.ndarray:
+    return xb[0] if slots is None else xb[slots]
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
+              layout: AttentionLayout) -> Tensor:
+    """Multi-head scaled dot-product attention over stacked rows.
+
+    q is [n_q, d]; k and v are [n_k, d]; head h uses columns h*d/H..(h+1)*d/H
+    and the head outputs are concatenated in that order. Each segment of
+    `layout` is gathered into a padded [segments, heads, Lq, Lk] block;
+    only that block's softmax is kept for the backward pass.
+    """
+    if q.data.ndim != 2 or k.data.ndim != 2 or k.shape != v.shape or q.shape[1] != k.shape[1]:
+        raise ShapeError(f"attention shapes incompatible: q {q.shape}, k {k.shape}, v {v.shape}")
+    if (q.shape[0], k.shape[0]) != (layout.n_q, layout.n_k):
+        raise ShapeError(f"attention layout covers {layout.n_q} x {layout.n_k} rows, "
+                         f"got q {q.shape}, k {k.shape}")
+    d = q.shape[1]
+    if n_heads < 1 or d % n_heads:
+        raise ShapeError(f"attention width {d} not divisible into {n_heads} heads")
+    dh = d // n_heads
+    scale_ = 1.0 / np.sqrt(dh)
+
+    def split(x, slots):                                   # -> [S, H, L, dh]
+        xb = _to_blocks(x, slots)
+        return xb.reshape(xb.shape[0], xb.shape[1], n_heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(xh, slots):                                  # [S, H, L, dh] -> rows
+        s, _, rows, _ = xh.shape
+        return _from_blocks(xh.transpose(0, 2, 1, 3).reshape(s, rows, d), slots)
+
+    qh = split(q.data, layout.q_slots)
+    kh = split(k.data, layout.k_slots)
+    vh = split(v.data, layout.k_slots)
+    scores = (qh @ kh.transpose(0, 1, 3, 2)) * scale_
+    if layout.bias is not None:
+        scores = scores + layout.bias
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+
+    def bwd(g):
+        gh = split(g, layout.q_slots)
+        dp = gh @ vh.transpose(0, 1, 3, 2)
+        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * scale_
+        return (merge(ds @ kh, layout.q_slots),
+                merge(ds.transpose(0, 1, 3, 2) @ qh, layout.k_slots),
+                merge(p.transpose(0, 1, 3, 2) @ gh, layout.k_slots))
+
+    return _emit((q, k, v), merge(p @ vh, layout.q_slots), bwd)
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
     """Normalize along the last axis with population variance; y = g*xhat + b."""
     d = x.shape[-1] if x.data.ndim else 0
@@ -426,3 +533,92 @@ def cross_entropy(logits: Tensor, targets: Sequence[int], pad_id: int) -> Tensor
         return (gx * (float(g) / keep.size),)
 
     return _emit((logits,), np.asarray(loss), bwd)
+
+
+def _segment_counts(segment_ids: np.ndarray, n_segments: int, what: str) -> np.ndarray:
+    counts = np.bincount(segment_ids, minlength=n_segments)
+    if counts.size != n_segments or not counts.all():
+        raise EmptyPoolError(f"{what}: segment ids {sorted(set(segment_ids.tolist()))} "
+                             f"do not cover every one of {n_segments} segments")
+    return counts
+
+
+def cross_entropy_segments(logits: Tensor, targets: Sequence[int], segment_ids: Sequence[int],
+                           n_segments: int, pad_id: int) -> Tensor:
+    """Per-segment token-mean negative log-likelihood, as an [n_segments] vector.
+
+    Row t of logits [T, V] predicts targets[t] and belongs to segment
+    segment_ids[t]; rows whose target is pad_id are left out of their
+    segment's mean, as in `cross_entropy`.
+    """
+    if logits.data.ndim != 2:
+        raise ShapeError(f"cross_entropy_segments logits must be 2-D, got {logits.shape}")
+    tgt = np.asarray(targets, dtype=np.int64)
+    seg = np.asarray(segment_ids, dtype=np.int64)
+    if tgt.shape != (logits.shape[0],) or seg.shape != tgt.shape:
+        raise ShapeError(f"cross_entropy_segments: logits {logits.shape} vs targets "
+                         f"{tgt.shape} and segment ids {seg.shape}")
+    vocab = logits.shape[1]
+    if tgt.size and (tgt.min() < 0 or tgt.max() >= vocab):
+        raise IndexError(f"cross_entropy target id out of range [0, {vocab}): {tgt.tolist()}")
+    if seg.size and (seg.min() < 0 or seg.max() >= n_segments):
+        raise IndexError(f"segment id out of range [0, {n_segments}): {seg.tolist()}")
+    keep = tgt != pad_id
+    counts = _segment_counts(seg[keep], n_segments, "cross_entropy_segments")
+    m = logits.data.max(axis=1, keepdims=True)
+    e = logits.data - m
+    lse = np.log(np.exp(e, out=e).sum(axis=1)) + m[:, 0]
+    rows = np.arange(tgt.size)
+    nll = lse - logits.data[rows, tgt]
+    loss = np.bincount(seg[keep], weights=nll[keep], minlength=n_segments) / counts
+
+    def bwd(g):
+        # [T, V] blocks are the largest arrays of a packed step: work in place.
+        gx = logits.data - lse[:, None]
+        np.exp(gx, out=gx)  # softmax rows
+        gx[rows, tgt] -= 1.0
+        gx *= np.where(keep, (g / counts)[seg], 0.0)[:, None]
+        return (gx,)
+
+    return _emit((logits,), loss, bwd)
+
+
+def mean_pool_segments(states: Tensor, segment_ids: Sequence[int], n_segments: int) -> Tensor:
+    """[n_segments, d]: row s is the mean of the rows of states[T, d] whose
+    segment id is s; rows with a negative id belong to no segment."""
+    seg = np.asarray(segment_ids, dtype=np.int64)
+    if states.data.ndim != 2 or seg.shape != (states.shape[0],):
+        raise ShapeError(f"mean_pool_segments: states {states.shape} vs "
+                         f"segment ids {seg.shape}")
+    if seg.size and seg.max() >= n_segments:
+        raise IndexError(f"segment id out of range [0, {n_segments}): {seg.tolist()}")
+    member = seg >= 0
+    counts = _segment_counts(seg[member], n_segments, "mean_pool_segments")
+    weights = np.zeros((n_segments, seg.size))
+    weights[seg[member], np.flatnonzero(member)] = 1.0 / counts[seg[member]]
+
+    def bwd(g):
+        return (weights.T @ g,)
+
+    return _emit((states,), weights @ states.data, bwd)
+
+
+def cosine_similarity_rows(u: Tensor, v: Tensor) -> Tensor:
+    """Row-wise cosine similarity of two [n, d] matrices, as an [n] vector."""
+    if u.data.ndim != 2 or u.shape != v.shape:
+        raise ShapeError(f"cosine_similarity_rows needs matching 2-D inputs: "
+                         f"{u.shape} vs {v.shape}")
+    nu = np.linalg.norm(u.data, axis=1)
+    nv = np.linalg.norm(v.data, axis=1)
+    if nu.size and min(nu.min(), nv.min()) < 1e-12:
+        raise DegenerateVectorError(f"cosine_similarity_rows: a row norm is below 1e-12 "
+                                    f"(min {min(nu.min(), nv.min()):.3e})")
+    nuv = nu * nv
+    c = (u.data * v.data).sum(axis=1) / nuv
+
+    def bwd(g):
+        du = g[:, None] * (v.data / nuv[:, None] - (c / (nu * nu))[:, None] * u.data)
+        dv = g[:, None] * (u.data / nuv[:, None] - (c / (nv * nv))[:, None] * v.data)
+        return du, dv
+
+    return _emit((u, v), c, bwd)

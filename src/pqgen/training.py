@@ -18,8 +18,10 @@ import numpy as np
 from . import corpus as C
 from . import tensor as T
 from .corpus import ProductRecord, SplitCorpus, Vocab
-from .model import (DecoderTrace, ModelConfig, ModelParams, decode_teacher_forced,
-                    encode, init_params)
+# encode and decode_teacher_forced stay importable from here: with cg_loss and
+# div_loss they are the per-example reference the packed step is tested against.
+from .model import (DecoderTrace, ModelConfig, ModelParams, PackedTrace,  # noqa: F401
+                    decode_packed, decode_teacher_forced, encode, init_params)
 from .tensor import Tensor
 
 MODES = ("traditional", "ltd")
@@ -124,25 +126,76 @@ def div_loss(trace1: DecoderTrace, trace2: DecoderTrace) -> Tensor:
     return T.scale(T.add_n(cosines), 1.0 / len(cosines))
 
 
+@dataclass(frozen=True)
+class BatchLosses:
+    """Loss values of one packed forward, per item in batch order."""
+    cg1: np.ndarray        # per triplet: CG loss of its first question
+    cg2: np.ndarray        # per triplet: CG loss of its second question
+    div: np.ndarray        # per triplet
+    single_cg: np.ndarray  # per single (product_id, context_ids, q_ids) item
+    n_branches: int        # teacher-forced branches: 2 per triplet, 1 per single
+
+
+def batch_loss(params: ModelParams, items: Sequence,
+               lambda_div: float) -> tuple[BatchLosses, Tensor]:
+    """One packed forward over a batch of Triplets and singles; returns the
+    per-item values and the differentiable sum of every branch's CG loss
+    plus lambda times every triplet's div."""
+    examples: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    firsts: list[int] = []
+    seconds: list[int] = []
+    singles: list[int] = []
+    for item in items:
+        if isinstance(item, Triplet):
+            firsts.append(len(examples))
+            seconds.append(len(examples) + 1)
+            examples += [(item.context_ids, item.q1_ids), (item.context_ids, item.q2_ids)]
+        else:
+            _, ctx, q_ids = item
+            singles.append(len(examples))
+            examples.append((ctx, q_ids))
+    trace = decode_packed(params, examples)
+    cg = T.cross_entropy_segments(trace.logits, trace.predict_ids, trace.branch_of_row,
+                                  len(examples), params.config.pad_id)
+    total = T.tsum(cg)
+    div = np.zeros(0)
+    if firsts:
+        if lambda_div == 0.0:
+            # Keep the regularizer off the graph so the optimization path is
+            # identical to twin CG training.
+            with T.no_grad():
+                div = _packed_div(trace, firsts, seconds).data
+        else:
+            div_t = _packed_div(trace, firsts, seconds)
+            total = T.add(total, T.scale(T.tsum(div_t), lambda_div))
+            div = div_t.data
+    losses = BatchLosses(cg1=cg.data[firsts], cg2=cg.data[seconds], div=div,
+                         single_cg=cg.data[singles], n_branches=len(examples))
+    return losses, total
+
+
+def _packed_div(trace: PackedTrace, firsts: list[int], seconds: list[int]) -> Tensor:
+    """`div_loss` of every (firsts[p], seconds[p]) pair of branches, as a vector."""
+    n_branches = int(trace.branch_of_row.max()) + 1
+    ids = []
+    for side in (firsts, seconds):
+        pair_of_branch = np.full(n_branches, -1)
+        pair_of_branch[side] = np.arange(len(side))
+        ids.append(np.where(trace.target_mask, pair_of_branch[trace.branch_of_row], -1))
+    n = len(firsts)
+    cosines = [T.cosine_similarity_rows(T.mean_pool_segments(states, ids[0], n),
+                                        T.mean_pool_segments(states, ids[1], n))
+               for states in trace.layer_states]
+    return T.scale(T.add_n(cosines), 1.0 / len(cosines))
+
+
 def ltd_loss(params: ModelParams, triplet: Triplet,
              lambda_div: float) -> tuple[LossBreakdown, Tensor]:
-    """One shared encode, two teacher-forced branches; returns the logged
-    breakdown and the differentiable total."""
-    enc = encode(params, triplet.context_ids)
-    t1 = decode_teacher_forced(params, enc, triplet.q1_ids)
-    t2 = decode_teacher_forced(params, enc, triplet.q2_ids)
-    cg1 = cg_loss(t1, triplet.q1_ids, params.config.pad_id)
-    cg2 = cg_loss(t2, triplet.q2_ids, params.config.pad_id)
-    div = div_loss(t1, t2)
-    if lambda_div == 0.0:
-        # Keep the regularizer off the graph so the optimization path is
-        # identical to twin CG training.
-        total = T.add(cg1, cg2)
-    else:
-        total = T.add_n([cg1, cg2, T.scale(div, lambda_div)])
-    breakdown = LossBreakdown(cg1=cg1.item(), cg2=cg2.item(), div=div.item(),
-                              total=cg1.item() + cg2.item() + lambda_div * div.item())
-    return breakdown, total
+    """The one-triplet batch loss: one shared encode, two teacher-forced
+    branches; returns the logged breakdown and the differentiable total."""
+    losses, total = batch_loss(params, [triplet], lambda_div)
+    cg1, cg2, div = float(losses.cg1[0]), float(losses.cg2[0]), float(losses.div[0])
+    return LossBreakdown(cg1=cg1, cg2=cg2, div=div, total=cg1 + cg2 + lambda_div * div), total
 
 
 class AdamState:
@@ -174,6 +227,11 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamStat
         p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
+def _clips(norm: float, max_norm: float) -> bool:
+    """Whether `clip_gradients` rescales gradients of this pre-clip norm."""
+    return max_norm > 0 and norm > max_norm
+
+
 def clip_gradients(params: ModelParams, max_norm: float) -> float:
     """Global-norm clipping in place; returns the pre-clip norm."""
     sq = 0.0
@@ -181,7 +239,7 @@ def clip_gradients(params: ModelParams, max_norm: float) -> float:
         if t.grad is not None:
             sq += float(np.sum(t.grad * t.grad))
     total = math.sqrt(sq)
-    if max_norm > 0 and total > max_norm:
+    if _clips(total, max_norm):
         factor = max_norm / total
         for t in params.tensors():
             if t.grad is not None:
@@ -189,18 +247,19 @@ def clip_gradients(params: ModelParams, max_norm: float) -> float:
     return total
 
 
-def mean_cg(params: ModelParams, records: Sequence[ProductRecord], vocab: Vocab) -> float:
-    """Mean token-mean cross entropy over every (context, question) pair."""
+def mean_cg(params: ModelParams, records: Sequence[ProductRecord], vocab: Vocab,
+            batch_size: int = 8) -> float:
+    """Mean token-mean cross entropy over every (context, question) pair,
+    from packed forwards over at most batch_size products each."""
     if not records:
         raise C.DataSplitError("cannot evaluate CG loss on an empty record list")
     losses = []
     with T.no_grad():
-        for rec in records:
-            enc = encode(params, vocab.encode_text(rec.context))
-            for q in rec.questions:
-                trace = decode_teacher_forced(params, enc, vocab.encode_text(q))
-                losses.append(T.cross_entropy(trace.logits, list(trace.predict_ids),
-                                              pad_id=params.config.pad_id).item())
+        for start in range(0, len(records), batch_size):
+            items = [(rec.product_id, tuple(vocab.encode_text(rec.context)),
+                      tuple(vocab.encode_text(q)))
+                     for rec in records[start:start + batch_size] for q in rec.questions]
+            losses.extend(batch_loss(params, items, 0.0)[0].single_cg.tolist())
     return math.fsum(losses) / len(losses)
 
 
@@ -255,67 +314,35 @@ def train(split: SplitCorpus, vocab: Vocab, model_config: ModelConfig,
             batch = flat[start:start + train_config.batch_size]
             T.reset_tape()
             T.zero_grad(params.tensors())
-            enc_cache: dict[str, object] = {}
-            scalars: list[Tensor] = []
-            branches = 0
-            tript_cg1, tript_cg2, tript_div = [], [], []
-            single_cg = []
-            for item in batch:
-                if isinstance(item, Triplet):
-                    enc = enc_cache.get(item.product_id)
-                    if enc is None:
-                        enc = enc_cache[item.product_id] = encode(params, item.context_ids)
-                    t1 = decode_teacher_forced(params, enc, item.q1_ids)
-                    t2 = decode_teacher_forced(params, enc, item.q2_ids)
-                    cg1 = cg_loss(t1, item.q1_ids, model_config.pad_id)
-                    cg2 = cg_loss(t2, item.q2_ids, model_config.pad_id)
-                    scalars.extend([cg1, cg2])
-                    if lam > 0:
-                        div = div_loss(t1, t2)
-                        scalars.append(T.scale(div, lam))
-                    else:
-                        with T.no_grad():
-                            div = div_loss(t1, t2)
-                    branches += 2
-                    tript_cg1.append(cg1.item())
-                    tript_cg2.append(cg2.item())
-                    tript_div.append(div.item())
-                else:
-                    pid, ctx, q_ids = item
-                    enc = enc_cache.get(pid)
-                    if enc is None:
-                        enc = enc_cache[pid] = encode(params, ctx)
-                    trace = decode_teacher_forced(params, enc, q_ids)
-                    cg = cg_loss(trace, q_ids, model_config.pad_id)
-                    scalars.append(cg)
-                    branches += 1
-                    single_cg.append(cg.item())
-            objective = T.scale(T.add_n(scalars), 1.0 / branches)
+            losses, total = batch_loss(params, batch, lam)
+            objective = T.scale(total, 1.0 / losses.n_branches)
             value = objective.item()
             if not math.isfinite(value):
                 raise NumericError(f"non-finite loss {value} at step {step}")
             T.backward(objective)
-            clip_gradients(params, train_config.clip_norm)
+            grad_norm = clip_gradients(params, train_config.clip_norm)
             grads = {name: t.grad for name, t in params.items()}
             adam_step(params, grads, state, train_config.learning_rate,
                       train_config.beta1, train_config.beta2, train_config.eps)
             step += 1
-            if tript_cg1:
-                cg1_mean = math.fsum(tript_cg1) / len(tript_cg1)
-                cg2_mean = math.fsum(tript_cg2) / len(tript_cg2)
-                div_mean = math.fsum(tript_div) / len(tript_div)
+            if losses.cg1.size:
+                cg1_mean = math.fsum(losses.cg1) / losses.cg1.size
+                cg2_mean = math.fsum(losses.cg2) / losses.cg2.size
+                div_mean = math.fsum(losses.div) / losses.div.size
                 row = {"kind": "step", "step": step, "epoch": epoch,
                        "cg1": cg1_mean, "cg2": cg2_mean, "div": div_mean,
                        "total": cg1_mean + cg2_mean + lam * div_mean,
                        "objective": value}
             else:
-                cg_mean = math.fsum(single_cg) / len(single_cg)
+                cg_mean = math.fsum(losses.single_cg) / losses.single_cg.size
                 row = {"kind": "step", "step": step, "epoch": epoch,
                        "cg1": cg_mean, "cg2": None, "div": None,
                        "total": cg_mean, "objective": value}
+            row["grad_norm"] = grad_norm
+            row["clipped"] = _clips(grad_norm, train_config.clip_norm)
             rows.append(row)
         T.reset_tape()
-        final_val = mean_cg(params, split.validation, vocab)
+        final_val = mean_cg(params, split.validation, vocab, train_config.batch_size)
         if not math.isfinite(final_val):
             raise NumericError(f"non-finite validation loss {final_val}")
         rows.append({"kind": "epoch", "epoch": epoch, "val_cg": final_val})

@@ -159,6 +159,23 @@ def test_train_ltd_lambda0_matches_traditional(tmp_path, capsys):
     assert abs(ltd - trad) < 1e-8
 
 
+def test_train_prints_best_and_final_validation_cg(tmp_path, capsys):
+    # lr 10 diverges, so the second epoch validates worse than the first and
+    # the retained (best) value differs from the last one.
+    corpus = make_corpus(capsys, tmp_path / "c.jsonl")
+    ckpt = tmp_path / "m.ckpt"
+    code, stdout, _ = run(capsys, "train", "--corpus", str(corpus), "--out", str(ckpt),
+                          *TINY_MODEL, "--epochs", "2", "--batch-size", "4", "--lr", "10")
+    assert code == 0
+    printed = dict(line.split("=", 1) for line in stdout.splitlines()
+                   if line.startswith(("best_val_cg=", "final_val_cg=")))
+    log = [json.loads(line) for line in (tmp_path / "m.ckpt.log.jsonl").read_text().splitlines()]
+    vals = [r["val_cg"] for r in log if r["kind"] == "epoch"]
+    assert len(vals) == 2 and vals[1] > vals[0]
+    assert float(printed["best_val_cg"]) == pytest.approx(min(vals), abs=1e-9)
+    assert float(printed["final_val_cg"]) == pytest.approx(vals[-1], abs=1e-9)
+
+
 def test_train_bad_corpus_schema_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"product_id": "p1", "context": "no questions field"}\n')
@@ -245,6 +262,18 @@ def test_generate_missing_checkpoint_exits_2(pipeline, tmp_path, capsys):
                      str(tmp_path / "missing.ckpt"), "--corpus", str(corpus),
                      "--out", str(tmp_path / "g.jsonl"))
     assert code == 2
+
+
+def test_generate_truncated_checkpoint_exits_2_without_traceback(pipeline, tmp_path,
+                                                                 capsys):
+    corpus, ckpt = pipeline
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes(ckpt.read_bytes()[:10])  # magic plus half the header length
+    code, _, err = run(capsys, "generate", "--checkpoint", str(cut),
+                       "--corpus", str(corpus), "--out", str(tmp_path / "g.jsonl"))
+    assert code == 2
+    assert "truncated" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -287,6 +287,39 @@ def test_embed_questions_shapes_and_determinism():
     assert not np.allclose(emb.rows[0], emb.rows[1])
 
 
+def test_embed_questions_encodes_each_distinct_question_once(monkeypatch):
+    from pqgen import metrics as MX
+    from pqgen.model import encode
+
+    vocab = Vocab(["is", "it", "safe", "heavy", "?"])
+    params = small_params(vocab)
+    texts = ["is it safe ?", "is it heavy ?", "is it safe ?", "is it safe ?",
+             "is it heavy ?"]
+    ids = [vocab.encode_text(t) for t in texts]
+    alone = [embed_questions(params, [i]).rows[0] for i in ids]
+    calls = []
+    monkeypatch.setattr(MX, "encode", lambda p, q: calls.append(q) or encode(p, q))
+    emb = embed_questions(params, ids)
+    assert len(calls) == 2
+    for row, want in zip(emb.rows, alone):
+        np.testing.assert_array_equal(row, want)  # bit-identical to a fresh encode
+
+
+def test_bleu_counts_each_reference_once_per_order(monkeypatch):
+    from pqgen import metrics as MX
+
+    counted = []
+    real = MX._ngram_counts
+    monkeypatch.setattr(MX, "_ngram_counts",
+                        lambda tokens, n: counted.append(n) or real(tokens, n))
+    hyp = ["a", "b", "c", "d", "e", "a", "b"]
+    refs = [["a", "b", "c"], ["b", "c", "d", "e"], ["e", "a", "b", "c", "d"]]
+    score = bleu(hyp, refs)
+    assert score == pytest.approx(bleu_oracle(hyp, refs), abs=1e-9)
+    # the hypothesis plus each reference, once for each of the four orders
+    assert len(counted) == 4 * (1 + len(refs))
+
+
 def test_embed_questions_position_sensitive():
     vocab = Vocab(["is", "it", "safe"])
     params = small_params(vocab)

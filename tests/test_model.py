@@ -192,3 +192,52 @@ def test_checkpoint_validation_errors(tmp_path, params):
     trailing.write_bytes(raw + b"\x00" * 8)
     with pytest.raises(M.CheckpointError):
         M.load_checkpoint(trailing)
+
+
+def test_checkpoint_every_truncation_raises_checkpoint_error(tmp_path):
+    tiny = M.init_params(M.ModelConfig(vocab_size=5, d_model=2, n_heads=1, n_enc_layers=1,
+                                       n_dec_layers=1, d_ff=1, max_len=2), seed=0)
+    path = tmp_path / "tiny.ckpt"
+    M.save_checkpoint(path, tiny, vocab_tokens=["x"])
+    raw = path.read_bytes()
+    cut = tmp_path / "cut.ckpt"
+    for size in range(len(raw)):
+        cut.write_bytes(raw[:size])
+        with pytest.raises(M.CheckpointError):
+            M.load_checkpoint(cut)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_checkpoint_non_finite_parameter_raises(tmp_path, params, value):
+    bad = params.copy()
+    bad["dec0.cross.wv"].data[1, 2] = value
+    path = tmp_path / "bad.ckpt"
+    M.save_checkpoint(path, bad)
+    with pytest.raises(M.CheckpointError, match="dec0.cross.wv"):
+        M.load_checkpoint(path)
+
+
+def test_decode_packed_matches_per_example_decode(params):
+    examples = [((5, 6, 7, 0), (8, 9)), ((0, 4, 5, 6, 7, 8), (9, 0, 10)),
+                ((5, 6, 7, 0), (10, 11, 4, 5)), ((3, 9), (6,))]
+    packed = M.decode_packed(params, examples)
+    for b, (ctx, tgt) in enumerate(examples):
+        trace = M.decode_teacher_forced(params, M.encode(params, ctx), tgt)
+        rows = packed.branch_of_row == b
+        np.testing.assert_allclose(packed.logits.data[rows], trace.logits.data,
+                                   rtol=0, atol=1e-12)
+        for got, want in zip(packed.layer_states, trace.layer_states):
+            np.testing.assert_allclose(got.data[rows], want.data, rtol=0, atol=1e-12)
+        assert packed.target_mask[rows].tolist() == trace.target_mask
+        assert tuple(packed.predict_ids[rows]) == trace.predict_ids
+
+
+def test_decode_packed_validates_like_per_example(params):
+    with pytest.raises(ValueError):
+        M.decode_packed(params, [])
+    with pytest.raises(T.EmptyPoolError):
+        M.decode_packed(params, [((5,), (6,)), ((0, 0), (6,))])
+    with pytest.raises(ValueError):
+        M.decode_packed(params, [((5,), (6, 2))])
+    with pytest.raises(M.SequenceLengthError):
+        M.decode_packed(params, [((5,), [6] * 16)])

@@ -163,6 +163,139 @@ def test_composite_expression_grad():
 
 
 # ---------------------------------------------------------------------------
+# Fused attention and segment ops
+
+
+def per_head_attention(q, k, v, n_heads, bias):
+    """The per-head composition `attention` replaced, as a reference."""
+    dh = q.shape[1] // n_heads
+    heads = []
+    for h in range(n_heads):
+        lo, hi = h * dh, (h + 1) * dh
+        scores = T.scale(T.matmul_t(T.slice_cols(q, lo, hi), T.slice_cols(k, lo, hi)),
+                         1.0 / np.sqrt(dh))
+        if bias is not None:
+            scores = T.add_const(scores, bias)
+        heads.append(T.matmul(T.softmax(scores), T.slice_cols(v, lo, hi)))
+    return T.concat_cols(heads)
+
+
+@pytest.mark.parametrize("causal", [False, True])
+def test_attention_one_segment_matches_per_head_composition(causal):
+    rng = np.random.default_rng(11)
+    n, d, heads = 5, 6, 3
+    key_ok = np.array([True, True, False, True, False])
+    arrays = [rng.normal(size=(n, d)) for _ in range(3)]
+    w = rng.normal(size=(n, d))
+    bias = np.where(key_ok, 0.0, -np.inf)[None, :]
+    if causal:
+        bias = bias + np.where(np.tril(np.ones((n, n), dtype=bool)), 0.0, -np.inf)
+    layout = T.AttentionLayout([n], [n], causal=causal, key_ok=key_ok)
+    assert layout.q_slots is None and layout.k_slots is None  # no gathering
+
+    results = []
+    for build in (lambda q, k, v: T.attention(q, k, v, heads, layout),
+                  lambda q, k, v: per_head_attention(q, k, v, heads, bias)):
+        leaves = [leaf(a) for a in arrays]
+        T.reset_tape()
+        out = build(*leaves)
+        T.backward(T.tsum(T.mul(out, T.Tensor(w))))
+        results.append((out.data, [lf.grad for lf in leaves]))
+    (fused, fused_grads), (ref, ref_grads) = results
+    np.testing.assert_allclose(fused, ref, rtol=0, atol=1e-12)
+    for g, r in zip(fused_grads, ref_grads):
+        np.testing.assert_allclose(g, r, rtol=0, atol=1e-12)
+
+
+def test_attention_multi_segment_equals_per_segment():
+    rng = np.random.default_rng(12)
+    lens, d = [3, 1, 4], 4
+    key_ok = np.array([True, False, True, True, True, False, True, True])
+    q, k, v = (rng.normal(size=(sum(lens), d)) for _ in range(3))
+    out = T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), 2,
+                      T.AttentionLayout(lens, lens, causal=True, key_ok=key_ok)).data
+    lo = 0
+    for n in lens:
+        rows = slice(lo, lo + n)
+        alone = T.attention(T.Tensor(q[rows]), T.Tensor(k[rows]), T.Tensor(v[rows]), 2,
+                            T.AttentionLayout([n], [n], causal=True, key_ok=key_ok[rows]))
+        np.testing.assert_allclose(out[rows], alone.data, rtol=0, atol=1e-12)
+        lo += n
+
+
+def test_attention_self_grad_several_segments_causal_pad_keys():
+    lens = [3, 2, 4]
+    key_ok = [True, False, True, True, True, True, False, True, True]
+    layout = T.AttentionLayout(lens, lens, causal=True, key_ok=key_ok)
+    check_grads(lambda ts: T.tsum(T.mul(T.attention(ts[0], ts[1], ts[2], 2, layout), ts[3])),
+                [RNG.normal(size=(9, 4)) for _ in range(4)])
+
+
+def test_attention_cross_grad_shared_key_segments_and_pad_keys():
+    # Segment 0 holds the rows of two decoder branches (2 + 3 query rows)
+    # that share one 4-row encoder segment; segment 1 holds one branch.
+    q_lens, k_lens = [5, 2], [4, 3]
+    key_ok = [True, True, False, True, False, True, True]
+    layout = T.AttentionLayout(q_lens, k_lens, key_ok=key_ok)
+    check_grads(lambda ts: T.tsum(T.mul(T.attention(ts[0], ts[1], ts[2], 2, layout), ts[3])),
+                [RNG.normal(size=(7, 4)), RNG.normal(size=(7, 4)),
+                 RNG.normal(size=(7, 4)), RNG.normal(size=(7, 4))])
+
+
+def test_attention_layout_validation():
+    with pytest.raises(T.ShapeError):
+        T.AttentionLayout([2, 3], [2, 2], causal=True)
+    with pytest.raises(T.ShapeError):
+        T.AttentionLayout([2, 0], [2, 1])
+    with pytest.raises(T.ShapeError):
+        T.AttentionLayout([2], [2], key_ok=[True])
+    x = T.Tensor(np.zeros((3, 4)))
+    with pytest.raises(T.ShapeError):
+        T.attention(x, x, x, 2, T.AttentionLayout([2], [2]))
+    with pytest.raises(T.ShapeError):
+        T.attention(x, x, x, 3, T.AttentionLayout([3], [3]))
+
+
+def test_cross_entropy_segments_matches_per_segment_and_grad():
+    logits = RNG.normal(size=(6, 5))
+    targets = [1, 0, 3, 2, 0, 4]  # pad 0 at rows 1 and 4
+    seg = [0, 0, 1, 1, 1, 2]
+    got = T.cross_entropy_segments(T.Tensor(logits), targets, seg, 3, pad_id=0).data
+    for s, rows in enumerate(([0, 1], [2, 3, 4], [5])):
+        want = T.cross_entropy(T.Tensor(logits[rows]), [targets[r] for r in rows], pad_id=0)
+        assert got[s] == pytest.approx(want.item(), abs=1e-12)
+    check_grads(lambda ts: T.tsum(T.mul(
+        T.cross_entropy_segments(ts[0], targets, seg, 3, pad_id=0), ts[1])),
+        [logits, RNG.normal(size=3)])
+    with pytest.raises(T.EmptyPoolError):
+        T.cross_entropy_segments(T.Tensor(logits), [0, 0, 3, 2, 0, 4], seg, 3, pad_id=0)
+
+
+def test_mean_pool_segments_matches_per_segment_and_grad():
+    states = RNG.normal(size=(5, 3))
+    seg = [1, -1, 0, 1, 0]
+    got = T.mean_pool_segments(T.Tensor(states), seg, 2).data
+    np.testing.assert_allclose(got[0], states[[2, 4]].mean(axis=0), atol=1e-12)
+    np.testing.assert_allclose(got[1], states[[0, 3]].mean(axis=0), atol=1e-12)
+    check_grads(lambda ts: T.tsum(T.mul(T.mean_pool_segments(ts[0], seg, 2), ts[1])),
+                [states, RNG.normal(size=(2, 3))])
+    with pytest.raises(T.EmptyPoolError):
+        T.mean_pool_segments(T.Tensor(states), seg, 3)
+
+
+def test_cosine_similarity_rows_matches_pairwise_and_grad():
+    u, v = RNG.normal(size=(3, 4)) + 1.0, RNG.normal(size=(3, 4)) - 1.0
+    got = T.cosine_similarity_rows(T.Tensor(u), T.Tensor(v)).data
+    for i in range(3):
+        want = T.cosine_similarity(T.Tensor(u[i]), T.Tensor(v[i])).item()
+        assert got[i] == pytest.approx(want, abs=1e-12)
+    check_grads(lambda ts: T.tsum(T.mul(T.cosine_similarity_rows(ts[0], ts[1]), ts[2])),
+                [u, v, RNG.normal(size=3)])
+    with pytest.raises(T.DegenerateVectorError):
+        T.cosine_similarity_rows(T.Tensor(np.zeros((1, 4))), T.Tensor(v[:1]))
+
+
+# ---------------------------------------------------------------------------
 # Tape mechanics
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -218,6 +219,133 @@ def test_ltd_loss_gradient_subset_vs_fd():
 
 
 # ---------------------------------------------------------------------------
+# Packed batch loss against the per-example reference
+
+
+def reference_step(params, items, lam):
+    """The per-example step the packed forward replaces: one encode per
+    context, one teacher-forced decode per branch, scalar losses summed."""
+    pad = params.config.pad_id
+    encs, scalars, cgs, divs = {}, [], [], []
+    for item in items:
+        ctx = item.context_ids if isinstance(item, TR.Triplet) else item[1]
+        enc = encs.get(ctx)
+        if enc is None:
+            enc = encs[ctx] = M.encode(params, ctx)
+        if isinstance(item, TR.Triplet):
+            t1 = M.decode_teacher_forced(params, enc, item.q1_ids)
+            t2 = M.decode_teacher_forced(params, enc, item.q2_ids)
+            cg1, cg2 = TR.cg_loss(t1, item.q1_ids, pad), TR.cg_loss(t2, item.q2_ids, pad)
+            scalars += [cg1, cg2]
+            cgs += [cg1.item(), cg2.item()]
+            if lam > 0:
+                div = TR.div_loss(t1, t2)
+                scalars.append(T.scale(div, lam))
+            else:
+                with T.no_grad():
+                    div = TR.div_loss(t1, t2)
+            divs.append(div.item())
+        else:
+            trace = M.decode_teacher_forced(params, enc, item[2])
+            cg = TR.cg_loss(trace, item[2], pad)
+            scalars.append(cg)
+            cgs.append(cg.item())
+    return T.scale(T.add_n(scalars), 1.0 / len(cgs)), cgs, divs
+
+
+def packed_and_reference(params, items, lam):
+    """(objective, per-branch CG, per-pair div, grads) of both paths."""
+    out = []
+    for run in ("packed", "reference"):
+        T.reset_tape()
+        T.zero_grad(params.tensors())
+        if run == "packed":
+            losses, total = TR.batch_loss(params, items, lam)
+            objective = T.scale(total, 1.0 / losses.n_branches)
+            cgs, k1, k2 = [], 0, 0
+            for item in items:  # back to batch branch order
+                if isinstance(item, TR.Triplet):
+                    cgs += [losses.cg1[k1], losses.cg2[k1]]
+                    k1 += 1
+                else:
+                    cgs.append(losses.single_cg[k2])
+                    k2 += 1
+            divs = list(losses.div)
+        else:
+            objective, cgs, divs = reference_step(params, items, lam)
+        T.backward(objective)
+        grads = {n: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
+                 for n, t in params.items()}
+        out.append((objective.item(), np.array(cgs), np.array(divs), grads))
+    return out
+
+
+def assert_packed_matches_reference(params, items, lam):
+    (obj, cgs, divs, grads), (r_obj, r_cgs, r_divs, r_grads) = \
+        packed_and_reference(params, items, lam)
+    assert abs(obj - r_obj) <= 1e-12
+    np.testing.assert_allclose(cgs, r_cgs, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(divs, r_divs, rtol=0, atol=1e-12)
+    for name in grads:
+        np.testing.assert_allclose(grads[name], r_grads[name], rtol=0, atol=1e-12,
+                                   err_msg=name)
+
+
+def packed_setup(n=6, questions_range=(2, 4)):
+    recs = tiny_corpus(n, questions_range=questions_range, seed=3)
+    v = C.build_vocab(recs)
+    params = M.init_params(toy_config(v), seed=2)
+    return recs, v, params
+
+
+@pytest.mark.parametrize("lam", [0.1, 0.0])
+def test_packed_ltd_step_matches_reference(lam):
+    recs, v, params = packed_setup()
+    items = TR.build_triplets(recs, v, seed=0)[:7]
+    assert len({t.context_ids for t in items}) > 1
+    assert_packed_matches_reference(params, items, lam)
+
+
+def test_packed_traditional_step_matches_reference():
+    recs, v, params = packed_setup()
+    items = [(r.product_id, tuple(v.encode_text(r.context)), tuple(v.encode_text(q)))
+             for r in recs[:3] for q in r.questions]
+    assert_packed_matches_reference(params, items, 0.0)
+
+
+def test_packed_ltd_step_with_single_question_product_matches_reference():
+    recs, v, params = packed_setup()
+    trips = TR.build_triplets(recs, v, seed=0)
+    lone = recs[-1]
+    single = (lone.product_id, tuple(v.encode_text(lone.context)),
+              tuple(v.encode_text(lone.questions[0])))
+    items = [trips[0], single, trips[1]]
+    assert_packed_matches_reference(params, items, 0.1)
+
+
+def test_packed_step_with_pads_in_contexts_and_targets_matches_reference():
+    recs, v, params = packed_setup()
+    pad = params.config.pad_id
+    trips = TR.build_triplets(recs, v, seed=0)[:3]
+    padded = [TR.Triplet(t.product_id, (pad,) + t.context_ids + (pad, pad),
+                         t.q1_ids + (pad,), t.q2_ids[:1] + (pad,) + t.q2_ids[1:])
+              for t in trips]
+    single = ("s", (pad,) + trips[0].context_ids, trips[0].q1_ids + (pad, pad))
+    for lam in (0.1, 0.0):
+        assert_packed_matches_reference(params, padded + [single], lam)
+
+
+def test_batch_loss_one_triplet_is_ltd_loss():
+    recs, v, params = packed_setup()
+    trip = TR.build_triplets(recs, v, seed=0)[0]
+    losses, total = TR.batch_loss(params, [trip], 0.1)
+    bd, ltd_total = TR.ltd_loss(params, trip, 0.1)
+    assert (bd.cg1, bd.cg2, bd.div) == (losses.cg1[0], losses.cg2[0], losses.div[0])
+    assert ltd_total.item() == total.item()
+    assert losses.n_branches == 2 and losses.single_cg.size == 0
+
+
+# ---------------------------------------------------------------------------
 # Optimizer
 
 
@@ -296,11 +424,22 @@ def test_train_log_contract_and_counts(tmp_path):
     import math as _m
     assert len(steps) == 2 * _m.ceil(n_items / 4)
     for r in steps:
-        assert {"step", "cg1", "cg2", "div", "total"} <= set(r)
+        assert {"step", "cg1", "cg2", "div", "total", "grad_norm", "clipped"} <= set(r)
         assert r["total"] == pytest.approx(r["cg1"] + r["cg2"] + 0.1 * r["div"],
                                            abs=1e-12)
+        assert math.isfinite(r["grad_norm"]) and r["grad_norm"] > 0.0
+        assert r["clipped"] is (r["grad_norm"] > tc.clip_norm)
     lines = [json.loads(l) for l in log_path.read_text().splitlines()]
     assert len(lines) == len(steps) + len(epochs)
+    assert lines == res.log_rows
+
+    # grad_norm is the pre-clip norm of the step's gradients; a clip bound
+    # below it makes every step report clipping.
+    tight = TR.train(split, v, toy_config(v), dataclasses.replace(tc, clip_norm=1e-6),
+                     mode="ltd")
+    tight_steps = [r for r in tight.log_rows if r["kind"] == "step"]
+    assert tight_steps[0]["grad_norm"] == steps[0]["grad_norm"]
+    assert all(r["clipped"] for r in tight_steps)
 
 
 def test_train_deterministic():
