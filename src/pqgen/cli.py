@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -64,6 +65,20 @@ def _positive(text: str) -> int:
     return value
 
 
+def _nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
+
+
 def _verbose() -> bool:
     return os.environ.get("PQGEN_VERBOSE", "1") != "0"
 
@@ -73,48 +88,100 @@ def _say(message: str) -> None:
         print(message)
 
 
-SYNTH_DEFAULTS = {
-    "seed": 0, "products": 100, "out": None,
-    "questions_min": 3, "questions_max": 6, "skew": 0.7,
-}
-TRAIN_DEFAULTS = {
-    "corpus": None, "mode": "ltd", "lambda_div": 0.1, "seed": 0,
-    "split_seed": 0, "out": None, "log": None,
-    "d_model": 64, "n_heads": 2, "enc_layers": 2, "dec_layers": 2,
-    "d_ff": 128, "max_len": 64, "min_count": 1,
-    "lr": 1e-4, "batch_size": 8, "epochs": 3, "max_pairs": 10,
-}
-GENERATE_DEFAULTS = {
-    "checkpoint": None, "corpus": None, "corpus_split": "test",
-    "split_seed": 0, "out": None,
-    "groups": 3, "beams": 2, "diversity_penalty": 5.0, "length_penalty": 1.0,
-    "no_repeat": 2, "max_new": 16, "questions": 6, "workers": 1,
-}
-EVALUATE_DEFAULTS = {
-    "generations": None, "gold": None, "checkpoint": None, "report": None,
-    "workers": 1,
-}
+# One row per option: (config key, flag, converter, default[, choices]).
+# The parser's flags and the defaults come from these rows, and `_resolve`
+# checks every --config value with the converter and choices of its flag.
+SYNTH_OPTIONS = (
+    ("seed", "--seed", _nonnegative, 0),
+    ("products", "--products", _positive, 100),
+    ("out", "--out", str, None),
+    ("questions_min", "--questions-min", _positive, 3),
+    ("questions_max", "--questions-max", _positive, 6),
+    ("skew", "--skew", _finite, 0.7),
+)
+TRAIN_OPTIONS = (
+    ("corpus", "--corpus", str, None),
+    ("mode", "--mode", str, "ltd", ("traditional", "ltd")),
+    ("lambda_div", "--lambda", _finite, 0.1),
+    ("seed", "--seed", _nonnegative, 0),
+    ("split_seed", "--split-seed", _nonnegative, 0),
+    ("out", "--out", str, None),
+    ("log", "--log", str, None),
+    ("d_model", "--d-model", _positive, 64),
+    ("n_heads", "--n-heads", _positive, 2),
+    ("enc_layers", "--enc-layers", _positive, 2),
+    ("dec_layers", "--dec-layers", _positive, 2),
+    ("d_ff", "--d-ff", _positive, 128),
+    ("max_len", "--max-len", _positive, 64),
+    ("min_count", "--min-count", _positive, 1),
+    ("lr", "--lr", _finite, 1e-4),
+    ("batch_size", "--batch-size", _positive, 8),
+    ("epochs", "--epochs", _positive, 3),
+    ("max_pairs", "--max-pairs", _positive, 10),
+)
+GENERATE_OPTIONS = (
+    ("checkpoint", "--checkpoint", str, None),
+    ("corpus", "--corpus", str, None),
+    ("corpus_split", "--corpus-split", str, "test", ("train", "validation", "test")),
+    ("split_seed", "--split-seed", _nonnegative, 0),
+    ("out", "--out", str, None),
+    ("groups", "--groups", _positive, 3),
+    ("beams", "--beams", _positive, 2),
+    ("diversity_penalty", "--diversity-penalty", _finite, 5.0),
+    ("length_penalty", "--length-penalty", _finite, 1.0),
+    ("no_repeat", "--no-repeat", _nonnegative, 2),
+    ("max_new", "--max-new", _positive, 16),
+    ("questions", "--questions", _positive, 6),
+    ("workers", "--workers", _positive, 1),
+)
+EVALUATE_OPTIONS = (
+    ("generations", "--generations", str, None),
+    ("gold", "--gold", str, None),
+    ("checkpoint", "--checkpoint", str, None),
+    ("report", "--report", str, None),
+    ("workers", "--workers", _positive, 1),
+)
 
 
-def _resolve(ns: argparse.Namespace, defaults: dict) -> dict:
+def _config_value(key: str, value, convert, default, choices=None):
+    """A --config value as its flag would parse it: numbers and strings go
+    through the flag's converter as text; null only stands for an unset
+    option that has no default."""
+    if value is None and default is None:
+        return None
+    if value is None or isinstance(value, (bool, list, dict)):
+        raise _UsageError(f"config key {key!r}: expected a number or a string, "
+                          f"got {json.dumps(value)}")
+    try:
+        parsed = convert(str(value))
+    except (ValueError, argparse.ArgumentTypeError) as e:
+        raise _UsageError(f"config key {key!r}: invalid value {value!r}: {e}")
+    if choices is not None and parsed not in choices:
+        raise _UsageError(f"config key {key!r}: {parsed!r} is not one of {list(choices)}")
+    return parsed
+
+
+def _resolve(ns: argparse.Namespace, options) -> dict:
     """defaults, overlaid by --config file values, overlaid by explicit flags
     (every flag uses a None sentinel so absence is detectable)."""
-    effective = dict(defaults)
+    effective = {key: default for key, _, _, default, *_ in options}
     if ns.config is not None:
         try:
             with open(ns.config) as f:
                 data = json.load(f)
         except OSError as e:
             raise _UsageError(f"cannot read config file: {e}")
-        except json.JSONDecodeError as e:
+        except ValueError as e:
             raise _UsageError(f"config file {ns.config} is not valid JSON: {e}")
         if not isinstance(data, dict):
             raise _UsageError(f"config file {ns.config} must hold a JSON object")
-        unknown = sorted(set(data) - set(defaults))
+        unknown = sorted(set(data) - set(effective))
         if unknown:
             raise _UsageError(f"unknown config keys in {ns.config}: {unknown}")
-        effective.update(data)
-    for key in defaults:
+        for key, _, convert, default, *choices in options:
+            if key in data:
+                effective[key] = _config_value(key, data[key], convert, default, *choices)
+    for key in effective:
         value = getattr(ns, key)
         if value is not None:
             effective[key] = value
@@ -138,7 +205,7 @@ def _require(effective: dict, *keys: str) -> None:
 
 
 def cmd_synth(ns: argparse.Namespace) -> int:
-    eff = _resolve(ns, SYNTH_DEFAULTS)
+    eff = _resolve(ns, SYNTH_OPTIONS)
     _require(eff, "out")
     if eff["questions_min"] > eff["questions_max"]:
         raise _UsageError("--questions-min cannot exceed --questions-max")
@@ -152,10 +219,8 @@ def cmd_synth(ns: argparse.Namespace) -> int:
 
 
 def cmd_train(ns: argparse.Namespace) -> int:
-    eff = _resolve(ns, TRAIN_DEFAULTS)
+    eff = _resolve(ns, TRAIN_OPTIONS)
     _require(eff, "corpus", "out")
-    if eff["mode"] not in ("traditional", "ltd"):
-        raise _UsageError(f"mode must be traditional or ltd, got {eff['mode']!r}")
     records = load_jsonl(eff["corpus"])
     corpus_split = split(records, seed=eff["split_seed"])
     vocab = build_vocab(corpus_split.train, min_count=eff["min_count"])
@@ -199,23 +264,22 @@ def _gen_worker(task: tuple[str, str]) -> dict:
     params = _GEN_STATE["params"]
     vocab = _GEN_STATE["vocab"]
     config = _GEN_STATE["config"]
-    ids = vocab.encode_text(context)[:params.config.max_len]
-    result = generate_questions(params, vocab, ids, config)
+    try:
+        result = generate_questions(params, vocab, vocab.encode_text(context), config)
+    except SequenceLengthError as e:
+        raise SequenceLengthError(f"product {pid}: {e}") from None
     return {"product_id": pid, "questions": result.questions,
             "scores": result.scores, "shortage": result.shortage}
 
 
 def cmd_generate(ns: argparse.Namespace) -> int:
-    eff = _resolve(ns, GENERATE_DEFAULTS)
+    eff = _resolve(ns, GENERATE_OPTIONS)
     _require(eff, "checkpoint", "corpus", "out")
     params, tokens = load_checkpoint(eff["checkpoint"])
     if tokens is None:
         raise CheckpointError(
             f"checkpoint {eff['checkpoint']} stores no vocabulary; "
             "it cannot drive generation")
-    if eff["corpus_split"] not in ("train", "validation", "test"):
-        raise _UsageError(f"corpus_split must be train, validation, or test, "
-                          f"got {eff['corpus_split']!r}")
     records = load_jsonl(eff["corpus"])
     corpus_split = split(records, seed=eff["split_seed"])
     chosen = getattr(corpus_split, eff["corpus_split"])
@@ -275,7 +339,7 @@ def _load_generations(path: str) -> list[dict]:
 
 
 def cmd_evaluate(ns: argparse.Namespace) -> int:
-    eff = _resolve(ns, EVALUATE_DEFAULTS)
+    eff = _resolve(ns, EVALUATE_OPTIONS)
     _require(eff, "generations", "gold", "checkpoint", "report")
     generations = _load_generations(eff["generations"])
     gold = load_jsonl(eff["gold"])
@@ -308,9 +372,12 @@ def cmd_evaluate(ns: argparse.Namespace) -> int:
 # Parser assembly
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON file of option values")
-    sub.add_argument("--save-config", help="write the effective config as JSON")
+_COMMANDS = (
+    ("synth", "write a synthetic corpus", SYNTH_OPTIONS, cmd_synth),
+    ("train", "train a model on a corpus", TRAIN_OPTIONS, cmd_train),
+    ("generate", "generate questions from a checkpoint", GENERATE_OPTIONS, cmd_generate),
+    ("evaluate", "score generations against gold", EVALUATE_OPTIONS, cmd_evaluate),
+)
 
 
 def build_parser() -> _Parser:
@@ -318,66 +385,13 @@ def build_parser() -> _Parser:
                      description="Train and evaluate diversity-regularized "
                                  "product question generators.")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    p = commands.add_parser("synth", parents=[], help="write a synthetic corpus")
-    _add_common(p)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--products", type=_positive)
-    p.add_argument("--out")
-    p.add_argument("--questions-min", type=_positive, dest="questions_min")
-    p.add_argument("--questions-max", type=_positive, dest="questions_max")
-    p.add_argument("--skew", type=float)
-    p.set_defaults(func=cmd_synth)
-
-    p = commands.add_parser("train", help="train a model on a corpus")
-    _add_common(p)
-    p.add_argument("--corpus")
-    p.add_argument("--mode", choices=("traditional", "ltd"))
-    p.add_argument("--lambda", type=float, dest="lambda_div")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--split-seed", type=int, dest="split_seed")
-    p.add_argument("--out")
-    p.add_argument("--log")
-    p.add_argument("--d-model", type=_positive, dest="d_model")
-    p.add_argument("--n-heads", type=_positive, dest="n_heads")
-    p.add_argument("--enc-layers", type=_positive, dest="enc_layers")
-    p.add_argument("--dec-layers", type=_positive, dest="dec_layers")
-    p.add_argument("--d-ff", type=_positive, dest="d_ff")
-    p.add_argument("--max-len", type=_positive, dest="max_len")
-    p.add_argument("--min-count", type=_positive, dest="min_count")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", type=_positive, dest="batch_size")
-    p.add_argument("--epochs", type=_positive)
-    p.add_argument("--max-pairs", type=_positive, dest="max_pairs")
-    p.set_defaults(func=cmd_train)
-
-    p = commands.add_parser("generate", help="generate questions from a checkpoint")
-    _add_common(p)
-    p.add_argument("--checkpoint")
-    p.add_argument("--corpus")
-    p.add_argument("--corpus-split", choices=("train", "validation", "test"),
-                   dest="corpus_split")
-    p.add_argument("--split-seed", type=int, dest="split_seed")
-    p.add_argument("--out")
-    p.add_argument("--groups", type=_positive)
-    p.add_argument("--beams", type=_positive)
-    p.add_argument("--diversity-penalty", type=float, dest="diversity_penalty")
-    p.add_argument("--length-penalty", type=float, dest="length_penalty")
-    p.add_argument("--no-repeat", type=int, dest="no_repeat")
-    p.add_argument("--max-new", type=_positive, dest="max_new")
-    p.add_argument("--questions", type=_positive)
-    p.add_argument("--workers", type=_positive)
-    p.set_defaults(func=cmd_generate)
-
-    p = commands.add_parser("evaluate", help="score generations against gold")
-    _add_common(p)
-    p.add_argument("--generations")
-    p.add_argument("--gold")
-    p.add_argument("--checkpoint")
-    p.add_argument("--report", help="output path prefix (.txt/.json/.csv)")
-    p.add_argument("--workers", type=_positive)
-    p.set_defaults(func=cmd_evaluate)
-
+    for name, help_text, options, func in _COMMANDS:
+        p = commands.add_parser(name, help=help_text)
+        p.add_argument("--config", help="JSON file of option values")
+        p.add_argument("--save-config", help="write the effective config as JSON")
+        for key, flag, convert, _, *choices in options:
+            p.add_argument(flag, dest=key, type=convert, choices=choices[0] if choices else None)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -8,7 +8,6 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -88,16 +87,6 @@ def build_vocab(records: Sequence[ProductRecord], min_count: int = 1) -> Vocab:
     kept = sorted((t for t, c in counts.items() if c >= min_count),
                   key=lambda t: (-counts[t], t))
     return Vocab(kept)
-
-
-def save_vocab(vocab: Vocab, path) -> None:
-    """One token per line; line index (0-based) = id - 4. Reserved ids implied."""
-    Path(path).write_text("\n".join(vocab.id_to_token[4:]) + "\n", encoding="utf-8")
-
-
-def load_vocab(path) -> Vocab:
-    text = Path(path).read_text(encoding="utf-8")
-    return Vocab([line for line in text.splitlines() if line])
 
 
 def _record_from_obj(obj, lineno: int) -> ProductRecord:

@@ -118,7 +118,7 @@ def _search_group(params: ModelParams, enc, cfg: GenerationConfig,
                 for tok, count in prior_choices[t].items():
                     sel_lp[tok] -= cfg.diversity_penalty * count
             finite = np.flatnonzero(~np.isneginf(sel_lp))
-            best = sorted(finite, key=lambda v: (-sel_lp[v], v))[:width]
+            best = finite[np.lexsort((finite, -sel_lp[finite]))][:width]
             for v in best:
                 child = Candidate(cand.token_ids + (int(v),),
                                   cand.cum_logprob + float(lp[v]),

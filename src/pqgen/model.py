@@ -350,8 +350,7 @@ def decode_step(params: ModelParams, enc: EncoderOutput,
     with T.no_grad():
         _, h = _decoder_forward(params, enc, prefix)
         logits = T.matmul(h, params["cg_head.w"]).data[-1]
-    shifted = logits - logits.max()
-    return shifted - np.log(np.exp(shifted).sum())
+    return logits - T.logsumexp(logits)
 
 
 def sequence_log_likelihood(params: ModelParams, context_ids: Sequence[int],
@@ -362,8 +361,7 @@ def sequence_log_likelihood(params: ModelParams, context_ids: Sequence[int],
         enc = encode(params, context_ids)
         trace = decode_teacher_forced(params, enc, question_ids)
         logits = trace.logits.data
-    m = logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(logits - m).sum(axis=1)) + m[:, 0]
+    lse = T.logsumexp(logits)
     total = 0.0
     for row, tok in enumerate(trace.predict_ids):
         if tok != cfg.pad_id:

@@ -78,36 +78,20 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-# A tape entry is (inputs, output, backward_fn); backward_fn maps the output
-# gradient to one gradient (or None) per input, shaped exactly like the input.
+# The tape lists executed ops in order. An entry is (inputs, output,
+# backward_fn); backward_fn maps the output gradient to one gradient (or None)
+# per input, shaped exactly like the input.
 TapeEntry = tuple[tuple[Tensor, ...], Tensor, Callable[[np.ndarray], tuple]]
-
-
-class ComputationTape:
-    """Append-only record of executed ops, in execution order."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self):
-        self.entries: list[TapeEntry] = []
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def reset(self) -> None:
-        self.entries.clear()
-
-
-_TAPE = ComputationTape()
+_TAPE: list[TapeEntry] = []
 _GRAD_ENABLED = True
 
 
-def active_tape() -> ComputationTape:
+def active_tape() -> list[TapeEntry]:
     return _TAPE
 
 
 def reset_tape() -> None:
-    _TAPE.reset()
+    _TAPE.clear()
 
 
 @contextlib.contextmanager
@@ -125,11 +109,11 @@ def no_grad():
 def _emit(inputs: tuple[Tensor, ...], out_data: np.ndarray, bwd) -> Tensor:
     out = Tensor(out_data, requires_grad=_GRAD_ENABLED and any(t.requires_grad for t in inputs))
     if out.requires_grad:
-        _TAPE.entries.append((inputs, out, bwd))
+        _TAPE.append((inputs, out, bwd))
     return out
 
 
-def backward(loss: Tensor, tape: ComputationTape | None = None) -> None:
+def backward(loss: Tensor) -> None:
     """Reverse sweep from a scalar loss; visits each recorded op exactly once.
 
     Gradients accumulate (+=) into `.grad` of every requires_grad tensor
@@ -138,9 +122,8 @@ def backward(loss: Tensor, tape: ComputationTape | None = None) -> None:
     """
     if loss.data.shape != ():
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-    entries = (tape if tape is not None else _TAPE).entries
     flowing: dict[Tensor, np.ndarray] = {loss: np.array(1.0)}
-    for inputs, out, bwd in reversed(entries):
+    for inputs, out, bwd in reversed(_TAPE):
         g = flowing.pop(out, None)
         if g is None:
             continue
@@ -503,6 +486,14 @@ def cosine_similarity(u: Tensor, v: Tensor) -> Tensor:
     return _emit((u, v), np.asarray(c), bwd)
 
 
+def logsumexp(x: np.ndarray) -> np.ndarray:
+    """log(sum(exp(x))) along the last axis (one value per row of a 2-D x),
+    shifted by the maximum so that large entries do not overflow."""
+    m = x.max(axis=-1, keepdims=True)
+    e = x - m
+    return np.log(np.exp(e, out=e).sum(axis=-1)) + m[..., 0]
+
+
 def cross_entropy(logits: Tensor, targets: Sequence[int], pad_id: int) -> Tensor:
     """Token-mean negative log-likelihood over non-pad target positions.
 
@@ -520,13 +511,12 @@ def cross_entropy(logits: Tensor, targets: Sequence[int], pad_id: int) -> Tensor
     keep = np.flatnonzero(tgt != pad_id)
     if keep.size == 0:
         raise EmptyPoolError("cross_entropy: all target positions are pad")
-    m = logits.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(logits.data - m).sum(axis=1)) + m[:, 0]
+    lse = logsumexp(logits.data)
     nll = lse - logits.data[np.arange(tgt.size), tgt]
     loss = nll[keep].mean()
 
     def bwd(g):
-        p = np.exp(logits.data - m - lse[:, None] + m)  # softmax rows
+        p = np.exp(logits.data - lse[:, None])  # softmax rows
         gx = np.zeros_like(logits.data)
         gx[keep] = p[keep]
         gx[keep, tgt[keep]] -= 1.0
@@ -565,9 +555,7 @@ def cross_entropy_segments(logits: Tensor, targets: Sequence[int], segment_ids: 
         raise IndexError(f"segment id out of range [0, {n_segments}): {seg.tolist()}")
     keep = tgt != pad_id
     counts = _segment_counts(seg[keep], n_segments, "cross_entropy_segments")
-    m = logits.data.max(axis=1, keepdims=True)
-    e = logits.data - m
-    lse = np.log(np.exp(e, out=e).sum(axis=1)) + m[:, 0]
+    lse = logsumexp(logits.data)
     rows = np.arange(tgt.size)
     nll = lse - logits.data[rows, tgt]
     loss = np.bincount(seg[keep], weights=nll[keep], minlength=n_segments) / counts

@@ -2,13 +2,18 @@
 and the determinism contracts (byte-identical corpora, checkpoints, and
 generation files)."""
 
+import dataclasses
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pqgen import cli
 from pqgen.cli import main
-from pqgen.corpus import load_jsonl
+from pqgen.corpus import load_jsonl, save_jsonl
 
 
 def run(capsys, *argv):
@@ -59,6 +64,21 @@ def test_synth_rejects_zero_products(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["synth", "--products", "0", "--out", str(tmp_path / "x.jsonl")])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["synth", "--skew", "nan"], "must be finite"),
+    (["train", "--lr", "inf"], "must be finite"),
+    (["generate", "--diversity-penalty", "nan"], "must be finite"),
+    (["generate", "--length-penalty=-inf"], "must be finite"),
+    (["synth", "--seed", "-1"], "must be >= 0"),
+    (["generate", "--split-seed", "-2"], "must be >= 0"),
+])
+def test_out_of_range_option_is_usage_error(argv, reason, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert reason in capsys.readouterr().err
 
 
 def test_synth_requires_out(capsys):
@@ -119,6 +139,75 @@ def test_verbosity_env_var_silences_config_echo(tmp_path, capsys, monkeypatch):
     code, stdout, _ = run(capsys, "synth", "--products", "10", "--out", str(out))
     assert code == 0
     assert "config:" in stdout
+
+
+@pytest.mark.parametrize("command, config", [
+    ("synth", {"products": 0}),
+    ("train", {"d_model": "abc"}),
+    ("train", {"epochs": 1.5}),
+    ("train", {"mode": "LTD"}),
+    ("generate", {"corpus_split": "dev"}),
+])
+def test_bad_config_value_is_usage_error_naming_the_key(tmp_path, capsys, command, config):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps(config))
+    code, _, err = run(capsys, command, "--config", str(conf))
+    assert code == 1
+    (key,) = config
+    assert f"config key {key!r}" in err
+    assert "Traceback" not in err
+
+
+def test_saved_config_with_unset_options_loads_back(tmp_path, capsys):
+    # --corpus and --log are unset, so the saved file holds nulls for them.
+    saved = tmp_path / "conf.json"
+    code, first, _ = run(capsys, "train", "--out", "m.ckpt", "--epochs", "2",
+                         "--save-config", str(saved))
+    assert code == 1  # still missing --corpus
+    assert json.loads(saved.read_text())["log"] is None
+    code, second, err = run(capsys, "train", "--config", str(saved))
+    assert code == 1 and "--corpus" in err
+    assert first == second
+
+
+_TABLE_ROWS = [(command, row) for command, _, options, _ in cli._COMMANDS for row in options]
+_JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+
+
+def _same(a, b) -> bool:
+    return type(a) is type(b) and (a == b or (a != a and b != b))  # NaN equals NaN here
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(_TABLE_ROWS), _JSON_SCALARS)
+def test_config_value_resolves_as_its_flag_parses(row, value):
+    """Every config value is stored as its flag would parse its text, or
+    refused with a usage error; nothing else escapes. Only the config is
+    resolved, so no subcommand runs."""
+    command, (key, flag, _, default, *_) = row
+    parser = cli.build_parser()
+    if value is None:
+        want = None if default is None else cli._UsageError
+    elif isinstance(value, bool):
+        want = cli._UsageError
+    else:
+        try:
+            want = getattr(parser.parse_args([command, f"{flag}={value}"]), key)
+        except SystemExit:
+            want = cli._UsageError
+    with tempfile.TemporaryDirectory() as tmp:
+        conf = Path(tmp) / "conf.json"
+        conf.write_text(json.dumps({key: value}))
+        ns = parser.parse_args([command, "--config", str(conf)])
+        ns.save_config = None
+        try:
+            got = cli._resolve(ns, next(o for c, _, o, _ in cli._COMMANDS if c == command))
+        except cli._UsageError as e:
+            assert want is cli._UsageError, f"refused {value!r} for {key}: {e}"
+            assert repr(key) in str(e)
+            return
+    assert want is not cli._UsageError, f"accepted {value!r} for {key}"
+    assert _same(got[key], want)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +363,24 @@ def test_generate_truncated_checkpoint_exits_2_without_traceback(pipeline, tmp_p
     assert code == 2
     assert "truncated" in err
     assert "Traceback" not in err
+
+
+def test_generate_context_longer_than_max_len_exits_2(tmp_path, capsys):
+    # Contexts hold 13-15 tokens, so a max_len of 16 trains; doubled, they no
+    # longer fit, and generate must refuse them rather than cut them.
+    corpus = make_corpus(capsys, tmp_path / "c.jsonl")
+    ckpt = tmp_path / "short.ckpt"
+    code, _, _ = run(capsys, "train", "--corpus", str(corpus), "--out", str(ckpt),
+                     *TINY_MODEL, "--max-len", "16", "--epochs", "1", "--batch-size", "4")
+    assert code == 0
+    long = tmp_path / "long.jsonl"
+    save_jsonl([dataclasses.replace(r, context=f"{r.context} {r.context}")
+                for r in load_jsonl(corpus)], long)
+    out = tmp_path / "g.jsonl"
+    code, _, err = run(capsys, *generate_args(long, ckpt, out))
+    assert code == 2
+    assert err == "data error: product p00001: context length 30 exceeds max_len 16\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

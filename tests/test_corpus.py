@@ -63,16 +63,6 @@ def test_build_vocab_empty_corpus():
         C.build_vocab([])
 
 
-def test_vocab_file_round_trip(tmp_path):
-    v = C.build_vocab(make_records())
-    path = tmp_path / "vocab.txt"
-    C.save_vocab(v, path)
-    lines = path.read_text().splitlines()
-    for i, tok in enumerate(lines):
-        assert v.token_to_id[tok] == i + 4  # line index = id - 4
-    assert C.load_vocab(path).id_to_token == v.id_to_token
-
-
 def test_jsonl_round_trip(tmp_path):
     recs = make_records()
     path = tmp_path / "c.jsonl"

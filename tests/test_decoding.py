@@ -150,6 +150,30 @@ def test_beam_matches_table_enumeration(monkeypatch):
                                [w.cum_logprob for w in want], atol=1e-12)
 
 
+def test_tied_tokens_keep_the_lowest_ids(monkeypatch):
+    # Six tokens tie at -1.0 for three beams; token 9 scores higher and goes
+    # first, then the tie keeps the lowest ids.
+    tables = [[NI, NI, -2.0, -1.0, -1.0, -1.0, -1.0, -1.0, -1.0, -0.5]]
+    params = tiny_params(vocab_size=10)
+    monkeypatch.setattr(decoding, "decode_step", fake_step(tables))
+    got = beam_search(params, [4], cfg(beams_per_group=3, max_new_tokens=1))
+    assert [c.token_ids for c in got] == [(9,), (3,), (4,)]
+    assert [c.cum_logprob for c in got] == [-0.5, -1.0, -1.0]
+    # Rows drawn from three values tie often; the first step's picks must be
+    # the reference order: higher score first, lower id on ties.
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        row = rng.choice([-1.0, -2.0, -3.0, NI], size=10)
+        row[:2] = NI
+        finite = [v for v in range(10) if np.isfinite(row[v])]
+        if not finite:
+            continue
+        monkeypatch.setattr(decoding, "decode_step", fake_step([row]))
+        got = beam_search(params, [4], cfg(beams_per_group=3, max_new_tokens=1))
+        want = sorted(finite, key=lambda v: (-row[v], v))[:3]
+        assert [c.token_ids for c in got] == [(v,) for v in want]
+
+
 def test_length_penalty_changes_ranking(monkeypatch):
     # A short finished candidate and a longer, higher-total one swap order
     # as alpha moves the normalization.
