@@ -22,6 +22,7 @@ from .corpus import (
     DataSplitError,
     Vocab,
     build_vocab,
+    iter_jsonl,
     load_jsonl,
     save_jsonl,
     split,
@@ -39,6 +40,7 @@ from .model import (
     CheckpointError,
     ConfigError,
     ModelConfig,
+    ModelParams,
     SequenceLengthError,
     load_checkpoint,
     save_checkpoint,
@@ -79,6 +81,13 @@ def _finite(text: str) -> float:
     return value
 
 
+def _probability(text: str) -> float:
+    value = _finite(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value}")
+    return value
+
+
 def _verbose() -> bool:
     return os.environ.get("PQGEN_VERBOSE", "1") != "0"
 
@@ -97,7 +106,7 @@ SYNTH_OPTIONS = (
     ("out", "--out", str, None),
     ("questions_min", "--questions-min", _positive, 3),
     ("questions_max", "--questions-max", _positive, 6),
-    ("skew", "--skew", _finite, 0.7),
+    ("skew", "--skew", _probability, 0.7),
 )
 TRAIN_OPTIONS = (
     ("corpus", "--corpus", str, None),
@@ -139,7 +148,6 @@ EVALUATE_OPTIONS = (
     ("gold", "--gold", str, None),
     ("checkpoint", "--checkpoint", str, None),
     ("report", "--report", str, None),
-    ("workers", "--workers", _positive, 1),
 )
 
 
@@ -249,21 +257,18 @@ def cmd_train(ns: argparse.Namespace) -> int:
     return 0
 
 
-_GEN_STATE: dict = {}
+def _load_model(path: str) -> tuple[ModelParams, Vocab]:
+    """A checkpoint's parameters and the vocabulary it must carry."""
+    params, tokens = load_checkpoint(path)
+    if tokens is None:
+        raise CheckpointError(f"checkpoint {path} stores no vocabulary; "
+                              "generate and evaluate need one")
+    return params, Vocab(tokens)
 
 
-def _init_gen_worker(checkpoint_path: str, gen_config_kwargs: dict) -> None:
-    params, tokens = load_checkpoint(checkpoint_path)
-    _GEN_STATE["params"] = params
-    _GEN_STATE["vocab"] = Vocab(tokens)
-    _GEN_STATE["config"] = GenerationConfig(**gen_config_kwargs)
-
-
-def _gen_worker(task: tuple[str, str]) -> dict:
+def _generation_record(params: ModelParams, vocab: Vocab, config: GenerationConfig,
+                       task: tuple[str, str]) -> dict:
     pid, context = task
-    params = _GEN_STATE["params"]
-    vocab = _GEN_STATE["vocab"]
-    config = _GEN_STATE["config"]
     try:
         result = generate_questions(params, vocab, vocab.encode_text(context), config)
     except SequenceLengthError as e:
@@ -272,25 +277,32 @@ def _gen_worker(task: tuple[str, str]) -> dict:
             "scores": result.scores, "shortage": result.shortage}
 
 
+_WORKER_MODEL: tuple = ()
+
+
+def _init_gen_worker(checkpoint_path: str, config: GenerationConfig) -> None:
+    global _WORKER_MODEL
+    _WORKER_MODEL = (*_load_model(checkpoint_path), config)
+
+
+def _gen_worker(task: tuple[str, str]) -> dict:
+    return _generation_record(*_WORKER_MODEL, task)
+
+
 def cmd_generate(ns: argparse.Namespace) -> int:
     eff = _resolve(ns, GENERATE_OPTIONS)
     _require(eff, "checkpoint", "corpus", "out")
-    params, tokens = load_checkpoint(eff["checkpoint"])
-    if tokens is None:
-        raise CheckpointError(
-            f"checkpoint {eff['checkpoint']} stores no vocabulary; "
-            "it cannot drive generation")
+    params, vocab = _load_model(eff["checkpoint"])
     records = load_jsonl(eff["corpus"])
     corpus_split = split(records, seed=eff["split_seed"])
     chosen = getattr(corpus_split, eff["corpus_split"])
     try:
-        gen_kwargs = dict(
+        config = GenerationConfig(
             num_groups=eff["groups"], beams_per_group=eff["beams"],
             diversity_penalty=eff["diversity_penalty"],
             length_penalty=eff["length_penalty"],
             no_repeat_ngram=eff["no_repeat"], max_new_tokens=eff["max_new"],
             questions_per_product=eff["questions"])
-        GenerationConfig(**gen_kwargs)
     except ValueError as e:
         raise _UsageError(str(e))
     tasks = [(rec.product_id, rec.context) for rec in chosen]
@@ -298,11 +310,10 @@ def cmd_generate(ns: argparse.Namespace) -> int:
         with ProcessPoolExecutor(
                 max_workers=eff["workers"],
                 initializer=_init_gen_worker,
-                initargs=(eff["checkpoint"], gen_kwargs)) as pool:
+                initargs=(eff["checkpoint"], config)) as pool:
             outputs = list(pool.map(_gen_worker, tasks))
     else:
-        _init_gen_worker(eff["checkpoint"], gen_kwargs)
-        outputs = [_gen_worker(task) for task in tasks]
+        outputs = [_generation_record(params, vocab, config, task) for task in tasks]
     with open(eff["out"], "w") as f:
         # workers and the output path are run mechanics, not decoding config;
         # leaving them out keeps reruns byte-identical wherever they write.
@@ -317,24 +328,16 @@ def cmd_generate(ns: argparse.Namespace) -> int:
 
 def _load_generations(path: str) -> list[dict]:
     records = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CorpusSchemaError(f"{path}:{lineno}: invalid JSON: {e}")
-            if isinstance(obj, dict) and obj.get("kind") == "config":
-                continue
-            if (not isinstance(obj, dict) or "product_id" not in obj
-                    or "questions" not in obj
-                    or not isinstance(obj["questions"], list)):
-                raise CorpusSchemaError(
-                    f"{path}:{lineno}: expected a generation record with "
-                    "product_id and questions")
-            records.append(obj)
+    for where, obj in iter_jsonl(path):
+        if isinstance(obj, dict) and obj.get("kind") == "config":
+            continue
+        if not (isinstance(obj, dict) and isinstance(obj.get("product_id"), str)
+                and isinstance(obj.get("questions"), list)
+                and all(isinstance(q, str) for q in obj["questions"])):
+            raise CorpusSchemaError(
+                f"{where}: expected a generation record with a string "
+                "product_id and a list of string questions")
+        records.append(obj)
     return records
 
 
@@ -343,18 +346,8 @@ def cmd_evaluate(ns: argparse.Namespace) -> int:
     _require(eff, "generations", "gold", "checkpoint", "report")
     generations = _load_generations(eff["generations"])
     gold = load_jsonl(eff["gold"])
-    params, tokens = load_checkpoint(eff["checkpoint"])
-    if tokens is None:
-        raise CheckpointError(
-            f"checkpoint {eff['checkpoint']} stores no vocabulary; "
-            "it cannot embed questions")
-    vocab = Vocab(tokens)
-    if eff["workers"] > 1:
-        with ProcessPoolExecutor(max_workers=eff["workers"]) as pool:
-            report = evaluate(generations, gold, params, vocab,
-                              mapper=pool.map)
-    else:
-        report = evaluate(generations, gold, params, vocab)
+    params, vocab = _load_model(eff["checkpoint"])
+    report = evaluate(generations, gold, params, vocab)
     prefix = eff["report"]
     table = format_report_table(report)
     with open(prefix + ".txt", "w") as f:

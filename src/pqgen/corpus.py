@@ -8,7 +8,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -89,36 +89,41 @@ def build_vocab(records: Sequence[ProductRecord], min_count: int = 1) -> Vocab:
     return Vocab(kept)
 
 
-def _record_from_obj(obj, lineno: int) -> ProductRecord:
-    if not isinstance(obj, dict):
-        raise CorpusSchemaError(f"line {lineno}: record is not a JSON object")
-    for field in ("product_id", "context", "questions"):
-        if field not in obj:
-            raise CorpusSchemaError(f"line {lineno}: missing field {field!r}")
-    pid, context, questions = obj["product_id"], obj["context"], obj["questions"]
-    if not isinstance(pid, str) or not isinstance(context, str):
-        raise CorpusSchemaError(f"line {lineno}: product_id and context must be strings")
-    if (not isinstance(questions, list) or not questions
-            or not all(isinstance(q, str) for q in questions)):
-        raise CorpusSchemaError(f"line {lineno}: questions must be a non-empty string array")
-    for q in questions:
-        if not tokenize(q):
-            raise CorpusSchemaError(f"line {lineno}: question tokenizes to nothing: {q!r}")
-    return ProductRecord(pid, context, tuple(questions))
-
-
-def load_jsonl(path) -> list[ProductRecord]:
-    records = []
+def iter_jsonl(path) -> Iterator[tuple[str, object]]:
+    """(where, obj) for each non-blank line of a JSONL file, where `where`
+    names the file and line for error messages."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            where = f"{path}, line {lineno}"
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
-                raise CorpusSchemaError(f"line {lineno}: invalid JSON ({e.msg})") from e
-            records.append(_record_from_obj(obj, lineno))
-    return records
+                raise CorpusSchemaError(f"{where}: invalid JSON ({e.msg})") from e
+            yield where, obj
+
+
+def _record_from_obj(obj, where: str) -> ProductRecord:
+    if not isinstance(obj, dict):
+        raise CorpusSchemaError(f"{where}: record is not a JSON object")
+    for field in ("product_id", "context", "questions"):
+        if field not in obj:
+            raise CorpusSchemaError(f"{where}: missing field {field!r}")
+    pid, context, questions = obj["product_id"], obj["context"], obj["questions"]
+    if not isinstance(pid, str) or not isinstance(context, str):
+        raise CorpusSchemaError(f"{where}: product_id and context must be strings")
+    if (not isinstance(questions, list) or not questions
+            or not all(isinstance(q, str) for q in questions)):
+        raise CorpusSchemaError(f"{where}: questions must be a non-empty string array")
+    for q in questions:
+        if not tokenize(q):
+            raise CorpusSchemaError(f"{where}: question tokenizes to nothing: {q!r}")
+    return ProductRecord(pid, context, tuple(questions))
+
+
+def load_jsonl(path) -> list[ProductRecord]:
+    return [_record_from_obj(obj, where) for where, obj in iter_jsonl(path)]
 
 
 def save_jsonl(records: Iterable[ProductRecord], path) -> None:
@@ -272,9 +277,6 @@ MATERIALS = ("steel", "oak", "bamboo", "aluminum", "cotton", "plastic", "ceramic
 
 
 def synth_corpus(seed: int, n_products: int,
-                 general_questions: Sequence[str] = GENERAL_QUESTIONS,
-                 general_weights: Sequence[float] = GENERAL_WEIGHTS,
-                 type_library: dict = TYPE_LIBRARY,
                  questions_range: tuple[int, int] = (3, 6),
                  general_skew: float = 0.7) -> list[ProductRecord]:
     """Deterministic synthetic product corpus.
@@ -286,26 +288,18 @@ def synth_corpus(seed: int, n_products: int,
     """
     if n_products < 1:
         raise ValueError(f"n_products must be >= 1, got {n_products}")
-    if not general_questions or not type_library:
-        raise ValueError("template library must not be empty")
-    n_templates = len(general_questions) + sum(
-        len(t["questions"]) for t in type_library.values())
-    if n_templates < 8:
-        raise ValueError(f"template library too small: {n_templates} < 8 questions")
-    if len(general_weights) != len(general_questions):
-        raise ValueError("general_weights must align with general_questions")
     lo, hi = questions_range
     if not (1 <= lo <= hi):
         raise ValueError(f"invalid questions_range {questions_range}")
 
     rng = np.random.default_rng(seed)
-    gweights = np.asarray(general_weights, dtype=np.float64)
+    gweights = np.asarray(GENERAL_WEIGHTS, dtype=np.float64)
     gweights = gweights / gweights.sum()
-    type_names = sorted(type_library)
+    type_names = sorted(TYPE_LIBRARY)
     records = []
     for idx in range(n_products):
         tname = type_names[int(rng.integers(len(type_names)))]
-        tinfo = type_library[tname]
+        tinfo = TYPE_LIBRARY[tname]
         noun = tinfo["nouns"][int(rng.integers(len(tinfo["nouns"])))]
         brand = BRANDS[int(rng.integers(len(BRANDS)))]
         adj = ADJECTIVES[int(rng.integers(len(ADJECTIVES)))]
@@ -314,16 +308,16 @@ def synth_corpus(seed: int, n_products: int,
                    f"{tinfo['setting']} , by {brand} .")
         n_q = int(rng.integers(lo, hi + 1))
         specific = tinfo["questions"]
-        n_q = min(n_q, len(general_questions) + len(specific))
+        n_q = min(n_q, len(GENERAL_QUESTIONS) + len(specific))
         # Split the count binomially so the general:specific marginal stays at
         # the configured skew, then sample each pool without replacement.
         n_gen = int(rng.binomial(n_q, general_skew))
         n_spec = min(n_q - n_gen, len(specific))
-        n_gen = min(n_q - n_spec, len(general_questions))
+        n_gen = min(n_q - n_spec, len(GENERAL_QUESTIONS))
         n_spec = n_q - n_gen
-        gen_idx = rng.choice(len(general_questions), size=n_gen, replace=False, p=gweights)
+        gen_idx = rng.choice(len(GENERAL_QUESTIONS), size=n_gen, replace=False, p=gweights)
         spec_idx = rng.choice(len(specific), size=n_spec, replace=False)
-        questions = ([general_questions[i] for i in gen_idx]
+        questions = ([GENERAL_QUESTIONS[i] for i in gen_idx]
                      + [specific[i] for i in spec_idx])
         questions = [questions[i] for i in rng.permutation(len(questions))]
         records.append(ProductRecord(f"p{idx:05d}", context, tuple(questions)))

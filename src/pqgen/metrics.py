@@ -10,7 +10,6 @@ deviation.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -30,6 +29,9 @@ class MetricInputError(ValueError):
 
 DEFAULT_THRESHOLDS = tuple(round(0.05 * k, 2) for k in range(1, 20))
 
+# BLEU-4: geometric mean of the 1- to 4-gram precisions.
+BLEU_MAX_N = 4
+
 # Alignment search budget before meteor falls back to a greedy chunker.
 _CHUNK_SEARCH_BUDGET = 200_000
 
@@ -42,8 +44,7 @@ def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
-def bleu(hypothesis: Sequence[str], references: Sequence[Sequence[str]],
-         max_n: int = 4) -> float:
+def bleu(hypothesis: Sequence[str], references: Sequence[Sequence[str]]) -> float:
     """BLEU with multi-reference clipping and brevity penalty against the
     closest reference length (ties to the shorter reference). Zero raw counts
     at n >= 2 are add-one smoothed; a zero-total n >= 2 level counts as
@@ -54,7 +55,7 @@ def bleu(hypothesis: Sequence[str], references: Sequence[Sequence[str]],
     if not hyp:
         return 0.0
     log_sum = 0.0
-    for n in range(1, max_n + 1):
+    for n in range(1, BLEU_MAX_N + 1):
         counts = _ngram_counts(hyp, n)
         total = sum(counts.values())
         ref_counts = [_ngram_counts(r, n) for r in references]
@@ -75,7 +76,7 @@ def bleu(hypothesis: Sequence[str], references: Sequence[Sequence[str]],
     c = len(hyp)
     r = min((abs(len(ref) - c), len(ref)) for ref in references)[1]
     bp = 1.0 if c >= r else math.exp(1.0 - r / c)
-    return 100.0 * bp * math.exp(log_sum / max_n)
+    return 100.0 * bp * math.exp(log_sum / BLEU_MAX_N)
 
 
 def avg_bleu(hypotheses: Sequence[Sequence[str]],
@@ -359,34 +360,11 @@ class MetricsReport:
     degenerate_products: list[tuple[str, str]] = field(default_factory=list)
 
 
-def _product_scores(task: tuple[str, list[str], tuple[str, ...]]):
-    """Per-product relevance metrics; module-level and picklable so callers
-    can fan products out over a process pool."""
-    pid, gen_questions, gold_questions = task
-    questions = [tokenize(q) for q in gen_questions]
-    refs = [tokenize(q) for q in gold_questions]
-    if not questions or not questions[0]:
-        return (pid, 0.0, 0.0, 0.0, None, "no generated question", None, None)
-    top1 = questions[0]
-    top3 = questions[:3]
-    b = bleu(top1, refs)
-    a3 = avg_bleu(top3, refs)
-    mt = max(meteor_lite(top1, ref) for ref in refs)
-    if len(top3) >= 2:
-        pw, flag = pairwise_bleu(top3), None
-    else:
-        pw, flag = None, "fewer than 2 questions for pairwise metrics"
-    return (pid, b, a3, mt, pw, flag, top1, gen_questions[0])
-
-
 def evaluate(generations: Sequence[dict], gold: Sequence[ProductRecord],
-             params: ModelParams, vocab: Vocab,
-             thresholds: Sequence[float] = DEFAULT_THRESHOLDS,
-             mapper=map) -> MetricsReport:
+             params: ModelParams, vocab: Vocab) -> MetricsReport:
     """Score generation records ({product_id, questions, ...}) against gold
     questions. Relevance metrics average per product; Distinct-N, e-Div, and
-    the cluster curve pool the top-1 questions across products. `mapper` must
-    be an order-preserving map (e.g. an executor's) over _product_scores."""
+    the cluster curve pool the top-1 questions across products."""
     if not generations:
         raise MetricInputError("no generation records to evaluate")
     by_id = {rec.product_id: rec for rec in gold}
@@ -398,27 +376,32 @@ def evaluate(generations: Sequence[dict], gold: Sequence[ProductRecord],
     degenerate: list[tuple[str, str]] = []
     bleus, avg3s, meteors, pws = [], [], [], []
     top1_tokens: list[list[str]] = []
-    top1_texts: list[str] = []
-    tasks = [(r["product_id"], list(r["questions"]),
-              by_id[r["product_id"]].questions) for r in generations]
-    for pid, b, a3, mt, pw, flag, top1, top1_text in mapper(_product_scores, tasks):
-        bleus.append(b)
-        avg3s.append(a3)
-        meteors.append(mt)
-        if pw is not None:
-            pws.append(pw)
-        if flag is not None:
-            degenerate.append((pid, flag))
-        if top1 is not None:
-            top1_tokens.append(top1)
-            top1_texts.append(top1_text)
+    for r in generations:
+        pid = r["product_id"]
+        top3 = [tokenize(q) for q in r["questions"][:3]]
+        if not top3 or not top3[0]:
+            bleus.append(0.0)
+            avg3s.append(0.0)
+            meteors.append(0.0)
+            degenerate.append((pid, "no generated question"))
+            continue
+        refs = [tokenize(q) for q in by_id[pid].questions]
+        top1 = top3[0]
+        bleus.append(bleu(top1, refs))
+        avg3s.append(avg_bleu(top3, refs))
+        meteors.append(max(meteor_lite(top1, ref) for ref in refs))
+        if len(top3) >= 2:
+            pws.append(pairwise_bleu(top3))
+        else:
+            degenerate.append((pid, "fewer than 2 questions for pairwise metrics"))
+        top1_tokens.append(top1)
     n = len(generations)
     dn = {k: distinct_n(top1_tokens, k) for k in (1, 2, 3)}
     ediv = None
     curve: list[tuple[float, int]] = []
-    if len(top1_texts) >= 1:
-        emb = embed_questions(params, [vocab.encode_text(q) for q in top1_texts])
-        curve = cluster_count_sweep(emb, thresholds)
+    if top1_tokens:
+        emb = embed_questions(params, [vocab.encode(t) for t in top1_tokens])
+        curve = cluster_count_sweep(emb)
         if len(emb) >= 2:
             ediv = e_div(emb)
     return MetricsReport(

@@ -306,14 +306,15 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     return _emit(tuple(parts), np.concatenate([p.data for p in parts], axis=1), bwd)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax (max subtraction); -inf entries become 0."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+def softmax(x: Tensor) -> Tensor:
+    """Numerically stable softmax along the last axis (max subtraction);
+    -inf entries become 0."""
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = e / e.sum(axis=-1, keepdims=True)
 
     def bwd(g):
-        dot = (g * s).sum(axis=axis, keepdims=True)
+        dot = (g * s).sum(axis=-1, keepdims=True)
         return (s * (g - dot),)
 
     return _emit((x,), s, bwd)
@@ -426,15 +427,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     return _emit((q, k, v), merge(p @ vh, layout.q_slots), bwd)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
-    """Normalize along the last axis with population variance; y = g*xhat + b."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize along the last axis with population variance (plus 1e-6 under
+    the square root); y = g*xhat + b."""
     d = x.shape[-1] if x.data.ndim else 0
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm gain/bias must be ({d},), got {gain.shape}/{bias.shape}")
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-6)
     xhat = centered * inv
 
     def bwd(g):

@@ -26,6 +26,11 @@ from .tensor import Tensor
 
 MODES = ("traditional", "ltd")
 
+# Adam's moment decay rates and denominator offset (Kingma & Ba defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class NumericError(ArithmeticError):
     """A loss or gradient became non-finite."""
@@ -51,9 +56,6 @@ class TrainConfig:
     epochs: int = 3
     seed: int = 0
     max_pairs_per_product: int = 10
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     clip_norm: float = 1.0
 
     def __post_init__(self):
@@ -208,9 +210,8 @@ class AdamState:
 
 
 def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamState,
-              lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> None:
-    """Standard Adam with bias correction; eps sits outside the sqrt."""
+              lr: float) -> None:
+    """Standard Adam with bias correction; ADAM_EPS sits outside the sqrt."""
     state.t += 1
     t = state.t
     for name, p in params.items():
@@ -220,11 +221,11 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamStat
         elif g.shape != p.data.shape:
             raise ValueError(f"gradient shape {g.shape} != param shape "
                              f"{p.data.shape} for {name}")
-        m = state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        v = state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * (g * g)
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+        m = state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
+        v = state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * (g * g)
+        m_hat = m / (1.0 - ADAM_BETA1 ** t)
+        v_hat = v / (1.0 - ADAM_BETA2 ** t)
+        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def _clips(norm: float, max_norm: float) -> bool:
@@ -322,8 +323,7 @@ def train(split: SplitCorpus, vocab: Vocab, model_config: ModelConfig,
             T.backward(objective)
             grad_norm = clip_gradients(params, train_config.clip_norm)
             grads = {name: t.grad for name, t in params.items()}
-            adam_step(params, grads, state, train_config.learning_rate,
-                      train_config.beta1, train_config.beta2, train_config.eps)
+            adam_step(params, grads, state, train_config.learning_rate)
             step += 1
             if losses.cg1.size:
                 cg1_mean = math.fsum(losses.cg1) / losses.cg1.size

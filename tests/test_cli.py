@@ -73,11 +73,22 @@ def test_synth_rejects_zero_products(tmp_path):
     (["generate", "--length-penalty=-inf"], "must be finite"),
     (["synth", "--seed", "-1"], "must be >= 0"),
     (["generate", "--split-seed", "-2"], "must be >= 0"),
+    (["synth", "--skew", "1.5"], "must be in [0, 1]"),
+    (["synth", "--skew", "-0.1"], "must be in [0, 1]"),
+    (["synth", "--config", {"skew": 2}], "must be in [0, 1]"),
 ])
-def test_out_of_range_option_is_usage_error(argv, reason, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 1
+def test_out_of_range_option_is_usage_error(argv, reason, tmp_path, capsys):
+    # A dict in argv stands for the path of a config file holding it.
+    conf = tmp_path / "conf.json"
+    for i, arg in enumerate(argv):
+        if isinstance(arg, dict):
+            conf.write_text(json.dumps(arg))
+            argv = [*argv[:i], str(conf), *argv[i + 1:]]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 1
     assert reason in capsys.readouterr().err
 
 
@@ -345,6 +356,17 @@ def test_generate_workers_do_not_change_output(pipeline, tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_generate_in_process_loads_the_checkpoint_once(pipeline, tmp_path, capsys,
+                                                       monkeypatch):
+    corpus, ckpt = pipeline
+    loaded = []
+    real = cli.load_checkpoint
+    monkeypatch.setattr(cli, "load_checkpoint", lambda path: loaded.append(path) or real(path))
+    out = tmp_path / "g.jsonl"
+    assert run(capsys, *generate_args(corpus, ckpt, out, "--workers", "1"))[0] == 0
+    assert loaded == [str(ckpt)]
+
+
 def test_generate_missing_checkpoint_exits_2(pipeline, tmp_path, capsys):
     corpus, _ = pipeline
     code, _, _ = run(capsys, "generate", "--checkpoint",
@@ -435,3 +457,21 @@ def test_evaluate_misaligned_ids_exit_2(pipeline, tmp_path, capsys):
                        "--report", str(tmp_path / "r"))
     assert code == 2
     assert "nope" in err
+
+
+@pytest.mark.parametrize("record", [
+    {"product_id": "p00001", "questions": [5, "x"]},
+    {"product_id": ["p00001"], "questions": ["is it ?"]},
+    {"product_id": "p00001", "questions": [None]},
+])
+def test_evaluate_bad_generation_record_exits_2(pipeline, tmp_path, capsys, record):
+    corpus, ckpt = pipeline
+    gen = tmp_path / "gen.jsonl"
+    gen.write_text(json.dumps({"kind": "config"}) + "\n" + json.dumps(record) + "\n")
+    code, _, err = run(capsys, "evaluate", "--generations", str(gen),
+                       "--gold", str(corpus), "--checkpoint", str(ckpt),
+                       "--report", str(tmp_path / "r"))
+    assert code == 2
+    assert err == (f"data error: {gen}, line 2: expected a generation record with "
+                   "a string product_id and a list of string questions\n")
+    assert not list(tmp_path.glob("r.*"))

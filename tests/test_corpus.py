@@ -144,13 +144,6 @@ def test_synth_marginal_skew():
 def test_synth_validation_errors():
     with pytest.raises(ValueError):
         C.synth_corpus(0, 0)
-    with pytest.raises(ValueError):
-        C.synth_corpus(0, 5, general_questions=(), general_weights=())
-    with pytest.raises(ValueError):
-        C.synth_corpus(0, 5,
-                       general_questions=("a ?",), general_weights=(1,),
-                       type_library={"t": {"nouns": ("x",), "setting": "s",
-                                           "questions": ("b ?",)}})
 
 
 def test_synth_zero_unks_in_vocab_coverage():
