@@ -90,8 +90,10 @@ def build_vocab(records: Sequence[ProductRecord], min_count: int = 1) -> Vocab:
 
 
 def iter_jsonl(path) -> Iterator[tuple[str, object]]:
-    """(where, obj) for each non-blank line of a JSONL file, where `where`
-    names the file and line for error messages."""
+    """(where, obj) for each non-blank line of a JSONL file of product
+    records, where `where` names the file and line for error messages. A
+    string `product_id` that an earlier line already holds is refused."""
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -101,6 +103,12 @@ def iter_jsonl(path) -> Iterator[tuple[str, object]]:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise CorpusSchemaError(f"{where}: invalid JSON ({e.msg})") from e
+            pid = obj.get("product_id") if isinstance(obj, dict) else None
+            if isinstance(pid, str):
+                if pid in first_line:
+                    raise CorpusSchemaError(f"{where}: product_id {pid!r} repeats "
+                                            f"line {first_line[pid]}")
+                first_line[pid] = lineno
             yield where, obj
 
 

@@ -8,6 +8,7 @@ states onto the vocabulary. No dropout, no weight tying, float64 throughout.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 from typing import Sequence
@@ -92,11 +93,22 @@ def _param_manifest(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
 
 
 class ModelParams:
-    """Named parameter tensors in a fixed manifest order, plus the config."""
+    """Named parameter tensors in a fixed manifest order, plus the config.
 
-    def __init__(self, config: ModelConfig, tensors: dict[str, Tensor]):
+    The parameters live in one float64 vector in manifest order, and each
+    tensor's `data` is a reshaped view of it: optimizers, copies and
+    checkpoints work on `vector` as a whole.
+    """
+
+    def __init__(self, config: ModelConfig, vector: np.ndarray | None = None):
+        """Views over `vector`, or over a new all-zero vector if it is None."""
+        manifest = _param_manifest(config)
+        sizes = [math.prod(shape) for _, shape in manifest]
         self.config = config
-        self._tensors = tensors
+        self.vector = np.zeros(sum(sizes)) if vector is None else vector
+        pieces = np.split(self.vector, np.cumsum(sizes)[:-1])
+        self._tensors = {name: Tensor(piece.reshape(shape), requires_grad=True)
+                         for (name, shape), piece in zip(manifest, pieces)}
 
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
@@ -112,27 +124,28 @@ class ModelParams:
 
     @property
     def n_parameters(self) -> int:
-        return sum(t.data.size for t in self._tensors.values())
+        return self.vector.size
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.config, {
-            name: Tensor(t.data.copy(), requires_grad=t.requires_grad)
-            for name, t in self._tensors.items()})
+        return ModelParams(self.config, self.vector.copy())
+
+    def grad_vector(self) -> np.ndarray:
+        """Every tensor's gradient in manifest order, laid out like `vector`
+        (zeros for a tensor without one)."""
+        return np.concatenate([np.zeros(t.data.size) if t.grad is None else t.grad.ravel()
+                               for t in self._tensors.values()])
 
 
 def init_params(config: ModelConfig, seed: int) -> ModelParams:
     """Normal(0, 0.02) weights, unit layer-norm gains, zero biases."""
     rng = np.random.default_rng(seed)
-    tensors: dict[str, Tensor] = {}
-    for name, shape in _param_manifest(config):
+    params = ModelParams(config)
+    for name, t in params.items():
         if name.endswith(".ln.g") or name == "enc_ln.g" or name == "dec_ln.g":
-            data = np.ones(shape)
-        elif name.endswith((".ln.b", ".b1", ".b2")) or name in ("enc_ln.b", "dec_ln.b"):
-            data = np.zeros(shape)
-        else:
-            data = rng.normal(0.0, 0.02, size=shape)
-        tensors[name] = Tensor(data, requires_grad=True)
-    return ModelParams(config, tensors)
+            t.data[...] = 1.0
+        elif not (name.endswith((".ln.b", ".b1", ".b2")) or name in ("enc_ln.b", "dec_ln.b")):
+            t.data[...] = rng.normal(0.0, 0.02, size=t.shape)
+    return params
 
 
 @dataclass
@@ -370,25 +383,36 @@ def sequence_log_likelihood(params: ModelParams, context_ids: Sequence[int],
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint container: MAGIC + uint32 header length + JSON header + raw
-# little-endian float64 buffers in manifest order.
+# Checkpoint container: MAGIC + uint32 header length + JSON header + the
+# parameter vector as raw little-endian float64 (tensor after tensor in
+# manifest order).
+
+
+def _check_vocab(config: ModelConfig, vocab_tokens) -> None:
+    """A stored vocabulary is absent or names every non-reserved token id."""
+    if vocab_tokens is None:
+        return
+    if (not isinstance(vocab_tokens, list) or len(vocab_tokens) != config.vocab_size - 4
+            or not all(isinstance(t, str) for t in vocab_tokens)):
+        raise CheckpointError(f"checkpoint vocab must be null or a list of "
+                              f"{config.vocab_size - 4} strings (vocab_size - 4)")
 
 
 def save_checkpoint(path, params: ModelParams, vocab_tokens: Sequence[str] | None = None) -> None:
-    manifest = [(name, list(t.data.shape)) for name, t in params.items()]
+    vocab = list(vocab_tokens) if vocab_tokens is not None else None
+    _check_vocab(params.config, vocab)
     header = {
         "format_version": FORMAT_VERSION,
         "config": asdict(params.config),
-        "vocab": list(vocab_tokens) if vocab_tokens is not None else None,
-        "tensors": manifest,
+        "vocab": vocab,
+        "tensors": [(name, list(shape)) for name, shape in _param_manifest(params.config)],
     }
     blob = json.dumps(header, ensure_ascii=False).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for _, t in params.items():
-            fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+        fh.write(params.vector.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path) -> tuple[ModelParams, list[str] | None]:
@@ -424,18 +448,14 @@ def load_checkpoint(path) -> tuple[ModelParams, list[str] | None]:
         raise CheckpointError(f"malformed tensor manifest in checkpoint: {e}") from e
     if declared != expected:
         raise CheckpointError("checkpoint tensor manifest does not match its config")
-    tensors: dict[str, Tensor] = {}
-    for name, shape in expected:
-        size = int(np.prod(shape)) * 8
-        if offset + size > len(raw):
-            raise CheckpointError(f"checkpoint truncated while reading {name}")
-        data = np.frombuffer(raw, dtype="<f8", count=int(np.prod(shape)),
-                             offset=offset).reshape(shape).astype(np.float64)
-        if not np.isfinite(data).all():
-            raise CheckpointError(f"checkpoint parameter {name} holds non-finite values")
-        tensors[name] = Tensor(data, requires_grad=True)
-        offset += size
-    if offset != len(raw):
-        raise CheckpointError(f"{len(raw) - offset} trailing bytes in checkpoint")
     vocab = header.get("vocab")
-    return ModelParams(config, tensors), vocab
+    _check_vocab(config, vocab)
+    n_bytes = 8 * sum(math.prod(shape) for _, shape in expected)
+    if len(raw) - offset != n_bytes:
+        raise CheckpointError(f"checkpoint {path} is truncated or has trailing bytes: "
+                              f"{len(raw) - offset} bytes of parameters, expected {n_bytes}")
+    params = ModelParams(config, np.frombuffer(raw, dtype="<f8", offset=offset).astype(np.float64))
+    if not np.isfinite(params.vector).all():
+        name = next(n for n, t in params.items() if not np.isfinite(t.data).all())
+        raise CheckpointError(f"checkpoint parameter {name} holds non-finite values")
+    return params, vocab

@@ -28,8 +28,11 @@ class DegenerateVectorError(ValueError):
 class Tensor:
     """A float64 ndarray plus gradient metadata.
 
-    `data` is treated as immutable by all ops; optimizers that mutate it in
-    place must do so between tape resets.
+    `data` is treated as immutable by all ops, and backward closures read the
+    arrays their forward saw. A model's parameter `data` is a view of one
+    parameter vector that the optimizer updates in place, so it is mutated
+    only after `backward` and before the next `reset_tape`, when no recorded
+    closure will run again.
     """
 
     __slots__ = ("data", "requires_grad", "grad")

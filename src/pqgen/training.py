@@ -30,6 +30,8 @@ MODES = ("traditional", "ltd")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Bound on the global gradient norm of an optimiser step.
+CLIP_NORM = 1.0
 
 
 class NumericError(ArithmeticError):
@@ -56,7 +58,6 @@ class TrainConfig:
     epochs: int = 3
     seed: int = 0
     max_pairs_per_product: int = 10
-    clip_norm: float = 1.0
 
     def __post_init__(self):
         if self.lambda_div < 0:
@@ -201,51 +202,37 @@ def ltd_loss(params: ModelParams, triplet: Triplet,
 
 
 class AdamState:
-    """First/second moment estimates per parameter plus the step counter."""
+    """First/second moment estimates, laid out like the parameter vector,
+    plus the step counter."""
 
     def __init__(self, params: ModelParams):
         self.t = 0
-        self.m = {name: np.zeros_like(t.data) for name, t in params.items()}
-        self.v = {name: np.zeros_like(t.data) for name, t in params.items()}
+        self.m = np.zeros_like(params.vector)
+        self.v = np.zeros_like(params.vector)
 
 
-def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamState,
-              lr: float) -> None:
-    """Standard Adam with bias correction; ADAM_EPS sits outside the sqrt."""
+def adam_step(params: ModelParams, grad: np.ndarray, state: AdamState, lr: float) -> None:
+    """Standard Adam with bias correction on the whole parameter vector, in
+    place; `grad` is laid out like it. ADAM_EPS sits outside the sqrt."""
+    if grad.shape != params.vector.shape:
+        raise ValueError(f"gradient shape {grad.shape} != parameter vector shape "
+                         f"{params.vector.shape}")
     state.t += 1
     t = state.t
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = 0.0
-        elif g.shape != p.data.shape:
-            raise ValueError(f"gradient shape {g.shape} != param shape "
-                             f"{p.data.shape} for {name}")
-        m = state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
-        v = state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * (g * g)
-        m_hat = m / (1.0 - ADAM_BETA1 ** t)
-        v_hat = v / (1.0 - ADAM_BETA2 ** t)
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * (grad * grad)
+    m_hat = state.m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = state.v / (1.0 - ADAM_BETA2 ** t)
+    params.vector -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def _clips(norm: float, max_norm: float) -> bool:
-    """Whether `clip_gradients` rescales gradients of this pre-clip norm."""
-    return max_norm > 0 and norm > max_norm
-
-
-def clip_gradients(params: ModelParams, max_norm: float) -> float:
-    """Global-norm clipping in place; returns the pre-clip norm."""
-    sq = 0.0
-    for t in params.tensors():
-        if t.grad is not None:
-            sq += float(np.sum(t.grad * t.grad))
-    total = math.sqrt(sq)
-    if _clips(total, max_norm):
-        factor = max_norm / total
-        for t in params.tensors():
-            if t.grad is not None:
-                t.grad = t.grad * factor
-    return total
+def clip_gradients(grad: np.ndarray) -> float:
+    """Scales `grad` in place to global norm CLIP_NORM if it exceeds it;
+    returns the pre-clip norm."""
+    norm = math.sqrt(grad @ grad)
+    if norm > CLIP_NORM:
+        grad *= CLIP_NORM / norm
+    return norm
 
 
 def mean_cg(params: ModelParams, records: Sequence[ProductRecord], vocab: Vocab,
@@ -321,9 +308,9 @@ def train(split: SplitCorpus, vocab: Vocab, model_config: ModelConfig,
             if not math.isfinite(value):
                 raise NumericError(f"non-finite loss {value} at step {step}")
             T.backward(objective)
-            grad_norm = clip_gradients(params, train_config.clip_norm)
-            grads = {name: t.grad for name, t in params.items()}
-            adam_step(params, grads, state, train_config.learning_rate)
+            grad = params.grad_vector()
+            grad_norm = clip_gradients(grad)
+            adam_step(params, grad, state, train_config.learning_rate)
             step += 1
             if losses.cg1.size:
                 cg1_mean = math.fsum(losses.cg1) / losses.cg1.size
@@ -339,7 +326,7 @@ def train(split: SplitCorpus, vocab: Vocab, model_config: ModelConfig,
                        "cg1": cg_mean, "cg2": None, "div": None,
                        "total": cg_mean, "objective": value}
             row["grad_norm"] = grad_norm
-            row["clipped"] = _clips(grad_norm, train_config.clip_norm)
+            row["clipped"] = grad_norm > CLIP_NORM
             rows.append(row)
         T.reset_tape()
         final_val = mean_cg(params, split.validation, vocab, train_config.batch_size)

@@ -15,6 +15,8 @@ from pqgen import cli
 from pqgen.cli import main
 from pqgen.corpus import load_jsonl, save_jsonl
 
+from .test_model import with_header
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -475,3 +477,45 @@ def test_evaluate_bad_generation_record_exits_2(pipeline, tmp_path, capsys, reco
     assert err == (f"data error: {gen}, line 2: expected a generation record with "
                    "a string product_id and a list of string questions\n")
     assert not list(tmp_path.glob("r.*"))
+
+
+def test_train_repeated_product_id_exits_2(tmp_path, capsys):
+    corpus = make_corpus(capsys, tmp_path / "c.jsonl")
+    lines = corpus.read_text().splitlines()
+    corpus.write_text("\n".join(lines + [lines[0]]) + "\n")
+    ckpt = tmp_path / "m.ckpt"
+    code, out, err = run(capsys, "train", "--corpus", str(corpus), "--out", str(ckpt),
+                         *TINY_MODEL, "--epochs", "1")
+    assert code == 2
+    assert err == (f"data error: {corpus}, line {len(lines) + 1}: product_id "
+                   "'p00000' repeats line 1\n")
+    assert "checkpoint:" not in out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl"]
+
+
+def test_evaluate_repeated_generation_product_id_exits_2(pipeline, tmp_path, capsys):
+    corpus, ckpt = pipeline
+    gen = tmp_path / "gen.jsonl"
+    record = json.dumps({"product_id": "p00001", "questions": ["is it red ?"]})
+    gen.write_text(json.dumps({"kind": "config"}) + "\n" + record + "\n" + record + "\n")
+    code, out, err = run(capsys, "evaluate", "--generations", str(gen),
+                         "--gold", str(corpus), "--checkpoint", str(ckpt),
+                         "--report", str(tmp_path / "r"))
+    assert code == 2
+    assert err == f"data error: {gen}, line 3: product_id 'p00001' repeats line 2\n"
+    assert "products evaluated" not in out
+    assert not list(tmp_path.glob("r.*"))
+
+
+@pytest.mark.parametrize("vocab", [5, [1, 2], {"a": 1}], ids=["int", "ints", "object"])
+def test_generate_malformed_checkpoint_vocab_exits_2(pipeline, tmp_path, capsys, vocab):
+    corpus, ckpt = pipeline
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(with_header(ckpt.read_bytes(), vocab=vocab))
+    out_path = tmp_path / "g.jsonl"
+    code, _, err = run(capsys, "generate", "--checkpoint", str(bad),
+                       "--corpus", str(corpus), "--out", str(out_path))
+    assert code == 2
+    assert err.startswith("data error: checkpoint vocab must be null or a list of ")
+    assert "Traceback" not in err
+    assert not out_path.exists()

@@ -88,6 +88,17 @@ def test_jsonl_invalid_json_names_line(tmp_path):
     assert "line 1" in str(e.value)
 
 
+def test_jsonl_repeated_product_id_names_both_lines(tmp_path):
+    path = tmp_path / "dup.jsonl"
+    rec = {"product_id": "p", "context": "c", "questions": ["q ?"]}
+    other = dict(rec, product_id="p2")
+    path.write_text("\n".join(json.dumps(r) for r in (rec, other, dict(rec, context="d")))
+                    + "\n")
+    with pytest.raises(C.CorpusSchemaError) as e:
+        C.load_jsonl(path)
+    assert str(e.value) == f"{path}, line 3: product_id 'p' repeats line 1"
+
+
 def test_jsonl_empty_file(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")

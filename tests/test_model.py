@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -159,18 +162,31 @@ def test_decode_step_records_nothing(params):
     assert len(T.active_tape()) == n_before
 
 
+VOCAB_TOKENS = ["is", "it", "?", "red", "pan", "how", "big", "does"]  # vocab_size - 4
+
+
 def test_checkpoint_round_trip(tmp_path, params):
     path = tmp_path / "m.ckpt"
-    M.save_checkpoint(path, params, vocab_tokens=["is", "it", "?"])
+    M.save_checkpoint(path, params, vocab_tokens=VOCAB_TOKENS)
     loaded, vocab = M.load_checkpoint(path)
-    assert vocab == ["is", "it", "?"]
+    assert vocab == VOCAB_TOKENS
     assert loaded.config == params.config
     for name in params.names():
         np.testing.assert_array_equal(loaded[name].data, params[name].data)
     # Saving again is byte-identical.
     path2 = tmp_path / "m2.ckpt"
-    M.save_checkpoint(path2, params, vocab_tokens=["is", "it", "?"])
+    M.save_checkpoint(path2, params, vocab_tokens=VOCAB_TOKENS)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def with_header(raw: bytes, **fields) -> bytes:
+    """A checkpoint's bytes with some header fields replaced."""
+    n = struct.unpack_from("<I", raw, len(M.MAGIC))[0]
+    start = len(M.MAGIC) + 4
+    header = json.loads(raw[start:start + n])
+    header.update(fields)
+    blob = json.dumps(header).encode("utf-8")
+    return raw[:len(M.MAGIC)] + struct.pack("<I", len(blob)) + blob + raw[start + n:]
 
 
 def test_checkpoint_validation_errors(tmp_path, params):
@@ -192,6 +208,27 @@ def test_checkpoint_validation_errors(tmp_path, params):
     trailing.write_bytes(raw + b"\x00" * 8)
     with pytest.raises(M.CheckpointError):
         M.load_checkpoint(trailing)
+
+    # A header claiming far more parameters than the file holds is refused
+    # before anything of that size is allocated.
+    huge = M.ModelConfig(**dict(vars(params.config), d_model=2 ** 20, n_heads=1))
+    oversized = tmp_path / "bad6.ckpt"
+    oversized.write_bytes(with_header(raw, config=vars(huge), tensors=M._param_manifest(huge)))
+    with pytest.raises(M.CheckpointError, match="truncated"):
+        M.load_checkpoint(oversized)
+
+    # A stored vocab is null or a list of exactly vocab_size - 4 strings.
+    bad_vocab = tmp_path / "bad4.ckpt"
+    for vocab in (5, [1, 2], {"a": 1}, "is it?", VOCAB_TOKENS[:-1], VOCAB_TOKENS + ["x"],
+                  VOCAB_TOKENS[:-1] + [None]):
+        bad_vocab.write_bytes(with_header(raw, vocab=vocab))
+        with pytest.raises(M.CheckpointError, match="vocab"):
+            M.load_checkpoint(bad_vocab)
+    bad_vocab.write_bytes(with_header(raw, vocab=VOCAB_TOKENS))
+    assert M.load_checkpoint(bad_vocab)[1] == VOCAB_TOKENS
+    with pytest.raises(M.CheckpointError, match="vocab"):
+        M.save_checkpoint(tmp_path / "bad5.ckpt", params, vocab_tokens=VOCAB_TOKENS[:3])
+    assert not (tmp_path / "bad5.ckpt").exists()
 
 
 def test_checkpoint_every_truncation_raises_checkpoint_error(tmp_path):

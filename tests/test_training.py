@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -349,15 +348,26 @@ def test_batch_loss_one_triplet_is_ltd_loss():
 # Optimizer
 
 
-def test_adam_first_step_magnitude():
+def optimizer_setup():
     recs = tiny_corpus(3)
     v = C.build_vocab(recs)
-    params = M.init_params(toy_config(v), seed=0)
+    return M.init_params(toy_config(v), seed=0)
+
+
+def grad_of(params, grads):
+    """The gradient vector of per-tensor gradients {name: array}; zeros for
+    every tensor the dict leaves out."""
+    for name, t in params.items():
+        t.grad = grads.get(name)
+    return params.grad_vector()
+
+
+def test_adam_first_step_magnitude():
+    params = optimizer_setup()
     state = TR.AdamState(params)
     before = params["cg_head.w"].data.copy()
     g = np.full_like(before, 0.5)
-    grads = {"cg_head.w": g}
-    TR.adam_step(params, grads, state, lr=1e-3)
+    TR.adam_step(params, grad_of(params, {"cg_head.w": g}), state, lr=1e-3)
     update = params["cg_head.w"].data - before
     np.testing.assert_allclose(np.abs(update), 1e-3, rtol=1e-6)
     assert np.all(np.sign(update) == -1.0)
@@ -365,36 +375,119 @@ def test_adam_first_step_magnitude():
 
 
 def test_adam_zero_gradient_no_move():
-    recs = tiny_corpus(3)
-    v = C.build_vocab(recs)
-    params = M.init_params(toy_config(v), seed=0)
+    params = optimizer_setup()
     state = TR.AdamState(params)
     before = {n: t.data.copy() for n, t in params.items()}
-    TR.adam_step(params, {n: np.zeros_like(t.data) for n, t in params.items()},
-                 state, lr=1e-3)
+    TR.adam_step(params, np.zeros_like(params.vector), state, lr=1e-3)
     for n, t in params.items():
         np.testing.assert_array_equal(t.data, before[n])
 
 
 def test_adam_shape_mismatch():
-    recs = tiny_corpus(3)
-    v = C.build_vocab(recs)
-    params = M.init_params(toy_config(v), seed=0)
+    params = optimizer_setup()
     state = TR.AdamState(params)
-    with pytest.raises(ValueError):
-        TR.adam_step(params, {"cg_head.w": np.zeros(3)}, state, lr=1e-3)
+    before = params.vector.copy()
+    for bad in (np.zeros(3), np.zeros(params.n_parameters - 1),
+                np.zeros((1, params.n_parameters))):
+        with pytest.raises(ValueError):
+            TR.adam_step(params, bad, state, lr=1e-3)
+    assert state.t == 0
+    np.testing.assert_array_equal(params.vector, before)
 
 
 def test_clip_gradients():
-    recs = tiny_corpus(3)
-    v = C.build_vocab(recs)
-    params = M.init_params(toy_config(v), seed=0)
+    params = optimizer_setup()
     for t in params.tensors():
         t.grad = np.ones_like(t.data)
-    norm = TR.clip_gradients(params, 1.0)
+    grad = params.grad_vector()
+    norm = TR.clip_gradients(grad)
     assert norm > 1.0
-    sq = sum(float(np.sum(t.grad ** 2)) for t in params.tensors())
-    assert math.sqrt(sq) == pytest.approx(1.0, rel=1e-9)
+    assert norm == pytest.approx(math.sqrt(params.n_parameters), rel=1e-12)
+    assert math.sqrt(float(np.sum(grad ** 2))) == pytest.approx(1.0, rel=1e-9)
+    # A gradient inside the bound is left as it is.
+    small = np.full(4, 0.25)
+    assert TR.clip_gradients(small) == 0.5
+    np.testing.assert_array_equal(small, np.full(4, 0.25))
+
+
+def reference_adam_step(data, grads, m, v, t, lr):
+    """Adam as a loop over named tensors, a missing gradient counting as 0.0."""
+    for name in data:
+        g = grads.get(name, 0.0)
+        m[name] = TR.ADAM_BETA1 * m[name] + (1.0 - TR.ADAM_BETA1) * g
+        v[name] = TR.ADAM_BETA2 * v[name] + (1.0 - TR.ADAM_BETA2) * (g * g)
+        m_hat = m[name] / (1.0 - TR.ADAM_BETA1 ** t)
+        v_hat = v[name] / (1.0 - TR.ADAM_BETA2 ** t)
+        data[name] = data[name] - lr * m_hat / (np.sqrt(v_hat) + TR.ADAM_EPS)
+
+
+def test_vector_adam_matches_per_tensor_reference_bit_for_bit():
+    params = optimizer_setup()
+    state = TR.AdamState(params)
+    data = {n: t.data.copy() for n, t in params.items()}
+    m = {n: np.zeros_like(d) for n, d in data.items()}
+    v = {n: np.zeros_like(d) for n, d in data.items()}
+    rng = np.random.default_rng(4)
+    for step in range(1, 4):
+        grads = {n: rng.normal(0.0, 0.1 * step, size=d.shape) for n, d in data.items()}
+        grads["enc0.self.wk"] = np.zeros_like(data["enc0.self.wk"])  # an all-zero slice
+        del grads["dec0.ffn.b1"]  # a tensor without a gradient
+        reference_adam_step(data, grads, m, v, step, lr=1e-2)
+        TR.adam_step(params, grad_of(params, grads), state, lr=1e-2)
+        for n, t in params.items():
+            np.testing.assert_array_equal(t.data, data[n], err_msg=n)
+    assert state.t == 3
+    np.testing.assert_array_equal(state.m, np.concatenate([a.ravel() for a in m.values()]))
+    np.testing.assert_array_equal(state.v, np.concatenate([a.ravel() for a in v.values()]))
+
+
+def assert_views_of_vector(params):
+    offset = 0
+    for name, t in params.items():
+        assert np.shares_memory(t.data, params.vector), name
+        np.testing.assert_array_equal(t.data.ravel(),
+                                      params.vector[offset:offset + t.data.size])
+        offset += t.data.size
+    assert offset == params.vector.size == params.n_parameters
+
+
+def test_parameters_are_views_of_one_vector(tmp_path):
+    params = optimizer_setup()
+    assert_views_of_vector(params)
+    params["cg_head.w"].data[0, 0] = 7.0
+    assert params.vector[-params["cg_head.w"].data.size] == 7.0
+
+    copy = params.copy()
+    assert_views_of_vector(copy)
+    assert not np.shares_memory(copy.vector, params.vector)
+    np.testing.assert_array_equal(copy.vector, params.vector)
+    copy.vector[:] = 0.0
+    assert params["cg_head.w"].data[0, 0] == 7.0
+
+    path = tmp_path / "m.ckpt"
+    M.save_checkpoint(path, params)
+    loaded, _ = M.load_checkpoint(path)
+    assert_views_of_vector(loaded)
+    np.testing.assert_array_equal(loaded.vector, params.vector)
+
+
+def test_train_steps_keep_parameters_views_of_the_vector(monkeypatch):
+    recs = tiny_corpus(12)
+    v = C.build_vocab(recs)
+    vectors = []
+    adam = TR.adam_step
+
+    def checked_adam(params, grad, state, lr):
+        adam(params, grad, state, lr)
+        assert_views_of_vector(params)
+        vectors.append(params.vector.copy())
+
+    monkeypatch.setattr(TR, "adam_step", checked_adam)
+    res = TR.train(fixed_split(recs), v, toy_config(v),
+                   TR.TrainConfig(batch_size=4, epochs=1, seed=7), mode="ltd")
+    assert len(vectors) == 3  # ten training products, one triplet each, four per step
+    assert not np.array_equal(vectors[0], vectors[-1])
+    assert_views_of_vector(res.params)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +503,7 @@ def run_train(mode, lam, corpus_seed=5, epochs=2, batch=4, n=12, lr=1e-3):
     return TR.train(split, v, toy_config(v), tc, mode=mode), v
 
 
-def test_train_log_contract_and_counts(tmp_path):
+def test_train_log_contract_and_counts(tmp_path, monkeypatch):
     recs = tiny_corpus(12)
     v = C.build_vocab(recs)
     split = fixed_split(recs)
@@ -428,15 +521,15 @@ def test_train_log_contract_and_counts(tmp_path):
         assert r["total"] == pytest.approx(r["cg1"] + r["cg2"] + 0.1 * r["div"],
                                            abs=1e-12)
         assert math.isfinite(r["grad_norm"]) and r["grad_norm"] > 0.0
-        assert r["clipped"] is (r["grad_norm"] > tc.clip_norm)
+        assert r["clipped"] is (r["grad_norm"] > TR.CLIP_NORM)
     lines = [json.loads(l) for l in log_path.read_text().splitlines()]
     assert len(lines) == len(steps) + len(epochs)
     assert lines == res.log_rows
 
     # grad_norm is the pre-clip norm of the step's gradients; a clip bound
     # below it makes every step report clipping.
-    tight = TR.train(split, v, toy_config(v), dataclasses.replace(tc, clip_norm=1e-6),
-                     mode="ltd")
+    monkeypatch.setattr(TR, "CLIP_NORM", 1e-6)
+    tight = TR.train(split, v, toy_config(v), tc, mode="ltd")
     tight_steps = [r for r in tight.log_rows if r["kind"] == "step"]
     assert tight_steps[0]["grad_norm"] == steps[0]["grad_norm"]
     assert all(r["clipped"] for r in tight_steps)
