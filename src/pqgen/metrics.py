@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .corpus import ProductRecord, Vocab, tokenize
-from .model import ModelParams, encode
+from .model import ModelParams, check_length, encode
 from .tensor import DegenerateVectorError
 
 
@@ -276,7 +276,10 @@ def embed_questions(params: ModelParams,
 
 def _rows_of(embeddings) -> np.ndarray:
     rows = embeddings.rows if isinstance(embeddings, EmbeddingMatrix) else embeddings
-    return np.asarray(rows, dtype=np.float64)
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or not np.isfinite(rows).all():
+        raise MetricInputError(f"embeddings must be a finite 2-D array (shape {rows.shape})")
+    return rows
 
 
 def e_div(embeddings) -> float:
@@ -298,36 +301,28 @@ def _cosine_distances(rows: np.ndarray) -> np.ndarray:
         raise DegenerateVectorError("zero-norm embedding row")
     unit = rows / norms[:, None]
     d = 1.0 - unit @ unit.T
-    np.fill_diagonal(d, 0.0)
+    np.fill_diagonal(d, np.inf)  # a row never merges with itself
     return np.maximum(d, 0.0)
 
 
 def _merge_heights(rows: np.ndarray) -> list[float]:
     """Average-linkage agglomeration over cosine distances; returns the
-    nondecreasing list of merge heights."""
+    nondecreasing list of merge heights. Each merge joins the first minimum
+    (i, j) of the symmetric matrix in row-major order, so ties go to the
+    smallest i < j; row and column i take the size-weighted mean of i and j
+    (Lance-Williams) and row and column j become inf."""
     n = rows.shape[0]
     if n < 2:
         return []
     d = _cosine_distances(rows)
-    active = list(range(n))
-    sizes = {i: 1 for i in range(n)}
+    sizes = np.ones(n)
     heights = []
-    while len(active) > 1:
-        best = None
-        for ai in range(len(active)):
-            for aj in range(ai + 1, len(active)):
-                i, j = active[ai], active[aj]
-                key = (d[i, j], i, j)
-                if best is None or key < best:
-                    best = key
-        h, i, j = best
-        heights.append(float(h))
-        si, sj = sizes[i], sizes[j]
-        for k in active:
-            if k != i and k != j:
-                d[i, k] = d[k, i] = (si * d[i, k] + sj * d[j, k]) / (si + sj)
-        sizes[i] = si + sj
-        active.remove(j)
+    for _ in range(n - 1):
+        i, j = divmod(int(np.argmin(d)), n)
+        heights.append(float(d[i, j]))
+        d[i] = d[:, i] = (sizes[i] * d[i] + sizes[j] * d[j]) / (sizes[i] + sizes[j])
+        d[i, i] = d[j] = d[:, j] = np.inf
+        sizes[i] += sizes[j]
     return heights
 
 
@@ -387,6 +382,7 @@ def evaluate(generations: Sequence[dict], gold: Sequence[ProductRecord],
             continue
         refs = [tokenize(q) for q in by_id[pid].questions]
         top1 = top3[0]
+        check_length(params.config, len(top1), f"product {pid}: question")
         bleus.append(bleu(top1, refs))
         avg3s.append(avg_bleu(top3, refs))
         meteors.append(max(meteor_lite(top1, ref) for ref in refs))

@@ -164,7 +164,8 @@ class DecoderTrace:
     predict_ids: tuple[int, ...]     # shifted targets, ending with EOS
 
 
-def _check_length(cfg: ModelConfig, n: int, what: str) -> None:
+def check_length(cfg: ModelConfig, n: int, what: str) -> None:
+    """Refuse an empty sequence or one longer than max_len; nothing is cut."""
     if n < 1:
         raise SequenceLengthError(f"{what} is empty")
     if n > cfg.max_len:
@@ -174,7 +175,7 @@ def _check_length(cfg: ModelConfig, n: int, what: str) -> None:
 def _context(cfg: ModelConfig, context_ids: Sequence[int]) -> tuple[tuple[int, ...], np.ndarray]:
     """Validated context ids and their key mask (False at pad positions)."""
     ids = tuple(int(i) for i in context_ids)
-    _check_length(cfg, len(ids), "context")
+    check_length(cfg, len(ids), "context")
     key_mask = np.array([i != cfg.pad_id for i in ids], dtype=bool)
     if not key_mask.any():
         raise T.EmptyPoolError("context consists only of pad tokens")
@@ -186,9 +187,9 @@ def _decoder_input(cfg: ModelConfig, target_ids: Sequence[int]) -> tuple[int, ..
     tgt = tuple(int(i) for i in target_ids)
     if any(t in (cfg.bos_id, cfg.eos_id) for t in tgt):
         raise ValueError(f"target must not contain BOS/EOS ids: {tgt}")
-    _check_length(cfg, len(tgt), "target")
+    check_length(cfg, len(tgt), "target")
     input_ids = (cfg.bos_id,) + tgt
-    _check_length(cfg, len(input_ids), "decoder input")
+    check_length(cfg, len(input_ids), "decoder input")
     return input_ids
 
 
@@ -359,7 +360,7 @@ def decode_step(params: ModelParams, enc: EncoderOutput,
     prefix = tuple(int(i) for i in prefix_ids)
     if not prefix or prefix[0] != cfg.bos_id:
         raise ValueError(f"prefix must start with BOS id {cfg.bos_id}: {prefix}")
-    _check_length(cfg, len(prefix), "prefix")
+    check_length(cfg, len(prefix), "prefix")
     with T.no_grad():
         _, h = _decoder_forward(params, enc, prefix)
         logits = T.matmul(h, params["cg_head.w"]).data[-1]

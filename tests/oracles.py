@@ -141,6 +141,38 @@ def e_div_oracle(rows: np.ndarray) -> float:
     return float(np.exp(np.mean(np.log(np.maximum(stds, 1e-12)))))
 
 
+def merge_heights_oracle(rows: np.ndarray) -> list[float]:
+    """Average-linkage merge heights over cosine distances by rescanning every
+    active pair on each merge (O(n^3)); ties go to the smallest (d, i, j)."""
+    n = rows.shape[0]
+    if n < 2:
+        return []
+    unit = rows / np.linalg.norm(rows, axis=1)[:, None]
+    d = 1.0 - unit @ unit.T
+    np.fill_diagonal(d, 0.0)
+    d = np.maximum(d, 0.0)
+    active = list(range(n))
+    sizes = {i: 1 for i in range(n)}
+    heights = []
+    while len(active) > 1:
+        best = None
+        for ai in range(len(active)):
+            for aj in range(ai + 1, len(active)):
+                i, j = active[ai], active[aj]
+                key = (d[i, j], i, j)
+                if best is None or key < best:
+                    best = key
+        h, i, j = best
+        heights.append(float(h))
+        si, sj = sizes[i], sizes[j]
+        for k in active:
+            if k != i and k != j:
+                d[i, k] = d[k, i] = (si * d[i, k] + sj * d[j, k]) / (si + sj)
+        sizes[i] = si + sj
+        active.remove(j)
+    return heights
+
+
 def cluster_counts_scipy(rows: np.ndarray, thresholds) -> list[int]:
     """Average-linkage cosine-distance cluster counts via scipy (oracle)."""
     from scipy.cluster.hierarchy import fcluster, linkage

@@ -461,6 +461,29 @@ def test_evaluate_misaligned_ids_exit_2(pipeline, tmp_path, capsys):
     assert "nope" in err
 
 
+def test_evaluate_question_longer_than_max_len_exits_2(tmp_path, capsys):
+    corpus = make_corpus(capsys, tmp_path / "c.jsonl")
+    ckpt = tmp_path / "short.ckpt"
+    code, _, _ = run(capsys, "train", "--corpus", str(corpus), "--out", str(ckpt),
+                     *TINY_MODEL, "--max-len", "16", "--epochs", "1", "--batch-size", "4")
+    assert code == 0
+    first, second = load_jsonl(corpus)[:2]
+    long = " ".join([first.questions[0]] * 3)
+    gen = tmp_path / "gen.jsonl"
+    gen.write_text(
+        json.dumps({"product_id": first.product_id, "questions": [first.questions[0]]}) + "\n"
+        + json.dumps({"product_id": second.product_id, "questions": [long, "is it ok ?"]})
+        + "\n")
+    code, out, err = run(capsys, "evaluate", "--generations", str(gen),
+                         "--gold", str(corpus), "--checkpoint", str(ckpt),
+                         "--report", str(tmp_path / "r"))
+    assert code == 2
+    assert err == (f"data error: product {second.product_id}: question length "
+                   f"{len(long.split())} exceeds max_len 16\n")
+    assert "products evaluated" not in out
+    assert not list(tmp_path.glob("r.*"))
+
+
 @pytest.mark.parametrize("record", [
     {"product_id": "p00001", "questions": [5, "x"]},
     {"product_id": ["p00001"], "questions": ["is it ?"]},

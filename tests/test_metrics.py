@@ -14,6 +14,8 @@ from pqgen.metrics import (
     DEFAULT_THRESHOLDS,
     EmbeddingMatrix,
     MetricInputError,
+    _cosine_distances,
+    _merge_heights,
     avg_bleu,
     bleu,
     cluster_count_sweep,
@@ -34,6 +36,7 @@ from .oracles import (
     cluster_counts_scipy,
     distinct_n_oracle,
     e_div_oracle,
+    merge_heights_oracle,
     meteor_oracle,
 )
 
@@ -213,6 +216,8 @@ def test_cluster_threshold_extremes():
 def test_cluster_single_row():
     sweep = cluster_count_sweep(np.array([[1.0, 2.0]]), [0.1, 0.5])
     assert sweep == [(0.1, 1), (0.5, 1)]
+    # One row never merges, so even a zero-norm one is a cluster, not an error.
+    assert cluster_count_sweep(np.zeros((1, 2)), [0.1]) == [(0.1, 1)]
 
 
 def test_cluster_counts_non_increasing_and_permutation_invariant():
@@ -228,6 +233,86 @@ def test_cluster_counts_non_increasing_and_permutation_invariant():
 def test_cluster_sweep_matches_scipy(seed):
     rng = np.random.default_rng(seed)
     rows = rng.normal(size=(rng.integers(2, 9), 5))
+    got = [c for _, c in cluster_count_sweep(rows, DEFAULT_THRESHOLDS)]
+    assert got == cluster_counts_scipy(rows, DEFAULT_THRESHOLDS)
+
+
+@pytest.mark.parametrize("rows", [
+    np.array([1.0, 2.0]),
+    np.array([[1.0, 2.0], [np.nan, 1.0], [0.5, 0.5]]),
+    np.array([[1.0, 2.0], [np.inf, 1.0], [0.5, 0.5]]),
+    np.array([[1.0, 2.0], [-np.inf, 1.0], [0.5, 0.5]]),
+], ids=["1-D", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("metric", [e_div, cluster_count_sweep])
+def test_embedding_metrics_refuse_non_finite_or_non_2d_rows(metric, rows):
+    with pytest.raises(MetricInputError):
+        metric(rows)
+    with pytest.raises(MetricInputError):
+        metric(EmbeddingMatrix(rows=rows))
+
+
+def _nonzero(row) -> bool:
+    return float(np.linalg.norm(row)) > 1e-3
+
+
+@st.composite
+def tie_heavy_rows(draw):
+    """Inputs whose merges tie: repeated rows, small integer lattice points,
+    mutually orthogonal (equidistant) points, regular polygons, one row."""
+    kind = draw(st.sampled_from(["duplicates", "lattice", "equidistant", "polygon", "single"]))
+    dim = draw(st.integers(1, 4))
+    lattice_row = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).filter(any)
+    if kind == "single":
+        return np.array([draw(lattice_row)], dtype=np.float64)
+    n = draw(st.integers(2, 24))
+    if kind == "lattice":
+        return np.array(draw(st.lists(lattice_row, min_size=n, max_size=n)), dtype=np.float64)
+    if kind == "duplicates":
+        real_row = st.lists(st.floats(-4.0, 4.0), min_size=dim, max_size=dim).filter(_nonzero)
+        base = np.array(draw(st.lists(real_row, min_size=1, max_size=4)))
+        picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=n, max_size=n))
+        return base[picks]
+    k = draw(st.integers(2, 6))
+    picks = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    scales = np.array(draw(st.lists(st.sampled_from([0.5, 1.0, 3.0]), min_size=n, max_size=n)))
+    if kind == "equidistant":
+        return np.eye(k)[picks] * scales[:, None]
+    angles = 2.0 * np.pi * np.array(picks) / k
+    return np.stack([np.cos(angles), np.sin(angles)], axis=1) * scales[:, None]
+
+
+@given(tie_heavy_rows())
+@settings(max_examples=300, deadline=None)
+def test_merge_heights_match_pair_scan_oracle_on_ties(rows):
+    # The first minimum in row-major order is the oracle's smallest (d, i, j)
+    # only if the distance matrix is exactly symmetric.
+    d = _cosine_distances(rows)
+    np.testing.assert_array_equal(d, d.T)
+    assert _merge_heights(rows) == merge_heights_oracle(rows)
+
+
+def test_tied_merges_take_the_smallest_index_pair():
+    # Once the duplicates 0 and 2 have merged, cluster 0 and row 1 tie at
+    # distance 1 - 1/sqrt(2) from row 3. The rule joins (0, 3), so row 1 stays
+    # apart until a last merge at (2 * 1 + d) / 3 = 0.76. scipy's linkage joins
+    # (1, 3) instead and ends at (1 + d) / 2 = 0.65. Both are average-linkage
+    # trees: on tied inputs the counts of this loop, like those of the pair
+    # scan it replaces, need not equal cluster_counts_scipy.
+    rows = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    d = _cosine_distances(rows)
+    assert d[0, 3] == d[1, 3]
+    heights = _merge_heights(rows)
+    assert heights == merge_heights_oracle(rows)
+    assert heights == [0.0, d[0, 3], (2.0 * d[0, 1] + d[0, 3]) / 3.0]
+
+
+def test_merge_heights_match_oracle_on_evaluate_shaped_rows():
+    # Shaped like the benchmark's evaluate input: 32-dim rows, 5 distinct.
+    rng = np.random.default_rng(7)
+    rows = rng.normal(size=(5, 32))[rng.integers(0, 5, 200)]
+    heights = _merge_heights(rows)
+    assert heights == merge_heights_oracle(rows)
+    assert heights == sorted(heights)
     got = [c for _, c in cluster_count_sweep(rows, DEFAULT_THRESHOLDS)]
     assert got == cluster_counts_scipy(rows, DEFAULT_THRESHOLDS)
 
