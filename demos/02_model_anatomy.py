@@ -33,12 +33,14 @@ print(f"decoder logits: {trace.logits.data.shape} "
 print(f"layer states tracked: {len(trace.layer_states)} "
       f"(the last one feeds the output head)")
 
-# Stepwise decoding sees the same distribution the teacher-forced pass saw.
-with T.no_grad():
-    step = M.decode_step(params, enc, (cfg.bos_id,) + question[:1])
+# Stepwise decoding, fed one token at a time with its keys and values
+# cached, sees the same distribution the teacher-forced pass saw.
+state = M.start_decoding(params, enc)
+_, state = M.decode_step(params, state, [cfg.bos_id])
+step, state = M.decode_step(params, state, [question[0]])
 row = trace.logits.data[1] - np.log(np.sum(np.exp(trace.logits.data[1])))
 print(f"step vs teacher-forced log-prob row agree: "
-      f"{np.allclose(step, row, atol=1e-10)}")
+      f"{np.allclose(step[0], row, atol=1e-10)}")
 
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "demo.ckpt"

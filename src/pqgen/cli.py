@@ -29,6 +29,7 @@ from .corpus import (
     synth_corpus,
 )
 from .decoding import DecodingStuckError, GenerationConfig, generate_questions
+from .fileio import atomic_write
 from .metrics import (
     MetricInputError,
     cluster_curve_csv,
@@ -195,7 +196,7 @@ def _resolve(ns: argparse.Namespace, options) -> dict:
             effective[key] = value
     _say(f"config: {json.dumps(effective, sort_keys=True)}")
     if ns.save_config is not None:
-        with open(ns.save_config, "w") as f:
+        with atomic_write(ns.save_config) as f:
             json.dump(effective, f, indent=2, sort_keys=True)
             f.write("\n")
     return effective
@@ -314,7 +315,7 @@ def cmd_generate(ns: argparse.Namespace) -> int:
             outputs = list(pool.map(_gen_worker, tasks))
     else:
         outputs = [_generation_record(params, vocab, config, task) for task in tasks]
-    with open(eff["out"], "w") as f:
+    with atomic_write(eff["out"]) as f:
         # workers and the output path are run mechanics, not decoding config;
         # leaving them out keeps reruns byte-identical wherever they write.
         header = {"kind": "config", **{k: v for k, v in eff.items()
@@ -350,12 +351,12 @@ def cmd_evaluate(ns: argparse.Namespace) -> int:
     report = evaluate(generations, gold, params, vocab)
     prefix = eff["report"]
     table = format_report_table(report)
-    with open(prefix + ".txt", "w") as f:
+    with atomic_write(prefix + ".txt") as f:
         f.write(table)
-    with open(prefix + ".json", "w") as f:
+    with atomic_write(prefix + ".json") as f:
         json.dump(report_to_json(report), f, indent=2, sort_keys=True)
         f.write("\n")
-    with open(prefix + ".csv", "w") as f:
+    with atomic_write(prefix + ".csv") as f:
         f.write(cluster_curve_csv(report))
     print(table, end="")
     return 0

@@ -12,6 +12,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .fileio import atomic_write
+
 PAD, BOS, EOS, UNK = 0, 1, 2, 3
 RESERVED_TOKENS = ("<pad>", "<bos>", "<eos>", "<unk>")
 
@@ -135,7 +137,7 @@ def load_jsonl(path) -> list[ProductRecord]:
 
 
 def save_jsonl(records: Iterable[ProductRecord], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for rec in records:
             fh.write(json.dumps(
                 {"product_id": rec.product_id, "context": rec.context,

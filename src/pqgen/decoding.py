@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .corpus import Vocab, detokenize
-from .model import ModelParams, encode
+from .model import DecoderState, ModelParams, encode, start_decoding
 from .model import decode_step as _model_decode_step
 from . import tensor as T
 
@@ -82,60 +82,84 @@ def _ngram_bans(generated: tuple[int, ...], n: int) -> set[int]:
     return bans
 
 
-def _search_group(params: ModelParams, enc, cfg: GenerationConfig,
+class _Beam(NamedTuple):
+    token_ids: tuple[int, ...]
+    cum_logprob: float               # raw model log-probability
+    score: float                     # the selection score: cum_logprob less penalties
+    finished: bool
+
+
+def _search_group(params: ModelParams, state: DecoderState, cfg: GenerationConfig,
                   prior_choices: list[Counter] | None) -> tuple[list[Candidate], list[list[int]]]:
-    """One beam-search group.
+    """One beam-search group, from the decoder state before BOS.
 
     prior_choices[t] counts the tokens earlier groups selected at step t; the
     Hamming diversity penalty subtracts diversity_penalty * count from this
     group's selection scores (model log-probs on candidates stay unpenalized).
-    Returns the group's candidates ranked by length-penalized score, plus the
-    per-step token choices this group made.
+    Every step advances the group's unfinished beams, all at the same
+    position, with one `decode_step` call. Returns the group's candidates
+    ranked by length-penalized score, plus the per-step token choices this
+    group made.
     """
     mcfg = params.config
     width = cfg.beams_per_group
-    beams: list[tuple[Candidate, float]] = [(Candidate((), 0.0, False), 0.0)]
+    beams = [_Beam((), 0.0, 0.0, False)]
     my_choices: list[list[int]] = []
-    for t in range(cfg.max_new_tokens):
-        if all(c.finished for c, _ in beams):
+    # Position t feeds pos_emb[t], so a beam grows to at most max_len tokens.
+    for t in range(min(cfg.max_new_tokens, mcfg.max_len)):
+        live = [b for b in beams if not b.finished]
+        if not live:
             break
-        pool: list[tuple[Candidate, float, bool]] = []
-        for cand, sel in beams:
-            if cand.finished or len(cand.token_ids) + 1 > mcfg.max_len:
-                pool.append((cand, sel, False))
-                continue
-            lp = decode_step(params, enc, (mcfg.bos_id,) + cand.token_ids).copy()
-            lp[mcfg.pad_id] = -np.inf
-            lp[mcfg.bos_id] = -np.inf
-            for banned in _ngram_bans(cand.token_ids, cfg.no_repeat_ngram):
-                lp[banned] = -np.inf
-            if np.all(np.isneginf(lp)):
-                raise DecodingStuckError(
-                    f"all {mcfg.vocab_size} tokens banned after {cand.token_ids}")
-            sel_lp = lp
-            if prior_choices is not None and t < len(prior_choices) and prior_choices[t]:
-                sel_lp = lp.copy()
-                for tok, count in prior_choices[t].items():
-                    sel_lp[tok] -= cfg.diversity_penalty * count
-            finite = np.flatnonzero(~np.isneginf(sel_lp))
-            best = finite[np.lexsort((finite, -sel_lp[finite]))][:width]
-            for v in best:
-                child = Candidate(cand.token_ids + (int(v),),
-                                  cand.cum_logprob + float(lp[v]),
-                                  finished=(int(v) == mcfg.eos_id))
-                pool.append((child, sel + float(sel_lp[v]), True))
-        pool.sort(key=lambda e: (-e[1], _tie_key(e[0].token_ids)))
-        beams = [(c, s) for c, s, _ in pool[:width]]
-        chosen = [c.token_ids[-1] for c, s, new in pool[:width] if new]
-        my_choices.append(chosen)
-    ranked = sorted((c for c, _ in beams),
+        lp, state = decode_step(params, state,
+                                [b.token_ids[-1] if t else mcfg.bos_id for b in live])
+        lp[:, mcfg.pad_id] = -np.inf
+        lp[:, mcfg.bos_id] = -np.inf
+        for row, beam in enumerate(live):
+            bans = _ngram_bans(beam.token_ids, cfg.no_repeat_ngram)
+            if bans:
+                lp[row, list(bans)] = -np.inf
+        sel_lp = lp
+        if prior_choices is not None and t < len(prior_choices) and prior_choices[t]:
+            sel_lp = lp.copy()
+            chosen, counts = zip(*prior_choices[t].items())
+            sel_lp[:, chosen] -= cfg.diversity_penalty * np.array(counts, dtype=np.float64)
+        # Each beam's best `width` tokens; a stable sort keeps the lower id
+        # first among equal scores.
+        best = np.argsort(-sel_lp, axis=1, kind="stable")[:, :width]
+        rows = np.arange(len(live))[:, None]
+        pool = [(beam, -1) for beam in beams if beam.finished]
+        for row, (beam, tokens, sels, lps) in enumerate(zip(
+                live, best.tolist(), sel_lp[rows, best].tolist(), lp[rows, best].tolist())):
+            if sels[0] == -np.inf and np.maximum.reduce(lp[row]) == -np.inf:
+                raise DecodingStuckError(f"all {mcfg.vocab_size} tokens banned after "
+                                         f"{beam.token_ids}")
+            for v, sel, logprob in zip(tokens, sels, lps):
+                if sel == -np.inf:
+                    break
+                pool.append((_Beam(beam.token_ids + (v,), beam.cum_logprob + logprob,
+                                   beam.score + sel, v == mcfg.eos_id), row))
+        pool.sort(key=lambda e: (-e[0].score, _tie_key(e[0].token_ids)))
+        del pool[width:]
+        beams = [beam for beam, _ in pool]
+        my_choices.append([beam.token_ids[-1] for beam, parent in pool if parent >= 0])
+        state = state.reorder([parent for beam, parent in pool
+                               if parent >= 0 and not beam.finished])
+    ranked = sorted((Candidate(b.token_ids, b.cum_logprob, b.finished) for b in beams),
                     key=lambda c: (-ranked_score(c, cfg.length_penalty),
                                    _tie_key(c.token_ids)))
     return ranked, my_choices
 
 
-# Kept as a module attribute so tests can substitute hand-set step tables.
+# The one decoder step every search calls, kept as a module attribute so that
+# tests can substitute hand-set step tables or the uncached reference step.
+# The searches write their bans into the log-probs it returns.
 decode_step = _model_decode_step
+
+
+def _start(params: ModelParams, context_ids: Sequence[int]) -> DecoderState:
+    with T.no_grad():
+        enc = encode(params, context_ids)
+    return start_decoding(params, enc)
 
 
 def greedy_decode(params: ModelParams, context_ids: Sequence[int],
@@ -143,13 +167,11 @@ def greedy_decode(params: ModelParams, context_ids: Sequence[int],
     """Argmax rollout (ties to the lowest token id); PAD/BOS never emitted;
     stops at EOS (not included in the output) or at the token budget."""
     mcfg = params.config
-    with T.no_grad():
-        enc = encode(params, context_ids)
+    state = _start(params, context_ids)
     out: list[int] = []
-    for _ in range(max_new_tokens):
-        if len(out) + 1 > mcfg.max_len:
-            break
-        lp = decode_step(params, enc, (mcfg.bos_id,) + tuple(out)).copy()
+    for _ in range(min(max_new_tokens, mcfg.max_len)):
+        lp, state = decode_step(params, state, [out[-1] if out else mcfg.bos_id])
+        lp = lp[0]
         lp[mcfg.pad_id] = -np.inf
         lp[mcfg.bos_id] = -np.inf
         nxt = int(np.argmax(lp))  # np.argmax returns the first (lowest) index on ties
@@ -164,9 +186,7 @@ def greedy_decode(params: ModelParams, context_ids: Sequence[int],
 def beam_search(params: ModelParams, context_ids: Sequence[int],
                 config: GenerationConfig) -> list[Candidate]:
     """Standard length-penalized beam search over beams_per_group beams."""
-    with T.no_grad():
-        enc = encode(params, context_ids)
-    ranked, _ = _search_group(params, enc, config, prior_choices=None)
+    ranked, _ = _search_group(params, _start(params, context_ids), config, prior_choices=None)
     return ranked
 
 
@@ -180,12 +200,11 @@ def diverse_beam_search(params: ModelParams, context_ids: Sequence[int],
             f"num_groups*beams_per_group = "
             f"{config.num_groups * config.beams_per_group} exceeds vocab size "
             f"{params.config.vocab_size}")
-    with T.no_grad():
-        enc = encode(params, context_ids)
+    start = _start(params, context_ids)
     prior: list[Counter] = []
     groups: list[list[Candidate]] = []
     for _ in range(config.num_groups):
-        ranked, choices = _search_group(params, enc, config, prior_choices=prior)
+        ranked, choices = _search_group(params, start, config, prior_choices=prior)
         groups.append(ranked)
         for t, chosen in enumerate(choices):
             while len(prior) <= t:

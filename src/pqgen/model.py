@@ -3,6 +3,8 @@
 Pre-layer-norm blocks, learned absolute positional embeddings, multi-head
 attention, causal decoder masking, and a linear CG head projecting decoder
 states onto the vocabulary. No dropout, no weight tying, float64 throughout.
+Inference decodes with a cached, beam-batched step on plain arrays
+(`DecoderState`, `decode_step`) that records nothing on the tape.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
+from .fileio import atomic_write
 from .tensor import Tensor
 
 MAGIC = b"PQGENCK1"
@@ -353,18 +356,84 @@ def decode_packed(params: ModelParams,
                        target_mask=target_mask, predict_ids=predict)
 
 
-def decode_step(params: ModelParams, enc: EncoderOutput,
-                prefix_ids: Sequence[int]) -> np.ndarray:
-    """Log-softmax over the next token given a BOS-prefixed prefix."""
+@dataclass(frozen=True)
+class DecoderState:
+    """Incremental decoder state of B beams after t steps, as in fairseq's
+    `incremental_state`. Per decoder layer it holds the cross-attention keys
+    and values of the encoder output, computed once per context and shared
+    by every beam, and the self-attention keys and values of the t inputs fed
+    so far."""
+    cross_kv: tuple[tuple[np.ndarray, np.ndarray], ...]   # per layer, [H, n, dh] each
+    cross_bias: np.ndarray | None                         # [n]: -inf at pad keys, else 0
+    self_kv: tuple[tuple[np.ndarray, np.ndarray], ...]    # per layer, [B, t, d_model] each
+
+    @property
+    def position(self) -> int:
+        """The position of the next input, t."""
+        return self.self_kv[0][0].shape[1]
+
+    def reorder(self, parents: Sequence[int]) -> "DecoderState":
+        """The state of beams whose row r continues row parents[r] of this one."""
+        return DecoderState(self.cross_kv, self.cross_bias,
+                            tuple((k[parents], v[parents]) for k, v in self.self_kv))
+
+
+def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+    """[..., L, d] -> [..., H, L, d/H]: head h takes columns h*d/H..(h+1)*d/H."""
+    return x.reshape(x.shape[:-1] + (n_heads, -1)).swapaxes(-2, -3)
+
+
+def start_decoding(params: ModelParams, enc: EncoderOutput) -> DecoderState:
+    """The state of one beam before its first input (BOS at position 0)."""
     cfg = params.config
-    prefix = tuple(int(i) for i in prefix_ids)
-    if not prefix or prefix[0] != cfg.bos_id:
-        raise ValueError(f"prefix must start with BOS id {cfg.bos_id}: {prefix}")
-    check_length(cfg, len(prefix), "prefix")
-    with T.no_grad():
-        _, h = _decoder_forward(params, enc, prefix)
-        logits = T.matmul(h, params["cg_head.w"]).data[-1]
-    return logits - T.logsumexp(logits)
+    h_e = enc.h_e.data
+    cross_kv = tuple(
+        (_heads(h_e @ params[f"dec{i}.cross.wk"].data, cfg.n_heads),
+         _heads(h_e @ params[f"dec{i}.cross.wv"].data, cfg.n_heads))
+        for i in range(cfg.n_dec_layers))
+    cross_bias = None if enc.key_mask.all() else np.where(enc.key_mask, 0.0, -np.inf)
+    empty = np.zeros((1, 0, cfg.d_model))
+    return DecoderState(cross_kv, cross_bias, ((empty, empty),) * cfg.n_dec_layers)
+
+
+def decode_step(params: ModelParams, state: DecoderState,
+                tokens: Sequence[int]) -> tuple[np.ndarray, DecoderState]:
+    """Advance B beams by one input each: row b of `tokens` is beam b's input
+    at position `state.position` (BOS first, never PAD). Returns the [B, V]
+    next-token log-softmax, row for row what the full-prefix decoder gives
+    at its last position, and the state after these inputs. Plain arrays:
+    nothing is recorded on the tape."""
+    cfg = params.config
+    t = state.position
+    if t >= cfg.max_len:
+        raise SequenceLengthError(f"decoder input position {t} is past max_len {cfg.max_len}")
+    w = {name: tensor.data for name, tensor in params.items()}
+    x = w["tok_emb"][np.asarray(tokens, dtype=np.int64)] + w["pos_emb"][t]
+    rows = x.shape[0]
+
+    def attend(prefix, q_in, kh, vh, bias=None):
+        qh = (q_in @ w[f"{prefix}.wq"]).reshape(rows, cfg.n_heads, 1, -1)
+        out, _ = T.softmax_attention(qh, kh, vh, bias)
+        return out.reshape(rows, cfg.d_model) @ w[f"{prefix}.wo"]
+
+    def layer_norm(x, ln):
+        return T.normalize(x)[0] * w[f"{ln}.g"] + w[f"{ln}.b"]
+
+    self_kv = []
+    for i, ((k_past, v_past), (k_enc, v_enc)) in enumerate(zip(state.self_kv, state.cross_kv)):
+        a = layer_norm(x, f"dec{i}.self.ln")
+        k = np.concatenate([k_past, (a @ w[f"dec{i}.self.wk"])[:, None]], axis=1)
+        v = np.concatenate([v_past, (a @ w[f"dec{i}.self.wv"])[:, None]], axis=1)
+        self_kv.append((k, v))
+        x = x + attend(f"dec{i}.self", a, _heads(k, cfg.n_heads), _heads(v, cfg.n_heads))
+        x = x + attend(f"dec{i}.cross", layer_norm(x, f"dec{i}.cross.ln"), k_enc, v_enc,
+                       state.cross_bias)
+        a = layer_norm(x, f"dec{i}.ffn.ln")
+        h = np.maximum(a @ w[f"dec{i}.ffn.w1"] + w[f"dec{i}.ffn.b1"], 0.0)
+        x = x + (h @ w[f"dec{i}.ffn.w2"] + w[f"dec{i}.ffn.b2"])
+    logits = layer_norm(x, "dec_ln") @ w["cg_head.w"]
+    return (logits - T.logsumexp(logits)[:, None],
+            DecoderState(state.cross_kv, state.cross_bias, tuple(self_kv)))
 
 
 def sequence_log_likelihood(params: ModelParams, context_ids: Sequence[int],
@@ -409,7 +478,7 @@ def save_checkpoint(path, params: ModelParams, vocab_tokens: Sequence[str] | Non
         "tensors": [(name, list(shape)) for name, shape in _param_manifest(params.config)],
     }
     blob = json.dumps(header, ensure_ascii=False).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)

@@ -382,6 +382,20 @@ def _from_blocks(xb: np.ndarray, slots: np.ndarray | None) -> np.ndarray:
     return xb[0] if slots is None else xb[slots]
 
 
+def softmax_attention(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray,
+                      bias: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled dot-product attention on plain head-split arrays: qh is
+    [..., Lq, dh], kh and vh are [..., Lk, dh], and `bias` (0 or -inf)
+    broadcasts onto the [..., Lq, Lk] scores. Returns the output and the
+    attention weights."""
+    scores = (qh @ kh.swapaxes(-1, -2)) * (1.0 / np.sqrt(qh.shape[-1]))
+    if bias is not None:
+        scores = scores + bias
+    e = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
+    p = e / np.add.reduce(e, axis=-1, keepdims=True)
+    return p @ vh, p
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
               layout: AttentionLayout) -> Tensor:
     """Multi-head scaled dot-product attention over stacked rows.
@@ -413,11 +427,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     qh = split(q.data, layout.q_slots)
     kh = split(k.data, layout.k_slots)
     vh = split(v.data, layout.k_slots)
-    scores = (qh @ kh.transpose(0, 1, 3, 2)) * scale_
-    if layout.bias is not None:
-        scores = scores + layout.bias
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
+    out, p = softmax_attention(qh, kh, vh, layout.bias)
 
     def bwd(g):
         gh = split(g, layout.q_slots)
@@ -427,7 +437,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
                 merge(ds.transpose(0, 1, 3, 2) @ qh, layout.k_slots),
                 merge(p.transpose(0, 1, 3, 2) @ gh, layout.k_slots))
 
-    return _emit((q, k, v), merge(p @ vh, layout.q_slots), bwd)
+    return _emit((q, k, v), merge(out, layout.q_slots), bwd)
+
+
+def normalize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x centred and scaled along the last axis by its population variance
+    (plus 1e-6 under the square root), and that inverse deviation."""
+    d = x.shape[-1]
+    centered = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(np.add.reduce(centered * centered, axis=-1, keepdims=True) / d + 1e-6)
+    return centered * inv, inv
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -436,11 +455,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     d = x.shape[-1] if x.data.ndim else 0
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm gain/bias must be ({d},), got {gain.shape}/{bias.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + 1e-6)
-    xhat = centered * inv
+    xhat, inv = normalize(x.data)
 
     def bwd(g):
         dxhat = g * gain.data
@@ -494,9 +509,9 @@ def cosine_similarity(u: Tensor, v: Tensor) -> Tensor:
 def logsumexp(x: np.ndarray) -> np.ndarray:
     """log(sum(exp(x))) along the last axis (one value per row of a 2-D x),
     shifted by the maximum so that large entries do not overflow."""
-    m = x.max(axis=-1, keepdims=True)
+    m = np.maximum.reduce(x, axis=-1, keepdims=True)
     e = x - m
-    return np.log(np.exp(e, out=e).sum(axis=-1)) + m[..., 0]
+    return np.log(np.add.reduce(np.exp(e, out=e), axis=-1)) + m[..., 0]
 
 
 def cross_entropy(logits: Tensor, targets: Sequence[int], pad_id: int) -> Tensor:

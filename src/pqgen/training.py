@@ -17,6 +17,7 @@ import numpy as np
 
 from . import corpus as C
 from . import tensor as T
+from .fileio import atomic_write
 from .corpus import ProductRecord, SplitCorpus, Vocab
 # encode and decode_teacher_forced stay importable from here: with cg_loss and
 # div_loss they are the per-example reference the packed step is tested against.
@@ -338,7 +339,7 @@ def train(split: SplitCorpus, vocab: Vocab, model_config: ModelConfig,
             best_epoch = epoch
             best_params = params.copy()
     if log_path is not None:
-        with open(log_path, "w", encoding="utf-8") as fh:
+        with atomic_write(log_path) as fh:
             for row in rows:
                 fh.write(json.dumps(row) + "\n")
     return TrainResult(params=best_params, log_rows=rows, best_val_cg=best_val,

@@ -26,6 +26,7 @@ from pqgen import model as M
 from pqgen import tensor as T
 from pqgen import training as TR
 
+from . import reference
 from .oracles import (
     bleu_oracle,
     cluster_counts_scipy,
@@ -255,8 +256,9 @@ def test_criterion_3_overfit_sanity():
 
 
 def exhaustive_decode(params, ctx, max_steps):
-    """Depth-first enumeration of every decodable sequence, ranked like the
-    beam: an independent oracle for width >= leaf count."""
+    """Depth-first enumeration of every decodable sequence on the uncached
+    reference step, ranked like the beam: an independent oracle for width >=
+    leaf count."""
     mcfg = params.config
     with T.no_grad():
         enc = M.encode(params, ctx)
@@ -269,7 +271,7 @@ def exhaustive_decode(params, ctx, max_steps):
         if len(tokens) == max_steps:
             out.append(D.Candidate(tuple(tokens), cum, False))
             return
-        lp = D.decode_step(params, enc, (mcfg.bos_id,) + tuple(tokens))
+        lp = reference.decode_step(params, enc, (mcfg.bos_id,) + tuple(tokens))
         for v in range(mcfg.vocab_size):
             if v not in (mcfg.pad_id, mcfg.bos_id):
                 rec(tokens + [v], cum + float(lp[v]))

@@ -1,11 +1,15 @@
-"""Decoding tests: reduction chain (diverse groups -> beam -> greedy),
+"""Decoding tests: the cached step and the searches on it against the
+uncached reference, reduction chain (diverse groups -> beam -> greedy),
 exhaustive-enumeration oracles, Hamming penalty semantics on hand-set step
 tables, n-gram bans, and generation plumbing."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pqgen import decoding
+from pqgen import model as M
 from pqgen import tensor as T
 from pqgen.corpus import Vocab
 from pqgen.decoding import (
@@ -20,8 +24,9 @@ from pqgen.decoding import (
     _ngram_bans,
     _tie_key,
 )
-from pqgen.model import ModelConfig, encode, init_params
+from pqgen.model import ModelConfig, ModelParams, encode, init_params
 
+from . import reference
 from .oracles import enumerate_sequences
 
 
@@ -40,16 +45,112 @@ def cfg(**kw):
 
 
 def fake_step(tables):
-    """decode_step substitute keyed on position only (hand-set logits)."""
+    """decode_step substitute keyed on position only: every beam fed at
+    position t gets the hand-set log-probs tables[t]. The model's step still
+    advances the state, so the searches reorder it as usual."""
     arrs = [np.asarray(t, dtype=np.float64) for t in tables]
 
-    def step(params, enc, prefix):
-        return arrs[len(prefix) - 1]
+    def step(params, state, tokens):
+        _, after = M.decode_step(params, state, tokens)
+        return np.tile(arrs[state.position], (len(tokens), 1)), after
 
     return step
 
 
 NI = -np.inf
+
+
+# ---------------------------------------------------------------------------
+# The cached step and the searches on it against the uncached reference
+
+
+def random_params(seed, vocab_size=9, n_heads=2, d_head=2, n_enc_layers=1,
+                  n_dec_layers=1, d_ff=8, max_len=8):
+    """A tiny model with N(0, 0.5) weights, so next-token distributions are
+    far from flat and searches have clear winners."""
+    config = ModelConfig(vocab_size=vocab_size, d_model=n_heads * d_head, n_heads=n_heads,
+                         n_enc_layers=n_enc_layers, n_dec_layers=n_dec_layers, d_ff=d_ff,
+                         max_len=max_len)
+    size = ModelParams(config).n_parameters
+    return ModelParams(config, np.random.default_rng(seed).normal(0.0, 0.5, size))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_cached_step_matches_uncached_reference(data):
+    params = random_params(
+        data.draw(st.integers(0, 2**16), label="seed"),
+        vocab_size=data.draw(st.integers(5, 10), label="vocab_size"),
+        n_heads=data.draw(st.integers(1, 2), label="n_heads"),
+        d_head=data.draw(st.integers(1, 3), label="d_head"),
+        n_enc_layers=data.draw(st.integers(1, 2), label="n_enc_layers"),
+        n_dec_layers=data.draw(st.integers(1, 2), label="n_dec_layers"),
+        d_ff=data.draw(st.integers(1, 6), label="d_ff"),
+        max_len=data.draw(st.integers(2, 6), label="max_len"))
+    cfg = params.config
+    # Contexts may hold pads (id 0) anywhere, but not only pads.
+    context = data.draw(st.lists(st.integers(0, cfg.vocab_size - 1), min_size=1,
+                                 max_size=cfg.max_len).filter(any), label="context")
+    with T.no_grad():
+        enc = encode(params, context)
+    state = M.start_decoding(params, enc)
+    prefixes = [()]
+    for t in range(cfg.max_len):
+        tokens = ([cfg.bos_id] if t == 0 else
+                  data.draw(st.lists(st.integers(1, cfg.vocab_size - 1),
+                                     min_size=len(prefixes), max_size=len(prefixes)),
+                            label=f"tokens at {t}"))
+        lp, state = M.decode_step(params, state, tokens)
+        prefixes = [p + (tok,) for p, tok in zip(prefixes, tokens)]
+        assert lp.shape == (len(prefixes), cfg.vocab_size)
+        for row, prefix in zip(lp, prefixes):
+            np.testing.assert_allclose(row, reference.decode_step(params, enc, prefix),
+                                       rtol=0, atol=1e-12)
+        # New beams continue rows of the old ones in any order, some twice.
+        parents = data.draw(st.permutations(range(len(prefixes))), label=f"order at {t}")
+        parents += data.draw(st.lists(st.integers(0, len(prefixes) - 1), max_size=2),
+                             label=f"copies at {t}")
+        state = state.reorder(parents)
+        prefixes = [prefixes[r] for r in parents]
+    assert state.position == cfg.max_len
+    with pytest.raises(M.SequenceLengthError):
+        M.decode_step(params, state, [cfg.eos_id] * len(prefixes))
+
+
+def test_beam_search_stops_at_max_len():
+    # 8 new tokens under max_len 4: every beam stops at 4 tokens, the last
+    # one fed at position 3, the last row of pos_emb.
+    params = random_params(5, max_len=4)
+    ranked = beam_search(params, [4, 5], cfg(beams_per_group=3, max_new_tokens=8))
+    assert max(len(c.token_ids) for c in ranked) == 4
+    assert all(len(c.token_ids) == 4 for c in ranked if not c.finished)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_searches_on_cached_step_equal_searches_on_uncached_reference(seed):
+    params = random_params(seed, vocab_size=10, n_enc_layers=1 + seed % 2,
+                           n_dec_layers=2 - seed % 2, max_len=12)
+    context = [[4, 0, 5, 6], [7, 8, 0, 0], [9]][seed % 3]
+    config = cfg(num_groups=3, beams_per_group=2, diversity_penalty=0.7,
+                 no_repeat_ngram=2, max_new_tokens=10, questions_per_product=5)
+    vocab = Vocab([f"w{i}" for i in range(6)])
+    cached = (diverse_beam_search(params, context, config),
+              generate_questions(params, vocab, context, config))
+    with T.no_grad():
+        enc = encode(params, context)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decoding, "decode_step", reference.uncached_seam(enc))
+        uncached = (diverse_beam_search(params, context, config),
+                    generate_questions(params, vocab, context, config))
+    (got_groups, got), (want_groups, want) = cached, uncached
+    for got_group, want_group in zip(got_groups, want_groups, strict=True):
+        assert [c.token_ids for c in got_group] == [c.token_ids for c in want_group]
+        assert [c.finished for c in got_group] == [c.finished for c in want_group]
+        np.testing.assert_allclose([c.cum_logprob for c in got_group],
+                                   [c.cum_logprob for c in want_group], rtol=0, atol=1e-12)
+    assert got.token_ids == want.token_ids and got.questions == want.questions
+    assert got.shortage == want.shortage
+    np.testing.assert_allclose(got.scores, want.scores, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +206,7 @@ def exhaustive_real_model(params, ctx, max_steps, alpha):
         if len(tokens) == max_steps:
             out.append(Candidate(tuple(tokens), cum, False))
             return
-        lp = decoding.decode_step(params, enc, (mcfg.bos_id,) + tuple(tokens))
+        lp = reference.decode_step(params, enc, (mcfg.bos_id,) + tuple(tokens))
         for v in range(mcfg.vocab_size):
             if v in (mcfg.pad_id, mcfg.bos_id):
                 continue

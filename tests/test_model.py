@@ -7,6 +7,8 @@ import pytest
 from pqgen import model as M
 from pqgen import tensor as T
 
+from . import reference
+
 
 def toy_config(**kw):
     base = dict(vocab_size=12, d_model=8, n_heads=2, n_enc_layers=2,
@@ -125,22 +127,34 @@ def test_decode_teacher_forced_rejects_bos_eos_and_empty(params):
 
 
 def test_decode_step_consistency_every_prefix(params):
+    # The cached step fed the target one token at a time sees, at each
+    # position, the distribution of that row of the teacher-forced pass; so
+    # does the uncached reference step on every prefix.
     enc = M.encode(params, [5, 6, 7])
     target = [8, 9, 10, 4]
     trace = M.decode_teacher_forced(params, enc, target)
-    for r in range(len(target) + 1):
-        step = M.decode_step(params, enc, [1] + target[:r])
-        assert abs(np.exp(step).sum() - 1.0) < 1e-10
-        np.testing.assert_allclose(step, log_softmax(trace.logits.data[r]),
+    state = M.start_decoding(params, enc)
+    for r, token in enumerate([1] + target):
+        step, state = M.decode_step(params, state, [token])
+        assert step.shape == (1, params.config.vocab_size)
+        assert abs(np.exp(step[0]).sum() - 1.0) < 1e-10
+        want = log_softmax(trace.logits.data[r])
+        np.testing.assert_allclose(step[0], want, atol=1e-10)
+        np.testing.assert_allclose(reference.decode_step(params, enc, [1] + target[:r]), want,
                                    atol=1e-10)
 
 
 def test_decode_step_validates_prefix(params):
     enc = M.encode(params, [5])
     with pytest.raises(ValueError):
-        M.decode_step(params, enc, [5, 6])  # missing BOS
+        reference.decode_step(params, enc, [5, 6])  # missing BOS
     with pytest.raises(M.SequenceLengthError):
-        M.decode_step(params, enc, [1] + [5] * 16)
+        reference.decode_step(params, enc, [1] + [5] * 16)
+    state = M.start_decoding(params, enc)
+    for token in [1] + [5] * 15:
+        _, state = M.decode_step(params, state, [token])
+    with pytest.raises(M.SequenceLengthError):
+        M.decode_step(params, state, [5])  # position 16 is past max_len
 
 
 def test_sequence_log_likelihood_identity(params):
@@ -158,7 +172,9 @@ def test_sequence_log_likelihood_identity(params):
 def test_decode_step_records_nothing(params):
     enc = M.encode(params, [5, 6])
     n_before = len(T.active_tape())
-    M.decode_step(params, enc, [1, 8])
+    state = M.start_decoding(params, enc)
+    _, state = M.decode_step(params, state, [1])
+    M.decode_step(params, state.reorder([0, 0]), [8, 9])
     assert len(T.active_tape()) == n_before
 
 
