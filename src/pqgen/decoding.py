@@ -1,5 +1,5 @@
 """Inference-time question generation: greedy, beam search, and diverse beam
-search with group-wise Hamming penalties.
+search whose groups advance together under group-wise Hamming penalties.
 
 Scores carried on candidates are raw model log-probabilities; the length
 penalty (score / len^alpha) applies at ranking time only. PAD and BOS are
@@ -89,65 +89,73 @@ class _Beam(NamedTuple):
     finished: bool
 
 
-def _search_group(params: ModelParams, state: DecoderState, cfg: GenerationConfig,
-                  prior_choices: list[Counter] | None) -> tuple[list[Candidate], list[list[int]]]:
-    """One beam-search group, from the decoder state before BOS.
-
-    prior_choices[t] counts the tokens earlier groups selected at step t; the
-    Hamming diversity penalty subtracts diversity_penalty * count from this
-    group's selection scores (model log-probs on candidates stay unpenalized).
-    Every step advances the group's unfinished beams, all at the same
-    position, with one `decode_step` call. Returns the group's candidates
-    ranked by length-penalized score, plus the per-step token choices this
-    group made.
+def _search(params: ModelParams, context_ids: Sequence[int], cfg: GenerationConfig,
+            num_groups: int) -> list[list[Candidate]]:
+    """Diverse beam search as one loop over positions (Vijayakumar et al. 2016,
+    Alg. 1): one `decode_step` call advances the unfinished beams of every
+    group, then the groups select in order, each lowering its selection scores
+    (not the model log-probs on candidates) by diversity_penalty per earlier
+    group's choice of a token at this step. Groups holding the same prefix
+    share its state row, so groups that never diverge feed exactly the rows
+    one group would. Returns each group's candidates, ranked.
     """
     mcfg = params.config
     width = cfg.beams_per_group
-    beams = [_Beam((), 0.0, 0.0, False)]
-    my_choices: list[list[int]] = []
+    state = _start(params, context_ids)
+    groups = [[_Beam((), 0.0, 0.0, False)] for _ in range(num_groups)]
+    rows = {(): 0}                   # state row of each unfinished prefix
     # Position t feeds pos_emb[t], so a beam grows to at most max_len tokens.
     for t in range(min(cfg.max_new_tokens, mcfg.max_len)):
-        live = [b for b in beams if not b.finished]
-        if not live:
+        if not rows:
             break
         lp, state = decode_step(params, state,
-                                [b.token_ids[-1] if t else mcfg.bos_id for b in live])
+                                [prefix[-1] if t else mcfg.bos_id for prefix in rows])
         lp[:, mcfg.pad_id] = -np.inf
         lp[:, mcfg.bos_id] = -np.inf
-        for row, beam in enumerate(live):
-            bans = _ngram_bans(beam.token_ids, cfg.no_repeat_ngram)
+        for row, prefix in enumerate(rows):
+            bans = _ngram_bans(prefix, cfg.no_repeat_ngram)
             if bans:
                 lp[row, list(bans)] = -np.inf
-        sel_lp = lp
-        if prior_choices is not None and t < len(prior_choices) and prior_choices[t]:
-            sel_lp = lp.copy()
-            chosen, counts = zip(*prior_choices[t].items())
-            sel_lp[:, chosen] -= cfg.diversity_penalty * np.array(counts, dtype=np.float64)
-        # Each beam's best `width` tokens; a stable sort keeps the lower id
-        # first among equal scores.
-        best = np.argsort(-sel_lp, axis=1, kind="stable")[:, :width]
-        rows = np.arange(len(live))[:, None]
-        pool = [(beam, -1) for beam in beams if beam.finished]
-        for row, (beam, tokens, sels, lps) in enumerate(zip(
-                live, best.tolist(), sel_lp[rows, best].tolist(), lp[rows, best].tolist())):
-            if sels[0] == -np.inf and np.maximum.reduce(lp[row]) == -np.inf:
-                raise DecodingStuckError(f"all {mcfg.vocab_size} tokens banned after "
-                                         f"{beam.token_ids}")
-            for v, sel, logprob in zip(tokens, sels, lps):
-                if sel == -np.inf:
-                    break
-                pool.append((_Beam(beam.token_ids + (v,), beam.cum_logprob + logprob,
-                                   beam.score + sel, v == mcfg.eos_id), row))
-        pool.sort(key=lambda e: (-e[0].score, _tie_key(e[0].token_ids)))
-        del pool[width:]
-        beams = [beam for beam, _ in pool]
-        my_choices.append([beam.token_ids[-1] for beam, parent in pool if parent >= 0])
-        state = state.reorder([parent for beam, parent in pool
-                               if parent >= 0 and not beam.finished])
-    ranked = sorted((Candidate(b.token_ids, b.cum_logprob, b.finished) for b in beams),
-                    key=lambda c: (-ranked_score(c, cfg.length_penalty),
-                                   _tie_key(c.token_ids)))
-    return ranked, my_choices
+        chosen: Counter = Counter()  # tokens the groups so far selected at this step
+        parents: dict[tuple[int, ...], int] = {}
+        for g, beams in enumerate(groups):
+            live = [b for b in beams if not b.finished]
+            if not live:
+                continue
+            live_rows = [rows[b.token_ids] for b in live]
+            group_lp = sel_lp = lp[live_rows]
+            if chosen:
+                sel_lp = group_lp.copy()
+                ids, counts = zip(*chosen.items())
+                sel_lp[:, ids] -= cfg.diversity_penalty * np.array(counts, dtype=np.float64)
+            # Each beam's best `width` tokens; a stable sort keeps the lower id
+            # first among equal scores.
+            best = np.argsort(-sel_lp, axis=1, kind="stable")[:, :width]
+            index = np.arange(len(live))[:, None]
+            pool = [(beam, -1) for beam in beams if beam.finished]
+            for row, beam, tokens, sels, lps in zip(
+                    live_rows, live, best.tolist(), sel_lp[index, best].tolist(),
+                    group_lp[index, best].tolist()):
+                if sels[0] == -np.inf and np.maximum.reduce(lp[row]) == -np.inf:
+                    raise DecodingStuckError(f"all {mcfg.vocab_size} tokens banned after "
+                                             f"{beam.token_ids}")
+                for v, sel, logprob in zip(tokens, sels, lps):
+                    if sel == -np.inf:
+                        break
+                    pool.append((_Beam(beam.token_ids + (v,), beam.cum_logprob + logprob,
+                                       beam.score + sel, v == mcfg.eos_id), row))
+            pool.sort(key=lambda e: (-e[0].score, _tie_key(e[0].token_ids)))
+            del pool[width:]
+            groups[g] = [beam for beam, _ in pool]
+            chosen.update(beam.token_ids[-1] for beam, row in pool if row >= 0)
+            for beam, row in pool:
+                if row >= 0 and not beam.finished:
+                    parents.setdefault(beam.token_ids, row)
+        rows = {prefix: r for r, prefix in enumerate(parents)}
+        state = state.reorder(list(parents.values()))
+    return [sorted((Candidate(b.token_ids, b.cum_logprob, b.finished) for b in beams),
+                   key=lambda c: (-ranked_score(c, cfg.length_penalty), _tie_key(c.token_ids)))
+            for beams in groups]
 
 
 # The one decoder step every search calls, kept as a module attribute so that
@@ -186,31 +194,20 @@ def greedy_decode(params: ModelParams, context_ids: Sequence[int],
 def beam_search(params: ModelParams, context_ids: Sequence[int],
                 config: GenerationConfig) -> list[Candidate]:
     """Standard length-penalized beam search over beams_per_group beams."""
-    ranked, _ = _search_group(params, _start(params, context_ids), config, prior_choices=None)
-    return ranked
+    return _search(params, context_ids, config, 1)[0]
 
 
 def diverse_beam_search(params: ModelParams, context_ids: Sequence[int],
                         config: GenerationConfig) -> list[list[Candidate]]:
-    """Sequential beam-search groups; each group's selection is penalized by
-    diversity_penalty times the count of same-step token choices made by all
-    earlier groups. Returns one ranked candidate list per group."""
+    """Beam-search groups, each penalized by diversity_penalty times the count
+    of same-step token choices made by all earlier groups. Returns one ranked
+    candidate list per group."""
     if config.num_groups * config.beams_per_group > params.config.vocab_size:
         raise ValueError(
             f"num_groups*beams_per_group = "
             f"{config.num_groups * config.beams_per_group} exceeds vocab size "
             f"{params.config.vocab_size}")
-    start = _start(params, context_ids)
-    prior: list[Counter] = []
-    groups: list[list[Candidate]] = []
-    for _ in range(config.num_groups):
-        ranked, choices = _search_group(params, start, config, prior_choices=prior)
-        groups.append(ranked)
-        for t, chosen in enumerate(choices):
-            while len(prior) <= t:
-                prior.append(Counter())
-            prior[t].update(chosen)
-    return groups
+    return _search(params, context_ids, config, config.num_groups)
 
 
 def generate_questions(params: ModelParams, vocab: Vocab,

@@ -3,14 +3,21 @@
 `decode_step` is the uncached, full-prefix decoder step: it runs the whole
 BOS-prefixed prefix through the Tensor forward for every next-token
 distribution. `uncached_seam` drives the searches in `pqgen.decoding` with it.
+
+`sequential_diverse_beam_search` is diverse beam search run one group after
+another: each group searches alone, to the end, penalized by the per-step
+token choices of the groups before it. `pqgen.decoding` advances all groups
+together, one position at a time, and must return the same candidates.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Sequence
 
 import numpy as np
 
+from pqgen import decoding as D
 from pqgen import model as M
 from pqgen import tensor as T
 
@@ -50,3 +57,78 @@ def uncached_seam(enc: M.EncoderOutput):
                 PrefixState(prefixes))
 
     return step
+
+
+def _search_group(params: M.ModelParams, state: M.DecoderState, cfg: D.GenerationConfig,
+                  prior_choices: list[Counter]) -> tuple[list[D.Candidate], list[list[int]]]:
+    """One beam-search group, from the decoder state before BOS.
+
+    prior_choices[t] counts the tokens earlier groups selected at step t; the
+    Hamming diversity penalty subtracts diversity_penalty * count from this
+    group's selection scores (model log-probs on candidates stay unpenalized).
+    Every step advances the group's unfinished beams with one
+    `pqgen.decoding.decode_step` call. Returns the group's candidates ranked
+    by length-penalized score, plus the per-step token choices this group made.
+    """
+    mcfg = params.config
+    width = cfg.beams_per_group
+    beams = [D._Beam((), 0.0, 0.0, False)]
+    my_choices: list[list[int]] = []
+    for t in range(min(cfg.max_new_tokens, mcfg.max_len)):
+        live = [b for b in beams if not b.finished]
+        if not live:
+            break
+        lp, state = D.decode_step(params, state,
+                                  [b.token_ids[-1] if t else mcfg.bos_id for b in live])
+        lp[:, mcfg.pad_id] = -np.inf
+        lp[:, mcfg.bos_id] = -np.inf
+        for row, beam in enumerate(live):
+            bans = D._ngram_bans(beam.token_ids, cfg.no_repeat_ngram)
+            if bans:
+                lp[row, list(bans)] = -np.inf
+        sel_lp = lp
+        if t < len(prior_choices) and prior_choices[t]:
+            sel_lp = lp.copy()
+            chosen, counts = zip(*prior_choices[t].items())
+            sel_lp[:, chosen] -= cfg.diversity_penalty * np.array(counts, dtype=np.float64)
+        best = np.argsort(-sel_lp, axis=1, kind="stable")[:, :width]
+        rows = np.arange(len(live))[:, None]
+        pool = [(beam, -1) for beam in beams if beam.finished]
+        for row, (beam, tokens, sels, lps) in enumerate(zip(
+                live, best.tolist(), sel_lp[rows, best].tolist(), lp[rows, best].tolist())):
+            if sels[0] == -np.inf and np.maximum.reduce(lp[row]) == -np.inf:
+                raise D.DecodingStuckError(f"all {mcfg.vocab_size} tokens banned after "
+                                           f"{beam.token_ids}")
+            for v, sel, logprob in zip(tokens, sels, lps):
+                if sel == -np.inf:
+                    break
+                pool.append((D._Beam(beam.token_ids + (v,), beam.cum_logprob + logprob,
+                                     beam.score + sel, v == mcfg.eos_id), row))
+        pool.sort(key=lambda e: (-e[0].score, D._tie_key(e[0].token_ids)))
+        del pool[width:]
+        beams = [beam for beam, _ in pool]
+        my_choices.append([beam.token_ids[-1] for beam, parent in pool if parent >= 0])
+        state = state.reorder([parent for beam, parent in pool
+                               if parent >= 0 and not beam.finished])
+    ranked = sorted((D.Candidate(b.token_ids, b.cum_logprob, b.finished) for b in beams),
+                    key=lambda c: (-D.ranked_score(c, cfg.length_penalty),
+                                   D._tie_key(c.token_ids)))
+    return ranked, my_choices
+
+
+def sequential_diverse_beam_search(params: M.ModelParams, context_ids: Sequence[int],
+                                   config: D.GenerationConfig) -> list[list[D.Candidate]]:
+    """Diverse beam search with the groups run one after another, each from
+    the same start state; prior[t] accumulates the tokens every finished group
+    chose at step t."""
+    start = D._start(params, context_ids)
+    prior: list[Counter] = []
+    groups: list[list[D.Candidate]] = []
+    for _ in range(config.num_groups):
+        ranked, choices = _search_group(params, start, config, prior)
+        groups.append(ranked)
+        for t, chosen in enumerate(choices):
+            while len(prior) <= t:
+                prior.append(Counter())
+            prior[t].update(chosen)
+    return groups

@@ -389,9 +389,10 @@ def test_generate_truncated_checkpoint_exits_2_without_traceback(pipeline, tmp_p
     assert "Traceback" not in err
 
 
-def test_generate_context_longer_than_max_len_exits_2(tmp_path, capsys):
-    # Contexts hold 13-15 tokens, so a max_len of 16 trains; doubled, they no
-    # longer fit, and generate must refuse them rather than cut them.
+@pytest.fixture
+def long_contexts(tmp_path, capsys):
+    """A checkpoint with max_len 16 and a corpus of the contexts it trained
+    on, doubled: they hold 13-15 tokens, so they fit once but not twice."""
     corpus = make_corpus(capsys, tmp_path / "c.jsonl")
     ckpt = tmp_path / "short.ckpt"
     code, _, _ = run(capsys, "train", "--corpus", str(corpus), "--out", str(ckpt),
@@ -400,8 +401,24 @@ def test_generate_context_longer_than_max_len_exits_2(tmp_path, capsys):
     long = tmp_path / "long.jsonl"
     save_jsonl([dataclasses.replace(r, context=f"{r.context} {r.context}")
                 for r in load_jsonl(corpus)], long)
+    return long, ckpt
+
+
+def test_generate_context_longer_than_max_len_exits_2(long_contexts, tmp_path, capsys):
+    # generate must refuse a context that does not fit rather than cut it.
     out = tmp_path / "g.jsonl"
-    code, _, err = run(capsys, *generate_args(long, ckpt, out))
+    code, _, err = run(capsys, *generate_args(*long_contexts, out))
+    assert code == 2
+    assert err == "data error: product p00001: context length 30 exceeds max_len 16\n"
+    assert not out.exists()
+
+
+def test_generate_context_longer_than_max_len_exits_2_with_workers(long_contexts, tmp_path,
+                                                                   capsys):
+    # The pool reports the first bad product in split order too, and writes
+    # no partial output.
+    out = tmp_path / "g.jsonl"
+    code, _, err = run(capsys, *generate_args(*long_contexts, out, "--workers", "2"))
     assert code == 2
     assert err == "data error: product p00001: context length 30 exceeds max_len 16\n"
     assert not out.exists()

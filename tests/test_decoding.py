@@ -1,5 +1,6 @@
 """Decoding tests: the cached step and the searches on it against the
-uncached reference, reduction chain (diverse groups -> beam -> greedy),
+uncached reference, the one-loop diverse search against groups run one
+after another, reduction chain (diverse groups -> beam -> greedy),
 exhaustive-enumeration oracles, Hamming penalty semantics on hand-set step
 tables, n-gram bans, and generation plumbing."""
 
@@ -58,6 +59,16 @@ def fake_step(tables):
 
 
 NI = -np.inf
+
+
+def assert_same_groups(got_groups, want_groups):
+    """Equal candidates group by group: token ids and finished flags exactly,
+    log-probs within 1e-12 (a step block of other rows may round differently)."""
+    for got, want in zip(got_groups, want_groups, strict=True):
+        assert [c.token_ids for c in got] == [c.token_ids for c in want]
+        assert [c.finished for c in got] == [c.finished for c in want]
+        np.testing.assert_allclose([c.cum_logprob for c in got],
+                                   [c.cum_logprob for c in want], rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -143,14 +154,104 @@ def test_searches_on_cached_step_equal_searches_on_uncached_reference(seed):
         uncached = (diverse_beam_search(params, context, config),
                     generate_questions(params, vocab, context, config))
     (got_groups, got), (want_groups, want) = cached, uncached
-    for got_group, want_group in zip(got_groups, want_groups, strict=True):
-        assert [c.token_ids for c in got_group] == [c.token_ids for c in want_group]
-        assert [c.finished for c in got_group] == [c.finished for c in want_group]
-        np.testing.assert_allclose([c.cum_logprob for c in got_group],
-                                   [c.cum_logprob for c in want_group], rtol=0, atol=1e-12)
+    assert_same_groups(got_groups, want_groups)
     assert got.token_ids == want.token_ids and got.questions == want.questions
     assert got.shortage == want.shortage
     np.testing.assert_allclose(got.scores, want.scores, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# All groups in one time loop against groups run one after another
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_one_loop_search_equals_sequential_groups(data):
+    num_groups = data.draw(st.integers(1, 3), label="num_groups")
+    beams = data.draw(st.integers(1, 3), label="beams_per_group")
+    params = random_params(
+        data.draw(st.integers(0, 2**16), label="seed"),
+        vocab_size=data.draw(st.integers(max(5, num_groups * beams), 10), label="vocab_size"),
+        n_dec_layers=data.draw(st.integers(1, 2), label="n_dec_layers"),
+        max_len=data.draw(st.integers(2, 8), label="max_len"))
+    mcfg = params.config
+    context = data.draw(st.lists(st.integers(0, mcfg.vocab_size - 1), min_size=1,
+                                 max_size=mcfg.max_len).filter(any), label="context")
+    config = cfg(num_groups=num_groups, beams_per_group=beams,
+                 diversity_penalty=data.draw(st.sampled_from([0.0, 0.5, 5.0]), label="penalty"),
+                 no_repeat_ngram=data.draw(st.integers(0, 3), label="no_repeat_ngram"),
+                 length_penalty=data.draw(st.sampled_from([0.0, 1.0, 2.0]), label="alpha"),
+                 max_new_tokens=data.draw(st.integers(1, 8), label="max_new_tokens"))
+    groups = diverse_beam_search(params, context, config)
+    assert_same_groups(groups, reference.sequential_diverse_beam_search(params, context, config))
+    if config.diversity_penalty == 0:
+        # Groups that never diverge share their state rows, so each equals
+        # beam search exactly: no block of other rows rounds them differently.
+        assert all(group == beam_search(params, context, config) for group in groups)
+
+
+def recording_seam(enc, calls):
+    """The uncached reference step, appending to `calls` the BOS-prefixed
+    prefixes each call feeds, one per row."""
+    step = reference.uncached_seam(enc)
+
+    def record(params, state, tokens):
+        lp, after = step(params, state, tokens)
+        calls.append(after.prefixes)
+        return lp, after
+
+    return record
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_every_group_advances_in_one_step_call_per_position(seed):
+    params = random_params(seed, vocab_size=10, n_dec_layers=1 + seed % 2, max_len=10)
+    context = [[4, 0, 5, 6], [7, 8, 0, 0], [9]][seed]
+    config = cfg(num_groups=3, beams_per_group=2, diversity_penalty=5.0, no_repeat_ngram=2)
+    with T.no_grad():
+        enc = encode(params, context)
+    calls, sequential_calls = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decoding, "decode_step", recording_seam(enc, calls))
+        got = diverse_beam_search(params, context, config)
+        mp.setattr(decoding, "decode_step", recording_seam(enc, sequential_calls))
+        want = reference.sequential_diverse_beam_search(params, context, config)
+    assert_same_groups(got, want)
+    # One call per position 0, 1, ..., and each feeds every unfinished beam
+    # of every group, a prefix two groups hold only once.
+    assert [len(fed[0]) for fed in calls] == list(range(1, len(calls) + 1))
+    assert {len(fed[0]) for fed in sequential_calls} == set(range(1, len(calls) + 1))
+    for fed in calls:
+        assert len(set(fed)) == len(fed)
+        assert set(fed) == {prefix for group_fed in sequential_calls
+                            if len(group_fed[0]) == len(fed[0]) for prefix in group_fed}
+    assert max(len(fed) for fed in calls) > config.beams_per_group
+
+
+def test_group_finishing_early_leaves_the_others_stepping(monkeypatch):
+    # Group 0 takes 4 then EOS at step 1; group 1, pushed off 4 and then off
+    # EOS, keeps going alone at step 2.
+    tables = [
+        [NI, NI, -9.0, -1.5, -1.0],
+        [NI, NI, -0.1, -3.0, -2.0],
+        [NI, NI, -5.0, -0.5, -3.0],
+    ]
+    params = tiny_params(vocab_size=5)
+    rows = []
+    step = fake_step(tables)
+
+    def counting_step(params, state, tokens):
+        rows.append(len(tokens))
+        return step(params, state, tokens)
+
+    monkeypatch.setattr(decoding, "decode_step", counting_step)
+    c = cfg(num_groups=2, beams_per_group=1, diversity_penalty=100.0, max_new_tokens=3)
+    g1, g2 = diverse_beam_search(params, [4], c)
+    assert rows == [1, 2, 1]
+    assert [(cand.token_ids, cand.finished) for cand in g1 + g2] == [((4, 2), True),
+                                                                    ((3, 4, 3), False)]
+    np.testing.assert_allclose([g1[0].cum_logprob, g2[0].cum_logprob], [-1.1, -4.0])
+    assert [g1, g2] == reference.sequential_diverse_beam_search(params, [4], c)
 
 
 # ---------------------------------------------------------------------------
