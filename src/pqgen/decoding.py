@@ -9,6 +9,7 @@ lexicographic token ids.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -38,6 +39,8 @@ class GenerationConfig:
     def __post_init__(self):
         if self.num_groups < 1 or self.beams_per_group < 1:
             raise ValueError(f"need num_groups >= 1 and beams_per_group >= 1: {self}")
+        if not (math.isfinite(self.diversity_penalty) and math.isfinite(self.length_penalty)):
+            raise ValueError(f"penalties must be finite: {self}")
         if self.diversity_penalty < 0 or self.no_repeat_ngram < 0:
             raise ValueError(f"penalties must be nonnegative: {self}")
         if self.max_new_tokens < 1 or self.questions_per_product < 1:

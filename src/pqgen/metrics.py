@@ -44,24 +44,25 @@ def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
-def bleu(hypothesis: Sequence[str], references: Sequence[Sequence[str]]) -> float:
-    """BLEU with multi-reference clipping and brevity penalty against the
-    closest reference length (ties to the shorter reference). Zero raw counts
-    at n >= 2 are add-one smoothed; a zero-total n >= 2 level counts as
-    precision 1; zero matched unigrams give 0. Empty hypothesis gives 0."""
-    if not references:
-        raise MetricInputError("bleu needs at least one reference")
-    hyp = list(hypothesis)
-    if not hyp:
-        return 0.0
+def _all_counts(tokens: Sequence[str]) -> list[Counter]:
+    """A sentence's 1- to 4-gram counts, the form `_bleu` scores from: a
+    sentence scored or referenced several times is counted once."""
+    return [_ngram_counts(tokens, n) for n in range(1, BLEU_MAX_N + 1)]
+
+
+def _bleu(hyp: list[Counter], refs: Sequence[list[Counter]],
+          ref_lens: Sequence[int]) -> float:
+    """`bleu` of a hypothesis from the `_all_counts` of it and of each
+    reference; the hypothesis length is its unigram total."""
+    c = sum(hyp[0].values())
     log_sum = 0.0
     for n in range(1, BLEU_MAX_N + 1):
-        counts = _ngram_counts(hyp, n)
+        counts = hyp[n - 1]
         total = sum(counts.values())
-        ref_counts = [_ngram_counts(r, n) for r in references]
+        ref_counts = [r[n - 1] for r in refs]
         clipped = 0
-        for gram, c in counts.items():
-            clipped += min(c, max(rc[gram] for rc in ref_counts))
+        for gram, k in counts.items():
+            clipped += min(k, max(rc[gram] for rc in ref_counts))
         if total == 0:
             p = 1.0 if n >= 2 else 0.0
         elif clipped == 0:
@@ -73,17 +74,34 @@ def bleu(hypothesis: Sequence[str], references: Sequence[Sequence[str]]) -> floa
         if p == 0.0:
             return 0.0
         log_sum += math.log(p)
-    c = len(hyp)
-    r = min((abs(len(ref) - c), len(ref)) for ref in references)[1]
+    r = min((abs(length - c), length) for length in ref_lens)[1]
     bp = 1.0 if c >= r else math.exp(1.0 - r / c)
     return 100.0 * bp * math.exp(log_sum / BLEU_MAX_N)
+
+
+def bleu(hypothesis: Sequence[str], references: Sequence[Sequence[str]]) -> float:
+    """BLEU with multi-reference clipping and brevity penalty against the
+    closest reference length (ties to the shorter reference). Zero raw counts
+    at n >= 2 are add-one smoothed; a zero-total n >= 2 level counts as
+    precision 1; zero matched unigrams give 0. Empty hypothesis gives 0."""
+    return avg_bleu([hypothesis], references)  # the mean of one score is that score
 
 
 def avg_bleu(hypotheses: Sequence[Sequence[str]],
              references: Sequence[Sequence[str]]) -> float:
     if not hypotheses:
         raise MetricInputError("avg_bleu needs at least one hypothesis")
-    return math.fsum(bleu(h, references) for h in hypotheses) / len(hypotheses)
+    if not references:
+        raise MetricInputError("bleu needs at least one reference")
+    refs = [_all_counts(r) for r in references]
+    lens = [len(r) for r in references]
+    return math.fsum(_bleu(_all_counts(h), refs, lens) for h in hypotheses) / len(hypotheses)
+
+
+def _pairwise_bleu(group: Sequence[list[Counter]], lens: Sequence[int]) -> float:
+    scores = [_bleu(group[i], group[:i] + group[i + 1:], lens[:i] + lens[i + 1:])
+              for i in range(len(group))]
+    return math.fsum(scores) / len(scores)
 
 
 def pairwise_bleu(group: Sequence[Sequence[str]]) -> float:
@@ -91,9 +109,7 @@ def pairwise_bleu(group: Sequence[Sequence[str]]) -> float:
     group is locally more diverse."""
     if len(group) < 2:
         raise MetricInputError("pairwise_bleu needs a group of >= 2 questions")
-    scores = [bleu(group[i], [q for j, q in enumerate(group) if j != i])
-              for i in range(len(group))]
-    return math.fsum(scores) / len(scores)
+    return _pairwise_bleu([_all_counts(q) for q in group], [len(q) for q in group])
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +399,17 @@ def evaluate(generations: Sequence[dict], gold: Sequence[ProductRecord],
         refs = [tokenize(q) for q in by_id[pid].questions]
         top1 = top3[0]
         check_length(params.config, len(top1), f"product {pid}: question")
-        bleus.append(bleu(top1, refs))
-        avg3s.append(avg_bleu(top3, refs))
+        # Each reference and each top-3 question is counted once, for every
+        # score it takes part in.
+        ref_counts = [_all_counts(ref) for ref in refs]
+        ref_lens = [len(ref) for ref in refs]
+        top3_counts = [_all_counts(q) for q in top3]
+        scores = [_bleu(q, ref_counts, ref_lens) for q in top3_counts]
+        bleus.append(scores[0])
+        avg3s.append(math.fsum(scores) / len(scores))
         meteors.append(max(meteor_lite(top1, ref) for ref in refs))
         if len(top3) >= 2:
-            pws.append(pairwise_bleu(top3))
+            pws.append(_pairwise_bleu(top3_counts, [len(q) for q in top3]))
         else:
             degenerate.append((pid, "fewer than 2 questions for pairwise metrics"))
         top1_tokens.append(top1)

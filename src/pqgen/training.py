@@ -61,6 +61,8 @@ class TrainConfig:
     max_pairs_per_product: int = 10
 
     def __post_init__(self):
+        if not (math.isfinite(self.lambda_div) and math.isfinite(self.learning_rate)):
+            raise ValueError(f"lambda_div and learning_rate must be finite: {self}")
         if self.lambda_div < 0:
             raise ValueError(f"lambda_div must be >= 0, got {self.lambda_div}")
         if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 1:

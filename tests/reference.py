@@ -8,10 +8,16 @@ distribution. `uncached_seam` drives the searches in `pqgen.decoding` with it.
 another: each group searches alone, to the end, penalized by the per-step
 token choices of the groups before it. `pqgen.decoding` advances all groups
 together, one position at a time, and must return the same candidates.
+
+`bleu` recounts the hypothesis and every reference for each n-gram order on
+each call, and `evaluate_bleus` composes the report's three BLEU figures from
+such calls, one score at a time. `pqgen.metrics` counts each sentence once
+per product and must give the same floats.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import Sequence
 
@@ -20,6 +26,8 @@ import numpy as np
 from pqgen import decoding as D
 from pqgen import model as M
 from pqgen import tensor as T
+from pqgen.corpus import ProductRecord, tokenize
+from pqgen.metrics import BLEU_MAX_N, MetricInputError
 
 
 def decode_step(params: M.ModelParams, enc: M.EncoderOutput,
@@ -132,3 +140,80 @@ def sequential_diverse_beam_search(params: M.ModelParams, context_ids: Sequence[
                 prior.append(Counter())
             prior[t].update(chosen)
     return groups
+
+
+def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
+    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+
+
+def bleu(hypothesis: Sequence[str], references: Sequence[Sequence[str]]) -> float:
+    """BLEU with multi-reference clipping and brevity penalty against the
+    closest reference length (ties to the shorter reference). Zero raw counts
+    at n >= 2 are add-one smoothed; a zero-total n >= 2 level counts as
+    precision 1; zero matched unigrams give 0. Empty hypothesis gives 0."""
+    if not references:
+        raise MetricInputError("bleu needs at least one reference")
+    hyp = list(hypothesis)
+    if not hyp:
+        return 0.0
+    log_sum = 0.0
+    for n in range(1, BLEU_MAX_N + 1):
+        counts = _ngram_counts(hyp, n)
+        total = sum(counts.values())
+        ref_counts = [_ngram_counts(r, n) for r in references]
+        clipped = 0
+        for gram, c in counts.items():
+            clipped += min(c, max(rc[gram] for rc in ref_counts))
+        if total == 0:
+            p = 1.0 if n >= 2 else 0.0
+        elif clipped == 0:
+            if n == 1:
+                return 0.0
+            p = 1.0 / (total + 1.0)
+        else:
+            p = clipped / total
+        if p == 0.0:
+            return 0.0
+        log_sum += math.log(p)
+    c = len(hyp)
+    r = min((abs(len(ref) - c), len(ref)) for ref in references)[1]
+    bp = 1.0 if c >= r else math.exp(1.0 - r / c)
+    return 100.0 * bp * math.exp(log_sum / BLEU_MAX_N)
+
+
+def avg_bleu(hypotheses: Sequence[Sequence[str]],
+             references: Sequence[Sequence[str]]) -> float:
+    if not hypotheses:
+        raise MetricInputError("avg_bleu needs at least one hypothesis")
+    return math.fsum(bleu(h, references) for h in hypotheses) / len(hypotheses)
+
+
+def pairwise_bleu(group: Sequence[Sequence[str]]) -> float:
+    if len(group) < 2:
+        raise MetricInputError("pairwise_bleu needs a group of >= 2 questions")
+    scores = [bleu(group[i], [q for j, q in enumerate(group) if j != i])
+              for i in range(len(group))]
+    return math.fsum(scores) / len(scores)
+
+
+def evaluate_bleus(generations: Sequence[dict], gold: Sequence[ProductRecord]
+                   ) -> tuple[float, float, float | None]:
+    """(bleu_top1, avg_bleu_top3, pairwise_bleu) of a `pqgen.metrics.evaluate`
+    report, composed from the calls above: a product without a top-1 question
+    scores 0 on both relevance figures and has no Pairwise-BLEU."""
+    by_id = {rec.product_id: rec for rec in gold}
+    bleus, avg3s, pws = [], [], []
+    for r in generations:
+        top3 = [tokenize(q) for q in r["questions"][:3]]
+        if not top3 or not top3[0]:
+            bleus.append(0.0)
+            avg3s.append(0.0)
+            continue
+        refs = [tokenize(q) for q in by_id[r["product_id"]].questions]
+        bleus.append(bleu(top3[0], refs))
+        avg3s.append(avg_bleu(top3, refs))
+        if len(top3) >= 2:
+            pws.append(pairwise_bleu(top3))
+    n = len(generations)
+    return (math.fsum(bleus) / n, math.fsum(avg3s) / n,
+            math.fsum(pws) / len(pws) if pws else None)

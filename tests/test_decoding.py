@@ -542,7 +542,8 @@ def test_budget_must_fit_context_window():
     dict(no_repeat_ngram=-1),
     dict(max_new_tokens=0),
     dict(questions_per_product=0),
-])
+] + [{name: value} for name in ("diversity_penalty", "length_penalty")
+     for value in (float("nan"), float("inf"), float("-inf"))])
 def test_config_validation(bad):
     with pytest.raises(ValueError):
         cfg(**bad)

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pqgen.corpus import ProductRecord, Vocab, build_vocab, tokenize
@@ -31,6 +31,7 @@ from pqgen.metrics import (
 )
 from pqgen.model import ModelConfig, init_params
 
+from . import reference
 from .oracles import (
     bleu_oracle,
     cluster_counts_scipy,
@@ -405,6 +406,26 @@ def test_bleu_counts_each_reference_once_per_order(monkeypatch):
     assert len(counted) == 4 * (1 + len(refs))
 
 
+def test_evaluate_counts_each_sentence_once_per_product(monkeypatch):
+    from pqgen import metrics as MX
+
+    gold, vocab, params = eval_setup()
+    gens = [
+        {"product_id": "p1", "questions": ["is it safe ?", "how heavy is it ?",
+                                           "is it safe ?", "unscored fourth ?"]},
+        {"product_id": "p2", "questions": ["does it have bluetooth ?"]},
+        {"product_id": "p1", "questions": []},
+    ]
+    counted = []
+    real = MX._ngram_counts
+    monkeypatch.setattr(MX, "_ngram_counts",
+                        lambda tokens, n: counted.append(n) or real(tokens, n))
+    evaluate(gens, gold, params, vocab)
+    # p1: 2 references + 3 top-3 questions; p2: 2 + 1; the empty one is not scored
+    assert len(counted) == 4 * ((2 + 3) + (2 + 1))
+    assert counted == [1, 2, 3, 4] * 8
+
+
 def test_embed_questions_position_sensitive():
     vocab = Vocab(["is", "it", "safe"])
     params = small_params(vocab)
@@ -506,3 +527,53 @@ def test_report_rendering():
     lines = csv.strip().split("\n")
     assert lines[0] == "threshold,count"
     assert len(lines) == 1 + len(DEFAULT_THRESHOLDS)
+
+
+# One alphabet with repeats and short questions; the pool makes duplicate
+# questions within a top-3 likely, and "" gives products an empty top-1.
+def _questions(min_tokens):
+    return st.lists(st.sampled_from(["a", "b", "c", "?"]),
+                    min_size=min_tokens, max_size=6).map(" ".join)
+
+
+@st.composite
+def micro_generation_sets(draw):
+    n = draw(st.integers(1, 4))
+    gold = [ProductRecord(f"p{i}", "ctx", tuple(draw(st.lists(
+        _questions(1), min_size=1, max_size=3)))) for i in range(n)]
+    gens = []
+    for rec in gold:
+        pool = draw(st.lists(_questions(0), min_size=1, max_size=3))
+        gens.append({"product_id": rec.product_id,
+                     "questions": draw(st.lists(st.sampled_from(pool), max_size=4))})
+    return gens, gold
+
+
+def _micro_case(*products):
+    gold = [ProductRecord(f"p{i}", "ctx", refs) for i, (refs, _) in enumerate(products)]
+    gens = [{"product_id": f"p{i}", "questions": qs} for i, (_, qs) in enumerate(products)]
+    return gens, gold
+
+
+@given(micro_generation_sets())
+@example(_micro_case((("a a a b",), ["a a a a b", "a b", "a a"])))   # repeats, short
+@example(_micro_case((("a b c ?", "b c"), ["b c", "b c", "a b c ?"])))  # duplicates
+@example(_micro_case((("a b",), ["a b c"]), (("c",), [])))         # one and no question
+@example(_micro_case((("a b",), ["", "a b", "b"]), (("c",), ["c ?"])))  # empty top-1
+@settings(max_examples=80, deadline=None)
+def test_bleu_figures_equal_the_per_call_reference(case):
+    gens, gold = case
+    vocab = Vocab(["a", "b", "c", "?"])
+    report = evaluate(gens, gold, small_params(vocab), vocab)
+    assert (report.bleu_top1, report.avg_bleu_top3, report.pairwise_bleu) == \
+        reference.evaluate_bleus(gens, gold)
+    by_id = {rec.product_id: rec for rec in gold}
+    for r in gens:
+        top3 = [tokenize(q) for q in r["questions"][:3]]
+        refs = [tokenize(q) for q in by_id[r["product_id"]].questions]
+        for q in top3:
+            assert bleu(q, refs) == reference.bleu(q, refs)
+        if top3:
+            assert avg_bleu(top3, refs) == reference.avg_bleu(top3, refs)
+        if len(top3) >= 2:
+            assert pairwise_bleu(top3) == reference.pairwise_bleu(top3)

@@ -88,6 +88,13 @@ def test_train_config_validation():
     TR.TrainConfig(lambda_div=0.0)  # zero is legal
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", ["lambda_div", "learning_rate"])
+def test_train_config_refuses_non_finite_floats(name, value):
+    with pytest.raises(ValueError, match="finite"):
+        TR.TrainConfig(**{name: value})
+
+
 def test_cg_loss_perfect_and_uniform():
     mask = [False, True, True]
     logits = np.full((3, 5), -30.0)
