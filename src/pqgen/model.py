@@ -100,7 +100,9 @@ class ModelParams:
 
     The parameters live in one float64 vector in manifest order, and each
     tensor's `data` is a reshaped view of it: optimizers, copies and
-    checkpoints work on `vector` as a whole.
+    checkpoints work on `vector` as a whole. Their gradients live the same
+    way in one vector, `grad_vector()`, each tensor's `.grad` a fixed view of
+    it that `backward` adds into.
     """
 
     def __init__(self, config: ModelConfig, vector: np.ndarray | None = None):
@@ -109,9 +111,12 @@ class ModelParams:
         sizes = [math.prod(shape) for _, shape in manifest]
         self.config = config
         self.vector = np.zeros(sum(sizes)) if vector is None else vector
-        pieces = np.split(self.vector, np.cumsum(sizes)[:-1])
-        self._tensors = {name: Tensor(piece.reshape(shape), requires_grad=True)
-                         for (name, shape), piece in zip(manifest, pieces)}
+        self._grad = np.zeros_like(self.vector)
+        cuts = np.cumsum(sizes)[:-1]
+        self._tensors = {name: Tensor(piece.reshape(shape), requires_grad=True,
+                                      grad=gpiece.reshape(shape))
+                         for (name, shape), piece, gpiece in zip(
+                             manifest, np.split(self.vector, cuts), np.split(self._grad, cuts))}
 
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
@@ -133,10 +138,9 @@ class ModelParams:
         return ModelParams(self.config, self.vector.copy())
 
     def grad_vector(self) -> np.ndarray:
-        """Every tensor's gradient in manifest order, laid out like `vector`
-        (zeros for a tensor without one)."""
-        return np.concatenate([np.zeros(t.data.size) if t.grad is None else t.grad.ravel()
-                               for t in self._tensors.values()])
+        """Every tensor's gradient in manifest order, laid out like `vector`;
+        the buffer the tensors' `.grad` views share, not a copy."""
+        return self._grad
 
 
 def init_params(config: ModelConfig, seed: int) -> ModelParams:
@@ -204,11 +208,8 @@ def _embed(params: ModelParams, ids: Sequence[int], positions) -> Tensor:
 
 def _attention(params: ModelParams, prefix: str, x_q: Tensor, x_kv: Tensor,
                layout: T.AttentionLayout) -> Tensor:
-    q = T.matmul(x_q, params[f"{prefix}.wq"])
-    k = T.matmul(x_kv, params[f"{prefix}.wk"])
-    v = T.matmul(x_kv, params[f"{prefix}.wv"])
-    return T.matmul(T.attention(q, k, v, params.config.n_heads, layout),
-                    params[f"{prefix}.wo"])
+    w = [params[f"{prefix}.{name}"] for name in ("wq", "wk", "wv", "wo")]
+    return T.multi_head_attention(x_q, x_kv, *w, params.config.n_heads, layout)
 
 
 def _sublayer(params: ModelParams, prefix: str, x: Tensor, fn) -> Tensor:
@@ -217,8 +218,7 @@ def _sublayer(params: ModelParams, prefix: str, x: Tensor, fn) -> Tensor:
 
 
 def _ffn(params: ModelParams, prefix: str, x: Tensor) -> Tensor:
-    h = T.relu(T.add(T.matmul(x, params[f"{prefix}.w1"]), params[f"{prefix}.b1"]))
-    return T.add(T.matmul(h, params[f"{prefix}.w2"]), params[f"{prefix}.b2"])
+    return T.ffn(x, *[params[f"{prefix}.{name}"] for name in ("w1", "b1", "w2", "b2")])
 
 
 def _encoder_stack(params: ModelParams, ids: Sequence[int], positions,

@@ -2,7 +2,9 @@
 
 Every operation validates shapes eagerly, computes forward with numpy, and
 records a closure on a global tape. `backward` replays the tape once in
-reverse, accumulating into `.grad` (repeated calls keep accumulating).
+reverse, accumulating into `.grad` (repeated calls keep accumulating). A
+tensor made with a `grad` buffer keeps it: `backward` adds into it in place
+and `zero_grad` fills it with zeros.
 """
 
 from __future__ import annotations
@@ -32,15 +34,17 @@ class Tensor:
     arrays their forward saw. A model's parameter `data` is a view of one
     parameter vector that the optimizer updates in place, so it is mutated
     only after `backward` and before the next `reset_tape`, when no recorded
-    closure will run again.
+    closure will run again. Its `grad` is likewise a fixed view of one
+    gradient vector (`fixed_grad`).
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "fixed_grad")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data, requires_grad: bool = False, grad: np.ndarray | None = None):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
+        self.grad = grad
+        self.fixed_grad = grad is not None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -121,7 +125,9 @@ def backward(loss: Tensor) -> None:
 
     Gradients accumulate (+=) into `.grad` of every requires_grad tensor
     reachable from `loss`, including intermediates. Calling backward twice on
-    the same tape doubles the gradients.
+    the same tape doubles the gradients. A leaf's gradient is added in place
+    into its `fixed_grad` buffer; everywhere else `.grad` is rebound, since an
+    op's backward may hand one array to several inputs.
     """
     if loss.data.shape != ():
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -138,13 +144,19 @@ def backward(loss: Tensor) -> None:
             flowing[inp] = gi if prev is None else prev + gi
     # Whatever never appeared as an op output is a leaf.
     for leaf, g in flowing.items():
-        if leaf.requires_grad:
+        if leaf.fixed_grad:
+            np.add(leaf.grad, g, out=leaf.grad)
+        elif leaf.requires_grad:
             leaf.grad = g if leaf.grad is None else leaf.grad + g
 
 
 def zero_grad(tensors: Iterable[Tensor]) -> None:
+    """Fill fixed gradient buffers with zeros; drop every other `.grad`."""
     for t in tensors:
-        t.grad = None
+        if t.fixed_grad:
+            t.grad.fill(0.0)
+        else:
+            t.grad = None
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -274,9 +286,11 @@ def embedding(table: Tensor, ids: Sequence[int]) -> Tensor:
         raise IndexError(f"embedding id out of range [0, {table.shape[0]}): {idx.tolist()}")
 
     def bwd(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, idx, g)
-        return (gt,)
+        # One bincount over the flat (id, column) indices adds each table
+        # row's contributions in id order, from 0.0, as np.add.at would.
+        n, d = table.shape
+        flat = (idx[:, None] * d + np.arange(d)).ravel()
+        return (np.bincount(flat, weights=g.ravel(), minlength=n * d).reshape(n, d),)
 
     return _emit((table,), table.data[idx], bwd)
 
@@ -396,16 +410,14 @@ def softmax_attention(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray,
     return p @ vh, p
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
-              layout: AttentionLayout) -> Tensor:
-    """Multi-head scaled dot-product attention over stacked rows.
-
-    q is [n_q, d]; k and v are [n_k, d]; head h uses columns h*d/H..(h+1)*d/H
-    and the head outputs are concatenated in that order. Each segment of
-    `layout` is gathered into a padded [segments, heads, Lq, Lk] block;
-    only that block's softmax is kept for the backward pass.
-    """
-    if q.data.ndim != 2 or k.data.ndim != 2 or k.shape != v.shape or q.shape[1] != k.shape[1]:
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
+            layout: AttentionLayout):
+    """Multi-head attention on plain stacked rows: the output rows and the
+    backward that maps their gradient to (gq, gk, gv). Head h uses columns
+    h*d/H..(h+1)*d/H and the head outputs are concatenated in that order.
+    Each segment of `layout` is gathered into a padded [segments, heads,
+    Lq, Lk] block; only that block's softmax is kept for the backward pass."""
+    if q.ndim != 2 or k.ndim != 2 or k.shape != v.shape or q.shape[1] != k.shape[1]:
         raise ShapeError(f"attention shapes incompatible: q {q.shape}, k {k.shape}, v {v.shape}")
     if (q.shape[0], k.shape[0]) != (layout.n_q, layout.n_k):
         raise ShapeError(f"attention layout covers {layout.n_q} x {layout.n_k} rows, "
@@ -424,9 +436,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
         s, _, rows, _ = xh.shape
         return _from_blocks(xh.transpose(0, 2, 1, 3).reshape(s, rows, d), slots)
 
-    qh = split(q.data, layout.q_slots)
-    kh = split(k.data, layout.k_slots)
-    vh = split(v.data, layout.k_slots)
+    qh = split(q, layout.q_slots)
+    kh = split(k, layout.k_slots)
+    vh = split(v, layout.k_slots)
     out, p = softmax_attention(qh, kh, vh, layout.bias)
 
     def bwd(g):
@@ -437,7 +449,59 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
                 merge(ds.transpose(0, 1, 3, 2) @ qh, layout.k_slots),
                 merge(p.transpose(0, 1, 3, 2) @ gh, layout.k_slots))
 
-    return _emit((q, k, v), merge(out, layout.q_slots), bwd)
+    return merge(out, layout.q_slots), bwd
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
+              layout: AttentionLayout) -> Tensor:
+    """Multi-head scaled dot-product attention over stacked rows: q is
+    [n_q, d]; k and v are [n_k, d]."""
+    out, bwd = _attend(q.data, k.data, v.data, n_heads, layout)
+    return _emit((q, k, v), out, bwd)
+
+
+def multi_head_attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
+                         wo: Tensor, n_heads: int, layout: AttentionLayout) -> Tensor:
+    """A whole attention sublayer as one op: `attention` of the projections
+    x_q @ wq, x_kv @ wk and x_kv @ wv, projected by wo. Pass one tensor as
+    both x_q and x_kv for self-attention."""
+    if (any(t.data.ndim != 2 for t in (x_q, x_kv, wq, wk, wv, wo))
+            or wq.shape[0] != x_q.shape[1] or wk.shape != (x_kv.shape[1], wq.shape[1])
+            or wv.shape != wk.shape or wo.shape[0] != wq.shape[1]):
+        raise ShapeError(f"attention shapes incompatible: x_q {x_q.shape}, x_kv {x_kv.shape}, "
+                         f"wq {wq.shape}, wk {wk.shape}, wv {wv.shape}, wo {wo.shape}")
+    a, attend_bwd = _attend(x_q.data @ wq.data, x_kv.data @ wk.data, x_kv.data @ wv.data,
+                            n_heads, layout)
+
+    def bwd(g):
+        gq, gk, gv = attend_bwd(g @ wo.data.T)
+        return (gv @ wv.data.T, gk @ wk.data.T, gq @ wq.data.T,
+                x_q.data.T @ gq, x_kv.data.T @ gk, x_kv.data.T @ gv, a.T @ g)
+
+    # x_kv is listed once per projection, and the inputs in the order in which
+    # a reverse sweep over the separate ops would add their gradients: through
+    # v, then k, then q.
+    return _emit((x_kv, x_kv, x_q, wq, wk, wv, wo), a @ wo.data, bwd)
+
+
+def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """The position-wise feed-forward sublayer relu(x @ w1 + b1) @ w2 + b2
+    as one op."""
+    if (x.data.ndim != 2 or w1.data.ndim != 2 or w2.data.ndim != 2
+            or w1.shape[0] != x.shape[1] or b1.shape != (w1.shape[1],)
+            or w2.shape[0] != w1.shape[1] or b2.shape != (w2.shape[1],)):
+        raise ShapeError(f"ffn shapes incompatible: x {x.shape}, w1 {w1.shape}, "
+                         f"b1 {b1.shape}, w2 {w2.shape}, b2 {b2.shape}")
+    pre = x.data @ w1.data + b1.data
+    mask = pre > 0
+    h = np.where(mask, pre, 0.0)
+
+    def bwd(g):
+        gpre = (g @ w2.data.T) * mask
+        return (gpre @ w1.data.T, x.data.T @ gpre, gpre.sum(axis=0),
+                h.T @ g, g.sum(axis=0))
+
+    return _emit((x, w1, b1, w2, b2), h @ w2.data + b2.data, bwd)
 
 
 def normalize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -460,8 +524,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     def bwd(g):
         dxhat = g * gain.data
         # Standard layer-norm backward along the last axis.
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+        m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d
         dx = inv * (dxhat - m1 - xhat * m2)
         flat_g = (g * xhat).reshape(-1, d)
         dgain = flat_g.sum(axis=0)

@@ -206,34 +206,48 @@ def ltd_loss(params: ModelParams, triplet: Triplet,
 
 class AdamState:
     """First/second moment estimates, laid out like the parameter vector,
-    plus the step counter."""
+    the step counter and two scratch vectors, so a step allocates nothing."""
 
     def __init__(self, params: ModelParams):
         self.t = 0
         self.m = np.zeros_like(params.vector)
         self.v = np.zeros_like(params.vector)
+        self._scratch = (np.empty_like(params.vector), np.empty_like(params.vector))
 
 
 def adam_step(params: ModelParams, grad: np.ndarray, state: AdamState, lr: float) -> None:
     """Standard Adam with bias correction on the whole parameter vector, in
-    place; `grad` is laid out like it. ADAM_EPS sits outside the sqrt."""
+    place; `grad` is laid out like it. ADAM_EPS sits outside the sqrt.
+
+    Every expression is m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g) and
+    vector -= (lr*m_hat) / (sqrt(v_hat) + eps), evaluated in that order into
+    preallocated buffers."""
     if grad.shape != params.vector.shape:
         raise ValueError(f"gradient shape {grad.shape} != parameter vector shape "
                          f"{params.vector.shape}")
     state.t += 1
     t = state.t
-    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
-    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * (grad * grad)
-    m_hat = state.m / (1.0 - ADAM_BETA1 ** t)
-    v_hat = state.v / (1.0 - ADAM_BETA2 ** t)
-    params.vector -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    m, v = state.m, state.v
+    a, b = state._scratch
+    m *= ADAM_BETA1
+    m += np.multiply(grad, 1.0 - ADAM_BETA1, out=a)
+    v *= ADAM_BETA2
+    np.multiply(grad, grad, out=a)
+    v += np.multiply(a, 1.0 - ADAM_BETA2, out=a)
+    np.divide(m, 1.0 - ADAM_BETA1 ** t, out=a)             # m_hat
+    a *= lr
+    np.divide(v, 1.0 - ADAM_BETA2 ** t, out=b)             # v_hat
+    np.sqrt(b, out=b)
+    b += ADAM_EPS
+    a /= b
+    params.vector -= a
 
 
 def clip_gradients(grad: np.ndarray) -> float:
     """Scales `grad` in place to global norm CLIP_NORM if it exceeds it;
-    returns the pre-clip norm."""
+    returns the pre-clip norm. A non-finite norm leaves `grad` as it is."""
     norm = math.sqrt(grad @ grad)
-    if norm > CLIP_NORM:
+    if CLIP_NORM < norm < math.inf:
         grad *= CLIP_NORM / norm
     return norm
 
@@ -309,10 +323,12 @@ def train(split: SplitCorpus, vocab: Vocab, model_config: ModelConfig,
             objective = T.scale(total, 1.0 / losses.n_branches)
             value = objective.item()
             if not math.isfinite(value):
-                raise NumericError(f"non-finite loss {value} at step {step}")
+                raise NumericError(f"non-finite loss {value} at step {step + 1}")
             T.backward(objective)
             grad = params.grad_vector()
             grad_norm = clip_gradients(grad)
+            if not math.isfinite(grad_norm):
+                raise NumericError(f"non-finite gradient norm {grad_norm} at step {step + 1}")
             adam_step(params, grad, state, train_config.learning_rate)
             step += 1
             if losses.cg1.size:

@@ -9,6 +9,11 @@ another: each group searches alone, to the end, penalized by the per-step
 token choices of the groups before it. `pqgen.decoding` advances all groups
 together, one position at a time, and must return the same candidates.
 
+`multi_head_attention` and `ffn` are the separate tape ops (four matmuls
+around `attention`; matmul, bias add, relu, matmul, bias add) that the fused
+sublayer ops of `pqgen.tensor` replace; they must give the same floats,
+forward and backward.
+
 `bleu` recounts the hypothesis and every reference for each n-gram order on
 each call, and `evaluate_bleus` composes the report's three BLEU figures from
 such calls, one score at a time. `pqgen.metrics` counts each sentence once
@@ -28,6 +33,20 @@ from pqgen import model as M
 from pqgen import tensor as T
 from pqgen.corpus import ProductRecord, tokenize
 from pqgen.metrics import BLEU_MAX_N, MetricInputError
+
+
+def multi_head_attention(x_q: T.Tensor, x_kv: T.Tensor, wq: T.Tensor, wk: T.Tensor,
+                         wv: T.Tensor, wo: T.Tensor, n_heads: int,
+                         layout: T.AttentionLayout) -> T.Tensor:
+    q = T.matmul(x_q, wq)
+    k = T.matmul(x_kv, wk)
+    v = T.matmul(x_kv, wv)
+    return T.matmul(T.attention(q, k, v, n_heads, layout), wo)
+
+
+def ffn(x: T.Tensor, w1: T.Tensor, b1: T.Tensor, w2: T.Tensor, b2: T.Tensor) -> T.Tensor:
+    h = T.relu(T.add(T.matmul(x, w1), b1))
+    return T.add(T.matmul(h, w2), b2)
 
 
 def decode_step(params: M.ModelParams, enc: M.EncoderOutput,

@@ -110,6 +110,31 @@ def test_criterion_1_gradient_fidelity():
             (lambda t: T.cosine_similarity(t[0], t[1]), [u5, v5]),
             (lambda t: T.cross_entropy(t[0], [2, 5, 0, 3], pad_id=0), [logits]),
         ]
+        # The fused sublayer ops: self-attention over one and over several
+        # causal segments with pad keys, cross-attention with two query
+        # segments sharing key segments, and the FFN.
+        w44 = [rng.normal(size=(4, 4)) for _ in range(4)]
+        for q_lens, k_lens, causal, key_ok in (
+                ([5], [5], True, [True, True, False, True, False]),
+                ([3, 2, 4], [3, 2, 4], True, [True, False, True, True, True, True, False,
+                                              True, True]),
+                ([5, 2], [4, 3], False, [True, True, False, True, False, True, True])):
+            layout = T.AttentionLayout(q_lens, k_lens, causal=causal, key_ok=key_ok)
+            out_w = rng.normal(size=(sum(q_lens), 4))
+            if causal:
+                cases.append((lambda t, layout=layout: T.tsum(T.mul(T.multi_head_attention(
+                    t[0], t[0], *t[1:5], 2, layout), t[5])),
+                    [rng.normal(size=(sum(q_lens), 4))] + w44 + [out_w]))
+            else:
+                cases.append((lambda t, layout=layout: T.tsum(T.mul(T.multi_head_attention(
+                    *t[:6], 2, layout), t[6])),
+                    [rng.normal(size=(sum(q_lens), 4)), rng.normal(size=(sum(k_lens), 4))]
+                    + w44 + [out_w]))
+        ffn_in = [x34, rng.normal(size=(4, 6)), rng.normal(size=6),
+                  rng.normal(size=(6, 4)), rng.normal(size=4)]
+        # Keep the hidden relu inputs away from the kink, as above.
+        assert np.abs(x34 @ ffn_in[1] + ffn_in[2]).min() > 0.01
+        cases.append((lambda t: T.tsum(T.mul(T.ffn(*t[:5]), t[5])), ffn_in + [y34]))
         for build, arrays in cases:
             analytic_vs_fd(build, arrays)
 

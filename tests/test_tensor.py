@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pqgen import tensor as T
+from . import reference
 from .oracles import fd_grad, max_rel_err
 
 RNG = np.random.default_rng(7)
@@ -256,6 +257,71 @@ def test_attention_layout_validation():
         T.attention(x, x, x, 3, T.AttentionLayout([3], [3]))
 
 
+SUBLAYER_LAYOUTS = {
+    "one segment, causal, pad keys": ([5], [5], True, [True, True, False, True, False]),
+    "several segments, causal, pad keys": ([3, 2, 4], [3, 2, 4], True,
+                                           [True, False, True, True, True, True, False,
+                                            True, True]),
+    "cross, shared key segments, pad keys": ([5, 2], [4, 3], False,
+                                             [True, True, False, True, False, True, True]),
+}
+
+
+def run_sublayer(op, arrays):
+    """Forward of op over leaves of `arrays`, and every leaf's gradient of
+    sum(out * w) for a fixed weight w."""
+    leaves = [leaf(a) for a in arrays]
+    T.reset_tape()
+    out = op(leaves)
+    T.backward(T.tsum(T.mul(out, T.Tensor(np.linspace(-1.0, 1.0, out.data.size)
+                                          .reshape(out.shape)))))
+    return out.data, [lf.grad for lf in leaves]
+
+
+@pytest.mark.parametrize("layout_name", sorted(SUBLAYER_LAYOUTS))
+def test_fused_sublayer_ops_equal_the_separate_ops(layout_name):
+    q_lens, k_lens, causal, key_ok = SUBLAYER_LAYOUTS[layout_name]
+    layout = T.AttentionLayout(q_lens, k_lens, causal=causal, key_ok=key_ok)
+    rng = np.random.default_rng(13)
+    d, d_ff = 4, 6
+    x_q, x_kv = rng.normal(size=(sum(q_lens), d)), rng.normal(size=(sum(k_lens), d))
+    weights = [rng.normal(size=(d, d)) for _ in range(4)]
+    ffn_arrays = [x_q, rng.normal(size=(d, d_ff)), rng.normal(size=d_ff),
+                  rng.normal(size=(d_ff, d)), rng.normal(size=d)]
+    if causal:  # self-attention: one input tensor feeds queries, keys and values
+        arrays = [x_q] + weights
+
+        def attend(op):
+            return lambda t: op(t[0], t[0], *t[1:], 2, layout)
+    else:
+        arrays = [x_q, x_kv] + weights
+
+        def attend(op):
+            return lambda t: op(*t, 2, layout)
+    for fused_op, separate_op, inputs in (
+            (attend(T.multi_head_attention), attend(reference.multi_head_attention), arrays),
+            (lambda t: T.ffn(*t), lambda t: reference.ffn(*t), ffn_arrays)):
+        fused, separate = run_sublayer(fused_op, inputs), run_sublayer(separate_op, inputs)
+        assert np.array_equal(fused[0], separate[0])
+        for g, r in zip(fused[1], separate[1]):
+            assert np.array_equal(g, r)
+
+
+def test_fused_sublayer_ops_shape_validation():
+    x, w = T.Tensor(np.zeros((3, 4))), T.Tensor(np.zeros((4, 4)))
+    layout = T.AttentionLayout([3], [3])
+    with pytest.raises(T.ShapeError):
+        T.multi_head_attention(x, x, w, T.Tensor(np.zeros((3, 4))), w, w, 2, layout)
+    with pytest.raises(T.ShapeError):
+        T.multi_head_attention(x, x, w, w, w, T.Tensor(np.zeros(4)), 2, layout)
+    with pytest.raises(T.ShapeError):
+        T.multi_head_attention(x, x, w, w, w, w, 2, T.AttentionLayout([2], [2]))
+    with pytest.raises(T.ShapeError):
+        T.ffn(x, w, T.Tensor(np.zeros(3)), w, T.Tensor(np.zeros(4)))
+    with pytest.raises(T.ShapeError):
+        T.ffn(x, w, T.Tensor(np.zeros(4)), T.Tensor(np.zeros((5, 4))), T.Tensor(np.zeros(4)))
+
+
 def test_cross_entropy_segments_matches_per_segment_and_grad():
     logits = RNG.normal(size=(6, 5))
     targets = [1, 0, 3, 2, 0, 4]  # pad 0 at rows 1 and 4
@@ -383,6 +449,21 @@ def test_embedding_id_out_of_range():
         T.embedding(leaf(np.zeros((3, 2))), [0, 3])
 
 
+def test_fixed_grad_buffer_is_added_into_in_place():
+    buf = np.zeros(3)
+    a = T.Tensor(np.ones(3), requires_grad=True, grad=buf)
+    b = leaf(np.ones(3))
+    loss = T.tsum(T.add(a, b))  # add hands one gradient array to both inputs
+    T.backward(loss)
+    T.backward(loss)
+    assert a.grad is buf
+    np.testing.assert_array_equal(buf, [2.0, 2.0, 2.0])
+    np.testing.assert_array_equal(b.grad, [2.0, 2.0, 2.0])
+    T.zero_grad([a, b])
+    assert a.grad is buf and b.grad is None
+    np.testing.assert_array_equal(buf, np.zeros(3))
+
+
 # ---------------------------------------------------------------------------
 # Properties
 
@@ -415,3 +496,38 @@ def test_cosine_bounded_and_symmetric(seed):
     b = T.cosine_similarity(T.Tensor(v), T.Tensor(u)).item()
     assert abs(a - b) < 1e-12
     assert -1.0 - 1e-12 <= a <= 1.0 + 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=5), max_size=12),
+       st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2 ** 31 - 1))
+@example([], 3, 0)
+@example([4, 4, 4], 2, 1)
+@example([5, 0, 5, 1, 0], 3, 2)
+def test_embedding_backward_equals_add_at(ids, d, seed):
+    rng = np.random.default_rng(seed)
+    table = leaf(rng.normal(size=(6, d)))
+    g = rng.normal(size=(len(ids), d)) * rng.integers(0, 2, size=(len(ids), d))
+    g[rng.random(size=g.shape) < 0.2] = -0.0
+    T.reset_tape()
+    T.embedding(table, ids)
+    (_, _, bwd), = T.active_tape()
+    want = np.zeros_like(table.data)
+    np.add.at(want, np.asarray(ids, dtype=np.int64), g)
+    (got,) = bwd(g)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31 - 1))
+def test_layer_norm_backward_means_equal_ndarray_mean(seed):
+    rng = np.random.default_rng(seed)
+    x, gain, g = rng.normal(size=(4, 7)), rng.normal(size=7), rng.normal(size=(4, 7))
+    T.reset_tape()
+    T.layer_norm(leaf(x), leaf(gain), leaf(np.zeros(7)))
+    (_, _, bwd), = T.active_tape()
+    xhat, inv = T.normalize(x)
+    dxhat = g * gain
+    want = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                  - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    assert bwd(g)[0].tobytes() == want.tobytes()

@@ -8,6 +8,7 @@ from pqgen import corpus as C
 from pqgen import model as M
 from pqgen import tensor as T
 from pqgen import training as TR
+from . import reference
 from .oracles import fd_grad, max_rel_err
 
 
@@ -351,6 +352,36 @@ def test_batch_loss_one_triplet_is_ltd_loss():
     assert losses.n_branches == 2 and losses.single_cg.size == 0
 
 
+def test_fused_sublayers_equal_the_separate_ops_on_a_packed_batch(monkeypatch):
+    """The packed step with the fused attention and FFN ops gives the floats
+    of the same step built from the separate ops, forward and backward."""
+    recs, v, params = packed_setup()
+    pad = params.config.pad_id
+    trips = TR.build_triplets(recs, v, seed=0)[:4]
+    padded = TR.Triplet(trips[0].product_id, (pad,) + trips[0].context_ids + (pad,),
+                        trips[0].q1_ids + (pad,), trips[0].q2_ids)
+    lone = recs[-1]
+    items = trips + [padded, (lone.product_id, tuple(v.encode_text(lone.context)),
+                              tuple(v.encode_text(lone.questions[0])))]
+    runs = []
+    for fused in (True, False):
+        if not fused:
+            monkeypatch.setattr(T, "multi_head_attention", reference.multi_head_attention)
+            monkeypatch.setattr(T, "ffn", reference.ffn)
+        T.reset_tape()
+        T.zero_grad(params.tensors())
+        losses, total = TR.batch_loss(params, items, 0.1)
+        T.backward(total)
+        runs.append((total.item(), losses, params.grad_vector().copy(), len(T.active_tape())))
+    (total, losses, grad, n_ops), (r_total, r_losses, r_grad, r_n_ops) = runs
+    assert total == r_total
+    for field in ("cg1", "cg2", "div", "single_cg"):
+        assert np.array_equal(getattr(losses, field), getattr(r_losses, field)), field
+    assert np.array_equal(grad, r_grad)
+    # Two decoder layers and two encoder layers: 6 attention and 4 FFN sublayers.
+    assert r_n_ops - n_ops == 6 * 4 + 4 * 4
+
+
 # ---------------------------------------------------------------------------
 # Optimizer
 
@@ -363,9 +394,11 @@ def optimizer_setup():
 
 def grad_of(params, grads):
     """The gradient vector of per-tensor gradients {name: array}; zeros for
-    every tensor the dict leaves out."""
-    for name, t in params.items():
-        t.grad = grads.get(name)
+    every tensor the dict leaves out. Each `.grad` is a view of the vector,
+    so the gradients are written into it, not rebound."""
+    T.zero_grad(params.tensors())
+    for name, g in grads.items():
+        params[name].grad[...] = g
     return params.grad_vector()
 
 
@@ -405,7 +438,7 @@ def test_adam_shape_mismatch():
 def test_clip_gradients():
     params = optimizer_setup()
     for t in params.tensors():
-        t.grad = np.ones_like(t.data)
+        t.grad[...] = 1.0
     grad = params.grad_vector()
     norm = TR.clip_gradients(grad)
     assert norm > 1.0
@@ -415,6 +448,14 @@ def test_clip_gradients():
     small = np.full(4, 0.25)
     assert TR.clip_gradients(small) == 0.5
     np.testing.assert_array_equal(small, np.full(4, 0.25))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_clip_gradients_leaves_a_non_finite_gradient_as_it_is(bad):
+    grad = np.array([bad, 1.0, 2.0])
+    norm = TR.clip_gradients(grad)
+    assert not math.isfinite(norm)
+    np.testing.assert_array_equal(grad, [bad, 1.0, 2.0])  # NaN matches NaN here
 
 
 def reference_adam_step(data, grads, m, v, t, lr):
@@ -495,6 +536,60 @@ def test_train_steps_keep_parameters_views_of_the_vector(monkeypatch):
     assert len(vectors) == 3  # ten training products, one triplet each, four per step
     assert not np.array_equal(vectors[0], vectors[-1])
     assert_views_of_vector(res.params)
+
+
+def test_train_gradients_are_views_of_one_vector(monkeypatch):
+    recs = tiny_corpus(12)
+    v = C.build_vocab(recs)
+    checked = []
+    adam = TR.adam_step
+
+    def checked_adam(params, grad, state, lr):
+        assert grad is params.grad_vector()
+        offset = 0
+        for name, t in params.items():
+            assert np.shares_memory(t.grad, grad), name
+            assert t.grad.shape == t.data.shape
+            np.testing.assert_array_equal(t.grad.ravel(),
+                                          grad[offset:offset + t.data.size])
+            offset += t.data.size
+        assert offset == grad.size and np.any(grad != 0.0)
+        checked.append(state.t)
+        adam(params, grad, state, lr)
+
+    monkeypatch.setattr(TR, "adam_step", checked_adam)
+    TR.train(fixed_split(recs), v, toy_config(v),
+             TR.TrainConfig(batch_size=4, epochs=1, seed=7), mode="ltd")
+    assert checked == [0, 1, 2]
+
+
+def test_non_finite_gradient_fails_at_its_step_before_adam(monkeypatch):
+    recs = tiny_corpus(12)
+    v = C.build_vocab(recs)
+    made, after_adam = [], []
+    init, backward, adam = TR.init_params, T.backward, TR.adam_step
+
+    def recorded_init(*args, **kwargs):
+        made.append(init(*args, **kwargs))
+        return made[-1]
+
+    def backward_with_inf(loss):
+        backward(loss)
+        if len(after_adam) == 1:  # the second step
+            made[0]["dec0.ffn.w1"].grad[0, 0] = np.inf
+
+    def recorded_adam(params, grad, state, lr):
+        adam(params, grad, state, lr)
+        after_adam.append(params.vector.copy())
+
+    monkeypatch.setattr(TR, "init_params", recorded_init)
+    monkeypatch.setattr(T, "backward", backward_with_inf)
+    monkeypatch.setattr(TR, "adam_step", recorded_adam)
+    with pytest.raises(TR.NumericError, match="gradient norm inf at step 2"):
+        TR.train(fixed_split(recs), v, toy_config(v),
+                 TR.TrainConfig(batch_size=4, epochs=1, seed=7), mode="ltd")
+    assert len(after_adam) == 1
+    assert np.array_equal(made[0].vector, after_adam[0])
 
 
 # ---------------------------------------------------------------------------
