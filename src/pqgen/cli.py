@@ -182,6 +182,8 @@ def _resolve(ns: argparse.Namespace, options) -> dict:
             raise _UsageError(f"cannot read config file: {e}")
         except ValueError as e:
             raise _UsageError(f"config file {ns.config} is not valid JSON: {e}")
+        except RecursionError:
+            raise _UsageError(f"config file {ns.config} is not valid JSON: nested too deeply")
         if not isinstance(data, dict):
             raise _UsageError(f"config file {ns.config} must hold a JSON object")
         unknown = sorted(set(data) - set(effective))

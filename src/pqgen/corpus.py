@@ -105,6 +105,8 @@ def iter_jsonl(path) -> Iterator[tuple[str, object]]:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise CorpusSchemaError(f"{where}: invalid JSON ({e.msg})") from e
+            except RecursionError as e:
+                raise CorpusSchemaError(f"{where}: invalid JSON (nested too deeply)") from e
             pid = obj.get("product_id") if isinstance(obj, dict) else None
             if isinstance(pid, str):
                 if pid in first_line:

@@ -45,24 +45,36 @@ def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
 
 
 def _all_counts(tokens: Sequence[str]) -> list[Counter]:
-    """A sentence's 1- to 4-gram counts, the form `_bleu` scores from: a
-    sentence scored or referenced several times is counted once."""
+    """A sentence's 1- to 4-gram counts, the form `_bleu` scores from."""
     return [_ngram_counts(tokens, n) for n in range(1, BLEU_MAX_N + 1)]
 
 
-def _bleu(hyp: list[Counter], refs: Sequence[list[Counter]],
-          ref_lens: Sequence[int]) -> float:
-    """`bleu` of a hypothesis from the `_all_counts` of it and of each
-    reference; the hypothesis length is its unigram total."""
+def _merge_refs(refs: Sequence[list[Counter]]) -> list[dict]:
+    """Per order, each n-gram's largest count over the `_all_counts` of one or
+    more references: the bound `_bleu` clips a hypothesis count to."""
+    bounds = [dict(counts) for counts in refs[0]]
+    for ref in refs[1:]:
+        for bound, counts in zip(bounds, ref):
+            for gram, k in counts.items():
+                if k > bound.get(gram, 0):
+                    bound[gram] = k
+    return bounds
+
+
+def _bleu(hyp: list[Counter], bounds: list[dict], ref_lens: Sequence[int]) -> float:
+    """`bleu` of a hypothesis from its `_all_counts`, the `_merge_refs` of its
+    references and their lengths; the hypothesis length is its unigram total.
+    Each n-gram's count is clipped to its largest count in any one reference:
+    the same integers as taking that max per n-gram, so the same floats."""
     c = sum(hyp[0].values())
     log_sum = 0.0
     for n in range(1, BLEU_MAX_N + 1):
         counts = hyp[n - 1]
         total = sum(counts.values())
-        ref_counts = [r[n - 1] for r in refs]
+        bound = bounds[n - 1]
         clipped = 0
         for gram, k in counts.items():
-            clipped += min(k, max(rc[gram] for rc in ref_counts))
+            clipped += min(k, bound.get(gram, 0))
         if total == 0:
             p = 1.0 if n >= 2 else 0.0
         elif clipped == 0:
@@ -93,14 +105,14 @@ def avg_bleu(hypotheses: Sequence[Sequence[str]],
         raise MetricInputError("avg_bleu needs at least one hypothesis")
     if not references:
         raise MetricInputError("bleu needs at least one reference")
-    refs = [_all_counts(r) for r in references]
+    bounds = _merge_refs([_all_counts(r) for r in references])
     lens = [len(r) for r in references]
-    return math.fsum(_bleu(_all_counts(h), refs, lens) for h in hypotheses) / len(hypotheses)
+    return math.fsum(_bleu(_all_counts(h), bounds, lens) for h in hypotheses) / len(hypotheses)
 
 
 def _pairwise_bleu(group: Sequence[list[Counter]], lens: Sequence[int]) -> float:
-    scores = [_bleu(group[i], group[:i] + group[i + 1:], lens[:i] + lens[i + 1:])
-              for i in range(len(group))]
+    scores = [_bleu(group[i], _merge_refs(group[:i] + group[i + 1:]),
+                    lens[:i] + lens[i + 1:]) for i in range(len(group))]
     return math.fsum(scores) / len(scores)
 
 
@@ -371,6 +383,18 @@ class MetricsReport:
     degenerate_products: list[tuple[str, str]] = field(default_factory=list)
 
 
+def _memoized(fn):
+    """`fn` with a cache of its results by argument that lives only as long as
+    the returned function."""
+    cache: dict = {}
+
+    def cached(*args):
+        if args not in cache:
+            cache[args] = fn(*args)
+        return cache[args]
+    return cached
+
+
 def evaluate(generations: Sequence[dict], gold: Sequence[ProductRecord],
              params: ModelParams, vocab: Vocab) -> MetricsReport:
     """Score generation records ({product_id, questions, ...}) against gold
@@ -384,32 +408,40 @@ def evaluate(generations: Sequence[dict], gold: Sequence[ProductRecord],
     if missing:
         raise MetricInputError(
             f"generation product ids missing from gold corpus: {missing}")
+    # Generated questions repeat (the paper's finding) and gold questions share
+    # templates, so within this call each distinct string is tokenized and
+    # counted once, each distinct (top-1, reference) pair METEOR-scored once and
+    # each distinct top-3 Pairwise-BLEU-scored once.
+    tok = _memoized(tokenize)
+    count = _memoized(lambda q: _all_counts(tok(q)))
+    meteor = _memoized(lambda hyp, ref: meteor_lite(tok(hyp), tok(ref)))
+    pairwise = _memoized(lambda *top3: _pairwise_bleu([count(q) for q in top3],
+                                                      [len(tok(q)) for q in top3]))
     degenerate: list[tuple[str, str]] = []
     bleus, avg3s, meteors, pws = [], [], [], []
     top1_tokens: list[list[str]] = []
     for r in generations:
         pid = r["product_id"]
-        top3 = [tokenize(q) for q in r["questions"][:3]]
-        if not top3 or not top3[0]:
+        top3 = r["questions"][:3]
+        if not top3 or not tok(top3[0]):
             bleus.append(0.0)
             avg3s.append(0.0)
             meteors.append(0.0)
             degenerate.append((pid, "no generated question"))
             continue
-        refs = [tokenize(q) for q in by_id[pid].questions]
-        top1 = top3[0]
+        refs = by_id[pid].questions
+        if not refs:
+            raise MetricInputError(f"product {pid}: no gold questions to score against")
+        top1 = tok(top3[0])
         check_length(params.config, len(top1), f"product {pid}: question")
-        # Each reference and each top-3 question is counted once, for every
-        # score it takes part in.
-        ref_counts = [_all_counts(ref) for ref in refs]
-        ref_lens = [len(ref) for ref in refs]
-        top3_counts = [_all_counts(q) for q in top3]
-        scores = [_bleu(q, ref_counts, ref_lens) for q in top3_counts]
+        bounds = _merge_refs([count(q) for q in refs])
+        ref_lens = [len(tok(q)) for q in refs]
+        scores = [_bleu(count(q), bounds, ref_lens) for q in top3]
         bleus.append(scores[0])
         avg3s.append(math.fsum(scores) / len(scores))
-        meteors.append(max(meteor_lite(top1, ref) for ref in refs))
+        meteors.append(max(meteor(top3[0], q) for q in refs))
         if len(top3) >= 2:
-            pws.append(_pairwise_bleu(top3_counts, [len(q) for q in top3]))
+            pws.append(pairwise(*top3))
         else:
             degenerate.append((pid, "fewer than 2 questions for pairwise metrics"))
         top1_tokens.append(top1)

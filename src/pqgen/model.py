@@ -501,6 +501,8 @@ def load_checkpoint(path) -> tuple[ModelParams, list[str] | None]:
         header = json.loads(raw[offset:offset + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"corrupt checkpoint header: {e}") from e
+    except RecursionError as e:
+        raise CheckpointError("corrupt checkpoint header: JSON nested too deeply") from e
     if not isinstance(header, dict):
         raise CheckpointError("corrupt checkpoint header: not a JSON object")
     offset += header_len

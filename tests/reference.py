@@ -15,9 +15,13 @@ sublayer ops of `pqgen.tensor` replace; they must give the same floats,
 forward and backward.
 
 `bleu` recounts the hypothesis and every reference for each n-gram order on
-each call, and `evaluate_bleus` composes the report's three BLEU figures from
-such calls, one score at a time. `pqgen.metrics` counts each sentence once
-per product and must give the same floats.
+each call and clips each n-gram by a max over the references' counts.
+`evaluate_relevance` composes the report's three BLEU figures from such
+calls, and its METEOR figure from one `meteor_lite` call per (top-1,
+reference) pair, one product and one score at a time. `pqgen.metrics`
+tokenizes, counts and METEOR-scores each distinct sentence or pair once per
+`evaluate` call, clips against merged reference maxima, and must give the
+same floats.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from pqgen import decoding as D
 from pqgen import model as M
 from pqgen import tensor as T
 from pqgen.corpus import ProductRecord, tokenize
-from pqgen.metrics import BLEU_MAX_N, MetricInputError
+from pqgen.metrics import BLEU_MAX_N, MetricInputError, meteor_lite
 
 
 def multi_head_attention(x_q: T.Tensor, x_kv: T.Tensor, wq: T.Tensor, wk: T.Tensor,
@@ -215,24 +219,27 @@ def pairwise_bleu(group: Sequence[Sequence[str]]) -> float:
     return math.fsum(scores) / len(scores)
 
 
-def evaluate_bleus(generations: Sequence[dict], gold: Sequence[ProductRecord]
-                   ) -> tuple[float, float, float | None]:
-    """(bleu_top1, avg_bleu_top3, pairwise_bleu) of a `pqgen.metrics.evaluate`
-    report, composed from the calls above: a product without a top-1 question
-    scores 0 on both relevance figures and has no Pairwise-BLEU."""
+def evaluate_relevance(generations: Sequence[dict], gold: Sequence[ProductRecord]
+                       ) -> tuple[float, float, float, float | None]:
+    """(bleu_top1, avg_bleu_top3, meteor_top1, pairwise_bleu) of a
+    `pqgen.metrics.evaluate` report, composed from the calls above and
+    `meteor_lite`: a product without a top-1 question scores 0 on the three
+    relevance figures and has no Pairwise-BLEU."""
     by_id = {rec.product_id: rec for rec in gold}
-    bleus, avg3s, pws = [], [], []
+    bleus, avg3s, meteors, pws = [], [], [], []
     for r in generations:
         top3 = [tokenize(q) for q in r["questions"][:3]]
         if not top3 or not top3[0]:
             bleus.append(0.0)
             avg3s.append(0.0)
+            meteors.append(0.0)
             continue
         refs = [tokenize(q) for q in by_id[r["product_id"]].questions]
         bleus.append(bleu(top3[0], refs))
         avg3s.append(avg_bleu(top3, refs))
+        meteors.append(max(meteor_lite(top3[0], ref) for ref in refs))
         if len(top3) >= 2:
             pws.append(pairwise_bleu(top3))
     n = len(generations)
-    return (math.fsum(bleus) / n, math.fsum(avg3s) / n,
+    return (math.fsum(bleus) / n, math.fsum(avg3s) / n, math.fsum(meteors) / n,
             math.fsum(pws) / len(pws) if pws else None)

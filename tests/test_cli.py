@@ -5,6 +5,7 @@ generation files)."""
 import dataclasses
 import json
 import math
+import struct
 import tempfile
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from pqgen import cli
 from pqgen.cli import main
 from pqgen.corpus import load_jsonl, save_jsonl
+from pqgen.model import MAGIC
 
 from .test_model import with_header
 
@@ -545,6 +547,54 @@ def test_evaluate_repeated_generation_product_id_exits_2(pipeline, tmp_path, cap
     assert err == f"data error: {gen}, line 3: product_id 'p00001' repeats line 2\n"
     assert "products evaluated" not in out
     assert not list(tmp_path.glob("r.*"))
+
+
+# A JSON value nested this deeply overflows the parser's recursion limit.
+DEEP_JSON = "[" * 100_000
+
+
+@pytest.mark.parametrize("command, flag", [("evaluate", "--generations"),
+                                           ("evaluate", "--gold"), ("train", "--corpus")])
+def test_deeply_nested_jsonl_line_exits_2(pipeline, tmp_path, capsys, command, flag):
+    corpus, ckpt = pipeline
+    gen = tmp_path / "gen.jsonl"
+    gen.write_text(json.dumps({"product_id": "p00001", "questions": ["is it red ?"]}) + "\n")
+    deep = tmp_path / "deep.jsonl"
+    deep.write_text(DEEP_JSON + "\n")
+    args = {"evaluate": {"--generations": gen, "--gold": corpus, "--checkpoint": ckpt,
+                         "--report": tmp_path / "r"},
+            "train": {"--corpus": corpus, "--out": tmp_path / "m.ckpt"}}[command]
+    args[flag] = deep
+    argv = [command, *(str(x) for pair in args.items() for x in pair)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err == f"data error: {deep}, line 1: invalid JSON (nested too deeply)\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["deep.jsonl", "gen.jsonl"]
+
+
+def test_deeply_nested_checkpoint_header_exits_2(pipeline, tmp_path, capsys):
+    corpus, _ = pipeline
+    bad = tmp_path / "bad.ckpt"
+    blob = DEEP_JSON.encode("utf-8")
+    bad.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob)
+    gen = tmp_path / "gen.jsonl"
+    gen.write_text(json.dumps({"product_id": "p00001", "questions": ["is it red ?"]}) + "\n")
+    code, out, err = run(capsys, "evaluate", "--generations", str(gen), "--gold", str(corpus),
+                         "--checkpoint", str(bad), "--report", str(tmp_path / "r"))
+    assert code == 2
+    assert err == "data error: corrupt checkpoint header: JSON nested too deeply\n"
+    assert "products evaluated" not in out
+    assert not list(tmp_path.glob("r.*"))
+
+
+def test_deeply_nested_config_file_is_usage_error(tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text(DEEP_JSON)
+    ckpt = tmp_path / "m.ckpt"
+    code, _, err = run(capsys, "train", "--config", str(conf), "--out", str(ckpt))
+    assert code == 1
+    assert err == f"error: config file {conf} is not valid JSON: nested too deeply\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["conf.json"]
 
 
 @pytest.mark.parametrize("vocab", [5, [1, 2], {"a": 1}], ids=["int", "ints", "object"])

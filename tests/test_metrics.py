@@ -1,6 +1,7 @@
 """Metric tests: hand-computed worked examples, brute-force oracle agreement
 on random micro-inputs, and the report assembly contract."""
 
+import dataclasses
 import json
 import math
 
@@ -406,7 +407,7 @@ def test_bleu_counts_each_reference_once_per_order(monkeypatch):
     assert len(counted) == 4 * (1 + len(refs))
 
 
-def test_evaluate_counts_each_sentence_once_per_product(monkeypatch):
+def test_evaluate_counts_and_scores_each_distinct_input_once_per_call(monkeypatch):
     from pqgen import metrics as MX
 
     gold, vocab, params = eval_setup()
@@ -415,15 +416,60 @@ def test_evaluate_counts_each_sentence_once_per_product(monkeypatch):
                                            "is it safe ?", "unscored fourth ?"]},
         {"product_id": "p2", "questions": ["does it have bluetooth ?"]},
         {"product_id": "p1", "questions": []},
+        {"product_id": "p1", "questions": ["is it safe ?", "how loud is it ?"]},
+        {"product_id": "p2", "questions": ["is it safe ?", "how loud is it ?"]},
     ]
+    counted, scored, groups = [], [], []
+    real_counts, real_meteor, real_pairwise = MX._ngram_counts, MX.meteor_lite, MX._pairwise_bleu
+    monkeypatch.setattr(MX, "_ngram_counts",
+                        lambda tokens, n: counted.append(n) or real_counts(tokens, n))
+    monkeypatch.setattr(MX, "meteor_lite", lambda hyp, ref: scored.append(
+        (" ".join(hyp), " ".join(ref))) or real_meteor(hyp, ref))
+    monkeypatch.setattr(MX, "_pairwise_bleu",
+                        lambda group, lens: groups.append(lens) or real_pairwise(group, lens))
+    evaluate(gens, gold, params, vocab)
+    # Five distinct scored sentences: the four references (three of them also
+    # generated) and "is it safe ?"; the fourth question and the empty record
+    # are not scored.
+    assert counted == [1, 2, 3, 4] * 5
+    # One METEOR score per distinct (top-1, reference) pair: the second p1
+    # record repeats the first one's pairs.
+    assert sorted(scored) == sorted(set(scored))
+    assert set(scored) == {("is it safe ?", "is it dishwasher safe ?"),
+                           ("is it safe ?", "how heavy is it ?"),
+                           ("does it have bluetooth ?", "does it have bluetooth ?"),
+                           ("does it have bluetooth ?", "how loud is it ?"),
+                           ("is it safe ?", "does it have bluetooth ?"),
+                           ("is it safe ?", "how loud is it ?")}
+    # One Pairwise-BLEU score per distinct top-3: the last two records share one.
+    assert groups == [[4, 5, 4], [4, 5]]
+
+
+def test_evaluate_keeps_no_state_across_calls(monkeypatch):
+    from pqgen import metrics as MX
+
     counted = []
     real = MX._ngram_counts
     monkeypatch.setattr(MX, "_ngram_counts",
                         lambda tokens, n: counted.append(n) or real(tokens, n))
-    evaluate(gens, gold, params, vocab)
-    # p1: 2 references + 3 top-3 questions; p2: 2 + 1; the empty one is not scored
-    assert len(counted) == 4 * ((2 + 3) + (2 + 1))
-    assert counted == [1, 2, 3, 4] * 8
+    gold, vocab, params = eval_setup()
+    gens_a = [{"product_id": "p1", "questions": ["is it safe ?", "how heavy is it ?"]},
+              {"product_id": "p2", "questions": ["how loud is it ?", "is it safe ?"]}]
+    # The same product ids and generated strings against other gold questions.
+    gold_b = [ProductRecord("p1", "ctx", ("how loud is it ?", "is it red ?")),
+              ProductRecord("p2", "ctx", ("is it safe ?",))]
+    gens_b = [{"product_id": "p1", "questions": ["is it safe ?", "how loud is it ?"]},
+              {"product_id": "p2", "questions": ["how loud is it ?"]}]
+    first = evaluate(gens_a, gold, params, vocab)
+    first_counts = len(counted)
+    other = evaluate(gens_b, gold_b, params, vocab)
+    del counted[:]
+    again = evaluate(gens_a, gold, params, vocab)
+    assert other.bleu_top1 != first.bleu_top1
+    # A cache that outlived a call would spare the repeated call some counting.
+    assert len(counted) == first_counts == 4 * 5
+    for f in dataclasses.fields(first):
+        assert getattr(again, f.name) == getattr(first, f.name), f.name
 
 
 def test_embed_questions_position_sensitive():
@@ -485,6 +531,14 @@ def test_evaluate_rejects_unknown_product_ids():
     gold, vocab, params = eval_setup()
     gens = [{"product_id": "ghost", "questions": ["is it safe ?"], "scores": [0.0]}]
     with pytest.raises(MetricInputError, match="ghost"):
+        evaluate(gens, gold, params, vocab)
+
+
+def test_evaluate_rejects_a_product_without_gold_questions():
+    gold, vocab, params = eval_setup()
+    gold.append(ProductRecord("p3", "ctx", ()))
+    gens = [{"product_id": "p3", "questions": ["is it safe ?"]}]
+    with pytest.raises(MetricInputError, match="p3: no gold questions"):
         evaluate(gens, gold, params, vocab)
 
 
@@ -560,13 +614,15 @@ def _micro_case(*products):
 @example(_micro_case((("a b c ?", "b c"), ["b c", "b c", "a b c ?"])))  # duplicates
 @example(_micro_case((("a b",), ["a b c"]), (("c",), [])))         # one and no question
 @example(_micro_case((("a b",), ["", "a b", "b"]), (("c",), ["c ?"])))  # empty top-1
+# one top-1 for two products with different references: nothing may leak across
+@example(_micro_case((("a b c",), ["a b", "c"]), (("b a ?", "c c"), ["a b", "a"])))
 @settings(max_examples=80, deadline=None)
 def test_bleu_figures_equal_the_per_call_reference(case):
     gens, gold = case
     vocab = Vocab(["a", "b", "c", "?"])
     report = evaluate(gens, gold, small_params(vocab), vocab)
-    assert (report.bleu_top1, report.avg_bleu_top3, report.pairwise_bleu) == \
-        reference.evaluate_bleus(gens, gold)
+    assert (report.bleu_top1, report.avg_bleu_top3, report.meteor_top1,
+            report.pairwise_bleu) == reference.evaluate_relevance(gens, gold)
     by_id = {rec.product_id: rec for rec in gold}
     for r in gens:
         top3 = [tokenize(q) for q in r["questions"][:3]]
