@@ -261,11 +261,8 @@ def cmd_train(ns: argparse.Namespace) -> int:
 
 
 def _load_model(path: str) -> tuple[ModelParams, Vocab]:
-    """A checkpoint's parameters and the vocabulary it must carry."""
+    """A checkpoint's parameters and its vocabulary."""
     params, tokens = load_checkpoint(path)
-    if tokens is None:
-        raise CheckpointError(f"checkpoint {path} stores no vocabulary; "
-                              "generate and evaluate need one")
     return params, Vocab(tokens)
 
 

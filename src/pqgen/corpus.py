@@ -103,8 +103,8 @@ def iter_jsonl(path) -> Iterator[tuple[str, object]]:
             where = f"{path}, line {lineno}"
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CorpusSchemaError(f"{where}: invalid JSON ({e.msg})") from e
+            except ValueError as e:
+                raise CorpusSchemaError(f"{where}: invalid JSON ({getattr(e, 'msg', e)})") from e
             except RecursionError as e:
                 raise CorpusSchemaError(f"{where}: invalid JSON (nested too deeply)") from e
             pid = obj.get("product_id") if isinstance(obj, dict) else None

@@ -458,19 +458,20 @@ def sequence_log_likelihood(params: ModelParams, context_ids: Sequence[int],
 # manifest order).
 
 
-def _check_vocab(config: ModelConfig, vocab_tokens) -> None:
-    """A stored vocabulary is absent or names every non-reserved token id."""
+def _check_vocab(config: ModelConfig, vocab_tokens, path) -> None:
+    """A checkpoint's vocabulary names every non-reserved token id."""
     if vocab_tokens is None:
-        return
+        raise CheckpointError(f"checkpoint {path} stores no vocabulary; "
+                              "generate and evaluate need one")
     if (not isinstance(vocab_tokens, list) or len(vocab_tokens) != config.vocab_size - 4
             or not all(isinstance(t, str) for t in vocab_tokens)):
-        raise CheckpointError(f"checkpoint vocab must be null or a list of "
+        raise CheckpointError(f"checkpoint vocab must be a list of "
                               f"{config.vocab_size - 4} strings (vocab_size - 4)")
 
 
-def save_checkpoint(path, params: ModelParams, vocab_tokens: Sequence[str] | None = None) -> None:
-    vocab = list(vocab_tokens) if vocab_tokens is not None else None
-    _check_vocab(params.config, vocab)
+def save_checkpoint(path, params: ModelParams, vocab_tokens: Sequence[str]) -> None:
+    vocab = list(vocab_tokens)
+    _check_vocab(params.config, vocab, path)
     header = {
         "format_version": FORMAT_VERSION,
         "config": asdict(params.config),
@@ -485,7 +486,7 @@ def save_checkpoint(path, params: ModelParams, vocab_tokens: Sequence[str] | Non
         fh.write(params.vector.astype("<f8", copy=False).tobytes())
 
 
-def load_checkpoint(path) -> tuple[ModelParams, list[str] | None]:
+def load_checkpoint(path) -> tuple[ModelParams, list[str]]:
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:len(MAGIC)] != MAGIC:
@@ -499,12 +500,12 @@ def load_checkpoint(path) -> tuple[ModelParams, list[str] | None]:
         raise CheckpointError(f"checkpoint {path} truncated inside its header")
     try:
         header = json.loads(raw[offset:offset + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise CheckpointError(f"corrupt checkpoint header: {e}") from e
+    except ValueError as e:
+        raise CheckpointError(f"corrupt checkpoint header in {path}: {e}") from e
     except RecursionError as e:
-        raise CheckpointError("corrupt checkpoint header: JSON nested too deeply") from e
+        raise CheckpointError(f"corrupt checkpoint header in {path}: JSON nested too deeply") from e
     if not isinstance(header, dict):
-        raise CheckpointError("corrupt checkpoint header: not a JSON object")
+        raise CheckpointError(f"corrupt checkpoint header in {path}: not a JSON object")
     offset += header_len
     if header.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(
@@ -521,7 +522,7 @@ def load_checkpoint(path) -> tuple[ModelParams, list[str] | None]:
     if declared != expected:
         raise CheckpointError("checkpoint tensor manifest does not match its config")
     vocab = header.get("vocab")
-    _check_vocab(config, vocab)
+    _check_vocab(config, vocab, path)
     n_bytes = 8 * sum(math.prod(shape) for _, shape in expected)
     if len(raw) - offset != n_bytes:
         raise CheckpointError(f"checkpoint {path} is truncated or has trailing bytes: "

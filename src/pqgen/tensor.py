@@ -58,28 +58,13 @@ class Tensor:
     def sum(self) -> "Tensor":
         return tsum(self)
 
-    def mean(self) -> "Tensor":
-        return tmean(self)
-
     def __add__(self, other):
         return add(self, other if isinstance(other, Tensor) else Tensor(other))
-
-    def __sub__(self, other):
-        rhs = other if isinstance(other, Tensor) else Tensor(other)
-        return add(self, scale(rhs, -1.0))
 
     def __mul__(self, other):
         if isinstance(other, Tensor):
             return mul(self, other)
         return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -364,36 +349,24 @@ class AttentionLayout:
             key_ok = np.asarray(key_ok, dtype=bool)
             if key_ok.shape != (self.n_k,):
                 raise ShapeError(f"key_ok has shape {key_ok.shape}, want ({self.n_k},)")
-        if len(q_lens) == 1:
-            # One segment: its block is the rows themselves, nothing to gather.
-            self.q_slots = self.k_slots = None
-            hidden = None if key_ok is None or key_ok.all() else ~key_ok[None, None, :]
-        else:
-            # Slot masks of the zero-padded [segments, L] blocks.
-            self.q_slots = np.arange(lq) < np.array(q_lens)[:, None]
-            self.k_slots = np.arange(lk) < np.array(k_lens)[:, None]
-            visible = self.k_slots if key_ok is None else _to_blocks(key_ok, self.k_slots)
-            # Pad query slots see every key: their rows are dropped, and this
-            # keeps them free of all -inf rows.
-            hidden = ~visible[:, None, :] & self.q_slots[:, :, None]
+        # Slot masks of the zero-padded [segments, L] blocks.
+        self.q_slots = np.arange(lq) < np.array(q_lens)[:, None]
+        self.k_slots = np.arange(lk) < np.array(k_lens)[:, None]
+        visible = self.k_slots if key_ok is None else _to_blocks(key_ok, self.k_slots)
+        # Pad query slots see every key: their rows are dropped, and this
+        # keeps them free of all -inf rows.
+        hidden = ~visible[:, None, :] & self.q_slots[:, :, None]
         if causal:
-            later = ~np.tri(lq, lk, dtype=bool)
-            hidden = later[None] if hidden is None else hidden | later
-        self.bias = (None if hidden is None or not hidden.any()       # [S, 1, Lq|1, Lk]
-                     else np.where(hidden, -np.inf, 0.0)[:, None])
+            hidden |= ~np.tri(lq, lk, dtype=bool)
+        self.bias = (np.where(hidden, -np.inf, 0.0)[:, None]          # [S, 1, Lq, Lk]
+                     if hidden.any() else None)
 
 
-def _to_blocks(x: np.ndarray, slots: np.ndarray | None) -> np.ndarray:
+def _to_blocks(x: np.ndarray, slots: np.ndarray) -> np.ndarray:
     """Stacked rows -> zero-padded [segments, L, ...] block."""
-    if slots is None:
-        return x[None]
     out = np.zeros(slots.shape + x.shape[1:], dtype=x.dtype)
     out[slots] = x
     return out
-
-
-def _from_blocks(xb: np.ndarray, slots: np.ndarray | None) -> np.ndarray:
-    return xb[0] if slots is None else xb[slots]
 
 
 def softmax_attention(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray,
@@ -429,12 +402,10 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
     scale_ = 1.0 / np.sqrt(dh)
 
     def split(x, slots):                                   # -> [S, H, L, dh]
-        xb = _to_blocks(x, slots)
-        return xb.reshape(xb.shape[0], xb.shape[1], n_heads, dh).transpose(0, 2, 1, 3)
+        return _to_blocks(x, slots).reshape(*slots.shape, n_heads, dh).transpose(0, 2, 1, 3)
 
     def merge(xh, slots):                                  # [S, H, L, dh] -> rows
-        s, _, rows, _ = xh.shape
-        return _from_blocks(xh.transpose(0, 2, 1, 3).reshape(s, rows, d), slots)
+        return xh.transpose(0, 2, 1, 3).reshape(*slots.shape, d)[slots]
 
     qh = split(q, layout.q_slots)
     kh = split(k, layout.k_slots)

@@ -549,52 +549,96 @@ def test_evaluate_repeated_generation_product_id_exits_2(pipeline, tmp_path, cap
     assert not list(tmp_path.glob("r.*"))
 
 
-# A JSON value nested this deeply overflows the parser's recursion limit.
+# JSON that json.loads refuses without a JSONDecodeError: nesting this deep
+# overflows the parser's recursion limit, and an integer literal of more than
+# 4,300 digits raises a plain ValueError.
 DEEP_JSON = "[" * 100_000
+LONG_INT_JSON = "1" * 5000
+LONG_INT_ERROR = "Exceeds the limit (4300 digits) for integer string conversion"
+JSONL_FLAGS = [("evaluate", "--generations"), ("evaluate", "--gold"), ("train", "--corpus")]
 
 
-@pytest.mark.parametrize("command, flag", [("evaluate", "--generations"),
-                                           ("evaluate", "--gold"), ("train", "--corpus")])
-def test_deeply_nested_jsonl_line_exits_2(pipeline, tmp_path, capsys, command, flag):
+def run_on_bad_jsonl(pipeline, tmp_path, capsys, command, flag, text):
+    """stderr of `command` given a `flag` file whose one line is `text`; the
+    command must exit 2 and write nothing."""
     corpus, ckpt = pipeline
     gen = tmp_path / "gen.jsonl"
     gen.write_text(json.dumps({"product_id": "p00001", "questions": ["is it red ?"]}) + "\n")
-    deep = tmp_path / "deep.jsonl"
-    deep.write_text(DEEP_JSON + "\n")
     args = {"evaluate": {"--generations": gen, "--gold": corpus, "--checkpoint": ckpt,
                          "--report": tmp_path / "r"},
             "train": {"--corpus": corpus, "--out": tmp_path / "m.ckpt"}}[command]
-    args[flag] = deep
-    argv = [command, *(str(x) for pair in args.items() for x in pair)]
-    code, out, err = run(capsys, *argv)
+    args[flag] = tmp_path / "bad.jsonl"
+    args[flag].write_text(text + "\n")
+    code, _, err = run(capsys, command, *(str(x) for pair in args.items() for x in pair))
     assert code == 2
-    assert err == f"data error: {deep}, line 1: invalid JSON (nested too deeply)\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["deep.jsonl", "gen.jsonl"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl", "gen.jsonl"]
+    return err
 
 
-def test_deeply_nested_checkpoint_header_exits_2(pipeline, tmp_path, capsys):
+@pytest.mark.parametrize("command, flag", JSONL_FLAGS)
+def test_deeply_nested_jsonl_line_exits_2(pipeline, tmp_path, capsys, command, flag):
+    err = run_on_bad_jsonl(pipeline, tmp_path, capsys, command, flag, DEEP_JSON)
+    assert err == (f"data error: {tmp_path / 'bad.jsonl'}, line 1: "
+                   "invalid JSON (nested too deeply)\n")
+
+
+@pytest.mark.parametrize("command, flag", JSONL_FLAGS)
+def test_overlong_integer_jsonl_line_exits_2(pipeline, tmp_path, capsys, command, flag):
+    err = run_on_bad_jsonl(pipeline, tmp_path, capsys, command, flag, LONG_INT_JSON)
+    assert err.startswith(f"data error: {tmp_path / 'bad.jsonl'}, line 1: "
+                          f"invalid JSON ({LONG_INT_ERROR}")
+
+
+def run_on_bad_header(pipeline, tmp_path, capsys, text):
+    """stderr of `evaluate` with a checkpoint whose header is `text`; it must
+    exit 2 and write no report."""
     corpus, _ = pipeline
-    bad = tmp_path / "bad.ckpt"
-    blob = DEEP_JSON.encode("utf-8")
-    bad.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob)
+    blob = text.encode("utf-8")
+    (tmp_path / "bad.ckpt").write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob)
     gen = tmp_path / "gen.jsonl"
     gen.write_text(json.dumps({"product_id": "p00001", "questions": ["is it red ?"]}) + "\n")
     code, out, err = run(capsys, "evaluate", "--generations", str(gen), "--gold", str(corpus),
-                         "--checkpoint", str(bad), "--report", str(tmp_path / "r"))
+                         "--checkpoint", str(tmp_path / "bad.ckpt"),
+                         "--report", str(tmp_path / "r"))
     assert code == 2
-    assert err == "data error: corrupt checkpoint header: JSON nested too deeply\n"
     assert "products evaluated" not in out
-    assert not list(tmp_path.glob("r.*"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.ckpt", "gen.jsonl"]
+    return err
+
+
+def test_deeply_nested_checkpoint_header_exits_2(pipeline, tmp_path, capsys):
+    err = run_on_bad_header(pipeline, tmp_path, capsys, DEEP_JSON)
+    assert err == (f"data error: corrupt checkpoint header in {tmp_path / 'bad.ckpt'}: "
+                   "JSON nested too deeply\n")
+
+
+def test_overlong_integer_checkpoint_header_exits_2(pipeline, tmp_path, capsys):
+    err = run_on_bad_header(pipeline, tmp_path, capsys, LONG_INT_JSON)
+    assert err.startswith(f"data error: corrupt checkpoint header in {tmp_path / 'bad.ckpt'}: "
+                          f"{LONG_INT_ERROR}")
+
+
+def run_on_bad_config(tmp_path, capsys, text):
+    """stderr of `train --config` on a file holding `text`; it must exit 1
+    and write nothing."""
+    conf = tmp_path / "conf.json"
+    conf.write_text(text)
+    code, _, err = run(capsys, "train", "--config", str(conf), "--out", str(tmp_path / "m.ckpt"))
+    assert code == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["conf.json"]
+    return err
 
 
 def test_deeply_nested_config_file_is_usage_error(tmp_path, capsys):
-    conf = tmp_path / "conf.json"
-    conf.write_text(DEEP_JSON)
-    ckpt = tmp_path / "m.ckpt"
-    code, _, err = run(capsys, "train", "--config", str(conf), "--out", str(ckpt))
-    assert code == 1
-    assert err == f"error: config file {conf} is not valid JSON: nested too deeply\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["conf.json"]
+    err = run_on_bad_config(tmp_path, capsys, DEEP_JSON)
+    assert err == (f"error: config file {tmp_path / 'conf.json'} is not valid JSON: "
+                   "nested too deeply\n")
+
+
+def test_overlong_integer_config_file_is_usage_error(tmp_path, capsys):
+    err = run_on_bad_config(tmp_path, capsys, LONG_INT_JSON)
+    assert err.startswith(f"error: config file {tmp_path / 'conf.json'} is not valid JSON: "
+                          f"{LONG_INT_ERROR}")
 
 
 @pytest.mark.parametrize("vocab", [5, [1, 2], {"a": 1}], ids=["int", "ints", "object"])
@@ -606,6 +650,22 @@ def test_generate_malformed_checkpoint_vocab_exits_2(pipeline, tmp_path, capsys,
     code, _, err = run(capsys, "generate", "--checkpoint", str(bad),
                        "--corpus", str(corpus), "--out", str(out_path))
     assert code == 2
-    assert err.startswith("data error: checkpoint vocab must be null or a list of ")
+    assert err.startswith("data error: checkpoint vocab must be a list of ")
     assert "Traceback" not in err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "evaluate"])
+def test_checkpoint_without_vocab_exits_2(pipeline, tmp_path, capsys, command):
+    corpus, ckpt = pipeline
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(with_header(ckpt.read_bytes(), vocab=None))
+    gen = tmp_path / "gen.jsonl"
+    gen.write_text(json.dumps({"product_id": "p00001", "questions": ["is it red ?"]}) + "\n")
+    args = {"generate": ["--corpus", corpus, "--out", tmp_path / "g.jsonl"],
+            "evaluate": ["--generations", gen, "--gold", corpus, "--report", tmp_path / "r"]}
+    code, _, err = run(capsys, command, "--checkpoint", str(bad), *map(str, args[command]))
+    assert code == 2
+    assert err == (f"data error: checkpoint {bad} stores no vocabulary; "
+                   "generate and evaluate need one\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.ckpt", "gen.jsonl"]

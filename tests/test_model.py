@@ -207,7 +207,7 @@ def with_header(raw: bytes, **fields) -> bytes:
 
 def test_checkpoint_validation_errors(tmp_path, params):
     path = tmp_path / "m.ckpt"
-    M.save_checkpoint(path, params)
+    M.save_checkpoint(path, params, vocab_tokens=VOCAB_TOKENS)
     raw = path.read_bytes()
 
     bad_magic = tmp_path / "bad1.ckpt"
@@ -233,9 +233,9 @@ def test_checkpoint_validation_errors(tmp_path, params):
     with pytest.raises(M.CheckpointError, match="truncated"):
         M.load_checkpoint(oversized)
 
-    # A stored vocab is null or a list of exactly vocab_size - 4 strings.
+    # A stored vocab is a list of exactly vocab_size - 4 strings.
     bad_vocab = tmp_path / "bad4.ckpt"
-    for vocab in (5, [1, 2], {"a": 1}, "is it?", VOCAB_TOKENS[:-1], VOCAB_TOKENS + ["x"],
+    for vocab in (None, 5, [1, 2], {"a": 1}, "is it?", VOCAB_TOKENS[:-1], VOCAB_TOKENS + ["x"],
                   VOCAB_TOKENS[:-1] + [None]):
         bad_vocab.write_bytes(with_header(raw, vocab=vocab))
         with pytest.raises(M.CheckpointError, match="vocab"):
@@ -265,7 +265,7 @@ def test_checkpoint_non_finite_parameter_raises(tmp_path, params, value):
     bad = params.copy()
     bad["dec0.cross.wv"].data[1, 2] = value
     path = tmp_path / "bad.ckpt"
-    M.save_checkpoint(path, bad)
+    M.save_checkpoint(path, bad, vocab_tokens=VOCAB_TOKENS)
     with pytest.raises(M.CheckpointError, match="dec0.cross.wv"):
         M.load_checkpoint(path)
 

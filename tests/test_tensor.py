@@ -192,7 +192,6 @@ def test_attention_one_segment_matches_per_head_composition(causal):
     if causal:
         bias = bias + np.where(np.tril(np.ones((n, n), dtype=bool)), 0.0, -np.inf)
     layout = T.AttentionLayout([n], [n], causal=causal, key_ok=key_ok)
-    assert layout.q_slots is None and layout.k_slots is None  # no gathering
 
     results = []
     for build in (lambda q, k, v: T.attention(q, k, v, heads, layout),
