@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .corpus import (
     CorpusSchemaError,
@@ -28,7 +27,7 @@ from .corpus import (
     split,
     synth_corpus,
 )
-from .decoding import DecodingStuckError, GenerationConfig, generate_questions
+from .decoding import DecodingStuckError, GenerationConfig, generate_split
 from .fileio import atomic_write
 from .metrics import (
     MetricInputError,
@@ -142,7 +141,6 @@ GENERATE_OPTIONS = (
     ("no_repeat", "--no-repeat", _nonnegative, 2),
     ("max_new", "--max-new", _positive, 16),
     ("questions", "--questions", _positive, 6),
-    ("workers", "--workers", _positive, 1),
 )
 EVALUATE_OPTIONS = (
     ("generations", "--generations", str, None),
@@ -266,29 +264,6 @@ def _load_model(path: str) -> tuple[ModelParams, Vocab]:
     return params, Vocab(tokens)
 
 
-def _generation_record(params: ModelParams, vocab: Vocab, config: GenerationConfig,
-                       task: tuple[str, str]) -> dict:
-    pid, context = task
-    try:
-        result = generate_questions(params, vocab, vocab.encode_text(context), config)
-    except SequenceLengthError as e:
-        raise SequenceLengthError(f"product {pid}: {e}") from None
-    return {"product_id": pid, "questions": result.questions,
-            "scores": result.scores, "shortage": result.shortage}
-
-
-_WORKER_MODEL: tuple = ()
-
-
-def _init_gen_worker(checkpoint_path: str, config: GenerationConfig) -> None:
-    global _WORKER_MODEL
-    _WORKER_MODEL = (*_load_model(checkpoint_path), config)
-
-
-def _gen_worker(task: tuple[str, str]) -> dict:
-    return _generation_record(*_WORKER_MODEL, task)
-
-
 def cmd_generate(ns: argparse.Namespace) -> int:
     eff = _resolve(ns, GENERATE_OPTIONS)
     _require(eff, "checkpoint", "corpus", "out")
@@ -305,24 +280,17 @@ def cmd_generate(ns: argparse.Namespace) -> int:
             questions_per_product=eff["questions"])
     except ValueError as e:
         raise _UsageError(str(e))
-    tasks = [(rec.product_id, rec.context) for rec in chosen]
-    if eff["workers"] > 1:
-        with ProcessPoolExecutor(
-                max_workers=eff["workers"],
-                initializer=_init_gen_worker,
-                initargs=(eff["checkpoint"], config)) as pool:
-            outputs = list(pool.map(_gen_worker, tasks))
-    else:
-        outputs = [_generation_record(params, vocab, config, task) for task in tasks]
+    results = generate_split(params, vocab, chosen, config)
     with atomic_write(eff["out"]) as f:
-        # workers and the output path are run mechanics, not decoding config;
-        # leaving them out keeps reruns byte-identical wherever they write.
-        header = {"kind": "config", **{k: v for k, v in eff.items()
-                                       if k not in ("workers", "out")}}
+        # The output path is not decoding config; leaving it out keeps reruns
+        # byte-identical wherever they write.
+        header = {"kind": "config", **{k: v for k, v in eff.items() if k != "out"}}
         f.write(json.dumps(header, sort_keys=True) + "\n")
-        for record in outputs:
-            f.write(json.dumps(record, sort_keys=True) + "\n")
-    _say(f"wrote {len(outputs)} generation records to {eff['out']}")
+        for rec, result in zip(chosen, results):
+            f.write(json.dumps({"product_id": rec.product_id, "questions": result.questions,
+                                "scores": result.scores, "shortage": result.shortage},
+                               sort_keys=True) + "\n")
+    _say(f"wrote {len(results)} generation records to {eff['out']}")
     return 0
 
 

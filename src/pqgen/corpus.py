@@ -96,13 +96,18 @@ def iter_jsonl(path) -> Iterator[tuple[str, object]]:
     records, where `where` names the file and line for error messages. A
     string `product_id` that an earlier line already holds is refused."""
     first_line: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    # A byte that is not UTF-8 reads as a lone surrogate, refused with its line.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             where = f"{path}, line {lineno}"
             try:
+                line.encode("utf-8")
                 obj = json.loads(line)
+            except UnicodeEncodeError as e:
+                raise CorpusSchemaError(f"{where}: not UTF-8 (byte "
+                                        f"0x{ord(line[e.start]) - 0xDC00:02x})") from None
             except ValueError as e:
                 raise CorpusSchemaError(f"{where}: invalid JSON ({getattr(e, 'msg', e)})") from e
             except RecursionError as e:

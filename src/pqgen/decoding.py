@@ -1,5 +1,6 @@
-"""Inference-time question generation: greedy, beam search, and diverse beam
-search whose groups advance together under group-wise Hamming penalties.
+"""Inference-time question generation: beam search, and diverse beam search
+whose groups advance together under group-wise Hamming penalties. One search
+decodes a chunk of products: each decoder step feeds the beams of all.
 
 Scores carried on candidates are raw model log-probabilities; the length
 penalty (score / len^alpha) applies at ranking time only. PAD and BOS are
@@ -16,8 +17,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import Vocab, detokenize
-from .model import DecoderState, ModelParams, encode, start_decoding
+from .corpus import ProductRecord, Vocab, detokenize
+from .model import (DecoderState, ModelParams, SequenceLengthError, check_length, encode,
+                    start_decoding)
 from .model import decode_step as _model_decode_step
 from . import tensor as T
 
@@ -92,73 +94,76 @@ class _Beam(NamedTuple):
     finished: bool
 
 
-def _search(params: ModelParams, context_ids: Sequence[int], cfg: GenerationConfig,
-            num_groups: int) -> list[list[Candidate]]:
-    """Diverse beam search as one loop over positions (Vijayakumar et al. 2016,
-    Alg. 1): one `decode_step` call advances the unfinished beams of every
-    group, then the groups select in order, each lowering its selection scores
-    (not the model log-probs on candidates) by diversity_penalty per earlier
-    group's choice of a token at this step. Groups holding the same prefix
-    share its state row, so groups that never diverge feed exactly the rows
-    one group would. Returns each group's candidates, ranked.
+def _search(params: ModelParams, contexts: Sequence[Sequence[int]], cfg: GenerationConfig,
+            num_groups: int) -> list[list[list[Candidate]]]:
+    """Diverse beam search of several products as one loop over positions
+    (Vijayakumar et al. 2016, Alg. 1, batched as in fairseq's
+    `SequenceGenerator`): one `decode_step` call advances the unfinished beams
+    of every group of every product, then each product's groups select in
+    order, each lowering its selection scores (not the model log-probs on
+    candidates) by diversity_penalty per earlier group's choice of a token at
+    this step. Groups holding the same prefix share its state row, so groups
+    that never diverge feed exactly the rows one group would. Returns each
+    product's groups' candidates, ranked.
     """
     mcfg = params.config
     width = cfg.beams_per_group
-    state = _start(params, context_ids)
-    groups = [[_Beam((), 0.0, 0.0, False)] for _ in range(num_groups)]
-    rows = {(): 0}                   # state row of each unfinished prefix
+    state = _start(params, *contexts)
+    products = [[[_Beam((), 0.0, 0.0, False)] for _ in range(num_groups)] for _ in contexts]
+    rows = {(p, ()): p for p in range(len(contexts))}  # state row of each unfinished prefix
     # Position t feeds pos_emb[t], so a beam grows to at most max_len tokens.
     for t in range(min(cfg.max_new_tokens, mcfg.max_len)):
         if not rows:
             break
         lp, state = decode_step(params, state,
-                                [prefix[-1] if t else mcfg.bos_id for prefix in rows])
+                                [prefix[-1] if t else mcfg.bos_id for _, prefix in rows])
         lp[:, mcfg.pad_id] = -np.inf
         lp[:, mcfg.bos_id] = -np.inf
-        for row, prefix in enumerate(rows):
+        for row, (_, prefix) in enumerate(rows):
             bans = _ngram_bans(prefix, cfg.no_repeat_ngram)
             if bans:
                 lp[row, list(bans)] = -np.inf
-        chosen: Counter = Counter()  # tokens the groups so far selected at this step
-        parents: dict[tuple[int, ...], int] = {}
-        for g, beams in enumerate(groups):
-            live = [b for b in beams if not b.finished]
-            if not live:
-                continue
-            live_rows = [rows[b.token_ids] for b in live]
-            group_lp = sel_lp = lp[live_rows]
-            if chosen:
-                sel_lp = group_lp.copy()
-                ids, counts = zip(*chosen.items())
-                sel_lp[:, ids] -= cfg.diversity_penalty * np.array(counts, dtype=np.float64)
-            # Each beam's best `width` tokens; a stable sort keeps the lower id
-            # first among equal scores.
-            best = np.argsort(-sel_lp, axis=1, kind="stable")[:, :width]
-            index = np.arange(len(live))[:, None]
-            pool = [(beam, -1) for beam in beams if beam.finished]
-            for row, beam, tokens, sels, lps in zip(
-                    live_rows, live, best.tolist(), sel_lp[index, best].tolist(),
-                    group_lp[index, best].tolist()):
-                if sels[0] == -np.inf and np.maximum.reduce(lp[row]) == -np.inf:
-                    raise DecodingStuckError(f"all {mcfg.vocab_size} tokens banned after "
-                                             f"{beam.token_ids}")
-                for v, sel, logprob in zip(tokens, sels, lps):
-                    if sel == -np.inf:
-                        break
-                    pool.append((_Beam(beam.token_ids + (v,), beam.cum_logprob + logprob,
-                                       beam.score + sel, v == mcfg.eos_id), row))
-            pool.sort(key=lambda e: (-e[0].score, _tie_key(e[0].token_ids)))
-            del pool[width:]
-            groups[g] = [beam for beam, _ in pool]
-            chosen.update(beam.token_ids[-1] for beam, row in pool if row >= 0)
-            for beam, row in pool:
-                if row >= 0 and not beam.finished:
-                    parents.setdefault(beam.token_ids, row)
-        rows = {prefix: r for r, prefix in enumerate(parents)}
+        parents: dict[tuple[int, tuple[int, ...]], int] = {}
+        for p, groups in enumerate(products):
+            chosen: Counter = Counter()  # tokens the groups so far selected at this step
+            for g, beams in enumerate(groups):
+                live = [b for b in beams if not b.finished]
+                if not live:
+                    continue
+                live_rows = [rows[p, b.token_ids] for b in live]
+                group_lp = sel_lp = lp[live_rows]
+                if chosen:
+                    sel_lp = group_lp.copy()
+                    ids, counts = zip(*chosen.items())
+                    sel_lp[:, ids] -= cfg.diversity_penalty * np.array(counts, dtype=np.float64)
+                # Each beam's best `width` tokens; a stable sort keeps the lower id
+                # first among equal scores.
+                best = np.argsort(-sel_lp, axis=1, kind="stable")[:, :width]
+                index = np.arange(len(live))[:, None]
+                pool = [(beam, -1) for beam in beams if beam.finished]
+                for row, beam, tokens, sels, lps in zip(
+                        live_rows, live, best.tolist(), sel_lp[index, best].tolist(),
+                        group_lp[index, best].tolist()):
+                    if sels[0] == -np.inf and np.maximum.reduce(lp[row]) == -np.inf:
+                        raise DecodingStuckError(f"all {mcfg.vocab_size} tokens banned after "
+                                                 f"{beam.token_ids}")
+                    for v, sel, logprob in zip(tokens, sels, lps):
+                        if sel == -np.inf:
+                            break
+                        pool.append((_Beam(beam.token_ids + (v,), beam.cum_logprob + logprob,
+                                           beam.score + sel, v == mcfg.eos_id), row))
+                pool.sort(key=lambda e: (-e[0].score, _tie_key(e[0].token_ids)))
+                del pool[width:]
+                groups[g] = [beam for beam, _ in pool]
+                chosen.update(beam.token_ids[-1] for beam, row in pool if row >= 0)
+                for beam, row in pool:
+                    if row >= 0 and not beam.finished:
+                        parents.setdefault((p, beam.token_ids), row)
+        rows = {key: r for r, key in enumerate(parents)}
         state = state.reorder(list(parents.values()))
-    return [sorted((Candidate(b.token_ids, b.cum_logprob, b.finished) for b in beams),
-                   key=lambda c: (-ranked_score(c, cfg.length_penalty), _tie_key(c.token_ids)))
-            for beams in groups]
+    return [[sorted((Candidate(b.token_ids, b.cum_logprob, b.finished) for b in beams),
+                    key=lambda c: (-ranked_score(c, cfg.length_penalty), _tie_key(c.token_ids)))
+             for beams in groups] for groups in products]
 
 
 # The one decoder step every search calls, kept as a module attribute so that
@@ -167,37 +172,16 @@ def _search(params: ModelParams, context_ids: Sequence[int], cfg: GenerationConf
 decode_step = _model_decode_step
 
 
-def _start(params: ModelParams, context_ids: Sequence[int]) -> DecoderState:
+def _start(params: ModelParams, *contexts: Sequence[int]) -> DecoderState:
     with T.no_grad():
-        enc = encode(params, context_ids)
-    return start_decoding(params, enc)
-
-
-def greedy_decode(params: ModelParams, context_ids: Sequence[int],
-                  max_new_tokens: int) -> list[int]:
-    """Argmax rollout (ties to the lowest token id); PAD/BOS never emitted;
-    stops at EOS (not included in the output) or at the token budget."""
-    mcfg = params.config
-    state = _start(params, context_ids)
-    out: list[int] = []
-    for _ in range(min(max_new_tokens, mcfg.max_len)):
-        lp, state = decode_step(params, state, [out[-1] if out else mcfg.bos_id])
-        lp = lp[0]
-        lp[mcfg.pad_id] = -np.inf
-        lp[mcfg.bos_id] = -np.inf
-        nxt = int(np.argmax(lp))  # np.argmax returns the first (lowest) index on ties
-        if not np.isfinite(lp[nxt]):
-            raise DecodingStuckError(f"all {mcfg.vocab_size} tokens banned after {out}")
-        if nxt == mcfg.eos_id:
-            break
-        out.append(nxt)
-    return out
+        encs = [encode(params, context_ids) for context_ids in contexts]
+    return start_decoding(params, *encs)
 
 
 def beam_search(params: ModelParams, context_ids: Sequence[int],
                 config: GenerationConfig) -> list[Candidate]:
     """Standard length-penalized beam search over beams_per_group beams."""
-    return _search(params, context_ids, config, 1)[0]
+    return _search(params, [context_ids], config, 1)[0][0]
 
 
 def diverse_beam_search(params: ModelParams, context_ids: Sequence[int],
@@ -205,12 +189,39 @@ def diverse_beam_search(params: ModelParams, context_ids: Sequence[int],
     """Beam-search groups, each penalized by diversity_penalty times the count
     of same-step token choices made by all earlier groups. Returns one ranked
     candidate list per group."""
+    return _diverse_search(params, [context_ids], config)[0]
+
+
+def _diverse_search(params: ModelParams, contexts: Sequence[Sequence[int]],
+                    config: GenerationConfig) -> list[list[list[Candidate]]]:
     if config.num_groups * config.beams_per_group > params.config.vocab_size:
         raise ValueError(
             f"num_groups*beams_per_group = "
             f"{config.num_groups * config.beams_per_group} exceeds vocab size "
             f"{params.config.vocab_size}")
-    return _search(params, context_ids, config, config.num_groups)
+    return _search(params, contexts, config, config.num_groups)
+
+
+# Products decoded by one search. A step's cost per row stops falling at
+# about 64 rows, some 16 products of 3 groups of 2 beams with shared prefixes.
+CHUNK = 16
+
+
+def generate_split(params: ModelParams, vocab: Vocab, records: Sequence[ProductRecord],
+                   config: GenerationConfig) -> list[GenerationResult]:
+    """`generate_questions` for every record, CHUNK products to a search in
+    record order. A context that does not fit max_len is refused, naming its
+    product, before anything is decoded."""
+    contexts = []
+    for rec in records:
+        ids = vocab.encode_text(rec.context)
+        try:
+            check_length(params.config, len(ids), "context")
+        except SequenceLengthError as e:
+            raise SequenceLengthError(f"product {rec.product_id}: {e}") from None
+        contexts.append(ids)
+    return [result for start in range(0, len(contexts), CHUNK)
+            for result in _generate(params, vocab, contexts[start:start + CHUNK], config)]
 
 
 def generate_questions(params: ModelParams, vocab: Vocab,
@@ -218,26 +229,32 @@ def generate_questions(params: ModelParams, vocab: Vocab,
                        config: GenerationConfig) -> GenerationResult:
     """DBS, pool finished candidates, dedupe exact token sequences, rank by
     length-penalized score, return the top questions_per_product."""
+    return _generate(params, vocab, [context_ids], config)[0]
+
+
+def _generate(params: ModelParams, vocab: Vocab, contexts: Sequence[Sequence[int]],
+              config: GenerationConfig) -> list[GenerationResult]:
     if config.max_new_tokens + 1 > params.config.max_len:
         raise ValueError(
             f"max_new_tokens {config.max_new_tokens} cannot fit under "
             f"max_len {params.config.max_len}")
-    groups = diverse_beam_search(params, context_ids, config)
-    seen: set[tuple[int, ...]] = set()
-    pool: list[Candidate] = []
-    for group in groups:
-        for cand in group:
-            if cand.finished and cand.token_ids not in seen:
-                seen.add(cand.token_ids)
-                pool.append(cand)
-    pool.sort(key=lambda c: (-ranked_score(c, config.length_penalty),
-                             _tie_key(c.token_ids)))
-    top = pool[:config.questions_per_product]
     eos = params.config.eos_id
-    questions = [detokenize(vocab.decode([t for t in c.token_ids if t != eos]))
-                 for c in top]
-    return GenerationResult(
-        questions=questions,
-        scores=[ranked_score(c, config.length_penalty) for c in top],
-        token_ids=[c.token_ids for c in top],
-        shortage=len(top) < config.questions_per_product)
+    results = []
+    for groups in _diverse_search(params, contexts, config):
+        seen: set[tuple[int, ...]] = set()
+        pool: list[Candidate] = []
+        for group in groups:
+            for cand in group:
+                if cand.finished and cand.token_ids not in seen:
+                    seen.add(cand.token_ids)
+                    pool.append(cand)
+        pool.sort(key=lambda c: (-ranked_score(c, config.length_penalty),
+                                 _tie_key(c.token_ids)))
+        top = pool[:config.questions_per_product]
+        results.append(GenerationResult(
+            questions=[detokenize(vocab.decode([t for t in c.token_ids if t != eos]))
+                       for c in top],
+            scores=[ranked_score(c, config.length_penalty) for c in top],
+            token_ids=[c.token_ids for c in top],
+            shortage=len(top) < config.questions_per_product))
+    return results

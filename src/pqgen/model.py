@@ -13,7 +13,8 @@ import json
 import math
 import struct
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -52,47 +53,50 @@ class ModelConfig:
     eos_id: int = 2
 
     def __post_init__(self):
+        for name, value in asdict(self).items():
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if min(self.d_model, self.n_heads, self.n_enc_layers, self.n_dec_layers,
+               self.d_ff) < 1 or self.max_len < 2:
+            raise ConfigError(f"non-positive dimension in {self}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}")
         if self.vocab_size <= 4:
             raise ConfigError(f"vocab_size={self.vocab_size} leaves no real tokens")
-        if min(self.d_model, self.n_heads, self.n_enc_layers, self.n_dec_layers,
-               self.d_ff) < 1 or self.max_len < 2:
-            raise ConfigError(f"non-positive dimension in {self}")
         if len({self.pad_id, self.bos_id, self.eos_id}) != 3:
             raise ConfigError("pad/bos/eos ids must be distinct")
 
 
-def _param_manifest(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
-    """Fixed (name, shape) order; defines init order and checkpoint layout."""
+def _param_manifest(cfg: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """Fixed (name, shape) order; defines init order and checkpoint layout.
+    Lazy, so a config of absurd size costs only the entries read."""
     d, ff, v = cfg.d_model, cfg.d_ff, cfg.vocab_size
-    manifest: list[tuple[str, tuple[int, ...]]] = [
-        ("tok_emb", (v, d)), ("pos_emb", (cfg.max_len, d))]
+    yield "tok_emb", (v, d)
+    yield "pos_emb", (cfg.max_len, d)
 
     def block(prefix: str, attn_names: Sequence[str]):
         for a in attn_names:
-            manifest.append((f"{prefix}.{a}.ln.g", (d,)))
-            manifest.append((f"{prefix}.{a}.ln.b", (d,)))
+            yield f"{prefix}.{a}.ln.g", (d,)
+            yield f"{prefix}.{a}.ln.b", (d,)
             for w in ("wq", "wk", "wv", "wo"):
-                manifest.append((f"{prefix}.{a}.{w}", (d, d)))
-        manifest.append((f"{prefix}.ffn.ln.g", (d,)))
-        manifest.append((f"{prefix}.ffn.ln.b", (d,)))
-        manifest.append((f"{prefix}.ffn.w1", (d, ff)))
-        manifest.append((f"{prefix}.ffn.b1", (ff,)))
-        manifest.append((f"{prefix}.ffn.w2", (ff, d)))
-        manifest.append((f"{prefix}.ffn.b2", (d,)))
+                yield f"{prefix}.{a}.{w}", (d, d)
+        yield f"{prefix}.ffn.ln.g", (d,)
+        yield f"{prefix}.ffn.ln.b", (d,)
+        yield f"{prefix}.ffn.w1", (d, ff)
+        yield f"{prefix}.ffn.b1", (ff,)
+        yield f"{prefix}.ffn.w2", (ff, d)
+        yield f"{prefix}.ffn.b2", (d,)
 
     for i in range(cfg.n_enc_layers):
-        block(f"enc{i}", ("self",))
-    manifest.append(("enc_ln.g", (d,)))
-    manifest.append(("enc_ln.b", (d,)))
+        yield from block(f"enc{i}", ("self",))
+    yield "enc_ln.g", (d,)
+    yield "enc_ln.b", (d,)
     for i in range(cfg.n_dec_layers):
-        block(f"dec{i}", ("self", "cross"))
-    manifest.append(("dec_ln.g", (d,)))
-    manifest.append(("dec_ln.b", (d,)))
-    manifest.append(("cg_head.w", (d, v)))
-    return manifest
+        yield from block(f"dec{i}", ("self", "cross"))
+    yield "dec_ln.g", (d,)
+    yield "dec_ln.b", (d,)
+    yield "cg_head.w", (d, v)
 
 
 class ModelParams:
@@ -107,7 +111,7 @@ class ModelParams:
 
     def __init__(self, config: ModelConfig, vector: np.ndarray | None = None):
         """Views over `vector`, or over a new all-zero vector if it is None."""
-        manifest = _param_manifest(config)
+        manifest = list(_param_manifest(config))
         sizes = [math.prod(shape) for _, shape in manifest]
         self.config = config
         self.vector = np.zeros(sum(sizes)) if vector is None else vector
@@ -358,14 +362,16 @@ def decode_packed(params: ModelParams,
 
 @dataclass(frozen=True)
 class DecoderState:
-    """Incremental decoder state of B beams after t steps, as in fairseq's
-    `incremental_state`. Per decoder layer it holds the cross-attention keys
-    and values of the encoder output, computed once per context and shared
-    by every beam, and the self-attention keys and values of the t inputs fed
-    so far."""
-    cross_kv: tuple[tuple[np.ndarray, np.ndarray], ...]   # per layer, [H, n, dh] each
-    cross_bias: np.ndarray | None                         # [n]: -inf at pad keys, else 0
+    """Incremental decoder state of B beams of P products after t steps, as in
+    fairseq's `incremental_state`. Per decoder layer it holds the
+    cross-attention keys and values of each product's encoder output,
+    computed once per context, padded to the longest and shared by every beam
+    of that product, and the self-attention keys and values of the t inputs
+    fed so far. Row b is a beam of product `product[b]`."""
+    cross_kv: tuple[tuple[np.ndarray, np.ndarray], ...]   # per layer, [P, H, n, dh] each
+    cross_bias: np.ndarray | None                         # [P, 1, 1, n]: -inf at pad keys, else 0
     self_kv: tuple[tuple[np.ndarray, np.ndarray], ...]    # per layer, [B, t, d_model] each
+    product: np.ndarray                                   # int [B]
 
     @property
     def position(self) -> int:
@@ -375,7 +381,8 @@ class DecoderState:
     def reorder(self, parents: Sequence[int]) -> "DecoderState":
         """The state of beams whose row r continues row parents[r] of this one."""
         return DecoderState(self.cross_kv, self.cross_bias,
-                            tuple((k[parents], v[parents]) for k, v in self.self_kv))
+                            tuple((k[parents], v[parents]) for k, v in self.self_kv),
+                            self.product[parents])
 
 
 def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
@@ -383,17 +390,24 @@ def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
     return x.reshape(x.shape[:-1] + (n_heads, -1)).swapaxes(-2, -3)
 
 
-def start_decoding(params: ModelParams, enc: EncoderOutput) -> DecoderState:
-    """The state of one beam before its first input (BOS at position 0)."""
+def start_decoding(params: ModelParams, *encs: EncoderOutput) -> DecoderState:
+    """The state of one beam per encoded context, in order, before its first
+    input (BOS at position 0). Shorter contexts are padded with masked keys."""
     cfg = params.config
-    h_e = enc.h_e.data
+    n = max(len(enc.context_ids) for enc in encs)
+    h_e = np.zeros((len(encs), n, cfg.d_model))
+    key_ok = np.zeros((len(encs), n), dtype=bool)
+    for p, enc in enumerate(encs):
+        h_e[p, :len(enc.context_ids)] = enc.h_e.data
+        key_ok[p, :len(enc.context_ids)] = enc.key_mask
     cross_kv = tuple(
         (_heads(h_e @ params[f"dec{i}.cross.wk"].data, cfg.n_heads),
          _heads(h_e @ params[f"dec{i}.cross.wv"].data, cfg.n_heads))
         for i in range(cfg.n_dec_layers))
-    cross_bias = None if enc.key_mask.all() else np.where(enc.key_mask, 0.0, -np.inf)
-    empty = np.zeros((1, 0, cfg.d_model))
-    return DecoderState(cross_kv, cross_bias, ((empty, empty),) * cfg.n_dec_layers)
+    cross_bias = None if key_ok.all() else np.where(key_ok, 0.0, -np.inf)[:, None, None]
+    empty = np.zeros((len(encs), 0, cfg.d_model))
+    return DecoderState(cross_kv, cross_bias, ((empty, empty),) * cfg.n_dec_layers,
+                        np.arange(len(encs)))
 
 
 def decode_step(params: ModelParams, state: DecoderState,
@@ -411,6 +425,11 @@ def decode_step(params: ModelParams, state: DecoderState,
     x = w["tok_emb"][np.asarray(tokens, dtype=np.int64)] + w["pos_emb"][t]
     rows = x.shape[0]
 
+    def per_row(a):  # a product's cross-attention arrays on each of its rows
+        return a if a is None or len(a) == 1 else a[state.product]
+
+    cross_bias = per_row(state.cross_bias)
+
     def attend(prefix, q_in, kh, vh, bias=None):
         qh = (q_in @ w[f"{prefix}.wq"]).reshape(rows, cfg.n_heads, 1, -1)
         out, _ = T.softmax_attention(qh, kh, vh, bias)
@@ -426,14 +445,14 @@ def decode_step(params: ModelParams, state: DecoderState,
         v = np.concatenate([v_past, (a @ w[f"dec{i}.self.wv"])[:, None]], axis=1)
         self_kv.append((k, v))
         x = x + attend(f"dec{i}.self", a, _heads(k, cfg.n_heads), _heads(v, cfg.n_heads))
-        x = x + attend(f"dec{i}.cross", layer_norm(x, f"dec{i}.cross.ln"), k_enc, v_enc,
-                       state.cross_bias)
+        x = x + attend(f"dec{i}.cross", layer_norm(x, f"dec{i}.cross.ln"), per_row(k_enc),
+                       per_row(v_enc), cross_bias)
         a = layer_norm(x, f"dec{i}.ffn.ln")
         h = np.maximum(a @ w[f"dec{i}.ffn.w1"] + w[f"dec{i}.ffn.b1"], 0.0)
         x = x + (h @ w[f"dec{i}.ffn.w2"] + w[f"dec{i}.ffn.b2"])
     logits = layer_norm(x, "dec_ln") @ w["cg_head.w"]
     return (logits - T.logsumexp(logits)[:, None],
-            DecoderState(state.cross_kv, state.cross_bias, tuple(self_kv)))
+            DecoderState(state.cross_kv, state.cross_bias, tuple(self_kv), state.product))
 
 
 def sequence_log_likelihood(params: ModelParams, context_ids: Sequence[int],
@@ -514,16 +533,16 @@ def load_checkpoint(path) -> tuple[ModelParams, list[str]]:
         config = ModelConfig(**header["config"])
     except (TypeError, KeyError, ConfigError) as e:
         raise CheckpointError(f"invalid config in checkpoint: {e}") from e
-    expected = [(name, list(shape)) for name, shape in _param_manifest(config)]
     try:
         declared = [(name, list(shape)) for name, shape in header.get("tensors", [])]
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"malformed tensor manifest in checkpoint: {e}") from e
-    if declared != expected:
+    expected = ((name, list(shape)) for name, shape in _param_manifest(config))
+    if declared != list(islice(expected, len(declared) + 1)):
         raise CheckpointError("checkpoint tensor manifest does not match its config")
     vocab = header.get("vocab")
     _check_vocab(config, vocab, path)
-    n_bytes = 8 * sum(math.prod(shape) for _, shape in expected)
+    n_bytes = 8 * sum(math.prod(shape) for _, shape in declared)
     if len(raw) - offset != n_bytes:
         raise CheckpointError(f"checkpoint {path} is truncated or has trailing bytes: "
                               f"{len(raw) - offset} bytes of parameters, expected {n_bytes}")

@@ -9,6 +9,9 @@ another: each group searches alone, to the end, penalized by the per-step
 token choices of the groups before it. `pqgen.decoding` advances all groups
 together, one position at a time, and must return the same candidates.
 
+`greedy_decode` is the argmax rollout on `pqgen.decoding.decode_step`, one
+row a step; beam search of one beam must follow it.
+
 `multi_head_attention` and `ffn` are the separate tape ops (four matmuls
 around `attention`; matmul, bias add, relu, matmul, bias add) that the fused
 sublayer ops of `pqgen.tensor` replace; they must give the same floats,
@@ -163,6 +166,27 @@ def sequential_diverse_beam_search(params: M.ModelParams, context_ids: Sequence[
                 prior.append(Counter())
             prior[t].update(chosen)
     return groups
+
+
+def greedy_decode(params: M.ModelParams, context_ids: Sequence[int],
+                  max_new_tokens: int) -> list[int]:
+    """Argmax rollout (ties to the lowest token id); PAD/BOS never emitted;
+    stops at EOS (not included in the output) or at the token budget."""
+    mcfg = params.config
+    state = D._start(params, context_ids)
+    out: list[int] = []
+    for _ in range(min(max_new_tokens, mcfg.max_len)):
+        lp, state = D.decode_step(params, state, [out[-1] if out else mcfg.bos_id])
+        lp = lp[0]
+        lp[mcfg.pad_id] = -np.inf
+        lp[mcfg.bos_id] = -np.inf
+        nxt = int(np.argmax(lp))  # np.argmax returns the first (lowest) index on ties
+        if not np.isfinite(lp[nxt]):
+            raise D.DecodingStuckError(f"all {mcfg.vocab_size} tokens banned after {out}")
+        if nxt == mcfg.eos_id:
+            break
+        out.append(nxt)
+    return out
 
 
 def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:

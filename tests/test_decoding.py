@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pqgen import corpus as C
 from pqgen import decoding
 from pqgen import model as M
 from pqgen import tensor as T
+from pqgen import training as TR
 from pqgen.corpus import Vocab
 from pqgen.decoding import (
     Candidate,
@@ -20,7 +22,7 @@ from pqgen.decoding import (
     beam_search,
     diverse_beam_search,
     generate_questions,
-    greedy_decode,
+    generate_split,
     ranked_score,
     _ngram_bans,
     _tie_key,
@@ -283,7 +285,7 @@ def test_single_beam_matches_greedy():
     ctx = [5, 7]
     c = cfg(num_groups=1, beams_per_group=1, max_new_tokens=10)
     (cand,) = beam_search(params, ctx, c)
-    greedy = greedy_decode(params, ctx, max_new_tokens=10)
+    greedy = reference.greedy_decode(params, ctx, max_new_tokens=10)
     tokens = list(cand.token_ids)
     if cand.finished:
         tokens = tokens[:-1]
@@ -476,15 +478,15 @@ def test_all_banned_raises(monkeypatch):
     with pytest.raises(DecodingStuckError):
         beam_search(params, [4], cfg(max_new_tokens=1))
     with pytest.raises(DecodingStuckError):
-        greedy_decode(params, [4], max_new_tokens=1)
+        reference.greedy_decode(params, [4], max_new_tokens=1)
 
 
 def test_greedy_never_emits_reserved_tokens():
     params = tiny_params()
-    out = greedy_decode(params, [6, 7], max_new_tokens=12)
+    out = reference.greedy_decode(params, [6, 7], max_new_tokens=12)
     assert len(out) <= 12
     assert all(t not in (0, 1, 2) for t in out)
-    assert out == greedy_decode(params, [6, 7], max_new_tokens=12)
+    assert out == reference.greedy_decode(params, [6, 7], max_new_tokens=12)
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +522,61 @@ def test_generate_questions_dedupes_across_groups():
     # Zero penalty makes every group identical; the pool must still hold no
     # duplicate token sequences.
     assert len(set(res.token_ids)) == len(res.token_ids)
+
+
+# ---------------------------------------------------------------------------
+# A chunk of products in one search against each product alone
+
+
+@pytest.fixture(scope="module")
+def trained():
+    """A d_model 8 model trained for three epochs on 200 products of a
+    500-product corpus, whose vocabulary covers the whole train split, and
+    the corpus's 50 test-split products."""
+    records = C.synth_corpus(seed=0, n_products=500)
+    split = C.split(records, seed=0)
+    vocab = C.build_vocab(split.train)
+    config = ModelConfig(vocab_size=len(vocab), d_model=8, n_heads=2, n_enc_layers=1,
+                         n_dec_layers=1, d_ff=16, max_len=32)
+    result = TR.train(C.SplitCorpus(split.train[:200], split.validation[:10], ()), vocab,
+                      config, TR.TrainConfig(learning_rate=1e-2, epochs=3), mode="traditional")
+    return result.params, vocab, split.test
+
+
+def assert_same_results(got, want):
+    """Equal generations: questions, token ids and shortage flags exactly,
+    scores within 1e-12 (other rows in a step block may round differently)."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.questions, g.token_ids, g.shortage) == (w.questions, w.token_ids, w.shortage)
+        np.testing.assert_allclose(g.scores, w.scores, rtol=0, atol=1e-12)
+
+
+def test_one_chunk_decodes_every_product_as_it_decodes_alone(trained):
+    params, vocab, test_split = trained
+    config = GenerationConfig(max_new_tokens=12)
+    contexts = [vocab.encode_text(rec.context) for rec in test_split]
+    assert len(contexts) == 50 and len({len(ids) for ids in contexts}) >= 3
+    alone = [generate_questions(params, vocab, ids, config) for ids in contexts]
+    assert sum(len(r.questions) for r in alone) > 100
+    # generate_split cuts the split into chunks in order, the last one short.
+    assert len(test_split) % decoding.CHUNK
+    assert_same_results(generate_split(params, vocab, test_split, config), alone)
+    # All 50 in one chunk, one context holding a pad token.
+    contexts[1] = contexts[1][:4] + [params.config.pad_id] + contexts[1][4:]
+    alone[1] = generate_questions(params, vocab, contexts[1], config)
+    assert_same_results(decoding._generate(params, vocab, contexts, config), alone)
+
+
+def test_generate_split_refuses_a_long_context_before_decoding(monkeypatch):
+    params = tiny_params(max_len=16)
+    vocab = Vocab(["alpha", "beta", "gamma", "delta"])
+    records = [C.ProductRecord("p1", "alpha beta", ("q",)),
+               C.ProductRecord("p2", " ".join(["gamma"] * 17), ("q",))]
+    monkeypatch.setattr(decoding, "decode_step", None)
+    with pytest.raises(M.SequenceLengthError,
+                       match="^product p2: context length 17 exceeds max_len 16$"):
+        generate_split(params, vocab, records, cfg())
 
 
 def test_group_capacity_validated():

@@ -229,7 +229,7 @@ def test_checkpoint_validation_errors(tmp_path, params):
     # before anything of that size is allocated.
     huge = M.ModelConfig(**dict(vars(params.config), d_model=2 ** 20, n_heads=1))
     oversized = tmp_path / "bad6.ckpt"
-    oversized.write_bytes(with_header(raw, config=vars(huge), tensors=M._param_manifest(huge)))
+    oversized.write_bytes(with_header(raw, config=vars(huge), tensors=list(M._param_manifest(huge))))
     with pytest.raises(M.CheckpointError, match="truncated"):
         M.load_checkpoint(oversized)
 
