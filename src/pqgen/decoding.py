@@ -18,14 +18,18 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .corpus import ProductRecord, Vocab, detokenize
-from .model import (DecoderState, ModelParams, SequenceLengthError, check_length, encode,
-                    start_decoding)
+from .model import (ConfigError, DecoderState, ModelParams, SequenceLengthError, check_length,
+                    encode, start_decoding)
 from .model import decode_step as _model_decode_step
 from . import tensor as T
 
 
 class DecodingStuckError(RuntimeError):
     """Every vocabulary token is banned at some decoding step."""
+
+
+class NonFiniteLogProbError(FloatingPointError):
+    """A decoder step gave a NaN or +inf log-probability."""
 
 
 @dataclass(frozen=True)
@@ -95,7 +99,7 @@ class _Beam(NamedTuple):
 
 
 def _search(params: ModelParams, contexts: Sequence[Sequence[int]], cfg: GenerationConfig,
-            num_groups: int) -> list[list[list[Candidate]]]:
+            num_groups: int, names: Sequence[str] = ()) -> list[list[list[Candidate]]]:
     """Diverse beam search of several products as one loop over positions
     (Vijayakumar et al. 2016, Alg. 1, batched as in fairseq's
     `SequenceGenerator`): one `decode_step` call advances the unfinished beams
@@ -104,10 +108,13 @@ def _search(params: ModelParams, contexts: Sequence[Sequence[int]], cfg: Generat
     candidates) by diversity_penalty per earlier group's choice of a token at
     this step. Groups holding the same prefix share its state row, so groups
     that never diverge feed exactly the rows one group would. Returns each
-    product's groups' candidates, ranked.
+    product's groups' candidates, ranked; an error names its product from `names`.
     """
     mcfg = params.config
     width = cfg.beams_per_group
+    # Earlier groups chose at most width * (num_groups - 1) tokens at a step and a penalty
+    # only lowers scores, so a beam's best `width` penalized tokens are among its k best.
+    k = min(width * num_groups, mcfg.vocab_size)
     state = _start(params, *contexts)
     products = [[[_Beam((), 0.0, 0.0, False)] for _ in range(num_groups)] for _ in contexts]
     rows = {(p, ()): p for p in range(len(contexts))}  # state row of each unfinished prefix
@@ -117,12 +124,25 @@ def _search(params: ModelParams, contexts: Sequence[Sequence[int]], cfg: Generat
             break
         lp, state = decode_step(params, state,
                                 [prefix[-1] if t else mcfg.bos_id for _, prefix in rows])
-        lp[:, mcfg.pad_id] = -np.inf
-        lp[:, mcfg.bos_id] = -np.inf
-        for row, (_, prefix) in enumerate(rows):
-            bans = _ngram_bans(prefix, cfg.no_repeat_ngram)
-            if bans:
-                lp[row, list(bans)] = -np.inf
+        banned = [(row, v) for row, (_, prefix) in enumerate(rows)
+                  for v in (mcfg.pad_id, mcfg.bos_id, *_ngram_bans(prefix, cfg.no_repeat_ngram))]
+        lp[tuple(zip(*banned))] = -np.inf
+        # Each row's k best tokens, best first: argmax takes the lowest id of equal scores.
+        index = np.arange(len(rows))
+        top, top_lp = np.empty((len(rows), k), dtype=np.intp), np.empty((len(rows), k))
+        for j in range(k):
+            top[:, j] = best = lp.argmax(axis=1)
+            top_lp[:, j] = lp[index, best]
+            lp[index, best] = -np.inf
+        first = top_lp[:, 0]  # a NaN or +inf is always a row's first pick
+        if not np.isfinite(first).all():
+            row = int(np.argmin(np.isfinite(first)))
+            p, prefix = list(rows)[row]
+            at = f"product {names[p]}: " if names else ""
+            if first[row] == -np.inf:
+                raise DecodingStuckError(f"{at}all {mcfg.vocab_size} tokens banned after {prefix}")
+            raise NonFiniteLogProbError(f"{at}log-prob {first[row]} at step {t} after {prefix}")
+        top, top_lp = top.tolist(), top_lp.tolist()
         parents: dict[tuple[int, tuple[int, ...]], int] = {}
         for p, groups in enumerate(products):
             chosen: Counter = Counter()  # tokens the groups so far selected at this step
@@ -130,24 +150,14 @@ def _search(params: ModelParams, contexts: Sequence[Sequence[int]], cfg: Generat
                 live = [b for b in beams if not b.finished]
                 if not live:
                     continue
-                live_rows = [rows[p, b.token_ids] for b in live]
-                group_lp = sel_lp = lp[live_rows]
-                if chosen:
-                    sel_lp = group_lp.copy()
-                    ids, counts = zip(*chosen.items())
-                    sel_lp[:, ids] -= cfg.diversity_penalty * np.array(counts, dtype=np.float64)
-                # Each beam's best `width` tokens; a stable sort keeps the lower id
-                # first among equal scores.
-                best = np.argsort(-sel_lp, axis=1, kind="stable")[:, :width]
-                index = np.arange(len(live))[:, None]
                 pool = [(beam, -1) for beam in beams if beam.finished]
-                for row, beam, tokens, sels, lps in zip(
-                        live_rows, live, best.tolist(), sel_lp[index, best].tolist(),
-                        group_lp[index, best].tolist()):
-                    if sels[0] == -np.inf and np.maximum.reduce(lp[row]) == -np.inf:
-                        raise DecodingStuckError(f"all {mcfg.vocab_size} tokens banned after "
-                                                 f"{beam.token_ids}")
-                    for v, sel, logprob in zip(tokens, sels, lps):
+                for beam in live:
+                    row = rows[p, beam.token_ids]
+                    picks = [(logprob - cfg.diversity_penalty * chosen.get(v, 0), v, logprob)
+                             for v, logprob in zip(top[row], top_lp[row])]
+                    if chosen:  # the beam's best `width` by penalized score, lower id on ties
+                        picks.sort(key=lambda c: (-c[0], c[1]))
+                    for sel, v, logprob in picks[:width]:
                         if sel == -np.inf:
                             break
                         pool.append((_Beam(beam.token_ids + (v,), beam.cum_logprob + logprob,
@@ -168,7 +178,7 @@ def _search(params: ModelParams, contexts: Sequence[Sequence[int]], cfg: Generat
 
 # The one decoder step every search calls, kept as a module attribute so that
 # tests can substitute hand-set step tables or the uncached reference step.
-# The searches write their bans into the log-probs it returns.
+# The searches write their bans and struck picks into the log-probs it returns.
 decode_step = _model_decode_step
 
 
@@ -189,17 +199,22 @@ def diverse_beam_search(params: ModelParams, context_ids: Sequence[int],
     """Beam-search groups, each penalized by diversity_penalty times the count
     of same-step token choices made by all earlier groups. Returns one ranked
     candidate list per group."""
-    return _diverse_search(params, [context_ids], config)[0]
+    _check_groups(params, config)
+    return _search(params, [context_ids], config, config.num_groups)[0]
 
 
-def _diverse_search(params: ModelParams, contexts: Sequence[Sequence[int]],
-                    config: GenerationConfig) -> list[list[list[Candidate]]]:
-    if config.num_groups * config.beams_per_group > params.config.vocab_size:
-        raise ValueError(
-            f"num_groups*beams_per_group = "
-            f"{config.num_groups * config.beams_per_group} exceeds vocab size "
-            f"{params.config.vocab_size}")
-    return _search(params, contexts, config, config.num_groups)
+def _check_groups(params: ModelParams, config: GenerationConfig) -> None:
+    if (size := config.num_groups * config.beams_per_group) > params.config.vocab_size:
+        raise ConfigError(f"num_groups*beams_per_group = {size} exceeds vocab size "
+                          f"{params.config.vocab_size}")
+
+
+def _check_generation(params: ModelParams, config: GenerationConfig) -> None:
+    """Refuse, as a config error, a generation config the model cannot serve."""
+    _check_groups(params, config)
+    if config.max_new_tokens + 1 > params.config.max_len:
+        raise ConfigError(f"max_new_tokens {config.max_new_tokens} cannot fit under "
+                          f"max_len {params.config.max_len}")
 
 
 # Products decoded by one search. A step's cost per row stops falling at
@@ -210,8 +225,10 @@ CHUNK = 16
 def generate_split(params: ModelParams, vocab: Vocab, records: Sequence[ProductRecord],
                    config: GenerationConfig) -> list[GenerationResult]:
     """`generate_questions` for every record, CHUNK products to a search in
-    record order. A context that does not fit max_len is refused, naming its
-    product, before anything is decoded."""
+    record order. A config the model cannot serve is refused before anything
+    is encoded; a context that does not fit max_len, naming its product,
+    before anything is decoded."""
+    _check_generation(params, config)
     contexts = []
     for rec in records:
         ids = vocab.encode_text(rec.context)
@@ -221,7 +238,8 @@ def generate_split(params: ModelParams, vocab: Vocab, records: Sequence[ProductR
             raise SequenceLengthError(f"product {rec.product_id}: {e}") from None
         contexts.append(ids)
     return [result for start in range(0, len(contexts), CHUNK)
-            for result in _generate(params, vocab, contexts[start:start + CHUNK], config)]
+            for result in _generate(params, vocab, contexts[start:start + CHUNK], config,
+                                    [rec.product_id for rec in records[start:start + CHUNK]])]
 
 
 def generate_questions(params: ModelParams, vocab: Vocab,
@@ -229,18 +247,15 @@ def generate_questions(params: ModelParams, vocab: Vocab,
                        config: GenerationConfig) -> GenerationResult:
     """DBS, pool finished candidates, dedupe exact token sequences, rank by
     length-penalized score, return the top questions_per_product."""
+    _check_generation(params, config)
     return _generate(params, vocab, [context_ids], config)[0]
 
 
 def _generate(params: ModelParams, vocab: Vocab, contexts: Sequence[Sequence[int]],
-              config: GenerationConfig) -> list[GenerationResult]:
-    if config.max_new_tokens + 1 > params.config.max_len:
-        raise ValueError(
-            f"max_new_tokens {config.max_new_tokens} cannot fit under "
-            f"max_len {params.config.max_len}")
+              config: GenerationConfig, names: Sequence[str] = ()) -> list[GenerationResult]:
     eos = params.config.eos_id
     results = []
-    for groups in _diverse_search(params, contexts, config):
+    for groups in _search(params, contexts, config, config.num_groups, names):
         seen: set[tuple[int, ...]] = set()
         pool: list[Candidate] = []
         for group in groups:

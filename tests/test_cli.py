@@ -9,13 +9,14 @@ import struct
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pqgen import cli
 from pqgen.cli import main
 from pqgen.corpus import load_jsonl, save_jsonl, split
-from pqgen.model import MAGIC, load_checkpoint
+from pqgen.model import MAGIC, ModelParams, load_checkpoint, save_checkpoint
 
 from .test_model import with_header
 
@@ -421,6 +422,38 @@ def test_generate_names_a_long_context_in_the_middle_of_a_chunk(long_contexts, t
     assert code == 2
     assert err.startswith(f"data error: product {second}: context length ")
     assert err.endswith(" exceeds max_len 16\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra, reason", [
+    (("--groups", "100", "--beams", "2"), "num_groups*beams_per_group = 200 exceeds vocab size "),
+    (("--max-new", "32",), "max_new_tokens 32 cannot fit under max_len 32"),
+])
+def test_generate_config_the_checkpoint_cannot_serve_exits_1(pipeline, tmp_path, capsys,
+                                                              extra, reason):
+    corpus, ckpt = pipeline
+    out = tmp_path / "g.jsonl"
+    code, _, err = run(capsys, *generate_args(corpus, ckpt, out, *extra))
+    assert code == 1
+    assert err.endswith("\n") and err.splitlines()[-1].startswith(f"error: {reason}")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_generate_non_finite_log_probs_exit_3_naming_the_product(pipeline, tmp_path, capsys):
+    # Parameters this large are finite, so the checkpoint loads, but the
+    # decoder's arithmetic overflows and its log-probs are NaN.
+    corpus, ckpt = pipeline
+    params, tokens = load_checkpoint(ckpt)
+    huge = tmp_path / "huge.ckpt"
+    save_checkpoint(huge, ModelParams(params.config, params.vector * 1e160), tokens)
+    out = tmp_path / "g.jsonl"
+    code, _, err = run(capsys, *generate_args(corpus, huge, out))
+    first = split(load_jsonl(corpus), seed=0).test[0].product_id
+    assert code == 3
+    assert err.splitlines()[-1] == (f"numeric failure: product {first}: "
+                                    "log-prob nan at step 0 after ()")
     assert not out.exists()
 
 

@@ -19,6 +19,7 @@ from pqgen.decoding import (
     Candidate,
     DecodingStuckError,
     GenerationConfig,
+    NonFiniteLogProbError,
     beam_search,
     diverse_beam_search,
     generate_questions,
@@ -60,7 +61,36 @@ def fake_step(tables):
     return step
 
 
+def fake_product_step(tables):
+    """fake_step with tables per product: a row of product p (its index in
+    the search) fed at position t gets tables[p][t]."""
+    arrs = np.asarray(tables, dtype=np.float64)
+
+    def step(params, state, tokens):
+        _, after = M.decode_step(params, state, tokens)
+        return arrs[state.product, state.position], after
+
+    return step
+
+
 NI = -np.inf
+# Log-probs that tie often, at the k-th best place too, and leave some rows
+# fewer than k finite tokens.
+TIED = [-1.0, -2.0, -3.0, NI]
+
+
+def draw_tables(data, steps, vocab_size, label):
+    return data.draw(st.lists(st.lists(st.sampled_from(TIED), min_size=vocab_size,
+                                       max_size=vocab_size),
+                              min_size=steps, max_size=steps), label=label)
+
+
+def stuck_or(search, *args):
+    """The search's result, or "stuck" if every token was banned at a step."""
+    try:
+        return search(*args)
+    except DecodingStuckError:
+        return "stuck"
 
 
 def assert_same_groups(got_groups, want_groups):
@@ -190,6 +220,27 @@ def test_one_loop_search_equals_sequential_groups(data):
         # Groups that never diverge share their state rows, so each equals
         # beam search exactly: no block of other rows rounds them differently.
         assert all(group == beam_search(params, context, config) for group in groups)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_one_loop_search_equals_sequential_groups_on_tied_tables(data):
+    # Each beam selects among its k = groups * beams best tokens; the
+    # reference sorts every token of the row.
+    num_groups = data.draw(st.integers(1, 3), label="num_groups")
+    beams = data.draw(st.integers(1, 3), label="beams_per_group")
+    vocab_size = data.draw(st.integers(max(5, num_groups * beams), 10), label="vocab_size")
+    steps = data.draw(st.integers(1, 5), label="max_new_tokens")
+    tables = draw_tables(data, steps, vocab_size, "tables")
+    config = cfg(num_groups=num_groups, beams_per_group=beams,
+                 diversity_penalty=data.draw(st.sampled_from([0.0, 0.5, 5.0]), label="penalty"),
+                 no_repeat_ngram=data.draw(st.integers(0, 2), label="no_repeat_ngram"),
+                 max_new_tokens=steps)
+    params = tiny_params(vocab_size=vocab_size)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decoding, "decode_step", fake_step(tables))
+        assert (stuck_or(diverse_beam_search, params, [4], config)
+                == stuck_or(reference.sequential_diverse_beam_search, params, [4], config))
 
 
 def recording_seam(enc, calls):
@@ -481,6 +532,43 @@ def test_all_banned_raises(monkeypatch):
         reference.greedy_decode(params, [4], max_new_tokens=1)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_log_prob_raises_naming_the_step(monkeypatch, value):
+    params = tiny_params(vocab_size=5)
+    c = cfg(num_groups=2, beams_per_group=1, max_new_tokens=2)
+    monkeypatch.setattr(decoding, "decode_step",
+                        fake_step([[NI, NI, -1.0, -2.0, -0.5], [NI, NI, -1.0, value, -2.0]]))
+    with pytest.raises(NonFiniteLogProbError, match=rf"^log-prob {value} at step 1 after \(4,\)$"):
+        diverse_beam_search(params, [4], c)
+    # A banned token is never chosen, so its log-prob does not matter: PAD
+    # always, and 4 after (4,) under a unigram ban.
+    monkeypatch.setattr(decoding, "decode_step",
+                        fake_step([[value, NI, -1.0, -2.0, -0.5], [NI, NI, -1.0, -2.0, value]]))
+    assert diverse_beam_search(params, [4], cfg(num_groups=2, beams_per_group=1,
+                                                max_new_tokens=2, no_repeat_ngram=1))
+
+
+def test_a_stuck_product_in_a_chunk_is_named(monkeypatch):
+    # 18 products decode in chunks of 16 and 2. At step 1 every token is
+    # banned on the rows of the second product of the second chunk.
+    params = tiny_params()
+    vocab = Vocab(["alpha", "beta", "gamma", "delta"])
+    records = [C.ProductRecord(f"p{i}", "alpha beta", ("q",)) for i in range(18)]
+    table = np.array([NI, NI, NI, -1.0, -1.5, -2.0, -2.5, -3.0])
+
+    def step(params, state, tokens):
+        _, after = M.decode_step(params, state, tokens)
+        lp = np.tile(table, (len(tokens), 1))
+        if state.position == 1 and len(state.cross_kv[0][0]) == 2:
+            lp[state.product == 1] = NI
+        return lp, after
+
+    monkeypatch.setattr(decoding, "decode_step", step)
+    with pytest.raises(DecodingStuckError,
+                       match=r"^product p17: all 8 tokens banned after \(3,\)$"):
+        generate_split(params, vocab, records, cfg(num_groups=2, diversity_penalty=1.0))
+
+
 def test_greedy_never_emits_reserved_tokens():
     params = tiny_params()
     out = reference.greedy_decode(params, [6, 7], max_new_tokens=12)
@@ -566,6 +654,46 @@ def test_one_chunk_decodes_every_product_as_it_decodes_alone(trained):
     contexts[1] = contexts[1][:4] + [params.config.pad_id] + contexts[1][4:]
     alone[1] = generate_questions(params, vocab, contexts[1], config)
     assert_same_results(decoding._generate(params, vocab, contexts, config), alone)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_one_chunk_decodes_as_each_product_alone_on_tied_tables(data):
+    # Each product has its own tables, so a row's k best tokens taken from
+    # another product's row would show.
+    num_groups = data.draw(st.integers(1, 3), label="num_groups")
+    beams = data.draw(st.integers(1, 3), label="beams_per_group")
+    vocab_size = data.draw(st.integers(max(5, num_groups * beams), 10), label="vocab_size")
+    steps = data.draw(st.integers(1, 5), label="max_new_tokens")
+    tables = [draw_tables(data, steps, vocab_size, f"tables of product {p}")
+              for p in range(data.draw(st.integers(2, 4), label="products"))]
+    params = tiny_params(vocab_size=vocab_size)
+    vocab = Vocab([f"w{i}" for i in range(vocab_size - 4)])
+    config = cfg(num_groups=num_groups, beams_per_group=beams,
+                 diversity_penalty=data.draw(st.sampled_from([0.0, 0.5, 5.0]), label="penalty"),
+                 no_repeat_ngram=data.draw(st.integers(0, 2), label="no_repeat_ngram"),
+                 max_new_tokens=steps, questions_per_product=3)
+    contexts = [[4], [4, 3], [3, 4, 4], [4, 4, 3, 3]][:len(tables)]
+    with pytest.MonkeyPatch.context() as mp:
+        alone = []
+        for ids, table in zip(contexts, tables):
+            mp.setattr(decoding, "decode_step", fake_product_step([table]))
+            alone.append(stuck_or(generate_questions, params, vocab, ids, config))
+        mp.setattr(decoding, "decode_step", fake_product_step(tables))
+        together = stuck_or(decoding._generate, params, vocab, contexts, config)
+    assert together == ("stuck" if "stuck" in alone else alone)
+
+
+def test_generate_split_refuses_a_config_the_model_cannot_serve_before_encoding():
+    params = tiny_params(max_len=16)
+    vocab = Vocab(["alpha", "beta", "gamma", "delta"])
+    vocab.encode_text = None
+    records = [C.ProductRecord("p1", "alpha beta", ("q",))]
+    with pytest.raises(M.ConfigError,
+                       match=r"^num_groups\*beams_per_group = 10 exceeds vocab size 8$"):
+        generate_split(params, vocab, records, cfg(num_groups=5))
+    with pytest.raises(M.ConfigError, match="^max_new_tokens 16 cannot fit under max_len 16$"):
+        generate_split(params, vocab, records, cfg(max_new_tokens=16))
 
 
 def test_generate_split_refuses_a_long_context_before_decoding(monkeypatch):
