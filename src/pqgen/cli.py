@@ -111,22 +111,22 @@ SYNTH_OPTIONS = (
 TRAIN_OPTIONS = (
     ("corpus", "--corpus", str, None),
     ("mode", "--mode", str, "ltd", ("traditional", "ltd")),
-    ("lambda_div", "--lambda", _finite, 0.1),
-    ("seed", "--seed", _nonnegative, 0),
+    ("lambda_div", "--lambda", _finite, TrainConfig.lambda_div),
+    ("seed", "--seed", _nonnegative, TrainConfig.seed),
     ("split_seed", "--split-seed", _nonnegative, 0),
     ("out", "--out", str, None),
     ("log", "--log", str, None),
-    ("d_model", "--d-model", _positive, 64),
-    ("n_heads", "--n-heads", _positive, 2),
-    ("enc_layers", "--enc-layers", _positive, 2),
-    ("dec_layers", "--dec-layers", _positive, 2),
-    ("d_ff", "--d-ff", _positive, 128),
-    ("max_len", "--max-len", _positive, 64),
+    ("d_model", "--d-model", _positive, ModelConfig.d_model),
+    ("n_heads", "--n-heads", _positive, ModelConfig.n_heads),
+    ("enc_layers", "--enc-layers", _positive, ModelConfig.n_enc_layers),
+    ("dec_layers", "--dec-layers", _positive, ModelConfig.n_dec_layers),
+    ("d_ff", "--d-ff", _positive, ModelConfig.d_ff),
+    ("max_len", "--max-len", _positive, ModelConfig.max_len),
     ("min_count", "--min-count", _positive, 1),
-    ("lr", "--lr", _finite, 1e-4),
-    ("batch_size", "--batch-size", _positive, 8),
-    ("epochs", "--epochs", _positive, 3),
-    ("max_pairs", "--max-pairs", _positive, 10),
+    ("lr", "--lr", _finite, TrainConfig.learning_rate),
+    ("batch_size", "--batch-size", _positive, TrainConfig.batch_size),
+    ("epochs", "--epochs", _positive, TrainConfig.epochs),
+    ("max_pairs", "--max-pairs", _positive, TrainConfig.max_pairs_per_product),
 )
 GENERATE_OPTIONS = (
     ("checkpoint", "--checkpoint", str, None),
@@ -134,13 +134,13 @@ GENERATE_OPTIONS = (
     ("corpus_split", "--corpus-split", str, "test", ("train", "validation", "test")),
     ("split_seed", "--split-seed", _nonnegative, 0),
     ("out", "--out", str, None),
-    ("groups", "--groups", _positive, 3),
-    ("beams", "--beams", _positive, 2),
-    ("diversity_penalty", "--diversity-penalty", _finite, 5.0),
-    ("length_penalty", "--length-penalty", _finite, 1.0),
-    ("no_repeat", "--no-repeat", _nonnegative, 2),
-    ("max_new", "--max-new", _positive, 16),
-    ("questions", "--questions", _positive, 6),
+    ("groups", "--groups", _positive, GenerationConfig.num_groups),
+    ("beams", "--beams", _positive, GenerationConfig.beams_per_group),
+    ("diversity_penalty", "--diversity-penalty", _finite, GenerationConfig.diversity_penalty),
+    ("length_penalty", "--length-penalty", _finite, GenerationConfig.length_penalty),
+    ("no_repeat", "--no-repeat", _nonnegative, GenerationConfig.no_repeat_ngram),
+    ("max_new", "--max-new", _positive, GenerationConfig.max_new_tokens),
+    ("questions", "--questions", _positive, GenerationConfig.questions_per_product),
 )
 EVALUATE_OPTIONS = (
     ("generations", "--generations", str, None),

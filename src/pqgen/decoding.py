@@ -18,8 +18,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .corpus import ProductRecord, Vocab, detokenize
-from .model import (ConfigError, DecoderState, ModelParams, SequenceLengthError, check_length,
-                    encode, start_decoding)
+from .model import (ConfigError, DecoderState, ModelParams, NonFiniteOutputError,
+                    SequenceLengthError, check_length, encode, start_decoding)
 from .model import decode_step as _model_decode_step
 from . import tensor as T
 
@@ -98,6 +98,7 @@ class _Beam(NamedTuple):
     finished: bool
 
 
+@np.errstate(all="ignore")
 def _search(params: ModelParams, contexts: Sequence[Sequence[int]], cfg: GenerationConfig,
             num_groups: int, names: Sequence[str] = ()) -> list[list[list[Candidate]]]:
     """Diverse beam search of several products as one loop over positions
@@ -109,13 +110,14 @@ def _search(params: ModelParams, contexts: Sequence[Sequence[int]], cfg: Generat
     this step. Groups holding the same prefix share its state row, so groups
     that never diverge feed exactly the rows one group would. Returns each
     product's groups' candidates, ranked; an error names its product from `names`.
+    Overflow warns nothing: non-finite encoder rows and log-probs are named errors.
     """
     mcfg = params.config
     width = cfg.beams_per_group
     # Earlier groups chose at most width * (num_groups - 1) tokens at a step and a penalty
     # only lowers scores, so a beam's best `width` penalized tokens are among its k best.
     k = min(width * num_groups, mcfg.vocab_size)
-    state = _start(params, *contexts)
+    state = _start(params, *contexts, names=names)
     products = [[[_Beam((), 0.0, 0.0, False)] for _ in range(num_groups)] for _ in contexts]
     rows = {(p, ()): p for p in range(len(contexts))}  # state row of each unfinished prefix
     # Position t feeds pos_emb[t], so a beam grows to at most max_len tokens.
@@ -182,10 +184,18 @@ def _search(params: ModelParams, contexts: Sequence[Sequence[int]], cfg: Generat
 decode_step = _model_decode_step
 
 
-def _start(params: ModelParams, *contexts: Sequence[int]) -> DecoderState:
+def _start(params: ModelParams, *contexts: Sequence[int], names: Sequence[str] = ()
+           ) -> DecoderState:
+    """The decoder state of the contexts, encoded in one pass; encoder rows
+    that are not finite are an error naming their product from `names`."""
     with T.no_grad():
-        encs = [encode(params, context_ids) for context_ids in contexts]
-    return start_decoding(params, *encs)
+        enc = encode(params, *contexts)
+    bad = ~np.isfinite(enc.h_e.data).all(axis=1)
+    if bad.any():
+        p = int(np.searchsorted(np.cumsum(enc.lengths), bad.argmax(), side="right"))
+        at = f"product {names[p]}: " if names else ""
+        raise NonFiniteOutputError(f"{at}encoder output is not finite")
+    return start_decoding(params, enc)
 
 
 def beam_search(params: ModelParams, context_ids: Sequence[int],

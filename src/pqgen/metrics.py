@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .corpus import ProductRecord, Vocab, tokenize
-from .model import ModelParams, check_length, encode
+from .model import ModelParams, NonFiniteOutputError, check_length, encode
 from .tensor import DegenerateVectorError
 
 
@@ -281,16 +281,19 @@ class EmbeddingMatrix:
         return int(self.rows.shape[0])
 
 
-def embed_questions(params: ModelParams,
-                    question_ids: Sequence[Sequence[int]]) -> EmbeddingMatrix:
+@np.errstate(all="ignore")
+def embed_questions(params: ModelParams, question_ids: Sequence[Sequence[int]],
+                    names: Sequence[str] = ()) -> EmbeddingMatrix:
     """Encoder output mean-pooled over the (unpadded) question tokens; this
-    stands in for an external sentence encoder, which is out of scope."""
+    stands in for an external sentence encoder, which is out of scope.
+    Overflow prints no numpy warning: an embedding that is not finite is an
+    error naming its question, from `names` or else by its ids."""
     if not question_ids:
         raise MetricInputError("embed_questions needs at least one question")
     rows = []
     seen: dict[tuple[int, ...], np.ndarray] = {}
     with T.no_grad():
-        for ids in question_ids:
+        for q, ids in enumerate(question_ids):
             if not ids:
                 raise MetricInputError("cannot embed an empty question")
             key = tuple(ids)
@@ -298,6 +301,9 @@ def embed_questions(params: ModelParams,
             if row is None:
                 # A repeated question reuses its row: the encoder is deterministic.
                 row = seen[key] = encode(params, key).h_e.data.mean(axis=0)
+                if not np.isfinite(row).all():
+                    raise NonFiniteOutputError(f"question {(names[q] if names else key)!r}: "
+                                               "embedding is not finite")
             rows.append(row)
     return EmbeddingMatrix(rows=np.stack(rows))
 
@@ -450,7 +456,8 @@ def evaluate(generations: Sequence[dict], gold: Sequence[ProductRecord],
     ediv = None
     curve: list[tuple[float, int]] = []
     if top1_tokens:
-        emb = embed_questions(params, [vocab.encode(t) for t in top1_tokens])
+        emb = embed_questions(params, [vocab.encode(t) for t in top1_tokens],
+                              [" ".join(t) for t in top1_tokens])
         curve = cluster_count_sweep(emb)
         if len(emb) >= 2:
             ediv = e_div(emb)

@@ -39,6 +39,11 @@ class CheckpointError(ValueError):
     or holds non-finite parameters."""
 
 
+class NonFiniteOutputError(FloatingPointError):
+    """A model output that inference goes on to use holds NaN or inf: finite
+    parameters whose arithmetic overflowed."""
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     vocab_size: int
@@ -161,18 +166,10 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
 
 @dataclass
 class EncoderOutput:
-    h_e: Tensor                      # [n, d_model]
-    context_ids: tuple[int, ...]
-    key_mask: np.ndarray             # bool [n]; False at pad positions
-
-
-@dataclass
-class DecoderTrace:
-    layer_states: list[Tensor]       # L_dec entries, each [m, d_model]
-    logits: Tensor                   # [m, vocab_size]
-    target_mask: list[bool]          # length m; False at BOS and pad rows
-    input_ids: tuple[int, ...]       # BOS-prefixed decoder input
-    predict_ids: tuple[int, ...]     # shifted targets, ending with EOS
+    """The encoder rows of one or more contexts, stacked in context order."""
+    h_e: Tensor                      # [sum(lengths), d_model]
+    lengths: list[int]               # rows of each context
+    key_mask: np.ndarray             # bool [sum(lengths)]; False at pad positions
 
 
 def check_length(cfg: ModelConfig, n: int, what: str) -> None:
@@ -181,16 +178,6 @@ def check_length(cfg: ModelConfig, n: int, what: str) -> None:
         raise SequenceLengthError(f"{what} is empty")
     if n > cfg.max_len:
         raise SequenceLengthError(f"{what} length {n} exceeds max_len {cfg.max_len}")
-
-
-def _context(cfg: ModelConfig, context_ids: Sequence[int]) -> tuple[tuple[int, ...], np.ndarray]:
-    """Validated context ids and their key mask (False at pad positions)."""
-    ids = tuple(int(i) for i in context_ids)
-    check_length(cfg, len(ids), "context")
-    key_mask = np.array([i != cfg.pad_id for i in ids], dtype=bool)
-    if not key_mask.any():
-        raise T.EmptyPoolError("context consists only of pad tokens")
-    return ids, key_mask
 
 
 def _decoder_input(cfg: ModelConfig, target_ids: Sequence[int]) -> tuple[int, ...]:
@@ -259,50 +246,30 @@ def _decoder_stack(params: ModelParams, h_e: Tensor, input_ids: Sequence[int], p
     return blocks[:-1] + [h], h
 
 
-def encode(params: ModelParams, context_ids: Sequence[int]) -> EncoderOutput:
-    """Encode a context; pad positions are masked out of attention keys."""
-    ids, key_mask = _context(params.config, context_ids)
-    n = len(ids)
-    h_e = _encoder_stack(params, ids, range(n), T.AttentionLayout([n], [n], key_ok=key_mask))
-    return EncoderOutput(h_e=h_e, context_ids=ids, key_mask=key_mask)
-
-
-def _decoder_forward(params: ModelParams, enc: EncoderOutput,
-                     input_ids: tuple[int, ...]) -> tuple[list[Tensor], Tensor]:
+def encode(params: ModelParams, *contexts: Sequence[int]) -> EncoderOutput:
+    """Encode contexts in one stacked pass: each context attends only to its
+    own rows, and pad positions are masked out of attention keys."""
     cfg = params.config
-    n = len(input_ids)
-    self_key = np.array([i != cfg.pad_id for i in input_ids], dtype=bool)
-    return _decoder_stack(
-        params, enc.h_e, input_ids, range(n),
-        T.AttentionLayout([n], [n], causal=True, key_ok=self_key),
-        T.AttentionLayout([n], [len(enc.context_ids)], key_ok=enc.key_mask))
-
-
-def decode_teacher_forced(params: ModelParams, enc: EncoderOutput,
-                          target_ids: Sequence[int]) -> DecoderTrace:
-    """Teacher-forced decode: input [BOS, y_1..y_m], predicting [y_1..y_m, EOS].
-
-    Logits therefore have len(target)+1 rows (the BOS row budget counts
-    against max_len). Pad ids inside the target are excluded from
-    target_mask; BOS/EOS must not appear inside the target.
-    """
-    cfg = params.config
-    input_ids = _decoder_input(cfg, target_ids)
-    tgt = input_ids[1:]
-    layer_states, h = _decoder_forward(params, enc, input_ids)
-    logits = T.matmul(h, params["cg_head.w"])
-    target_mask = [False] + [t != cfg.pad_id for t in tgt]
-    return DecoderTrace(layer_states=layer_states, logits=logits,
-                        target_mask=target_mask, input_ids=input_ids,
-                        predict_ids=tgt + (cfg.eos_id,))
+    if not contexts:
+        raise ValueError("encode needs at least one context")
+    for context_ids in contexts:
+        check_length(cfg, len(context_ids), "context")
+        if all(int(i) == cfg.pad_id for i in context_ids):
+            raise T.EmptyPoolError("context consists only of pad tokens")
+    lengths = [len(context_ids) for context_ids in contexts]
+    ids = [int(i) for context_ids in contexts for i in context_ids]
+    key_mask = np.array(ids) != cfg.pad_id
+    h_e = _encoder_stack(params, ids, np.concatenate([np.arange(n) for n in lengths]),
+                         T.AttentionLayout(lengths, lengths, key_ok=key_mask))
+    return EncoderOutput(h_e=h_e, lengths=lengths, key_mask=key_mask)
 
 
 @dataclass
 class PackedTrace:
-    """Teacher-forced decode of several examples, their rows stacked.
+    """Teacher-forced decode of one or more branches, their rows stacked.
 
     Rows are grouped by context; `branch_of_row` maps each row back to the
-    example (in input order) it belongs to.
+    branch (in input order) it belongs to.
     """
     layer_states: list[Tensor]       # L_dec entries, each [rows, d_model]
     logits: Tensor                   # [rows, vocab_size]
@@ -311,43 +278,19 @@ class PackedTrace:
     predict_ids: np.ndarray          # int [rows]; shifted targets, EOS closing each
 
 
-def decode_packed(params: ModelParams,
-                  examples: Sequence[tuple[Sequence[int], Sequence[int]]]) -> PackedTrace:
-    """Teacher-forced decode of (context_ids, target_ids) examples in one
-    encoder pass over the distinct contexts and one decoder pass over every
-    target. Row for row this is what `encode` and `decode_teacher_forced`
-    compute per example, under the same input rules."""
+def _decode(params: ModelParams, enc: EncoderOutput, branches_of: Sequence[Sequence[int]],
+            inputs: Sequence[tuple[int, ...]]) -> PackedTrace:
+    """One teacher-forced decoder pass over the BOS-prefixed `inputs`, where
+    branches_of[c] lists the inputs that attend to context c of `enc`."""
     cfg = params.config
-    if not examples:
-        raise ValueError("decode_packed needs at least one example")
-    contexts: dict[tuple[int, ...], int] = {}
-    context_rows: list[tuple[tuple[int, ...], np.ndarray]] = []
-    branches_of: list[list[int]] = []
-    inputs: list[tuple[int, ...]] = []
-    for b, (context_ids, target_ids) in enumerate(examples):
-        key = tuple(context_ids)
-        c = contexts.get(key)
-        if c is None:
-            c = contexts[key] = len(context_rows)
-            context_rows.append(_context(cfg, key))
-            branches_of.append([])
-        branches_of[c].append(b)
-        inputs.append(_decoder_input(cfg, target_ids))
-
-    ctx_lens = [len(ids) for ids, _ in context_rows]
-    enc_ids = [i for ids, _ in context_rows for i in ids]
-    enc_key = np.concatenate([mask for _, mask in context_rows])
-    h_e = _encoder_stack(params, enc_ids, np.concatenate([np.arange(n) for n in ctx_lens]),
-                         T.AttentionLayout(ctx_lens, ctx_lens, key_ok=enc_key))
-
     order = [b for group in branches_of for b in group]
     dec_lens = np.array([len(inputs[b]) for b in order])
     dec_ids = np.array([i for b in order for i in inputs[b]], dtype=np.int64)
     rows_per_context = [sum(len(inputs[b]) for b in group) for group in branches_of]
     layer_states, h = _decoder_stack(
-        params, h_e, dec_ids, np.concatenate([np.arange(n) for n in dec_lens]),
+        params, enc.h_e, dec_ids, np.concatenate([np.arange(n) for n in dec_lens]),
         T.AttentionLayout(dec_lens, dec_lens, causal=True, key_ok=dec_ids != cfg.pad_id),
-        T.AttentionLayout(rows_per_context, ctx_lens, key_ok=enc_key))
+        T.AttentionLayout(rows_per_context, enc.lengths, key_ok=enc.key_mask))
     ends = np.cumsum(dec_lens)
     # Row r predicts the input token of row r + 1; each branch's last row, EOS.
     predict = np.roll(dec_ids, -1)
@@ -358,6 +301,28 @@ def decode_packed(params: ModelParams,
                        logits=T.matmul(h, params["cg_head.w"]),
                        branch_of_row=np.repeat(order, dec_lens),
                        target_mask=target_mask, predict_ids=predict)
+
+
+def decode_teacher_forced(params: ModelParams, enc: EncoderOutput,
+                          target_ids: Sequence[int]) -> PackedTrace:
+    """`decode_packed` of one target against the one context `enc` holds:
+    input [BOS, y_1..y_m] predicts [y_1..y_m, EOS], so len(target)+1 rows
+    count against max_len. Pad ids in the target are left out of
+    target_mask; BOS/EOS may not appear in it."""
+    return _decode(params, enc, [[0]], [_decoder_input(params.config, target_ids)])
+
+
+def decode_packed(params: ModelParams,
+                  examples: Sequence[tuple[Sequence[int], Sequence[int]]]) -> PackedTrace:
+    """Teacher-forced decode of (context_ids, target_ids) examples: one
+    `encode` of the distinct contexts and one decoder pass over every target.
+    Row for row this is what `encode` and `decode_teacher_forced` compute per
+    example, under the same input rules."""
+    branches_of: dict[tuple[int, ...], list[int]] = {}
+    for b, (context_ids, _) in enumerate(examples):
+        branches_of.setdefault(tuple(context_ids), []).append(b)
+    inputs = [_decoder_input(params.config, target_ids) for _, target_ids in examples]
+    return _decode(params, encode(params, *branches_of), list(branches_of.values()), inputs)
 
 
 @dataclass(frozen=True)
@@ -390,24 +355,20 @@ def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
     return x.reshape(x.shape[:-1] + (n_heads, -1)).swapaxes(-2, -3)
 
 
-def start_decoding(params: ModelParams, *encs: EncoderOutput) -> DecoderState:
-    """The state of one beam per encoded context, in order, before its first
+def start_decoding(params: ModelParams, enc: EncoderOutput) -> DecoderState:
+    """The state of one beam per context of `enc`, in order, before its first
     input (BOS at position 0). Shorter contexts are padded with masked keys."""
     cfg = params.config
-    n = max(len(enc.context_ids) for enc in encs)
-    h_e = np.zeros((len(encs), n, cfg.d_model))
-    key_ok = np.zeros((len(encs), n), dtype=bool)
-    for p, enc in enumerate(encs):
-        h_e[p, :len(enc.context_ids)] = enc.h_e.data
-        key_ok[p, :len(enc.context_ids)] = enc.key_mask
+    slots = np.arange(max(enc.lengths)) < np.array(enc.lengths)[:, None]   # [P, n]
+    h_e, key_ok = T.to_blocks(enc.h_e.data, slots), T.to_blocks(enc.key_mask, slots)
     cross_kv = tuple(
         (_heads(h_e @ params[f"dec{i}.cross.wk"].data, cfg.n_heads),
          _heads(h_e @ params[f"dec{i}.cross.wv"].data, cfg.n_heads))
         for i in range(cfg.n_dec_layers))
     cross_bias = None if key_ok.all() else np.where(key_ok, 0.0, -np.inf)[:, None, None]
-    empty = np.zeros((len(encs), 0, cfg.d_model))
+    empty = np.zeros((len(slots), 0, cfg.d_model))
     return DecoderState(cross_kv, cross_bias, ((empty, empty),) * cfg.n_dec_layers,
-                        np.arange(len(encs)))
+                        np.arange(len(slots)))
 
 
 def decode_step(params: ModelParams, state: DecoderState,
@@ -460,8 +421,7 @@ def sequence_log_likelihood(params: ModelParams, context_ids: Sequence[int],
     """Sum of log p(y_t | y_<t, c) over non-pad target positions, EOS included."""
     cfg = params.config
     with T.no_grad():
-        enc = encode(params, context_ids)
-        trace = decode_teacher_forced(params, enc, question_ids)
+        trace = decode_teacher_forced(params, encode(params, context_ids), question_ids)
         logits = trace.logits.data
     lse = T.logsumexp(logits)
     total = 0.0

@@ -352,7 +352,7 @@ class AttentionLayout:
         # Slot masks of the zero-padded [segments, L] blocks.
         self.q_slots = np.arange(lq) < np.array(q_lens)[:, None]
         self.k_slots = np.arange(lk) < np.array(k_lens)[:, None]
-        visible = self.k_slots if key_ok is None else _to_blocks(key_ok, self.k_slots)
+        visible = self.k_slots if key_ok is None else to_blocks(key_ok, self.k_slots)
         # Pad query slots see every key: their rows are dropped, and this
         # keeps them free of all -inf rows.
         hidden = ~visible[:, None, :] & self.q_slots[:, :, None]
@@ -362,7 +362,7 @@ class AttentionLayout:
                      if hidden.any() else None)
 
 
-def _to_blocks(x: np.ndarray, slots: np.ndarray) -> np.ndarray:
+def to_blocks(x: np.ndarray, slots: np.ndarray) -> np.ndarray:
     """Stacked rows -> zero-padded [segments, L, ...] block."""
     out = np.zeros(slots.shape + x.shape[1:], dtype=x.dtype)
     out[slots] = x
@@ -402,7 +402,7 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
     scale_ = 1.0 / np.sqrt(dh)
 
     def split(x, slots):                                   # -> [S, H, L, dh]
-        return _to_blocks(x, slots).reshape(*slots.shape, n_heads, dh).transpose(0, 2, 1, 3)
+        return to_blocks(x, slots).reshape(*slots.shape, n_heads, dh).transpose(0, 2, 1, 3)
 
     def merge(xh, slots):                                  # [S, H, L, dh] -> rows
         return xh.transpose(0, 2, 1, 3).reshape(*slots.shape, d)[slots]

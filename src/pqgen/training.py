@@ -19,10 +19,10 @@ from . import corpus as C
 from . import tensor as T
 from .fileio import atomic_write
 from .corpus import ProductRecord, SplitCorpus, Vocab
-# encode and decode_teacher_forced stay importable from here: with cg_loss and
-# div_loss they are the per-example reference the packed step is tested against.
-from .model import (DecoderTrace, ModelConfig, ModelParams, PackedTrace,  # noqa: F401
-                    decode_packed, decode_teacher_forced, encode, init_params)
+# encode, decode_teacher_forced, cg_loss and div_loss are the per-example reference the
+# packed step is tested against; perfbench's traced run wraps them by name in this module.
+from .model import (ModelConfig, ModelParams, PackedTrace, decode_packed,  # noqa: F401
+                    decode_teacher_forced, encode, init_params)
 from .tensor import Tensor
 
 MODES = ("traditional", "ltd")
@@ -71,14 +71,6 @@ class TrainConfig:
             raise ValueError("max_pairs_per_product must be >= 1")
 
 
-@dataclass(frozen=True)
-class LossBreakdown:
-    cg1: float
-    cg2: float
-    div: float
-    total: float
-
-
 @dataclass
 class TrainResult:
     params: ModelParams
@@ -110,16 +102,15 @@ def build_triplets(records: Sequence[ProductRecord], vocab: Vocab,
     return triplets
 
 
-def cg_loss(trace: DecoderTrace, target_ids: Sequence[int], pad_id: int = C.PAD) -> Tensor:
-    """Token-mean cross entropy of the trace's logits against its shifted target."""
-    tgt = tuple(int(i) for i in target_ids)
-    if tgt != trace.predict_ids[:-1]:
+def cg_loss(trace: PackedTrace, target_ids: Sequence[int], pad_id: int = C.PAD) -> Tensor:
+    """Token-mean cross entropy of a one-branch trace against its shifted target."""
+    if tuple(int(i) for i in target_ids) != tuple(int(i) for i in trace.predict_ids[:-1]):
         raise ValueError("cg_loss target does not match the trace's target")
-    return T.cross_entropy(trace.logits, list(trace.predict_ids), pad_id=pad_id)
+    return T.cross_entropy(trace.logits, trace.predict_ids, pad_id=pad_id)
 
 
-def div_loss(trace1: DecoderTrace, trace2: DecoderTrace) -> Tensor:
-    """Layer-averaged cosine similarity of mean-pooled decoder states."""
+def div_loss(trace1: PackedTrace, trace2: PackedTrace) -> Tensor:
+    """Layer-averaged cosine similarity of two one-branch traces' mean-pooled states."""
     if len(trace1.layer_states) != len(trace2.layer_states):
         raise ValueError(
             f"layer count mismatch: {len(trace1.layer_states)} vs "
@@ -193,15 +184,6 @@ def _packed_div(trace: PackedTrace, firsts: list[int], seconds: list[int]) -> Te
                                         T.mean_pool_segments(states, ids[1], n))
                for states in trace.layer_states]
     return T.scale(T.add_n(cosines), 1.0 / len(cosines))
-
-
-def ltd_loss(params: ModelParams, triplet: Triplet,
-             lambda_div: float) -> tuple[LossBreakdown, Tensor]:
-    """The one-triplet batch loss: one shared encode, two teacher-forced
-    branches; returns the logged breakdown and the differentiable total."""
-    losses, total = batch_loss(params, [triplet], lambda_div)
-    cg1, cg2, div = float(losses.cg1[0]), float(losses.cg2[0]), float(losses.div[0])
-    return LossBreakdown(cg1=cg1, cg2=cg2, div=div, total=cg1 + cg2 + lambda_div * div), total
 
 
 class AdamState:

@@ -64,8 +64,12 @@ def decode_step(params: M.ModelParams, enc: M.EncoderOutput,
     if not prefix or prefix[0] != cfg.bos_id:
         raise ValueError(f"prefix must start with BOS id {cfg.bos_id}: {prefix}")
     M.check_length(cfg, len(prefix), "prefix")
+    n = len(prefix)
     with T.no_grad():
-        _, h = M._decoder_forward(params, enc, prefix)
+        _, h = M._decoder_stack(
+            params, enc.h_e, prefix, range(n),
+            T.AttentionLayout([n], [n], causal=True, key_ok=[i != cfg.pad_id for i in prefix]),
+            T.AttentionLayout([n], enc.lengths, key_ok=enc.key_mask))
         logits = T.matmul(h, params["cg_head.w"]).data[-1]
     return logits - T.logsumexp(logits)
 

@@ -147,7 +147,7 @@ def test_criterion_1_gradient_fidelity():
         trip = TR.Triplet("toy", (4, 7, 9, 12, 15), (5, 8, 11),
                           (6, 10, 13, 14))
         T.reset_tape()
-        _, total = TR.ltd_loss(params, trip, 0.1)
+        _, total = TR.batch_loss(params, [trip], 0.1)
         T.backward(total)
         # h keeps the probe inside the nearest relu kink's basin; entries
         # below FD resolution are held to an absolute bound instead.
@@ -163,10 +163,10 @@ def test_criterion_1_gradient_fidelity():
                 orig = flat[i]
                 flat[i] = orig + h
                 with T.no_grad():
-                    up = TR.ltd_loss(params, trip, 0.1)[1].item()
+                    up = TR.batch_loss(params, [trip], 0.1)[1].item()
                 flat[i] = orig - h
                 with T.no_grad():
-                    down = TR.ltd_loss(params, trip, 0.1)[1].item()
+                    down = TR.batch_loss(params, [trip], 0.1)[1].item()
                 flat[i] = orig
                 fd = (up - down) / (2.0 * h)
                 diff = abs(gflat[i] - fd)
@@ -210,12 +210,12 @@ def test_criterion_2_loss_identities():
             assert row["cg2"] is not None and row["div"] is not None
             assert abs(row["total"]
                        - (row["cg1"] + row["cg2"] + lam * row["div"])) <= 1e-12
-        # and the differentiable total agrees with the logged breakdown
+        # and each triplet's differentiable total agrees with its losses
         for trip in TR.build_triplets(recs, vocab)[:5]:
             T.reset_tape()
-            br, total = TR.ltd_loss(res.params, trip, lam)
-            assert abs(br.total - total.item()) <= 1e-12
-            assert abs(br.total - (br.cg1 + br.cg2 + lam * br.div)) <= 1e-12
+            losses, total = TR.batch_loss(res.params, [trip], lam)
+            cg1, cg2, div = losses.cg1[0], losses.cg2[0], losses.div[0]
+            assert abs((cg1 + cg2 + lam * div) - total.item()) <= 1e-12
 
         # (b) a question is maximally similar to itself
         with T.no_grad():

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from pqgen import cli
 from pqgen.cli import main
-from pqgen.corpus import load_jsonl, save_jsonl, split
+from pqgen.corpus import load_jsonl, save_jsonl, split, tokenize
 from pqgen.model import MAGIC, ModelParams, load_checkpoint, save_checkpoint
 
 from .test_model import with_header
@@ -440,20 +440,27 @@ def test_generate_config_the_checkpoint_cannot_serve_exits_1(pipeline, tmp_path,
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_generate_non_finite_log_probs_exit_3_naming_the_product(pipeline, tmp_path, capsys):
-    # Parameters this large are finite, so the checkpoint loads, but the
-    # decoder's arithmetic overflows and its log-probs are NaN.
+@pytest.fixture(scope="module")
+def overflowing(pipeline, tmp_path_factory):
+    """The pipeline checkpoint with every parameter times 1e160: finite, so it
+    loads, but the encoder's arithmetic overflows to NaN."""
     corpus, ckpt = pipeline
     params, tokens = load_checkpoint(ckpt)
-    huge = tmp_path / "huge.ckpt"
+    huge = tmp_path_factory.mktemp("overflowing") / "huge.ckpt"
     save_checkpoint(huge, ModelParams(params.config, params.vector * 1e160), tokens)
+    return huge
+
+
+# Any numpy overflow warning fails the test: the named error is all of stderr.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_generate_overflowing_checkpoint_exits_3_with_one_line_naming_the_product(
+        pipeline, overflowing, tmp_path, capsys):
+    corpus, _ = pipeline
     out = tmp_path / "g.jsonl"
-    code, _, err = run(capsys, *generate_args(corpus, huge, out))
+    code, _, err = run(capsys, *generate_args(corpus, overflowing, out))
     first = split(load_jsonl(corpus), seed=0).test[0].product_id
     assert code == 3
-    assert err.splitlines()[-1] == (f"numeric failure: product {first}: "
-                                    "log-prob nan at step 0 after ()")
+    assert err == f"numeric failure: product {first}: encoder output is not finite\n"
     assert not out.exists()
 
 
@@ -497,6 +504,22 @@ def test_evaluate_gold_vs_gold_is_100(pipeline, tmp_path, capsys):
     assert code == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["bleu_top1"] == pytest.approx(100.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_evaluate_overflowing_checkpoint_exits_3_with_one_line_naming_the_question(
+        pipeline, overflowing, tmp_path, capsys):
+    corpus, ckpt = pipeline
+    gen = tmp_path / "gen.jsonl"
+    assert run(capsys, *generate_args(corpus, ckpt, gen))[0] == 0
+    top1 = json.loads(gen.read_text().splitlines()[1])["questions"][0]
+    code, out, err = run(capsys, "evaluate", "--generations", str(gen), "--gold", str(corpus),
+                         "--checkpoint", str(overflowing), "--report", str(tmp_path / "r"))
+    assert code == 3
+    assert err == (f"numeric failure: question {' '.join(tokenize(top1))!r}: "
+                   "embedding is not finite\n")
+    assert "products evaluated" not in out
+    assert not list(tmp_path.glob("r.*"))
 
 
 def test_evaluate_misaligned_ids_exit_2(pipeline, tmp_path, capsys):

@@ -569,6 +569,21 @@ def test_a_stuck_product_in_a_chunk_is_named(monkeypatch):
         generate_split(params, vocab, records, cfg(num_groups=2, diversity_penalty=1.0))
 
 
+def test_non_finite_encoder_rows_are_named_by_their_product():
+    # Only p5's context holds the token whose embedding is NaN, so in the one
+    # encoder pass over the first chunk only its rows are not finite.
+    params = tiny_params()
+    params["tok_emb"].data[7] = np.nan
+    vocab = Vocab(["alpha", "beta", "gamma", "delta"])
+    contexts = {i: "alpha" if i % 2 else "alpha beta gamma" for i in range(18)}
+    contexts[5] = "beta delta"
+    records = [C.ProductRecord(f"p{i}", contexts[i], ("q",)) for i in range(18)]
+    with pytest.raises(M.NonFiniteOutputError, match=r"^product p5: encoder output is not finite$"):
+        generate_split(params, vocab, records, cfg())
+    with pytest.raises(M.NonFiniteOutputError, match=r"^encoder output is not finite$"):
+        generate_questions(params, vocab, [4, 7], cfg())
+
+
 def test_greedy_never_emits_reserved_tokens():
     params = tiny_params()
     out = reference.greedy_decode(params, [6, 7], max_new_tokens=12)

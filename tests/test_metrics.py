@@ -4,6 +4,7 @@ on random micro-inputs, and the report assembly contract."""
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -390,6 +391,20 @@ def test_embed_questions_encodes_each_distinct_question_once(monkeypatch):
     assert len(calls) == 2
     for row, want in zip(emb.rows, alone):
         np.testing.assert_array_equal(row, want)  # bit-identical to a fresh encode
+
+
+def test_embed_questions_names_a_question_whose_embedding_is_not_finite():
+    from pqgen.model import NonFiniteOutputError
+
+    vocab = Vocab(["is", "it", "safe", "heavy", "?"])
+    params = small_params(vocab)
+    params["tok_emb"].data[vocab.encode(["heavy"])[0]] = np.nan
+    ids = [vocab.encode_text(t) for t in ("is it safe ?", "is it heavy ?")]
+    with pytest.raises(NonFiniteOutputError,
+                       match=r"^question 'is it heavy \?': embedding is not finite$"):
+        embed_questions(params, ids, ["is it safe ?", "is it heavy ?"])
+    with pytest.raises(NonFiniteOutputError, match=re.escape(f"question {tuple(ids[1])}: ")):
+        embed_questions(params, ids)
 
 
 def test_bleu_counts_each_reference_once_per_order(monkeypatch):

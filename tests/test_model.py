@@ -65,8 +65,8 @@ def test_shape_contracts(d_model, n_heads, layers):
     assert len(trace.layer_states) == layers
     for st in trace.layer_states:
         assert st.shape == (3, d_model)
-    assert trace.target_mask == [False, True, True]
-    assert trace.predict_ids == (8, 9, cfg.eos_id)
+    assert trace.target_mask.tolist() == [False, True, True]
+    assert trace.predict_ids.tolist() == [8, 9, cfg.eos_id]
 
 
 def test_encode_pad_invariance(params):
@@ -77,6 +77,37 @@ def test_encode_pad_invariance(params):
     t1 = M.decode_teacher_forced(params, base, [9, 10])
     t2 = M.decode_teacher_forced(params, padded, [9, 10])
     np.testing.assert_allclose(t1.logits.data, t2.logits.data, atol=1e-10)
+
+
+def test_encode_stacks_contexts_as_each_alone(params):
+    contexts = [[5, 6, 7, 0], [0, 4, 5, 6, 7, 8], [3, 9]]
+    enc = M.encode(params, *contexts)
+    assert enc.lengths == [4, 6, 2]
+    rows = [slice(0, 4), slice(4, 10), slice(10, 12)]
+    alone = [M.encode(params, c) for c in contexts]
+    for c, one in enumerate(alone):
+        np.testing.assert_allclose(enc.h_e.data[rows[c]], one.h_e.data, rtol=0, atol=1e-12)
+        assert enc.key_mask[rows[c]].tolist() == one.key_mask.tolist()
+    # Each context attends only to itself: changing one (at the same length)
+    # leaves the rows of the others bit-identical.
+    changed = M.encode(params, contexts[0], [4, 4, 9, 10, 0, 8], contexts[2])
+    assert not np.allclose(changed.h_e.data[rows[1]], enc.h_e.data[rows[1]])
+    for c in (0, 2):
+        assert np.array_equal(changed.h_e.data[rows[c]], enc.h_e.data[rows[c]])
+    # Each product of the stacked start holds the cross keys and values of
+    # its lone start; the keys past its length are masked.
+    state = M.start_decoding(params, enc)
+    assert state.product.tolist() == [0, 1, 2]
+    for p, one in enumerate(alone):
+        lone = M.start_decoding(params, one)
+        n = one.lengths[0]
+        for kv, lone_kv in zip(state.cross_kv, lone.cross_kv):
+            for got, want in zip(kv, lone_kv):
+                np.testing.assert_allclose(got[p, :, :n], want[0], rtol=0, atol=1e-12)
+        bias = state.cross_bias[p, ..., :n]
+        want_bias = np.zeros_like(bias) if lone.cross_bias is None else lone.cross_bias[0]
+        assert np.array_equal(bias, want_bias)
+        assert (state.cross_bias[p, ..., n:] == -np.inf).all()
 
 
 def test_encode_position_sensitivity(params):
@@ -281,8 +312,8 @@ def test_decode_packed_matches_per_example_decode(params):
                                    rtol=0, atol=1e-12)
         for got, want in zip(packed.layer_states, trace.layer_states):
             np.testing.assert_allclose(got.data[rows], want.data, rtol=0, atol=1e-12)
-        assert packed.target_mask[rows].tolist() == trace.target_mask
-        assert tuple(packed.predict_ids[rows]) == trace.predict_ids
+        assert packed.target_mask[rows].tolist() == trace.target_mask.tolist()
+        assert packed.predict_ids[rows].tolist() == trace.predict_ids.tolist()
 
 
 def test_decode_packed_validates_like_per_example(params):

@@ -33,11 +33,11 @@ def toy_config(vocab, **kw):
 def fake_trace(states, mask):
     tensors = [T.Tensor(s) for s in states]
     m = len(mask)
-    return M.DecoderTrace(layer_states=tensors,
-                          logits=T.Tensor(np.zeros((m, 5))),
-                          target_mask=list(mask),
-                          input_ids=tuple([1] + [4] * (m - 1)),
-                          predict_ids=tuple([4] * (m - 1) + [2]))
+    return M.PackedTrace(layer_states=tensors,
+                         logits=T.Tensor(np.zeros((m, 5))),
+                         branch_of_row=np.zeros(m, dtype=np.int64),
+                         target_mask=np.array(mask, dtype=bool),
+                         predict_ids=np.array([4] * (m - 1) + [2]))
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +104,7 @@ def test_cg_loss_perfect_and_uniform():
         logits[row, tok] = 30.0
     trace = fake_trace([np.zeros((3, 4))], mask)
     trace.logits = T.Tensor(logits)
-    trace.predict_ids = predict
+    trace.predict_ids = np.array(predict)
     assert TR.cg_loss(trace, (4, 4)).item() == pytest.approx(0.0, abs=1e-12)
     trace.logits = T.Tensor(np.zeros((3, 5)))
     assert TR.cg_loss(trace, (4, 4)).item() == pytest.approx(math.log(5.0), abs=1e-12)
@@ -178,19 +178,19 @@ def make_triplet(vocab, recs):
 
 
 def test_ltd_loss_breakdown_identity_and_lambda_zero():
+    # The batch loss of one triplet is the LTD objective cg1 + cg2 + lambda*div.
     recs = tiny_corpus(4)
     v = C.build_vocab(recs)
     params = M.init_params(toy_config(v), seed=0)
     trip = make_triplet(v, recs)
-    bd, total = TR.ltd_loss(params, trip, lambda_div=0.1)
-    assert bd.total == pytest.approx(bd.cg1 + bd.cg2 + 0.1 * bd.div, abs=1e-12)
-    assert total.item() == pytest.approx(bd.total, abs=1e-12)
-    assert -1.0 <= bd.div <= 1.0
+    losses, total = TR.batch_loss(params, [trip], lambda_div=0.1)
+    cg1, cg2, div = losses.cg1[0], losses.cg2[0], losses.div[0]
+    assert total.item() == pytest.approx(cg1 + cg2 + 0.1 * div, abs=1e-12)
+    assert -1.0 <= div <= 1.0
 
     T.reset_tape()
-    bd0, total0 = TR.ltd_loss(params, trip, lambda_div=0.0)
-    assert bd0.total == bd0.cg1 + bd0.cg2  # exact
-    assert total0.item() == bd0.total
+    losses0, total0 = TR.batch_loss(params, [trip], lambda_div=0.0)
+    assert total0.item() == losses0.cg1[0] + losses0.cg2[0]  # exact
 
 
 def test_ltd_loss_gradient_subset_vs_fd():
@@ -200,7 +200,7 @@ def test_ltd_loss_gradient_subset_vs_fd():
     params = M.init_params(cfg, seed=1)
     trip = make_triplet(v, recs)
     T.reset_tape()
-    _, total = TR.ltd_loss(params, trip, lambda_div=0.1)
+    _, total = TR.batch_loss(params, [trip], lambda_div=0.1)
     T.backward(total)
     rng = np.random.default_rng(2)
     for name in ("tok_emb", "enc0.self.wq", "dec1.cross.wv", "dec0.ffn.w1",
@@ -216,7 +216,7 @@ def test_ltd_loss_gradient_subset_vs_fd():
             def probe(value):
                 tensor.data[idx] = value
                 with T.no_grad():
-                    _, tot = TR.ltd_loss(params, trip, lambda_div=0.1)
+                    _, tot = TR.batch_loss(params, [trip], lambda_div=0.1)
                 return tot.item()
 
             fd = (probe(orig + h) - probe(orig - h)) / (2 * h)
@@ -343,13 +343,20 @@ def test_packed_step_with_pads_in_contexts_and_targets_matches_reference():
 
 
 def test_batch_loss_one_triplet_is_ltd_loss():
+    # One triplet's packed loss is the per-example LTD loss of its two
+    # branches over one shared encoding: cg1 + cg2 + lambda*div.
     recs, v, params = packed_setup()
     trip = TR.build_triplets(recs, v, seed=0)[0]
     losses, total = TR.batch_loss(params, [trip], 0.1)
-    bd, ltd_total = TR.ltd_loss(params, trip, 0.1)
-    assert (bd.cg1, bd.cg2, bd.div) == (losses.cg1[0], losses.cg2[0], losses.div[0])
-    assert ltd_total.item() == total.item()
     assert losses.n_branches == 2 and losses.single_cg.size == 0
+    enc = M.encode(params, trip.context_ids)
+    t1 = M.decode_teacher_forced(params, enc, trip.q1_ids)
+    t2 = M.decode_teacher_forced(params, enc, trip.q2_ids)
+    want = [TR.cg_loss(t1, trip.q1_ids).item(), TR.cg_loss(t2, trip.q2_ids).item(),
+            TR.div_loss(t1, t2).item()]
+    got = [losses.cg1[0], losses.cg2[0], losses.div[0]]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert total.item() == pytest.approx(want[0] + want[1] + 0.1 * want[2], abs=1e-12)
 
 
 def test_fused_sublayers_equal_the_separate_ops_on_a_packed_batch(monkeypatch):
