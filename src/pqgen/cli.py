@@ -4,8 +4,10 @@ Config precedence is flags > --config file > built-in defaults; the effective
 config is echoed at startup (suppress with PQGEN_VERBOSE=0) and can be saved
 back out with --save-config for bit-identical re-runs.
 
-Exit codes: 0 success, 1 usage or bad configuration, 2 data/schema problems,
-3 numeric failures (non-finite loss, stuck decoding).
+Exit codes follow the error's class: 0 success, 1 usage or bad configuration
+(`ConfigError`), 2 data, schema or IO problems (any other `ValueError`, or an
+`OSError`), 3 numeric failures (a `FloatingPointError` such as a non-finite
+loss or model output, or a `DecodingStuckError`).
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import sys
 
 from .corpus import (
     CorpusSchemaError,
-    DataSplitError,
     Vocab,
     build_vocab,
     iter_jsonl,
@@ -29,28 +30,9 @@ from .corpus import (
 )
 from .decoding import DecodingStuckError, GenerationConfig, generate_split
 from .fileio import atomic_write
-from .metrics import (
-    MetricInputError,
-    cluster_curve_csv,
-    evaluate,
-    format_report_table,
-    report_to_json,
-)
-from .model import (
-    CheckpointError,
-    ConfigError,
-    ModelConfig,
-    ModelParams,
-    SequenceLengthError,
-    load_checkpoint,
-    save_checkpoint,
-)
-from .tensor import DegenerateVectorError, EmptyPoolError
-from .training import NumericError, TrainConfig, train
-
-
-class _UsageError(Exception):
-    pass
+from .metrics import cluster_curve_csv, evaluate, format_report_table, report_to_json
+from .model import ConfigError, ModelConfig, ModelParams, load_checkpoint, save_checkpoint
+from .training import TrainConfig, train
 
 
 class _Parser(argparse.ArgumentParser):
@@ -157,14 +139,14 @@ def _config_value(key: str, value, convert, default, choices=None):
     if value is None and default is None:
         return None
     if value is None or isinstance(value, (bool, list, dict)):
-        raise _UsageError(f"config key {key!r}: expected a number or a string, "
+        raise ConfigError(f"config key {key!r}: expected a number or a string, "
                           f"got {json.dumps(value)}")
     try:
         parsed = convert(str(value))
     except (ValueError, argparse.ArgumentTypeError) as e:
-        raise _UsageError(f"config key {key!r}: invalid value {value!r}: {e}")
+        raise ConfigError(f"config key {key!r}: invalid value {value!r}: {e}")
     if choices is not None and parsed not in choices:
-        raise _UsageError(f"config key {key!r}: {parsed!r} is not one of {list(choices)}")
+        raise ConfigError(f"config key {key!r}: {parsed!r} is not one of {list(choices)}")
     return parsed
 
 
@@ -177,16 +159,16 @@ def _resolve(ns: argparse.Namespace, options) -> dict:
             with open(ns.config) as f:
                 data = json.load(f)
         except OSError as e:
-            raise _UsageError(f"cannot read config file: {e}")
+            raise ConfigError(f"cannot read config file: {e}")
         except ValueError as e:
-            raise _UsageError(f"config file {ns.config} is not valid JSON: {e}")
+            raise ConfigError(f"config file {ns.config} is not valid JSON: {e}")
         except RecursionError:
-            raise _UsageError(f"config file {ns.config} is not valid JSON: nested too deeply")
+            raise ConfigError(f"config file {ns.config} is not valid JSON: nested too deeply")
         if not isinstance(data, dict):
-            raise _UsageError(f"config file {ns.config} must hold a JSON object")
+            raise ConfigError(f"config file {ns.config} must hold a JSON object")
         unknown = sorted(set(data) - set(effective))
         if unknown:
-            raise _UsageError(f"unknown config keys in {ns.config}: {unknown}")
+            raise ConfigError(f"unknown config keys in {ns.config}: {unknown}")
         for key, _, convert, default, *choices in options:
             if key in data:
                 effective[key] = _config_value(key, data[key], convert, default, *choices)
@@ -206,7 +188,7 @@ def _require(effective: dict, *keys: str) -> None:
     missing = [k for k in keys if effective[k] is None]
     if missing:
         flags = ", ".join("--" + k.replace("_", "-") for k in missing)
-        raise _UsageError(f"missing required options: {flags}")
+        raise ConfigError(f"missing required options: {flags}")
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +199,7 @@ def cmd_synth(ns: argparse.Namespace) -> int:
     eff = _resolve(ns, SYNTH_OPTIONS)
     _require(eff, "out")
     if eff["questions_min"] > eff["questions_max"]:
-        raise _UsageError("--questions-min cannot exceed --questions-max")
+        raise ConfigError("--questions-min cannot exceed --questions-max")
     records = synth_corpus(
         seed=eff["seed"], n_products=eff["products"],
         questions_range=(eff["questions_min"], eff["questions_max"]),
@@ -233,18 +215,15 @@ def cmd_train(ns: argparse.Namespace) -> int:
     records = load_jsonl(eff["corpus"])
     corpus_split = split(records, seed=eff["split_seed"])
     vocab = build_vocab(corpus_split.train, min_count=eff["min_count"])
-    try:
-        model_config = ModelConfig(
-            vocab_size=len(vocab), d_model=eff["d_model"],
-            n_heads=eff["n_heads"], n_enc_layers=eff["enc_layers"],
-            n_dec_layers=eff["dec_layers"], d_ff=eff["d_ff"],
-            max_len=eff["max_len"])
-        train_config = TrainConfig(
-            lambda_div=eff["lambda_div"], learning_rate=eff["lr"],
-            batch_size=eff["batch_size"], epochs=eff["epochs"],
-            seed=eff["seed"], max_pairs_per_product=eff["max_pairs"])
-    except (ConfigError, ValueError) as e:
-        raise _UsageError(str(e))
+    model_config = ModelConfig(
+        vocab_size=len(vocab), d_model=eff["d_model"],
+        n_heads=eff["n_heads"], n_enc_layers=eff["enc_layers"],
+        n_dec_layers=eff["dec_layers"], d_ff=eff["d_ff"],
+        max_len=eff["max_len"])
+    train_config = TrainConfig(
+        lambda_div=eff["lambda_div"], learning_rate=eff["lr"],
+        batch_size=eff["batch_size"], epochs=eff["epochs"],
+        seed=eff["seed"], max_pairs_per_product=eff["max_pairs"])
     log_path = eff["log"] if eff["log"] is not None else eff["out"] + ".log.jsonl"
     result = train(corpus_split, vocab, model_config, train_config,
                    mode=eff["mode"], log_path=log_path)
@@ -271,15 +250,12 @@ def cmd_generate(ns: argparse.Namespace) -> int:
     records = load_jsonl(eff["corpus"])
     corpus_split = split(records, seed=eff["split_seed"])
     chosen = getattr(corpus_split, eff["corpus_split"])
-    try:
-        config = GenerationConfig(
-            num_groups=eff["groups"], beams_per_group=eff["beams"],
-            diversity_penalty=eff["diversity_penalty"],
-            length_penalty=eff["length_penalty"],
-            no_repeat_ngram=eff["no_repeat"], max_new_tokens=eff["max_new"],
-            questions_per_product=eff["questions"])
-    except ValueError as e:
-        raise _UsageError(str(e))
+    config = GenerationConfig(
+        num_groups=eff["groups"], beams_per_group=eff["beams"],
+        diversity_penalty=eff["diversity_penalty"],
+        length_penalty=eff["length_penalty"],
+        no_repeat_ngram=eff["no_repeat"], max_new_tokens=eff["max_new"],
+        questions_per_product=eff["questions"])
     results = generate_split(params, vocab, chosen, config)
     with atomic_write(eff["out"]) as f:
         # The output path is not decoding config; leaving it out keeps reruns
@@ -361,18 +337,13 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         return ns.func(ns)
-    except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (NumericError, DecodingStuckError, FloatingPointError) as e:
-        print(f"numeric failure: {e}", file=sys.stderr)
-        return 3
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (CorpusSchemaError, DataSplitError, CheckpointError,
-            SequenceLengthError, EmptyPoolError, DegenerateVectorError,
-            MetricInputError, OSError, ValueError) as e:
+    except (FloatingPointError, DecodingStuckError) as e:
+        print(f"numeric failure: {e}", file=sys.stderr)
+        return 3
+    except (OSError, ValueError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
 

@@ -19,17 +19,13 @@ import numpy as np
 
 from .corpus import ProductRecord, Vocab, detokenize
 from .model import (ConfigError, DecoderState, ModelParams, NonFiniteOutputError,
-                    SequenceLengthError, check_length, encode, start_decoding)
+                    check_length, encode, start_decoding)
 from .model import decode_step as _model_decode_step
 from . import tensor as T
 
 
 class DecodingStuckError(RuntimeError):
     """Every vocabulary token is banned at some decoding step."""
-
-
-class NonFiniteLogProbError(FloatingPointError):
-    """A decoder step gave a NaN or +inf log-probability."""
 
 
 @dataclass(frozen=True)
@@ -44,13 +40,13 @@ class GenerationConfig:
 
     def __post_init__(self):
         if self.num_groups < 1 or self.beams_per_group < 1:
-            raise ValueError(f"need num_groups >= 1 and beams_per_group >= 1: {self}")
+            raise ConfigError(f"need num_groups >= 1 and beams_per_group >= 1: {self}")
         if not (math.isfinite(self.diversity_penalty) and math.isfinite(self.length_penalty)):
-            raise ValueError(f"penalties must be finite: {self}")
+            raise ConfigError(f"penalties must be finite: {self}")
         if self.diversity_penalty < 0 or self.no_repeat_ngram < 0:
-            raise ValueError(f"penalties must be nonnegative: {self}")
+            raise ConfigError(f"penalties must be nonnegative: {self}")
         if self.max_new_tokens < 1 or self.questions_per_product < 1:
-            raise ValueError(f"invalid generation budget: {self}")
+            raise ConfigError(f"invalid generation budget: {self}")
 
 
 @dataclass(frozen=True)
@@ -143,7 +139,7 @@ def _search(params: ModelParams, contexts: Sequence[Sequence[int]], cfg: Generat
             at = f"product {names[p]}: " if names else ""
             if first[row] == -np.inf:
                 raise DecodingStuckError(f"{at}all {mcfg.vocab_size} tokens banned after {prefix}")
-            raise NonFiniteLogProbError(f"{at}log-prob {first[row]} at step {t} after {prefix}")
+            raise NonFiniteOutputError(f"{at}log-prob {first[row]} at step {t} after {prefix}")
         top, top_lp = top.tolist(), top_lp.tolist()
         parents: dict[tuple[int, tuple[int, ...]], int] = {}
         for p, groups in enumerate(products):
@@ -241,12 +237,8 @@ def generate_split(params: ModelParams, vocab: Vocab, records: Sequence[ProductR
     _check_generation(params, config)
     contexts = []
     for rec in records:
-        ids = vocab.encode_text(rec.context)
-        try:
-            check_length(params.config, len(ids), "context")
-        except SequenceLengthError as e:
-            raise SequenceLengthError(f"product {rec.product_id}: {e}") from None
-        contexts.append(ids)
+        contexts.append(vocab.encode_text(rec.context))
+        check_length(params.config, len(contexts[-1]), f"product {rec.product_id}: context")
     return [result for start in range(0, len(contexts), CHUNK)
             for result in _generate(params, vocab, contexts[start:start + CHUNK], config,
                                     [rec.product_id for rec in records[start:start + CHUNK]])]

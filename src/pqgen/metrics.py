@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -389,18 +390,6 @@ class MetricsReport:
     degenerate_products: list[tuple[str, str]] = field(default_factory=list)
 
 
-def _memoized(fn):
-    """`fn` with a cache of its results by argument that lives only as long as
-    the returned function."""
-    cache: dict = {}
-
-    def cached(*args):
-        if args not in cache:
-            cache[args] = fn(*args)
-        return cache[args]
-    return cached
-
-
 def evaluate(generations: Sequence[dict], gold: Sequence[ProductRecord],
              params: ModelParams, vocab: Vocab) -> MetricsReport:
     """Score generation records ({product_id, questions, ...}) against gold
@@ -418,11 +407,11 @@ def evaluate(generations: Sequence[dict], gold: Sequence[ProductRecord],
     # templates, so within this call each distinct string is tokenized and
     # counted once, each distinct (top-1, reference) pair METEOR-scored once and
     # each distinct top-3 Pairwise-BLEU-scored once.
-    tok = _memoized(tokenize)
-    count = _memoized(lambda q: _all_counts(tok(q)))
-    meteor = _memoized(lambda hyp, ref: meteor_lite(tok(hyp), tok(ref)))
-    pairwise = _memoized(lambda *top3: _pairwise_bleu([count(q) for q in top3],
-                                                      [len(tok(q)) for q in top3]))
+    tok = cache(tokenize)
+    count = cache(lambda q: _all_counts(tok(q)))
+    meteor = cache(lambda hyp, ref: meteor_lite(tok(hyp), tok(ref)))
+    pairwise = cache(lambda *top3: _pairwise_bleu([count(q) for q in top3],
+                                                  [len(tok(q)) for q in top3]))
     degenerate: list[tuple[str, str]] = []
     bleus, avg3s, meteors, pws = [], [], [], []
     top1_tokens: list[list[str]] = []

@@ -40,8 +40,8 @@ class CheckpointError(ValueError):
 
 
 class NonFiniteOutputError(FloatingPointError):
-    """A model output that inference goes on to use holds NaN or inf: finite
-    parameters whose arithmetic overflowed."""
+    """A loss, gradient norm, log-probability or other model output holds NaN
+    or inf: finite parameters or a learning rate whose arithmetic overflowed."""
 
 
 @dataclass(frozen=True)
@@ -309,6 +309,9 @@ def decode_teacher_forced(params: ModelParams, enc: EncoderOutput,
     input [BOS, y_1..y_m] predicts [y_1..y_m, EOS], so len(target)+1 rows
     count against max_len. Pad ids in the target are left out of
     target_mask; BOS/EOS may not appear in it."""
+    if len(enc.lengths) != 1:
+        raise ValueError(f"decode_teacher_forced needs the encoding of one context, "
+                         f"got {len(enc.lengths)}")
     return _decode(params, enc, [[0]], [_decoder_input(params.config, target_ids)])
 
 

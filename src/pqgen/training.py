@@ -21,7 +21,8 @@ from .fileio import atomic_write
 from .corpus import ProductRecord, SplitCorpus, Vocab
 # encode, decode_teacher_forced, cg_loss and div_loss are the per-example reference the
 # packed step is tested against; perfbench's traced run wraps them by name in this module.
-from .model import (ModelConfig, ModelParams, PackedTrace, decode_packed,  # noqa: F401
+from .model import (ConfigError, ModelConfig, ModelParams,  # noqa: F401
+                    NonFiniteOutputError, PackedTrace, check_length, decode_packed,
                     decode_teacher_forced, encode, init_params)
 from .tensor import Tensor
 
@@ -33,10 +34,6 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 # Bound on the global gradient norm of an optimiser step.
 CLIP_NORM = 1.0
-
-
-class NumericError(ArithmeticError):
-    """A loss or gradient became non-finite."""
 
 
 @dataclass(frozen=True)
@@ -62,13 +59,13 @@ class TrainConfig:
 
     def __post_init__(self):
         if not (math.isfinite(self.lambda_div) and math.isfinite(self.learning_rate)):
-            raise ValueError(f"lambda_div and learning_rate must be finite: {self}")
+            raise ConfigError(f"lambda_div and learning_rate must be finite: {self}")
         if self.lambda_div < 0:
-            raise ValueError(f"lambda_div must be >= 0, got {self.lambda_div}")
+            raise ConfigError(f"lambda_div must be >= 0, got {self.lambda_div}")
         if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 1:
-            raise ValueError(f"invalid training configuration: {self}")
+            raise ConfigError(f"invalid training configuration: {self}")
         if self.max_pairs_per_product < 1:
-            raise ValueError("max_pairs_per_product must be >= 1")
+            raise ConfigError("max_pairs_per_product must be >= 1")
 
 
 @dataclass
@@ -273,19 +270,40 @@ def _product_items(records: Sequence[ProductRecord], vocab: Vocab, mode: str,
     return items
 
 
+def _check_items(cfg: ModelConfig, per_product: Sequence[list]) -> None:
+    """Refuse, naming its product, a context or question that does not fit
+    the model: every item of a product shares its context."""
+    for items in per_product:
+        first = items[0]
+        pid, ctx = ((first.product_id, first.context_ids) if isinstance(first, Triplet)
+                    else first[:2])
+        check_length(cfg, len(ctx), f"product {pid}: context")
+        longest = max(len(q) for item in items
+                      for q in ((item.q1_ids, item.q2_ids) if isinstance(item, Triplet)
+                                else item[2:]))
+        # The decoder reads the question after BOS.
+        check_length(cfg, longest + 1, f"product {pid}: question plus BOS")
+
+
+@np.errstate(all="ignore")
 def train(split: SplitCorpus, vocab: Vocab, model_config: ModelConfig,
           train_config: TrainConfig, mode: str = "ltd",
           log_path=None) -> TrainResult:
     """Run one fine-tuning regime; retains the parameters of the epoch with
-    the lowest validation mean CG loss. Deterministic given the seed."""
+    the lowest validation mean CG loss. Deterministic given the seed.
+    Every train and validation item is checked against max_len before the
+    first step. Overflow warns nothing: a loss or gradient norm that is not
+    finite is a named error."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if not split.train or not split.validation:
         raise C.DataSplitError("train and validation splits must be non-empty")
+    per_product = _product_items(split.train, vocab, mode, train_config)
+    _check_items(model_config, per_product + _product_items(
+        split.validation, vocab, "traditional", train_config))
     lam = train_config.lambda_div
     params = init_params(model_config, train_config.seed)
     state = AdamState(params)
-    per_product = _product_items(split.train, vocab, mode, train_config)
 
     rows: list[dict] = []
     best_val = math.inf
@@ -305,12 +323,13 @@ def train(split: SplitCorpus, vocab: Vocab, model_config: ModelConfig,
             objective = T.scale(total, 1.0 / losses.n_branches)
             value = objective.item()
             if not math.isfinite(value):
-                raise NumericError(f"non-finite loss {value} at step {step + 1}")
+                raise NonFiniteOutputError(f"non-finite loss {value} at step {step + 1}")
             T.backward(objective)
             grad = params.grad_vector()
             grad_norm = clip_gradients(grad)
             if not math.isfinite(grad_norm):
-                raise NumericError(f"non-finite gradient norm {grad_norm} at step {step + 1}")
+                raise NonFiniteOutputError(
+                    f"non-finite gradient norm {grad_norm} at step {step + 1}")
             adam_step(params, grad, state, train_config.learning_rate)
             step += 1
             if losses.cg1.size:
@@ -332,7 +351,7 @@ def train(split: SplitCorpus, vocab: Vocab, model_config: ModelConfig,
         T.reset_tape()
         final_val = mean_cg(params, split.validation, vocab, train_config.batch_size)
         if not math.isfinite(final_val):
-            raise NumericError(f"non-finite validation loss {final_val}")
+            raise NonFiniteOutputError(f"non-finite validation loss {final_val}")
         rows.append({"kind": "epoch", "epoch": epoch, "val_cg": final_val})
         if final_val < best_val:
             best_val = final_val

@@ -5,6 +5,7 @@ generation files)."""
 import dataclasses
 import json
 import math
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -13,10 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pqgen import cli
+from pqgen import cli, training
 from pqgen.cli import main
 from pqgen.corpus import load_jsonl, save_jsonl, split, tokenize
-from pqgen.model import MAGIC, ModelParams, load_checkpoint, save_checkpoint
+from pqgen.model import MAGIC, ConfigError, ModelParams, load_checkpoint, save_checkpoint
 
 from .test_model import with_header
 
@@ -203,14 +204,14 @@ def test_config_value_resolves_as_its_flag_parses(row, value):
     command, (key, flag, _, default, *_) = row
     parser = cli.build_parser()
     if value is None:
-        want = None if default is None else cli._UsageError
+        want = None if default is None else ConfigError
     elif isinstance(value, bool):
-        want = cli._UsageError
+        want = ConfigError
     else:
         try:
             want = getattr(parser.parse_args([command, f"{flag}={value}"]), key)
         except SystemExit:
-            want = cli._UsageError
+            want = ConfigError
     with tempfile.TemporaryDirectory() as tmp:
         conf = Path(tmp) / "conf.json"
         conf.write_text(json.dumps({key: value}))
@@ -218,11 +219,11 @@ def test_config_value_resolves_as_its_flag_parses(row, value):
         ns.save_config = None
         try:
             got = cli._resolve(ns, next(o for c, _, o, _ in cli._COMMANDS if c == command))
-        except cli._UsageError as e:
-            assert want is cli._UsageError, f"refused {value!r} for {key}: {e}"
+        except ConfigError as e:
+            assert want is ConfigError, f"refused {value!r} for {key}: {e}"
             assert repr(key) in str(e)
             return
-    assert want is not cli._UsageError, f"accepted {value!r} for {key}"
+    assert want is not ConfigError, f"accepted {value!r} for {key}"
     assert _same(got[key], want)
 
 
@@ -296,6 +297,39 @@ def test_train_bad_model_dims_exit_1(tmp_path, capsys):
                      "--out", str(tmp_path / "m.ckpt"),
                      "--d-model", "7", "--n-heads", "2")
     assert code == 1
+
+
+# Any numpy overflow warning fails the test: the named error is all of stderr.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_train_overflowing_learning_rate_exits_3_with_one_line(tmp_path, capsys):
+    corpus = make_corpus(capsys, tmp_path / "c.jsonl")
+    ckpt = tmp_path / "m.ckpt"
+    code, _, err = run(capsys, "train", "--corpus", str(corpus), "--out", str(ckpt),
+                       *TINY_MODEL, "--epochs", "1", "--batch-size", "4", "--lr", "1e300")
+    assert code == 3
+    assert re.fullmatch(r"numeric failure: non-finite (loss|gradient norm) \S+ at step \d+\n",
+                        err), err
+    assert list(tmp_path.iterdir()) == [corpus]
+
+
+def test_train_long_validation_context_exits_2_naming_it_before_any_step(
+        tmp_path, capsys, monkeypatch):
+    records = load_jsonl(make_corpus(capsys, tmp_path / "c.jsonl"))
+    bad = split(records, seed=0).validation[0]
+    context = " ".join([bad.context] * 3)
+    corpus = tmp_path / "long.jsonl"
+    save_jsonl([dataclasses.replace(r, context=context) if r is bad else r for r in records],
+               corpus)
+    steps = []
+    monkeypatch.setattr(training, "adam_step", lambda *args: steps.append(args))
+    ckpt = tmp_path / "m.ckpt"
+    code, _, err = run(capsys, "train", "--corpus", str(corpus), "--out", str(ckpt),
+                       *TINY_MODEL, "--epochs", "1", "--batch-size", "4")
+    assert code == 2
+    assert err == (f"data error: product {bad.product_id}: context length "
+                   f"{len(tokenize(context))} exceeds max_len 32\n")
+    assert steps == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "long.jsonl"]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from pqgen.decoding import (
     Candidate,
     DecodingStuckError,
     GenerationConfig,
-    NonFiniteLogProbError,
     beam_search,
     diverse_beam_search,
     generate_questions,
@@ -538,7 +537,8 @@ def test_non_finite_log_prob_raises_naming_the_step(monkeypatch, value):
     c = cfg(num_groups=2, beams_per_group=1, max_new_tokens=2)
     monkeypatch.setattr(decoding, "decode_step",
                         fake_step([[NI, NI, -1.0, -2.0, -0.5], [NI, NI, -1.0, value, -2.0]]))
-    with pytest.raises(NonFiniteLogProbError, match=rf"^log-prob {value} at step 1 after \(4,\)$"):
+    with pytest.raises(M.NonFiniteOutputError,
+                       match=rf"^log-prob {value} at step 1 after \(4,\)$"):
         diverse_beam_search(params, [4], c)
     # A banned token is never chosen, so its log-prob does not matter: PAD
     # always, and 4 after (4,) under a unigram ban.

@@ -157,6 +157,18 @@ def test_decode_teacher_forced_rejects_bos_eos_and_empty(params):
         M.decode_teacher_forced(params, enc, [])
 
 
+def test_decode_teacher_forced_refuses_an_encoding_of_several_contexts(params):
+    enc = M.encode(params, [5, 6], [7, 8, 9])
+    with pytest.raises(ValueError, match="^decode_teacher_forced needs the encoding of "
+                                         "one context, got 2$") as exc:
+        M.decode_teacher_forced(params, enc, [7, 8])
+    assert not isinstance(exc.value, T.ShapeError)
+    # Each context encoded alone still decodes.
+    for context in ([5, 6], [7, 8, 9]):
+        trace = M.decode_teacher_forced(params, M.encode(params, context), [7, 8])
+        assert trace.logits.data.shape == (3, 12)
+
+
 def test_decode_step_consistency_every_prefix(params):
     # The cached step fed the target one token at a time sees, at each
     # position, the distribution of that row of the teacher-forced pass; so

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -592,11 +594,32 @@ def test_non_finite_gradient_fails_at_its_step_before_adam(monkeypatch):
     monkeypatch.setattr(TR, "init_params", recorded_init)
     monkeypatch.setattr(T, "backward", backward_with_inf)
     monkeypatch.setattr(TR, "adam_step", recorded_adam)
-    with pytest.raises(TR.NumericError, match="gradient norm inf at step 2"):
+    with pytest.raises(M.NonFiniteOutputError, match="gradient norm inf at step 2"):
         TR.train(fixed_split(recs), v, toy_config(v),
                  TR.TrainConfig(batch_size=4, epochs=1, seed=7), mode="ltd")
     assert len(after_adam) == 1
     assert np.array_equal(made[0].vector, after_adam[0])
+
+
+@pytest.mark.parametrize("mode", TR.MODES)
+@pytest.mark.parametrize("where, change, message", [
+    ("validation", dict(context=""), "context is empty"),
+    ("train", dict(questions=("what is it ?", "is " * 32)),
+     "question plus BOS length 33 exceeds max_len 32"),
+])
+def test_train_names_a_record_that_does_not_fit_before_any_step(monkeypatch, mode, where,
+                                                                change, message):
+    split = fixed_split(tiny_corpus(12))
+    records = list(getattr(split, where))
+    bad = records[-1] = dataclasses.replace(records[-1], **change)
+    split = dataclasses.replace(split, **{where: tuple(records)})
+    v = C.build_vocab(split.train)
+    steps = []
+    monkeypatch.setattr(TR, "adam_step", lambda *args: steps.append(args))
+    with pytest.raises(M.SequenceLengthError,
+                       match=f"^product {bad.product_id}: {re.escape(message)}$"):
+        TR.train(split, v, toy_config(v), TR.TrainConfig(batch_size=4, epochs=1), mode=mode)
+    assert steps == []
 
 
 # ---------------------------------------------------------------------------
