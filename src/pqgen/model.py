@@ -119,8 +119,11 @@ class ModelParams:
         manifest = list(_param_manifest(config))
         sizes = [math.prod(shape) for _, shape in manifest]
         self.config = config
-        self.vector = np.zeros(sum(sizes)) if vector is None else vector
-        self._grad = np.zeros_like(self.vector)
+        try:
+            self.vector = np.zeros(sum(sizes)) if vector is None else vector
+            self._grad = np.zeros_like(self.vector)
+        except (MemoryError, ValueError) as e:  # ValueError: past numpy's size limit
+            raise ConfigError(f"cannot allocate a model of {sum(sizes)} parameters: {e}") from None
         cuts = np.cumsum(sizes)[:-1]
         self._tensors = {name: Tensor(piece.reshape(shape), requires_grad=True,
                                       grad=gpiece.reshape(shape))

@@ -2,9 +2,10 @@
 
 Every operation validates shapes eagerly, computes forward with numpy, and
 records a closure on a global tape. `backward` replays the tape once in
-reverse, accumulating into `.grad` (repeated calls keep accumulating). A
-tensor made with a `grad` buffer keeps it: `backward` adds into it in place
-and `zero_grad` fills it with zeros.
+reverse and adds each leaf's gradient into its `.grad` buffer in place
+(repeated calls keep accumulating); op outputs get no `.grad`. A leaf
+without a buffer gets one on its first backward, and `zero_grad` fills
+every buffer with zeros.
 """
 
 from __future__ import annotations
@@ -34,17 +35,16 @@ class Tensor:
     arrays their forward saw. A model's parameter `data` is a view of one
     parameter vector that the optimizer updates in place, so it is mutated
     only after `backward` and before the next `reset_tape`, when no recorded
-    closure will run again. Its `grad` is likewise a fixed view of one
-    gradient vector (`fixed_grad`).
+    closure will run again. Its `grad` is likewise a view of one gradient
+    vector.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "fixed_grad")
+    __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False, grad: np.ndarray | None = None):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = grad
-        self.fixed_grad = grad is not None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -108,11 +108,11 @@ def _emit(inputs: tuple[Tensor, ...], out_data: np.ndarray, bwd) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Reverse sweep from a scalar loss; visits each recorded op exactly once.
 
-    Gradients accumulate (+=) into `.grad` of every requires_grad tensor
-    reachable from `loss`, including intermediates. Calling backward twice on
-    the same tape doubles the gradients. A leaf's gradient is added in place
-    into its `fixed_grad` buffer; everywhere else `.grad` is rebound, since an
-    op's backward may hand one array to several inputs.
+    Each requires_grad leaf reachable from `loss` (a tensor no recorded op
+    produced) has its gradient added (+=) in place into its `.grad` buffer,
+    so calling backward twice on the same tape doubles the gradients. A leaf
+    without a buffer gets a copy of its first gradient, since an op's
+    backward may hand one array to several inputs. Op outputs keep no `.grad`.
     """
     if loss.data.shape != ():
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -121,7 +121,6 @@ def backward(loss: Tensor) -> None:
         g = flowing.pop(out, None)
         if g is None:
             continue
-        out.grad = g if out.grad is None else out.grad + g
         for inp, gi in zip(inputs, bwd(g)):
             if gi is None or not inp.requires_grad:
                 continue
@@ -129,19 +128,17 @@ def backward(loss: Tensor) -> None:
             flowing[inp] = gi if prev is None else prev + gi
     # Whatever never appeared as an op output is a leaf.
     for leaf, g in flowing.items():
-        if leaf.fixed_grad:
+        if leaf.grad is not None:
             np.add(leaf.grad, g, out=leaf.grad)
         elif leaf.requires_grad:
-            leaf.grad = g if leaf.grad is None else leaf.grad + g
+            leaf.grad = np.array(g, dtype=np.float64)
 
 
 def zero_grad(tensors: Iterable[Tensor]) -> None:
-    """Fill fixed gradient buffers with zeros; drop every other `.grad`."""
+    """Fill every gradient buffer with zeros."""
     for t in tensors:
-        if t.fixed_grad:
+        if t.grad is not None:
             t.grad.fill(0.0)
-        else:
-            t.grad = None
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

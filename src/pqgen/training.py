@@ -77,26 +77,32 @@ class TrainResult:
     final_val_cg: float
 
 
+def _encode_record(rec: ProductRecord, vocab: Vocab):
+    """A record's context ids and the ids of each of its questions."""
+    return (tuple(vocab.encode_text(rec.context)),
+            [tuple(vocab.encode_text(q)) for q in rec.questions])
+
+
+def _triplets(product_id: str, ctx: tuple[int, ...], qs: Sequence[tuple[int, ...]],
+              max_pairs: int, seed: int, idx: int) -> list[Triplet]:
+    """All unordered distinct-question pairs of record `idx`, shuffled by
+    `default_rng([seed, idx])` and capped at max_pairs."""
+    pairs = [(qs[i], qs[j]) for i in range(len(qs)) for j in range(i + 1, len(qs))
+             if qs[i] != qs[j]]
+    order = np.random.default_rng([seed, idx]).permutation(len(pairs))[:max_pairs]
+    return [Triplet(product_id, ctx, *pairs[k]) for k in order]
+
+
 def build_triplets(records: Sequence[ProductRecord], vocab: Vocab,
-                   max_pairs_per_product: int = 10, seed: int = 0) -> list[Triplet]:
-    """All unordered distinct-question pairs per product, deterministically
-    shuffled and capped; single-question products contribute nothing here."""
+                   max_pairs_per_product: int = TrainConfig.max_pairs_per_product,
+                   seed: int = TrainConfig.seed) -> list[Triplet]:
+    """Every product's triplets in record order; single-question products
+    contribute nothing here."""
     if not records:
         raise C.CorpusSchemaError("cannot build triplets from an empty corpus")
-    triplets: list[Triplet] = []
-    for idx, rec in enumerate(records):
-        ctx = tuple(vocab.encode_text(rec.context))
-        qs = [tuple(vocab.encode_text(q)) for q in rec.questions]
-        pairs = [(qs[i], qs[j]) for i in range(len(qs)) for j in range(i + 1, len(qs))
-                 if qs[i] != qs[j]]
-        if not pairs:
-            continue
-        rng = np.random.default_rng([seed, idx])
-        order = rng.permutation(len(pairs))[:max_pairs_per_product]
-        for k in order:
-            q1, q2 = pairs[k]
-            triplets.append(Triplet(rec.product_id, ctx, q1, q2))
-    return triplets
+    return [t for idx, rec in enumerate(records)
+            for t in _triplets(rec.product_id, *_encode_record(rec, vocab),
+                               max_pairs_per_product, seed, idx)]
 
 
 def cg_loss(trace: PackedTrace, target_ids: Sequence[int], pad_id: int = C.PAD) -> Tensor:
@@ -154,15 +160,9 @@ def batch_loss(params: ModelParams, items: Sequence,
     total = T.tsum(cg)
     div = np.zeros(0)
     if firsts:
-        if lambda_div == 0.0:
-            # Keep the regularizer off the graph so the optimization path is
-            # identical to twin CG training.
-            with T.no_grad():
-                div = _packed_div(trace, firsts, seconds).data
-        else:
-            div_t = _packed_div(trace, firsts, seconds)
-            total = T.add(total, T.scale(T.tsum(div_t), lambda_div))
-            div = div_t.data
+        div_t = _packed_div(trace, firsts, seconds)
+        total = T.add(total, T.scale(T.tsum(div_t), lambda_div))
+        div = div_t.data
     losses = BatchLosses(cg1=cg.data[firsts], cg2=cg.data[seconds], div=div,
                          single_cg=cg.data[singles], n_branches=len(examples))
     return losses, total
@@ -232,57 +232,41 @@ def clip_gradients(grad: np.ndarray) -> float:
 
 
 def mean_cg(params: ModelParams, records: Sequence[ProductRecord], vocab: Vocab,
-            batch_size: int = 8) -> float:
+            batch_size: int = TrainConfig.batch_size) -> float:
     """Mean token-mean cross entropy over every (context, question) pair,
     from packed forwards over at most batch_size products each."""
     if not records:
         raise C.DataSplitError("cannot evaluate CG loss on an empty record list")
+    per_product = _product_items(records, vocab, params.config)
     losses = []
     with T.no_grad():
-        for start in range(0, len(records), batch_size):
-            items = [(rec.product_id, tuple(vocab.encode_text(rec.context)),
-                      tuple(vocab.encode_text(q)))
-                     for rec in records[start:start + batch_size] for q in rec.questions]
+        for start in range(0, len(per_product), batch_size):
+            items = [item for p in per_product[start:start + batch_size] for item in p]
             losses.extend(batch_loss(params, items, 0.0)[0].single_cg.tolist())
     return math.fsum(losses) / len(losses)
 
 
-def _product_items(records: Sequence[ProductRecord], vocab: Vocab, mode: str,
-                   cfg: TrainConfig) -> list[list]:
-    """Per-product training items. An item is either a Triplet or a
-    (product_id, context_ids, q_ids) single."""
+def _product_items(records: Sequence[ProductRecord], vocab: Vocab, model_config: ModelConfig,
+                   mode: str = "traditional", cfg: TrainConfig = TrainConfig()) -> list[list]:
+    """Per-product training items, tokenizing each record once. An item is
+    either a Triplet or a (product_id, context_ids, q_ids) single. Every
+    context and question must fit the model; the error names its product."""
     items: list[list] = []
-    by_pid = {}
-    if mode == "ltd":
-        for t in build_triplets(records, vocab, cfg.max_pairs_per_product, cfg.seed):
-            by_pid.setdefault(t.product_id, []).append(t)
-    for rec in records:
-        ctx = tuple(vocab.encode_text(rec.context))
+    for idx, rec in enumerate(records):
+        ctx, qs = _encode_record(rec, vocab)
+        what = f"product {rec.product_id}:"
+        check_length(model_config, len(ctx), f"{what} context")
+        for q in qs:
+            # The decoder reads the question after BOS.
+            check_length(model_config, len(q) + 1, f"{what} question plus BOS")
         if mode == "traditional":
-            items.append([(rec.product_id, ctx, tuple(vocab.encode_text(q)))
-                          for q in rec.questions])
+            items.append([(rec.product_id, ctx, q) for q in qs])
         else:
-            got = by_pid.get(rec.product_id)
-            if got is None:
-                # Single-question product: one CG branch, no pair regularizer.
-                got = [(rec.product_id, ctx, tuple(vocab.encode_text(rec.questions[0])))]
-            items.append(got)
+            # A product without a distinct question pair trains one CG
+            # branch and no pair regularizer.
+            items.append(_triplets(rec.product_id, ctx, qs, cfg.max_pairs_per_product,
+                                   cfg.seed, idx) or [(rec.product_id, ctx, qs[0])])
     return items
-
-
-def _check_items(cfg: ModelConfig, per_product: Sequence[list]) -> None:
-    """Refuse, naming its product, a context or question that does not fit
-    the model: every item of a product shares its context."""
-    for items in per_product:
-        first = items[0]
-        pid, ctx = ((first.product_id, first.context_ids) if isinstance(first, Triplet)
-                    else first[:2])
-        check_length(cfg, len(ctx), f"product {pid}: context")
-        longest = max(len(q) for item in items
-                      for q in ((item.q1_ids, item.q2_ids) if isinstance(item, Triplet)
-                                else item[2:]))
-        # The decoder reads the question after BOS.
-        check_length(cfg, longest + 1, f"product {pid}: question plus BOS")
 
 
 @np.errstate(all="ignore")
@@ -291,16 +275,15 @@ def train(split: SplitCorpus, vocab: Vocab, model_config: ModelConfig,
           log_path=None) -> TrainResult:
     """Run one fine-tuning regime; retains the parameters of the epoch with
     the lowest validation mean CG loss. Deterministic given the seed.
-    Every train and validation item is checked against max_len before the
-    first step. Overflow warns nothing: a loss or gradient norm that is not
-    finite is a named error."""
+    Every train and validation record is checked against max_len before
+    the first step. Overflow warns nothing: a loss or gradient norm that
+    is not finite is a named error."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if not split.train or not split.validation:
         raise C.DataSplitError("train and validation splits must be non-empty")
-    per_product = _product_items(split.train, vocab, mode, train_config)
-    _check_items(model_config, per_product + _product_items(
-        split.validation, vocab, "traditional", train_config))
+    per_product = _product_items(split.train, vocab, model_config, mode, train_config)
+    _product_items(split.validation, vocab, model_config)
     lam = train_config.lambda_div
     params = init_params(model_config, train_config.seed)
     state = AdamState(params)
@@ -332,21 +315,16 @@ def train(split: SplitCorpus, vocab: Vocab, model_config: ModelConfig,
                     f"non-finite gradient norm {grad_norm} at step {step + 1}")
             adam_step(params, grad, state, train_config.learning_rate)
             step += 1
+            row = {"kind": "step", "step": step, "epoch": epoch}
             if losses.cg1.size:
-                cg1_mean = math.fsum(losses.cg1) / losses.cg1.size
-                cg2_mean = math.fsum(losses.cg2) / losses.cg2.size
-                div_mean = math.fsum(losses.div) / losses.div.size
-                row = {"kind": "step", "step": step, "epoch": epoch,
-                       "cg1": cg1_mean, "cg2": cg2_mean, "div": div_mean,
-                       "total": cg1_mean + cg2_mean + lam * div_mean,
-                       "objective": value}
+                cg1 = math.fsum(losses.cg1) / losses.cg1.size
+                cg2 = math.fsum(losses.cg2) / losses.cg2.size
+                div = math.fsum(losses.div) / losses.div.size
+                row.update(cg1=cg1, cg2=cg2, div=div, total=cg1 + cg2 + lam * div)
             else:
-                cg_mean = math.fsum(losses.single_cg) / losses.single_cg.size
-                row = {"kind": "step", "step": step, "epoch": epoch,
-                       "cg1": cg_mean, "cg2": None, "div": None,
-                       "total": cg_mean, "objective": value}
-            row["grad_norm"] = grad_norm
-            row["clipped"] = grad_norm > CLIP_NORM
+                cg = math.fsum(losses.single_cg) / losses.single_cg.size
+                row.update(cg1=cg, cg2=None, div=None, total=cg)
+            row.update(objective=value, grad_norm=grad_norm, clipped=grad_norm > CLIP_NORM)
             rows.append(row)
         T.reset_tape()
         final_val = mean_cg(params, split.validation, vocab, train_config.batch_size)

@@ -312,6 +312,16 @@ def test_train_overflowing_learning_rate_exits_3_with_one_line(tmp_path, capsys)
     assert list(tmp_path.iterdir()) == [corpus]
 
 
+def test_train_model_too_large_to_allocate_exits_1_with_one_line(tmp_path, capsys):
+    corpus = make_corpus(capsys, tmp_path / "c.jsonl")
+    code, _, err = run(capsys, "train", "--corpus", str(corpus), "--out",
+                       str(tmp_path / "m.ckpt"), *TINY_MODEL, "--max-len", str(10 ** 17),
+                       "--epochs", "1", "--batch-size", "4")
+    assert code == 1
+    assert re.fullmatch(r"error: cannot allocate a model of \d+ parameters: [^\n]*\n", err), err
+    assert list(tmp_path.iterdir()) == [corpus]
+
+
 def test_train_long_validation_context_exits_2_naming_it_before_any_step(
         tmp_path, capsys, monkeypatch):
     records = load_jsonl(make_corpus(capsys, tmp_path / "c.jsonl"))

@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 
 import numpy as np
@@ -50,6 +51,17 @@ def test_parameter_count_pure_function_of_config():
     a = M.init_params(toy_config(), seed=1)
     b = M.init_params(toy_config(), seed=99)
     assert a.n_parameters == b.n_parameters
+
+
+# 8e17 parameters (5.55 EiB) is past any 64-bit address space, so the
+# allocation fails at once without touching memory; 8e18 is past numpy's
+# own size limit.
+@pytest.mark.parametrize("max_len", [10 ** 17, 10 ** 18])
+def test_a_model_too_large_to_allocate_is_a_config_error(max_len):
+    cfg = toy_config(max_len=max_len)
+    n = sum(math.prod(shape) for _, shape in M._param_manifest(cfg))
+    with pytest.raises(M.ConfigError, match=f"^cannot allocate a model of {n} parameters: "):
+        M.init_params(cfg, seed=0)
 
 
 @pytest.mark.parametrize("d_model,n_heads", [(8, 1), (8, 2), (16, 2)])

@@ -381,13 +381,22 @@ def test_repeated_backward_accumulates():
     np.testing.assert_allclose(x.grad, 2.0 * first, atol=1e-12)
 
 
-def test_intermediates_receive_grad():
+def test_unbuffered_leaves_get_their_own_gradient_copy():
+    a, b = leaf(np.ones(3)), leaf(np.ones(3))
+    loss = T.tsum(T.add(a, b))  # add hands one gradient array to both inputs
+    T.backward(loss)
+    assert a.grad is not b.grad
+    T.backward(loss)
+    np.testing.assert_array_equal(a.grad, [2.0, 2.0, 2.0])
+    np.testing.assert_array_equal(b.grad, [2.0, 2.0, 2.0])
+
+
+def test_op_outputs_keep_no_grad():
     x = leaf([1.0, 2.0])
     y = x * x
-    loss = y.sum()
-    T.backward(loss)
-    assert y.grad is not None
-    np.testing.assert_allclose(y.grad, [1.0, 1.0], atol=1e-12)
+    T.backward(y.sum())
+    assert y.grad is None
+    np.testing.assert_allclose(x.grad, [2.0, 4.0], atol=1e-12)
 
 
 def test_no_grad_records_nothing():
@@ -459,8 +468,9 @@ def test_fixed_grad_buffer_is_added_into_in_place():
     np.testing.assert_array_equal(buf, [2.0, 2.0, 2.0])
     np.testing.assert_array_equal(b.grad, [2.0, 2.0, 2.0])
     T.zero_grad([a, b])
-    assert a.grad is buf and b.grad is None
+    assert a.grad is buf
     np.testing.assert_array_equal(buf, np.zeros(3))
+    np.testing.assert_array_equal(b.grad, np.zeros(3))
 
 
 # ---------------------------------------------------------------------------

@@ -622,6 +622,46 @@ def test_train_names_a_record_that_does_not_fit_before_any_step(monkeypatch, mod
     assert steps == []
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_train_checks_every_question_not_only_the_sampled_pairs(monkeypatch, seed):
+    # One pair per product: under seeds 1 and 4 no sampled pair of p00000
+    # uses its third, 41-token question.
+    records = list(tiny_corpus(12))
+    first = records[0]
+    records[0] = dataclasses.replace(first, questions=first.questions + ("is " * 40 + "?",))
+    split = fixed_split(records)
+    v = C.build_vocab(split.train)
+    steps = []
+    monkeypatch.setattr(TR, "adam_step", lambda *args: steps.append(args))
+    with pytest.raises(M.SequenceLengthError, match=f"^product {first.product_id}: "
+                       "question plus BOS length 42 exceeds max_len 32$"):
+        TR.train(split, v, toy_config(v),
+                 TR.TrainConfig(batch_size=4, epochs=1, seed=seed, max_pairs_per_product=1),
+                 mode="ltd")
+    assert steps == []
+
+
+def test_mean_cg_names_the_product_that_does_not_fit():
+    records = list(tiny_corpus(4))
+    bad = records[1] = dataclasses.replace(records[1], context="red " * 40)
+    v = C.build_vocab(records)
+    params = M.init_params(toy_config(v), seed=0)
+    with pytest.raises(M.SequenceLengthError,
+                       match=f"^product {bad.product_id}: context length 40 exceeds max_len 32$"):
+        TR.mean_cg(params, records, v)
+
+
+def test_ltd_product_items_hold_build_triplets_in_order():
+    records = C.synth_corpus(0, 60)
+    v = C.build_vocab(records)
+    cfg = TR.TrainConfig(max_pairs_per_product=3, seed=4)
+    per_product = TR._product_items(records, v, toy_config(v), "ltd", cfg)
+    assert len(per_product) == len(records)
+    inside = [item for items in per_product for item in items if isinstance(item, TR.Triplet)]
+    assert inside == TR.build_triplets(records, v, cfg.max_pairs_per_product, cfg.seed)
+    assert len(inside) > len(records)
+
+
 # ---------------------------------------------------------------------------
 # train()
 
