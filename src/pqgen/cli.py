@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 from .corpus import (
     CorpusSchemaError,
@@ -30,7 +31,7 @@ from .corpus import (
 )
 from .decoding import DecodingStuckError, GenerationConfig, generate_split
 from .fileio import atomic_write
-from .metrics import cluster_curve_csv, evaluate, format_report_table, report_to_json
+from .metrics import cluster_curve_csv, evaluate, format_report_table
 from .model import ConfigError, ModelConfig, ModelParams, load_checkpoint, save_checkpoint
 from .training import TrainConfig, train
 
@@ -297,7 +298,7 @@ def cmd_evaluate(ns: argparse.Namespace) -> int:
     with atomic_write(prefix + ".txt") as f:
         f.write(table)
     with atomic_write(prefix + ".json") as f:
-        json.dump(report_to_json(report), f, indent=2, sort_keys=True)
+        json.dump(asdict(report), f, indent=2, sort_keys=True)
         f.write("\n")
     with atomic_write(prefix + ".csv") as f:
         f.write(cluster_curve_csv(report))

@@ -47,6 +47,15 @@ class GenerationConfig:
             raise ConfigError(f"penalties must be nonnegative: {self}")
         if self.max_new_tokens < 1 or self.questions_per_product < 1:
             raise ConfigError(f"invalid generation budget: {self}")
+        # Ranking divides by len ** length_penalty for lengths up to
+        # max_new_tokens; the divisor must be a finite nonzero float.
+        try:
+            divisor = float(self.max_new_tokens) ** self.length_penalty
+        except OverflowError:
+            divisor = math.inf
+        if not 0.0 < divisor < math.inf:
+            raise ConfigError(f"length_penalty {self.length_penalty}: max_new_tokens ** "
+                              f"length_penalty is {divisor}, not a finite nonzero divisor")
 
 
 @dataclass(frozen=True)
@@ -257,7 +266,7 @@ def _generate(params: ModelParams, vocab: Vocab, contexts: Sequence[Sequence[int
               config: GenerationConfig, names: Sequence[str] = ()) -> list[GenerationResult]:
     eos = params.config.eos_id
     results = []
-    for groups in _search(params, contexts, config, config.num_groups, names):
+    for p, groups in enumerate(_search(params, contexts, config, config.num_groups, names)):
         seen: set[tuple[int, ...]] = set()
         pool: list[Candidate] = []
         for group in groups:
@@ -268,10 +277,15 @@ def _generate(params: ModelParams, vocab: Vocab, contexts: Sequence[Sequence[int
         pool.sort(key=lambda c: (-ranked_score(c, config.length_penalty),
                                  _tie_key(c.token_ids)))
         top = pool[:config.questions_per_product]
+        scores = [ranked_score(c, config.length_penalty) for c in top]
+        bad = [s for s in scores if not math.isfinite(s)]
+        if bad:
+            at = f"product {names[p]}: " if names else ""
+            raise NonFiniteOutputError(f"{at}length-penalized score {bad[0]} is not finite")
         results.append(GenerationResult(
             questions=[detokenize(vocab.decode([t for t in c.token_ids if t != eos]))
                        for c in top],
-            scores=[ranked_score(c, config.length_penalty) for c in top],
+            scores=scores,
             token_ids=[c.token_ids for c in top],
             shortage=len(top) < config.questions_per_product))
     return results

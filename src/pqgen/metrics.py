@@ -285,7 +285,7 @@ class EmbeddingMatrix:
 @np.errstate(all="ignore")
 def embed_questions(params: ModelParams, question_ids: Sequence[Sequence[int]],
                     names: Sequence[str] = ()) -> EmbeddingMatrix:
-    """Encoder output mean-pooled over the (unpadded) question tokens; this
+    """Encoder output mean-pooled over the question tokens; this
     stands in for an external sentence encoder, which is out of scope.
     Overflow prints no numpy warning: an embedding that is not finite is an
     error naming its question, from `names` or else by its ids."""
@@ -493,20 +493,6 @@ def format_report_table(report: MetricsReport) -> str:
         for pid, reason in report.degenerate_products:
             lines.append(f"  {pid}: {reason}")
     return "\n".join(lines) + "\n"
-
-
-def report_to_json(report: MetricsReport) -> dict:
-    return {
-        "n_products": report.n_products,
-        "bleu_top1": report.bleu_top1,
-        "avg_bleu_top3": report.avg_bleu_top3,
-        "meteor_top1": report.meteor_top1,
-        "pairwise_bleu": report.pairwise_bleu,
-        "distinct_n": {str(k): v for k, v in report.distinct_n.items()},
-        "e_div": report.e_div,
-        "cluster_curve": [[t, c] for t, c in report.cluster_curve],
-        "degenerate_products": [[pid, why] for pid, why in report.degenerate_products],
-    }
 
 
 def cluster_curve_csv(report: MetricsReport) -> str:

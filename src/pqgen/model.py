@@ -172,7 +172,6 @@ class EncoderOutput:
     """The encoder rows of one or more contexts, stacked in context order."""
     h_e: Tensor                      # [sum(lengths), d_model]
     lengths: list[int]               # rows of each context
-    key_mask: np.ndarray             # bool [sum(lengths)]; False at pad positions
 
 
 def check_length(cfg: ModelConfig, n: int, what: str) -> None:
@@ -186,8 +185,8 @@ def check_length(cfg: ModelConfig, n: int, what: str) -> None:
 def _decoder_input(cfg: ModelConfig, target_ids: Sequence[int]) -> tuple[int, ...]:
     """The BOS-prefixed teacher-forcing input of a validated target."""
     tgt = tuple(int(i) for i in target_ids)
-    if any(t in (cfg.bos_id, cfg.eos_id) for t in tgt):
-        raise ValueError(f"target must not contain BOS/EOS ids: {tgt}")
+    if any(t in (cfg.pad_id, cfg.bos_id, cfg.eos_id) for t in tgt):
+        raise ValueError(f"target must not contain PAD/BOS/EOS ids: {tgt}")
     check_length(cfg, len(tgt), "target")
     input_ids = (cfg.bos_id,) + tgt
     check_length(cfg, len(input_ids), "decoder input")
@@ -251,20 +250,19 @@ def _decoder_stack(params: ModelParams, h_e: Tensor, input_ids: Sequence[int], p
 
 def encode(params: ModelParams, *contexts: Sequence[int]) -> EncoderOutput:
     """Encode contexts in one stacked pass: each context attends only to its
-    own rows, and pad positions are masked out of attention keys."""
+    own rows. Inputs are packed, never padded, so no context may hold PAD."""
     cfg = params.config
     if not contexts:
         raise ValueError("encode needs at least one context")
     for context_ids in contexts:
         check_length(cfg, len(context_ids), "context")
-        if all(int(i) == cfg.pad_id for i in context_ids):
-            raise T.EmptyPoolError("context consists only of pad tokens")
     lengths = [len(context_ids) for context_ids in contexts]
     ids = [int(i) for context_ids in contexts for i in context_ids]
-    key_mask = np.array(ids) != cfg.pad_id
+    if cfg.pad_id in ids:
+        raise ValueError(f"context must not contain the PAD id {cfg.pad_id}")
     h_e = _encoder_stack(params, ids, np.concatenate([np.arange(n) for n in lengths]),
-                         T.AttentionLayout(lengths, lengths, key_ok=key_mask))
-    return EncoderOutput(h_e=h_e, lengths=lengths, key_mask=key_mask)
+                         T.AttentionLayout(lengths, lengths))
+    return EncoderOutput(h_e=h_e, lengths=lengths)
 
 
 @dataclass
@@ -277,7 +275,7 @@ class PackedTrace:
     layer_states: list[Tensor]       # L_dec entries, each [rows, d_model]
     logits: Tensor                   # [rows, vocab_size]
     branch_of_row: np.ndarray        # int [rows]
-    target_mask: np.ndarray          # bool [rows]; False at BOS and pad rows
+    target_mask: np.ndarray          # bool [rows]; False at BOS rows
     predict_ids: np.ndarray          # int [rows]; shifted targets, EOS closing each
 
 
@@ -285,20 +283,19 @@ def _decode(params: ModelParams, enc: EncoderOutput, branches_of: Sequence[Seque
             inputs: Sequence[tuple[int, ...]]) -> PackedTrace:
     """One teacher-forced decoder pass over the BOS-prefixed `inputs`, where
     branches_of[c] lists the inputs that attend to context c of `enc`."""
-    cfg = params.config
     order = [b for group in branches_of for b in group]
     dec_lens = np.array([len(inputs[b]) for b in order])
     dec_ids = np.array([i for b in order for i in inputs[b]], dtype=np.int64)
     rows_per_context = [sum(len(inputs[b]) for b in group) for group in branches_of]
     layer_states, h = _decoder_stack(
         params, enc.h_e, dec_ids, np.concatenate([np.arange(n) for n in dec_lens]),
-        T.AttentionLayout(dec_lens, dec_lens, causal=True, key_ok=dec_ids != cfg.pad_id),
-        T.AttentionLayout(rows_per_context, enc.lengths, key_ok=enc.key_mask))
+        T.AttentionLayout(dec_lens, dec_lens, causal=True),
+        T.AttentionLayout(rows_per_context, enc.lengths))
     ends = np.cumsum(dec_lens)
     # Row r predicts the input token of row r + 1; each branch's last row, EOS.
     predict = np.roll(dec_ids, -1)
-    predict[ends - 1] = cfg.eos_id
-    target_mask = dec_ids != cfg.pad_id
+    predict[ends - 1] = params.config.eos_id
+    target_mask = np.ones(len(dec_ids), dtype=bool)
     target_mask[ends - dec_lens] = False  # BOS rows
     return PackedTrace(layer_states=layer_states,
                        logits=T.matmul(h, params["cg_head.w"]),
@@ -310,8 +307,7 @@ def decode_teacher_forced(params: ModelParams, enc: EncoderOutput,
                           target_ids: Sequence[int]) -> PackedTrace:
     """`decode_packed` of one target against the one context `enc` holds:
     input [BOS, y_1..y_m] predicts [y_1..y_m, EOS], so len(target)+1 rows
-    count against max_len. Pad ids in the target are left out of
-    target_mask; BOS/EOS may not appear in it."""
+    count against max_len. PAD, BOS and EOS may not appear in the target."""
     if len(enc.lengths) != 1:
         raise ValueError(f"decode_teacher_forced needs the encoding of one context, "
                          f"got {len(enc.lengths)}")
@@ -340,7 +336,7 @@ class DecoderState:
     of that product, and the self-attention keys and values of the t inputs
     fed so far. Row b is a beam of product `product[b]`."""
     cross_kv: tuple[tuple[np.ndarray, np.ndarray], ...]   # per layer, [P, H, n, dh] each
-    cross_bias: np.ndarray | None                         # [P, 1, 1, n]: -inf at pad keys, else 0
+    cross_bias: np.ndarray | None                         # [P, 1, 1, n]: -inf past a context's end
     self_kv: tuple[tuple[np.ndarray, np.ndarray], ...]    # per layer, [B, t, d_model] each
     product: np.ndarray                                   # int [B]
 
@@ -366,12 +362,12 @@ def start_decoding(params: ModelParams, enc: EncoderOutput) -> DecoderState:
     input (BOS at position 0). Shorter contexts are padded with masked keys."""
     cfg = params.config
     slots = np.arange(max(enc.lengths)) < np.array(enc.lengths)[:, None]   # [P, n]
-    h_e, key_ok = T.to_blocks(enc.h_e.data, slots), T.to_blocks(enc.key_mask, slots)
+    h_e = T.to_blocks(enc.h_e.data, slots)
     cross_kv = tuple(
         (_heads(h_e @ params[f"dec{i}.cross.wk"].data, cfg.n_heads),
          _heads(h_e @ params[f"dec{i}.cross.wv"].data, cfg.n_heads))
         for i in range(cfg.n_dec_layers))
-    cross_bias = None if key_ok.all() else np.where(key_ok, 0.0, -np.inf)[:, None, None]
+    cross_bias = None if slots.all() else np.where(slots, 0.0, -np.inf)[:, None, None]
     empty = np.zeros((len(slots), 0, cfg.d_model))
     return DecoderState(cross_kv, cross_bias, ((empty, empty),) * cfg.n_dec_layers,
                         np.arange(len(slots)))
@@ -424,17 +420,12 @@ def decode_step(params: ModelParams, state: DecoderState,
 
 def sequence_log_likelihood(params: ModelParams, context_ids: Sequence[int],
                             question_ids: Sequence[int]) -> float:
-    """Sum of log p(y_t | y_<t, c) over non-pad target positions, EOS included."""
-    cfg = params.config
+    """Sum of log p(y_t | y_<t, c) over the target positions, EOS included."""
     with T.no_grad():
         trace = decode_teacher_forced(params, encode(params, context_ids), question_ids)
         logits = trace.logits.data
     lse = T.logsumexp(logits)
-    total = 0.0
-    for row, tok in enumerate(trace.predict_ids):
-        if tok != cfg.pad_id:
-            total += logits[row, tok] - lse[row]
-    return float(total)
+    return float(sum(logits[np.arange(len(lse)), trace.predict_ids] - lse))
 
 
 # ---------------------------------------------------------------------------

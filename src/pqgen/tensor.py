@@ -325,14 +325,12 @@ class AttentionLayout:
     Segment s pairs the next q_lens[s] query rows with the next k_lens[s] key
     rows: the segments tile both row blocks in order, and no row sees a row of
     another segment. `causal` hides later keys (self-attention, so q_lens must
-    equal k_lens); `key_ok`, one flag per key row, hides keys marked False
-    (pad tokens). Build one per forward pass and share it across layers.
+    equal k_lens). Build one per forward pass and share it across layers.
     """
 
     __slots__ = ("n_q", "n_k", "q_slots", "k_slots", "bias")
 
-    def __init__(self, q_lens: Sequence[int], k_lens: Sequence[int], causal: bool = False,
-                 key_ok: Sequence[bool] | np.ndarray | None = None):
+    def __init__(self, q_lens: Sequence[int], k_lens: Sequence[int], causal: bool = False):
         q_lens = [int(n) for n in q_lens]
         k_lens = [int(n) for n in k_lens]
         if not q_lens or len(q_lens) != len(k_lens) or min(q_lens + k_lens) < 1:
@@ -342,17 +340,12 @@ class AttentionLayout:
             raise ShapeError("causal attention needs equal query and key segments")
         self.n_q, self.n_k = sum(q_lens), sum(k_lens)
         lq, lk = max(q_lens), max(k_lens)
-        if key_ok is not None:
-            key_ok = np.asarray(key_ok, dtype=bool)
-            if key_ok.shape != (self.n_k,):
-                raise ShapeError(f"key_ok has shape {key_ok.shape}, want ({self.n_k},)")
         # Slot masks of the zero-padded [segments, L] blocks.
         self.q_slots = np.arange(lq) < np.array(q_lens)[:, None]
         self.k_slots = np.arange(lk) < np.array(k_lens)[:, None]
-        visible = self.k_slots if key_ok is None else to_blocks(key_ok, self.k_slots)
         # Pad query slots see every key: their rows are dropped, and this
         # keeps them free of all -inf rows.
-        hidden = ~visible[:, None, :] & self.q_slots[:, :, None]
+        hidden = ~self.k_slots[:, None, :] & self.q_slots[:, :, None]
         if causal:
             hidden |= ~np.tri(lq, lk, dtype=bool)
         self.bias = (np.where(hidden, -np.inf, 0.0)[:, None]          # [S, 1, Lq, Lk]
@@ -586,12 +579,11 @@ def _segment_counts(segment_ids: np.ndarray, n_segments: int, what: str) -> np.n
 
 
 def cross_entropy_segments(logits: Tensor, targets: Sequence[int], segment_ids: Sequence[int],
-                           n_segments: int, pad_id: int) -> Tensor:
+                           n_segments: int) -> Tensor:
     """Per-segment token-mean negative log-likelihood, as an [n_segments] vector.
 
     Row t of logits [T, V] predicts targets[t] and belongs to segment
-    segment_ids[t]; rows whose target is pad_id are left out of their
-    segment's mean, as in `cross_entropy`.
+    segment_ids[t].
     """
     if logits.data.ndim != 2:
         raise ShapeError(f"cross_entropy_segments logits must be 2-D, got {logits.shape}")
@@ -605,19 +597,18 @@ def cross_entropy_segments(logits: Tensor, targets: Sequence[int], segment_ids: 
         raise IndexError(f"cross_entropy target id out of range [0, {vocab}): {tgt.tolist()}")
     if seg.size and (seg.min() < 0 or seg.max() >= n_segments):
         raise IndexError(f"segment id out of range [0, {n_segments}): {seg.tolist()}")
-    keep = tgt != pad_id
-    counts = _segment_counts(seg[keep], n_segments, "cross_entropy_segments")
+    counts = _segment_counts(seg, n_segments, "cross_entropy_segments")
     lse = logsumexp(logits.data)
     rows = np.arange(tgt.size)
     nll = lse - logits.data[rows, tgt]
-    loss = np.bincount(seg[keep], weights=nll[keep], minlength=n_segments) / counts
+    loss = np.bincount(seg, weights=nll, minlength=n_segments) / counts
 
     def bwd(g):
         # [T, V] blocks are the largest arrays of a packed step: work in place.
         gx = logits.data - lse[:, None]
         np.exp(gx, out=gx)  # softmax rows
         gx[rows, tgt] -= 1.0
-        gx *= np.where(keep, (g / counts)[seg], 0.0)[:, None]
+        gx *= (g / counts)[seg][:, None]
         return (gx,)
 
     return _emit((logits,), loss, bwd)

@@ -105,11 +105,12 @@ def build_triplets(records: Sequence[ProductRecord], vocab: Vocab,
                                max_pairs_per_product, seed, idx)]
 
 
-def cg_loss(trace: PackedTrace, target_ids: Sequence[int], pad_id: int = C.PAD) -> Tensor:
+def cg_loss(trace: PackedTrace, target_ids: Sequence[int]) -> Tensor:
     """Token-mean cross entropy of a one-branch trace against its shifted target."""
     if tuple(int(i) for i in target_ids) != tuple(int(i) for i in trace.predict_ids[:-1]):
         raise ValueError("cg_loss target does not match the trace's target")
-    return T.cross_entropy(trace.logits, trace.predict_ids, pad_id=pad_id)
+    return T.tsum(T.cross_entropy_segments(trace.logits, trace.predict_ids,
+                                           trace.branch_of_row, 1))
 
 
 def div_loss(trace1: PackedTrace, trace2: PackedTrace) -> Tensor:
@@ -156,7 +157,7 @@ def batch_loss(params: ModelParams, items: Sequence,
             examples.append((ctx, q_ids))
     trace = decode_packed(params, examples)
     cg = T.cross_entropy_segments(trace.logits, trace.predict_ids, trace.branch_of_row,
-                                  len(examples), params.config.pad_id)
+                                  len(examples))
     total = T.tsum(cg)
     div = np.zeros(0)
     if firsts:

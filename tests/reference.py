@@ -68,8 +68,7 @@ def decode_step(params: M.ModelParams, enc: M.EncoderOutput,
     with T.no_grad():
         _, h = M._decoder_stack(
             params, enc.h_e, prefix, range(n),
-            T.AttentionLayout([n], [n], causal=True, key_ok=[i != cfg.pad_id for i in prefix]),
-            T.AttentionLayout([n], enc.lengths, key_ok=enc.key_mask))
+            T.AttentionLayout([n], [n], causal=True), T.AttentionLayout([n], enc.lengths))
         logits = T.matmul(h, params["cg_head.w"]).data[-1]
     return logits - T.logsumexp(logits)
 

@@ -112,15 +112,13 @@ def test_criterion_1_gradient_fidelity():
             (lambda t: T.cross_entropy(t[0], [2, 5, 0, 3], pad_id=0), [logits]),
         ]
         # The fused sublayer ops: self-attention over one and over several
-        # causal segments with pad keys, cross-attention with two query
-        # segments sharing key segments, and the FFN.
+        # causal segments, whose shorter segments leave padded key slots,
+        # cross-attention with two query segments sharing key segments, and
+        # the FFN.
         w44 = [rng.normal(size=(4, 4)) for _ in range(4)]
-        for q_lens, k_lens, causal, key_ok in (
-                ([5], [5], True, [True, True, False, True, False]),
-                ([3, 2, 4], [3, 2, 4], True, [True, False, True, True, True, True, False,
-                                              True, True]),
-                ([5, 2], [4, 3], False, [True, True, False, True, False, True, True])):
-            layout = T.AttentionLayout(q_lens, k_lens, causal=causal, key_ok=key_ok)
+        for q_lens, k_lens, causal in (([5], [5], True), ([3, 2, 4], [3, 2, 4], True),
+                                       ([5, 2], [4, 3], False)):
+            layout = T.AttentionLayout(q_lens, k_lens, causal=causal)
             out_w = rng.normal(size=(sum(q_lens), 4))
             if causal:
                 cases.append((lambda t, layout=layout: T.tsum(T.mul(T.multi_head_attention(

@@ -484,6 +484,21 @@ def test_generate_config_the_checkpoint_cannot_serve_exits_1(pipeline, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("alpha, divisor", [("2000", "inf"), ("-2000", "0.0")])
+def test_generate_length_penalty_ranking_cannot_divide_by_exits_1(pipeline, tmp_path, capsys,
+                                                                   alpha, divisor):
+    # 12 ** 2000 overflows a float and 12 ** -2000 is 0.0.
+    corpus, ckpt = pipeline
+    out = tmp_path / "g.jsonl"
+    code, _, err = run(capsys, *generate_args(corpus, ckpt, out, f"--length-penalty={alpha}"))
+    assert code == 1
+    assert [line for line in err.splitlines() if line.startswith("error: ")] == [
+        f"error: length_penalty {float(alpha)}: max_new_tokens ** length_penalty is "
+        f"{divisor}, not a finite nonzero divisor"]
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def overflowing(pipeline, tmp_path_factory):
     """The pipeline checkpoint with every parameter times 1e160: finite, so it

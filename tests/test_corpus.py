@@ -22,6 +22,23 @@ def test_tokenize_round_trip(s):
     assert C.tokenize(C.detokenize(toks)) == toks
 
 
+# Text that spells the reserved tokens, alone, cased or run together with
+# other characters.
+RESERVED_SPELLING_TEXT = st.lists(
+    st.one_of(st.sampled_from(C.RESERVED_TOKENS + ("<PAD>", "<Bos>", "<", ">", " ", "_")),
+              st.text(max_size=12)), max_size=8).map("".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(RESERVED_SPELLING_TEXT, min_size=1, max_size=4), RESERVED_SPELLING_TEXT)
+def test_no_text_encodes_to_pad_bos_or_eos(texts, unseen):
+    # The model refuses PAD inputs and the decoder reserves BOS and EOS: no
+    # text, seen when the vocabulary was built or not, may yield them.
+    vocab = C.build_vocab([C.ProductRecord("p", texts[0], tuple(texts[1:]))])
+    for text in texts + [unseen]:
+        assert not {C.PAD, C.BOS, C.EOS} & set(vocab.encode_text(text))
+
+
 def test_tokenizer_idempotent_on_detokenized_text():
     for rec in C.synth_corpus(0, 5):
         toks = C.tokenize(rec.context)

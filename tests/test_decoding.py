@@ -130,9 +130,9 @@ def test_cached_step_matches_uncached_reference(data):
         d_ff=data.draw(st.integers(1, 6), label="d_ff"),
         max_len=data.draw(st.integers(2, 6), label="max_len"))
     cfg = params.config
-    # Contexts may hold pads (id 0) anywhere, but not only pads.
-    context = data.draw(st.lists(st.integers(0, cfg.vocab_size - 1), min_size=1,
-                                 max_size=cfg.max_len).filter(any), label="context")
+    # Contexts may hold any id but PAD (0).
+    context = data.draw(st.lists(st.integers(1, cfg.vocab_size - 1), min_size=1,
+                                 max_size=cfg.max_len), label="context")
     with T.no_grad():
         enc = encode(params, context)
     state = M.start_decoding(params, enc)
@@ -172,7 +172,7 @@ def test_beam_search_stops_at_max_len():
 def test_searches_on_cached_step_equal_searches_on_uncached_reference(seed):
     params = random_params(seed, vocab_size=10, n_enc_layers=1 + seed % 2,
                            n_dec_layers=2 - seed % 2, max_len=12)
-    context = [[4, 0, 5, 6], [7, 8, 0, 0], [9]][seed % 3]
+    context = [[4, 7, 5, 6], [7, 8, 6, 4], [9]][seed % 3]
     config = cfg(num_groups=3, beams_per_group=2, diversity_penalty=0.7,
                  no_repeat_ngram=2, max_new_tokens=10, questions_per_product=5)
     vocab = Vocab([f"w{i}" for i in range(6)])
@@ -206,8 +206,8 @@ def test_one_loop_search_equals_sequential_groups(data):
         n_dec_layers=data.draw(st.integers(1, 2), label="n_dec_layers"),
         max_len=data.draw(st.integers(2, 8), label="max_len"))
     mcfg = params.config
-    context = data.draw(st.lists(st.integers(0, mcfg.vocab_size - 1), min_size=1,
-                                 max_size=mcfg.max_len).filter(any), label="context")
+    context = data.draw(st.lists(st.integers(1, mcfg.vocab_size - 1), min_size=1,
+                                 max_size=mcfg.max_len), label="context")
     config = cfg(num_groups=num_groups, beams_per_group=beams,
                  diversity_penalty=data.draw(st.sampled_from([0.0, 0.5, 5.0]), label="penalty"),
                  no_repeat_ngram=data.draw(st.integers(0, 3), label="no_repeat_ngram"),
@@ -258,7 +258,7 @@ def recording_seam(enc, calls):
 @pytest.mark.parametrize("seed", range(3))
 def test_every_group_advances_in_one_step_call_per_position(seed):
     params = random_params(seed, vocab_size=10, n_dec_layers=1 + seed % 2, max_len=10)
-    context = [[4, 0, 5, 6], [7, 8, 0, 0], [9]][seed]
+    context = [[4, 7, 5, 6], [7, 8, 6, 4], [9]][seed]
     config = cfg(num_groups=3, beams_per_group=2, diversity_penalty=5.0, no_repeat_ngram=2)
     with T.no_grad():
         enc = encode(params, context)
@@ -584,6 +584,51 @@ def test_non_finite_encoder_rows_are_named_by_their_product():
         generate_questions(params, vocab, [4, 7], cfg())
 
 
+def test_every_search_entry_refuses_a_context_holding_pad():
+    params = tiny_params()
+    vocab = Vocab(["alpha", "beta", "gamma", "delta"])
+    for call in (lambda: generate_questions(params, vocab, [4, 0, 5], cfg()),
+                 lambda: generate_questions(params, vocab, [0], cfg()),
+                 lambda: decoding._generate(params, vocab, [[4, 5], [4, 5, 0]], cfg(),
+                                            ["p0", "p1"]),
+                 lambda: beam_search(params, [0, 4], cfg())):
+        with pytest.raises(ValueError, match="^context must not contain the PAD id 0$"):
+            call()
+
+
+@pytest.mark.parametrize("alpha, max_new", [(2000.0, 16), (2000, 16), (1100.0, 2),
+                                            (-2000.0, 16), (-2000, 16), (-1075.0, 2)])
+def test_generation_config_refuses_a_length_penalty_ranking_cannot_divide_by(alpha, max_new):
+    # Ranking divides by len ** alpha for lengths up to max_new_tokens.
+    with pytest.raises(M.ConfigError, match=rf"^length_penalty {alpha}: max_new_tokens \*\* "
+                                            r"length_penalty is (inf|0\.0), not a finite "
+                                            r"nonzero divisor$"):
+        cfg(length_penalty=alpha, max_new_tokens=max_new)
+    cfg(length_penalty=alpha, max_new_tokens=1)  # 1 ** alpha is 1
+
+
+def test_a_score_that_is_not_finite_is_named_by_its_product(monkeypatch):
+    # 2 ** -1070 is a nonzero subnormal, so the config stands, but a
+    # two-token question's log-prob divided by it overflows to -inf. Product
+    # p0 ranks its one-token question (EOS; 1 ** alpha is 1) first, and that
+    # is all it writes; p1 may not end at its first step.
+    params = tiny_params()
+    vocab = Vocab(["alpha", "beta", "gamma", "delta"])
+    records = [C.ProductRecord(f"p{i}", "alpha beta", ("q",)) for i in range(2)]
+    ends = [NI, NI, -0.1, -3.0, -3.0, -3.0, -3.0, -3.0]
+    tables = [[ends, ends], [[NI, NI, NI, -3.0, -0.5, -3.0, -3.0, -3.0], ends]]
+    monkeypatch.setattr(decoding, "decode_step", fake_product_step(tables))
+    config = cfg(max_new_tokens=2, length_penalty=-1070.0, questions_per_product=1)
+    assert generate_split(params, vocab, records[:1], config)[0].token_ids == [(2,)]
+    with pytest.raises(M.NonFiniteOutputError,
+                       match=r"^product p1: length-penalized score -inf is not finite$"):
+        generate_split(params, vocab, records, config)
+    monkeypatch.setattr(decoding, "decode_step", fake_product_step(tables[1:]))
+    with pytest.raises(M.NonFiniteOutputError,
+                       match=r"^length-penalized score -inf is not finite$"):
+        generate_questions(params, vocab, [4, 5], config)
+
+
 def test_greedy_never_emits_reserved_tokens():
     params = tiny_params()
     out = reference.greedy_decode(params, [6, 7], max_new_tokens=12)
@@ -665,9 +710,7 @@ def test_one_chunk_decodes_every_product_as_it_decodes_alone(trained):
     # generate_split cuts the split into chunks in order, the last one short.
     assert len(test_split) % decoding.CHUNK
     assert_same_results(generate_split(params, vocab, test_split, config), alone)
-    # All 50 in one chunk, one context holding a pad token.
-    contexts[1] = contexts[1][:4] + [params.config.pad_id] + contexts[1][4:]
-    alone[1] = generate_questions(params, vocab, contexts[1], config)
+    # All 50 in one chunk.
     assert_same_results(decoding._generate(params, vocab, contexts, config), alone)
 
 

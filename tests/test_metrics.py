@@ -29,7 +29,6 @@ from pqgen.metrics import (
     format_report_table,
     meteor_lite,
     pairwise_bleu,
-    report_to_json,
 )
 from pqgen.model import ModelConfig, init_params
 
@@ -588,7 +587,7 @@ def test_report_rendering():
                    "Dist-3", "e-Div"]:
         assert header in table
     assert "exact-match variant" in table
-    blob = json.dumps(report_to_json(report))
+    blob = json.dumps(dataclasses.asdict(report))
     parsed = json.loads(blob)
     assert parsed["n_products"] == 2
     assert 0.0 <= parsed["distinct_n"]["1"] <= 1.0

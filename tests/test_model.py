@@ -81,44 +81,62 @@ def test_shape_contracts(d_model, n_heads, layers):
     assert trace.predict_ids.tolist() == [8, 9, cfg.eos_id]
 
 
-def test_encode_pad_invariance(params):
-    ctx = [5, 6, 7, 8]
-    base = M.encode(params, ctx)
-    padded = M.encode(params, ctx + [0, 0, 0])
-    np.testing.assert_allclose(padded.h_e.data[:4], base.h_e.data, atol=1e-10)
-    t1 = M.decode_teacher_forced(params, base, [9, 10])
-    t2 = M.decode_teacher_forced(params, padded, [9, 10])
-    np.testing.assert_allclose(t1.logits.data, t2.logits.data, atol=1e-10)
+PAD_IN_CONTEXT = "^context must not contain the PAD id 0$"
+PAD_IN_TARGET = r"^target must not contain PAD/BOS/EOS ids: "
+
+
+@pytest.mark.parametrize("ctx", [[0], [0, 0, 0], [5, 6, 7, 8, 0, 0, 0], [0, 5, 6], [5, 0, 6]])
+def test_every_model_entry_refuses_pad_in_a_context(params, ctx):
+    # Inputs are packed, never padded: a PAD anywhere in a context is refused
+    # before anything is encoded.
+    with pytest.raises(ValueError, match=PAD_IN_CONTEXT):
+        M.encode(params, ctx)
+    with pytest.raises(ValueError, match=PAD_IN_CONTEXT):
+        M.encode(params, [5, 6], ctx)
+    with pytest.raises(ValueError, match=PAD_IN_CONTEXT):
+        M.decode_packed(params, [((5, 6), (8,)), (tuple(ctx), (8, 9))])
+    with pytest.raises(ValueError, match=PAD_IN_CONTEXT):
+        M.sequence_log_likelihood(params, ctx, [8, 9])
+
+
+@pytest.mark.parametrize("tgt", [[0], [9, 10, 0], [0, 9], [9, 0, 10]])
+def test_every_model_entry_refuses_pad_in_a_target(params, tgt):
+    enc = M.encode(params, [5, 6, 7, 8])
+    with pytest.raises(ValueError, match=PAD_IN_TARGET):
+        M.decode_teacher_forced(params, enc, tgt)
+    with pytest.raises(ValueError, match=PAD_IN_TARGET):
+        M.decode_packed(params, [((5, 6), (8,)), ((5, 6), tuple(tgt))])
+    with pytest.raises(ValueError, match=PAD_IN_TARGET):
+        M.sequence_log_likelihood(params, [5, 6, 7, 8], tgt)
 
 
 def test_encode_stacks_contexts_as_each_alone(params):
-    contexts = [[5, 6, 7, 0], [0, 4, 5, 6, 7, 8], [3, 9]]
+    contexts = [[5, 6, 7, 4], [9, 4, 5, 6, 7, 8], [3, 9]]
     enc = M.encode(params, *contexts)
     assert enc.lengths == [4, 6, 2]
     rows = [slice(0, 4), slice(4, 10), slice(10, 12)]
     alone = [M.encode(params, c) for c in contexts]
     for c, one in enumerate(alone):
         np.testing.assert_allclose(enc.h_e.data[rows[c]], one.h_e.data, rtol=0, atol=1e-12)
-        assert enc.key_mask[rows[c]].tolist() == one.key_mask.tolist()
     # Each context attends only to itself: changing one (at the same length)
     # leaves the rows of the others bit-identical.
-    changed = M.encode(params, contexts[0], [4, 4, 9, 10, 0, 8], contexts[2])
+    changed = M.encode(params, contexts[0], [4, 4, 9, 10, 3, 8], contexts[2])
     assert not np.allclose(changed.h_e.data[rows[1]], enc.h_e.data[rows[1]])
     for c in (0, 2):
         assert np.array_equal(changed.h_e.data[rows[c]], enc.h_e.data[rows[c]])
     # Each product of the stacked start holds the cross keys and values of
-    # its lone start; the keys past its length are masked.
+    # its lone start; the padded key slots past its length are masked.
     state = M.start_decoding(params, enc)
     assert state.product.tolist() == [0, 1, 2]
+    assert state.cross_bias.shape == (3, 1, 1, 6)
     for p, one in enumerate(alone):
         lone = M.start_decoding(params, one)
+        assert lone.cross_bias is None
         n = one.lengths[0]
         for kv, lone_kv in zip(state.cross_kv, lone.cross_kv):
             for got, want in zip(kv, lone_kv):
                 np.testing.assert_allclose(got[p, :, :n], want[0], rtol=0, atol=1e-12)
-        bias = state.cross_bias[p, ..., :n]
-        want_bias = np.zeros_like(bias) if lone.cross_bias is None else lone.cross_bias[0]
-        assert np.array_equal(bias, want_bias)
+        assert (state.cross_bias[p, ..., :n] == 0.0).all()
         assert (state.cross_bias[p, ..., n:] == -np.inf).all()
 
 
@@ -133,7 +151,7 @@ def test_encode_length_and_pad_errors(params):
         M.encode(params, [5] * 17)
     with pytest.raises(M.SequenceLengthError):
         M.encode(params, [])
-    with pytest.raises(T.EmptyPoolError):
+    with pytest.raises(ValueError, match=PAD_IN_CONTEXT):
         M.encode(params, [0, 0])
     with pytest.raises(IndexError):
         M.encode(params, [5, 99])
@@ -326,8 +344,8 @@ def test_checkpoint_non_finite_parameter_raises(tmp_path, params, value):
 
 
 def test_decode_packed_matches_per_example_decode(params):
-    examples = [((5, 6, 7, 0), (8, 9)), ((0, 4, 5, 6, 7, 8), (9, 0, 10)),
-                ((5, 6, 7, 0), (10, 11, 4, 5)), ((3, 9), (6,))]
+    examples = [((5, 6, 7, 4), (8, 9)), ((9, 4, 5, 6, 7, 8), (9, 3, 10)),
+                ((5, 6, 7, 4), (10, 11, 4, 5)), ((3, 9), (6,))]
     packed = M.decode_packed(params, examples)
     for b, (ctx, tgt) in enumerate(examples):
         trace = M.decode_teacher_forced(params, M.encode(params, ctx), tgt)
@@ -343,8 +361,10 @@ def test_decode_packed_matches_per_example_decode(params):
 def test_decode_packed_validates_like_per_example(params):
     with pytest.raises(ValueError):
         M.decode_packed(params, [])
-    with pytest.raises(T.EmptyPoolError):
+    with pytest.raises(ValueError, match=PAD_IN_CONTEXT):
         M.decode_packed(params, [((5,), (6,)), ((0, 0), (6,))])
+    with pytest.raises(ValueError, match=PAD_IN_TARGET):
+        M.decode_packed(params, [((5,), (6,)), ((5,), (6, 0))])
     with pytest.raises(ValueError):
         M.decode_packed(params, [((5,), (6, 2))])
     with pytest.raises(M.SequenceLengthError):

@@ -185,13 +185,10 @@ def per_head_attention(q, k, v, n_heads, bias):
 def test_attention_one_segment_matches_per_head_composition(causal):
     rng = np.random.default_rng(11)
     n, d, heads = 5, 6, 3
-    key_ok = np.array([True, True, False, True, False])
     arrays = [rng.normal(size=(n, d)) for _ in range(3)]
     w = rng.normal(size=(n, d))
-    bias = np.where(key_ok, 0.0, -np.inf)[None, :]
-    if causal:
-        bias = bias + np.where(np.tril(np.ones((n, n), dtype=bool)), 0.0, -np.inf)
-    layout = T.AttentionLayout([n], [n], causal=causal, key_ok=key_ok)
+    bias = np.where(np.tril(np.ones((n, n), dtype=bool)), 0.0, -np.inf) if causal else None
+    layout = T.AttentionLayout([n], [n], causal=causal)
 
     results = []
     for build in (lambda q, k, v: T.attention(q, k, v, heads, layout),
@@ -210,33 +207,35 @@ def test_attention_one_segment_matches_per_head_composition(causal):
 def test_attention_multi_segment_equals_per_segment():
     rng = np.random.default_rng(12)
     lens, d = [3, 1, 4], 4
-    key_ok = np.array([True, False, True, True, True, False, True, True])
     q, k, v = (rng.normal(size=(sum(lens), d)) for _ in range(3))
     out = T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), 2,
-                      T.AttentionLayout(lens, lens, causal=True, key_ok=key_ok)).data
+                      T.AttentionLayout(lens, lens, causal=True)).data
     lo = 0
     for n in lens:
         rows = slice(lo, lo + n)
         alone = T.attention(T.Tensor(q[rows]), T.Tensor(k[rows]), T.Tensor(v[rows]), 2,
-                            T.AttentionLayout([n], [n], causal=True, key_ok=key_ok[rows]))
+                            T.AttentionLayout([n], [n], causal=True))
         np.testing.assert_allclose(out[rows], alone.data, rtol=0, atol=1e-12)
         lo += n
 
 
 def test_attention_self_grad_several_segments_causal_pad_keys():
+    # Segments 0 and 1 leave padded key slots in the [3, 4] block; the
+    # layout hides them.
     lens = [3, 2, 4]
-    key_ok = [True, False, True, True, True, True, False, True, True]
-    layout = T.AttentionLayout(lens, lens, causal=True, key_ok=key_ok)
+    layout = T.AttentionLayout(lens, lens, causal=True)
+    assert (~layout.k_slots).sum() == 3
     check_grads(lambda ts: T.tsum(T.mul(T.attention(ts[0], ts[1], ts[2], 2, layout), ts[3])),
                 [RNG.normal(size=(9, 4)) for _ in range(4)])
 
 
 def test_attention_cross_grad_shared_key_segments_and_pad_keys():
     # Segment 0 holds the rows of two decoder branches (2 + 3 query rows)
-    # that share one 4-row encoder segment; segment 1 holds one branch.
+    # that share one 4-row encoder segment; segment 1 holds one branch, whose
+    # 3 keys leave one padded key slot in the [2, 4] block.
     q_lens, k_lens = [5, 2], [4, 3]
-    key_ok = [True, True, False, True, False, True, True]
-    layout = T.AttentionLayout(q_lens, k_lens, key_ok=key_ok)
+    layout = T.AttentionLayout(q_lens, k_lens)
+    assert (~layout.k_slots).sum() == 1
     check_grads(lambda ts: T.tsum(T.mul(T.attention(ts[0], ts[1], ts[2], 2, layout), ts[3])),
                 [RNG.normal(size=(7, 4)), RNG.normal(size=(7, 4)),
                  RNG.normal(size=(7, 4)), RNG.normal(size=(7, 4))])
@@ -247,8 +246,6 @@ def test_attention_layout_validation():
         T.AttentionLayout([2, 3], [2, 2], causal=True)
     with pytest.raises(T.ShapeError):
         T.AttentionLayout([2, 0], [2, 1])
-    with pytest.raises(T.ShapeError):
-        T.AttentionLayout([2], [2], key_ok=[True])
     x = T.Tensor(np.zeros((3, 4)))
     with pytest.raises(T.ShapeError):
         T.attention(x, x, x, 2, T.AttentionLayout([2], [2]))
@@ -256,13 +253,11 @@ def test_attention_layout_validation():
         T.attention(x, x, x, 3, T.AttentionLayout([3], [3]))
 
 
+# "pad keys": the padded key slots of segments shorter than the longest.
 SUBLAYER_LAYOUTS = {
-    "one segment, causal, pad keys": ([5], [5], True, [True, True, False, True, False]),
-    "several segments, causal, pad keys": ([3, 2, 4], [3, 2, 4], True,
-                                           [True, False, True, True, True, True, False,
-                                            True, True]),
-    "cross, shared key segments, pad keys": ([5, 2], [4, 3], False,
-                                             [True, True, False, True, False, True, True]),
+    "one segment, causal": ([5], [5], True),
+    "several segments, causal, pad keys": ([3, 2, 4], [3, 2, 4], True),
+    "cross, shared key segments, pad keys": ([5, 2], [4, 3], False),
 }
 
 
@@ -279,8 +274,8 @@ def run_sublayer(op, arrays):
 
 @pytest.mark.parametrize("layout_name", sorted(SUBLAYER_LAYOUTS))
 def test_fused_sublayer_ops_equal_the_separate_ops(layout_name):
-    q_lens, k_lens, causal, key_ok = SUBLAYER_LAYOUTS[layout_name]
-    layout = T.AttentionLayout(q_lens, k_lens, causal=causal, key_ok=key_ok)
+    q_lens, k_lens, causal = SUBLAYER_LAYOUTS[layout_name]
+    layout = T.AttentionLayout(q_lens, k_lens, causal=causal)
     rng = np.random.default_rng(13)
     d, d_ff = 4, 6
     x_q, x_kv = rng.normal(size=(sum(q_lens), d)), rng.normal(size=(sum(k_lens), d))
@@ -323,17 +318,18 @@ def test_fused_sublayer_ops_shape_validation():
 
 def test_cross_entropy_segments_matches_per_segment_and_grad():
     logits = RNG.normal(size=(6, 5))
-    targets = [1, 0, 3, 2, 0, 4]  # pad 0 at rows 1 and 4
+    targets = [1, 0, 3, 2, 0, 4]  # id 0 is a target like any other
     seg = [0, 0, 1, 1, 1, 2]
-    got = T.cross_entropy_segments(T.Tensor(logits), targets, seg, 3, pad_id=0).data
+    got = T.cross_entropy_segments(T.Tensor(logits), targets, seg, 3).data
     for s, rows in enumerate(([0, 1], [2, 3, 4], [5])):
-        want = T.cross_entropy(T.Tensor(logits[rows]), [targets[r] for r in rows], pad_id=0)
+        # The reference's pad id -1 names no target, so it averages every row.
+        want = T.cross_entropy(T.Tensor(logits[rows]), [targets[r] for r in rows], pad_id=-1)
         assert got[s] == pytest.approx(want.item(), abs=1e-12)
     check_grads(lambda ts: T.tsum(T.mul(
-        T.cross_entropy_segments(ts[0], targets, seg, 3, pad_id=0), ts[1])),
+        T.cross_entropy_segments(ts[0], targets, seg, 3), ts[1])),
         [logits, RNG.normal(size=3)])
     with pytest.raises(T.EmptyPoolError):
-        T.cross_entropy_segments(T.Tensor(logits), [0, 0, 3, 2, 0, 4], seg, 3, pad_id=0)
+        T.cross_entropy_segments(T.Tensor(logits), targets, [0, 0, 1, 1, 1, 1], 3)
 
 
 def test_mean_pool_segments_matches_per_segment_and_grad():

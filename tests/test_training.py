@@ -160,13 +160,12 @@ def test_div_loss_layer_mismatch():
         TR.div_loss(t1, t2)
 
 
-def test_div_loss_excludes_bos_and_pads():
+def test_div_loss_excludes_bos_rows():
     # Rows other than the masked ones must not influence the value.
-    base = np.array([[9.0, -9.0], [1.0, 2.0], [3.0, 4.0], [0.0, 0.0]])
+    base = np.array([[9.0, -9.0], [1.0, 2.0], [3.0, 4.0]])
     noisy = base.copy()
     noisy[0] = [55.0, 66.0]  # BOS row
-    noisy[3] = [77.0, 88.0]  # pad row
-    mask = [False, True, True, False]
+    mask = [False, True, True]
     t1 = fake_trace([base], mask)
     t2 = fake_trace([noisy], mask)
     ref = fake_trace([base], mask)
@@ -234,7 +233,6 @@ def test_ltd_loss_gradient_subset_vs_fd():
 def reference_step(params, items, lam):
     """The per-example step the packed forward replaces: one encode per
     context, one teacher-forced decode per branch, scalar losses summed."""
-    pad = params.config.pad_id
     encs, scalars, cgs, divs = {}, [], [], []
     for item in items:
         ctx = item.context_ids if isinstance(item, TR.Triplet) else item[1]
@@ -244,7 +242,7 @@ def reference_step(params, items, lam):
         if isinstance(item, TR.Triplet):
             t1 = M.decode_teacher_forced(params, enc, item.q1_ids)
             t2 = M.decode_teacher_forced(params, enc, item.q2_ids)
-            cg1, cg2 = TR.cg_loss(t1, item.q1_ids, pad), TR.cg_loss(t2, item.q2_ids, pad)
+            cg1, cg2 = TR.cg_loss(t1, item.q1_ids), TR.cg_loss(t2, item.q2_ids)
             scalars += [cg1, cg2]
             cgs += [cg1.item(), cg2.item()]
             if lam > 0:
@@ -256,7 +254,7 @@ def reference_step(params, items, lam):
             divs.append(div.item())
         else:
             trace = M.decode_teacher_forced(params, enc, item[2])
-            cg = TR.cg_loss(trace, item[2], pad)
+            cg = TR.cg_loss(trace, item[2])
             scalars.append(cg)
             cgs.append(cg.item())
     return T.scale(T.add_n(scalars), 1.0 / len(cgs)), cgs, divs
@@ -332,16 +330,25 @@ def test_packed_ltd_step_with_single_question_product_matches_reference():
     assert_packed_matches_reference(params, items, 0.1)
 
 
-def test_packed_step_with_pads_in_contexts_and_targets_matches_reference():
+def test_packed_step_refuses_pads_in_contexts_and_targets():
+    # Batches are packed, never padded: a PAD in any context or target of a
+    # batch is refused before the forward pass records anything.
     recs, v, params = packed_setup()
     pad = params.config.pad_id
     trips = TR.build_triplets(recs, v, seed=0)[:3]
-    padded = [TR.Triplet(t.product_id, (pad,) + t.context_ids + (pad, pad),
-                         t.q1_ids + (pad,), t.q2_ids[:1] + (pad,) + t.q2_ids[1:])
-              for t in trips]
-    single = ("s", (pad,) + trips[0].context_ids, trips[0].q1_ids + (pad, pad))
-    for lam in (0.1, 0.0):
-        assert_packed_matches_reference(params, padded + [single], lam)
+    t = trips[0]
+    bad = [TR.Triplet(t.product_id, (pad,) + t.context_ids, t.q1_ids, t.q2_ids),
+           TR.Triplet(t.product_id, t.context_ids + (pad, pad), t.q1_ids, t.q2_ids),
+           TR.Triplet(t.product_id, t.context_ids, t.q1_ids + (pad,), t.q2_ids),
+           TR.Triplet(t.product_id, t.context_ids, t.q1_ids, t.q2_ids[:1] + (pad,) + t.q2_ids[1:]),
+           ("s", (pad,) + t.context_ids, t.q1_ids),
+           ("s", t.context_ids, t.q1_ids + (pad, pad))]
+    for item in bad:
+        for lam in (0.1, 0.0):
+            T.reset_tape()
+            with pytest.raises(ValueError, match="must not contain (the )?PAD"):
+                TR.batch_loss(params, trips[1:] + [item], lam)
+            assert not T.active_tape()
 
 
 def test_batch_loss_one_triplet_is_ltd_loss():
@@ -365,12 +372,12 @@ def test_fused_sublayers_equal_the_separate_ops_on_a_packed_batch(monkeypatch):
     """The packed step with the fused attention and FFN ops gives the floats
     of the same step built from the separate ops, forward and backward."""
     recs, v, params = packed_setup()
-    pad = params.config.pad_id
     trips = TR.build_triplets(recs, v, seed=0)[:4]
-    padded = TR.Triplet(trips[0].product_id, (pad,) + trips[0].context_ids + (pad,),
-                        trips[0].q1_ids + (pad,), trips[0].q2_ids)
+    t = trips[0]  # a longer context and first question make a segment of new lengths
+    longer = TR.Triplet(t.product_id, t.context_ids[:1] + t.context_ids + t.context_ids[-1:],
+                        t.q1_ids + t.q1_ids[-1:], t.q2_ids)
     lone = recs[-1]
-    items = trips + [padded, (lone.product_id, tuple(v.encode_text(lone.context)),
+    items = trips + [longer, (lone.product_id, tuple(v.encode_text(lone.context)),
                               tuple(v.encode_text(lone.questions[0])))]
     runs = []
     for fused in (True, False):
