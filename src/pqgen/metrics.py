@@ -340,17 +340,18 @@ def _cosine_distances(rows: np.ndarray) -> np.ndarray:
     return np.maximum(d, 0.0)
 
 
-def _merge_heights(rows: np.ndarray) -> list[float]:
-    """Average-linkage agglomeration over cosine distances; returns the
-    nondecreasing list of merge heights. Each merge joins the first minimum
-    (i, j) of the symmetric matrix in row-major order, so ties go to the
-    smallest i < j; row and column i take the size-weighted mean of i and j
-    (Lance-Williams) and row and column j become inf."""
+def _merge_heights(rows: np.ndarray, sizes: Sequence[float] | None = None) -> list[float]:
+    """Average-linkage agglomeration over cosine distances of clusters that
+    start at `sizes` rows each (default one); returns the nondecreasing list
+    of merge heights. Each merge joins the first minimum (i, j) of the
+    symmetric matrix in row-major order, so ties go to the smallest i < j;
+    row and column i take the size-weighted mean of i and j (Lance-Williams)
+    and row and column j become inf."""
     n = rows.shape[0]
-    if n < 2:
+    sizes = np.ones(n) if sizes is None else np.array(sizes, dtype=np.float64)
+    if sizes.sum() < 2:
         return []
     d = _cosine_distances(rows)
-    sizes = np.ones(n)
     heights = []
     for _ in range(n - 1):
         i, j = divmod(int(np.argmin(d)), n)
@@ -364,13 +365,20 @@ def _merge_heights(rows: np.ndarray) -> list[float]:
 def cluster_count_sweep(embeddings, thresholds: Sequence[float] = DEFAULT_THRESHOLDS
                         ) -> list[tuple[float, int]]:
     """Cluster counts from cutting the average-linkage cosine-distance tree at
-    each threshold; counts are non-increasing in the threshold."""
+    each threshold; counts are non-increasing in the threshold. Equal rows
+    merge first, at height 0 (average linkage merges at the mean pairwise
+    distance whatever the order), so the tree is built over the distinct rows
+    in first-occurrence order, each starting at its multiplicity."""
     rows = _rows_of(embeddings)
-    if rows.shape[0] < 1:
-        raise MetricInputError("cluster_count_sweep needs at least one row")
-    heights = _merge_heights(rows)
     n = rows.shape[0]
-    return [(float(t), n - sum(1 for h in heights if h <= t)) for t in thresholds]
+    if n < 1:
+        raise MetricInputError("cluster_count_sweep needs at least one row")
+    counts = Counter(row.tobytes() for row in rows)
+    distinct = np.frombuffer(b"".join(counts)).reshape(len(counts), rows.shape[1])
+    zeros = n - len(counts)  # the merges of equal rows, all at height 0
+    heights = _merge_heights(distinct, list(counts.values()))
+    return [(float(t), n - (zeros if t >= 0 else 0) - sum(1 for h in heights if h <= t))
+            for t in thresholds]
 
 
 # ---------------------------------------------------------------------------

@@ -141,9 +141,10 @@ def e_div_oracle(rows: np.ndarray) -> float:
     return float(np.exp(np.mean(np.log(np.maximum(stds, 1e-12)))))
 
 
-def merge_heights_oracle(rows: np.ndarray) -> list[float]:
+def merge_heights_oracle(rows: np.ndarray, sizes=None) -> list[float]:
     """Average-linkage merge heights over cosine distances by rescanning every
-    active pair on each merge (O(n^3)); ties go to the smallest (d, i, j)."""
+    active pair on each merge (O(n^3)); ties go to the smallest (d, i, j).
+    Row i starts as a cluster of sizes[i] rows (default 1)."""
     n = rows.shape[0]
     if n < 2:
         return []
@@ -152,7 +153,7 @@ def merge_heights_oracle(rows: np.ndarray) -> list[float]:
     np.fill_diagonal(d, 0.0)
     d = np.maximum(d, 0.0)
     active = list(range(n))
-    sizes = {i: 1 for i in range(n)}
+    sizes = {i: 1 if sizes is None else sizes[i] for i in range(n)}
     heights = []
     while len(active) > 1:
         best = None

@@ -31,6 +31,7 @@ from pqgen.metrics import (
     pairwise_bleu,
 )
 from pqgen.model import ModelConfig, init_params
+from pqgen.tensor import DegenerateVectorError
 
 from . import reference
 from .oracles import (
@@ -222,6 +223,26 @@ def test_cluster_single_row():
     assert cluster_count_sweep(np.zeros((1, 2)), [0.1]) == [(0.1, 1)]
 
 
+@pytest.mark.parametrize("rows", [
+    np.zeros((3, 2)),
+    np.array([[0.0, 0.0], [1.0, 2.0], [0.0, 0.0]]),
+], ids=["all zero", "zero row repeated"])
+def test_cluster_sweep_refuses_a_zero_row_among_several(rows):
+    # Equal rows collapse into one, but a zero row among two or more is still
+    # an error, even when every row is that zero row.
+    with pytest.raises(DegenerateVectorError):
+        cluster_count_sweep(rows)
+
+
+@pytest.mark.parametrize("row", [[0.0, 1.0, 2.0], [0.3, 0.7, 0.1]])
+def test_exact_duplicates_merge_at_height_zero(row):
+    # 1 - u.u rounds to 1.1e-16 and 2.2e-16 for these rows, so a sweep over
+    # the full rows would leave them apart at threshold 0.
+    assert cluster_count_sweep(np.array([row, row]), [0.0]) == [(0.0, 1)]
+    # Below height 0 nothing has merged.
+    assert cluster_count_sweep(np.array([row, row]), [-0.1]) == [(-0.1, 2)]
+
+
 def test_cluster_counts_non_increasing_and_permutation_invariant():
     rng = np.random.default_rng(2)
     rows = rng.normal(size=(8, 4))
@@ -237,6 +258,17 @@ def test_cluster_sweep_matches_scipy(seed):
     rows = rng.normal(size=(rng.integers(2, 9), 5))
     got = [c for _, c in cluster_count_sweep(rows, DEFAULT_THRESHOLDS)]
     assert got == cluster_counts_scipy(rows, DEFAULT_THRESHOLDS)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(1, 32), st.integers(2, 60))
+@settings(max_examples=200, deadline=None)
+def test_sweep_over_repeated_rows_matches_scipy_and_full_row_oracle(seed, k, dim, n):
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(k, dim))[rng.integers(0, k, n)]
+    got = [c for _, c in cluster_count_sweep(rows, DEFAULT_THRESHOLDS)]
+    assert got == cluster_counts_scipy(rows, DEFAULT_THRESHOLDS)
+    heights = merge_heights_oracle(rows)
+    assert got == [n - sum(h <= t for h in heights) for t in DEFAULT_THRESHOLDS]
 
 
 @pytest.mark.parametrize("rows", [
@@ -291,6 +323,11 @@ def test_merge_heights_match_pair_scan_oracle_on_ties(rows):
     d = _cosine_distances(rows)
     np.testing.assert_array_equal(d, d.T)
     assert _merge_heights(rows) == merge_heights_oracle(rows)
+    # The sweep builds its tree over the distinct rows, weighted by their counts.
+    _, first, counts = np.unique(rows, axis=0, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    distinct, sizes = rows[first[order]], counts[order]
+    assert _merge_heights(distinct, sizes) == merge_heights_oracle(distinct, sizes)
 
 
 def test_tied_merges_take_the_smallest_index_pair():
