@@ -13,7 +13,7 @@ import json
 import math
 import struct
 from dataclasses import asdict, dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -182,48 +182,42 @@ def check_length(cfg: ModelConfig, n: int, what: str) -> None:
         raise SequenceLengthError(f"{what} length {n} exceeds max_len {cfg.max_len}")
 
 
-def _decoder_input(cfg: ModelConfig, target_ids: Sequence[int]) -> tuple[int, ...]:
-    """The BOS-prefixed teacher-forcing input of a validated target."""
-    tgt = tuple(int(i) for i in target_ids)
-    if any(t in (cfg.pad_id, cfg.bos_id, cfg.eos_id) for t in tgt):
-        raise ValueError(f"target must not contain PAD/BOS/EOS ids: {tgt}")
-    check_length(cfg, len(tgt), "target")
-    input_ids = (cfg.bos_id,) + tgt
-    check_length(cfg, len(input_ids), "decoder input")
-    return input_ids
+def _positions(lengths) -> np.ndarray:
+    """0..n-1 for each length n, concatenated."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1]) - np.repeat(ends - lengths, lengths)
 
 
-def _embed(params: ModelParams, ids: Sequence[int], positions) -> Tensor:
-    tok = T.embedding(params["tok_emb"], ids)
-    pos = T.embedding(params["pos_emb"], positions)
-    return T.add(tok, pos)
+def _decoder_inputs(cfg: ModelConfig, targets: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """The BOS-prefixed teacher-forcing inputs of targets, checked in one pass
+    over all of them; an error names the first target at fault."""
+    lens = [len(tgt) for tgt in targets]
+    reserved = {cfg.pad_id, cfg.bos_id, cfg.eos_id}
+    if (min(lens, default=1) < 1 or max(lens, default=0) >= cfg.max_len
+            or not reserved.isdisjoint(chain.from_iterable(targets))):
+        for tgt in targets:
+            tgt = tuple(int(i) for i in tgt)
+            if not reserved.isdisjoint(tgt):
+                raise ValueError(f"target must not contain PAD/BOS/EOS ids: {tgt}")
+            check_length(cfg, len(tgt), "target")
+            check_length(cfg, len(tgt) + 1, "decoder input")
+    return [(cfg.bos_id, *tgt) for tgt in targets]
 
 
-def _attention(params: ModelParams, prefix: str, x_q: Tensor, x_kv: Tensor,
-               layout: T.AttentionLayout) -> Tensor:
-    w = [params[f"{prefix}.{name}"] for name in ("wq", "wk", "wv", "wo")]
-    return T.multi_head_attention(x_q, x_kv, *w, params.config.n_heads, layout)
-
-
-def _sublayer(params: ModelParams, prefix: str, x: Tensor, fn) -> Tensor:
-    normed = T.layer_norm(x, params[f"{prefix}.ln.g"], params[f"{prefix}.ln.b"])
-    return T.add(x, fn(normed))
-
-
-def _ffn(params: ModelParams, prefix: str, x: Tensor) -> Tensor:
-    return T.ffn(x, *[params[f"{prefix}.{name}"] for name in ("w1", "b1", "w2", "b2")])
+def _weights(params: ModelParams, prefix: str, *names: str) -> list[Tensor]:
+    """A sublayer's norm gain and bias, then its named weights."""
+    return [params[f"{prefix}.{name}"] for name in ("ln.g", "ln.b") + names]
 
 
 def _encoder_stack(params: ModelParams, ids: Sequence[int], positions,
                    layout: T.AttentionLayout) -> Tensor:
     """Encoder over stacked context rows; `layout` keeps contexts apart."""
     cfg = params.config
-    x = _embed(params, ids, positions)
+    x = T.embed(params["tok_emb"], params["pos_emb"], ids, positions)
     for i in range(cfg.n_enc_layers):
-        x = _sublayer(params, f"enc{i}.self", x,
-                      lambda a, i=i: _attention(params, f"enc{i}.self", a, a, layout))
-        x = _sublayer(params, f"enc{i}.ffn", x,
-                      lambda a, i=i: _ffn(params, f"enc{i}.ffn", a))
+        x = T.attention_sublayer(x, *_weights(params, f"enc{i}.self", "wq", "wk", "wv", "wo"),
+                                 cfg.n_heads, layout)
+        x = T.ffn_sublayer(x, *_weights(params, f"enc{i}.ffn", "w1", "b1", "w2", "b2"))
     return T.layer_norm(x, params["enc_ln.g"], params["enc_ln.b"])
 
 
@@ -232,16 +226,14 @@ def _decoder_stack(params: ModelParams, h_e: Tensor, input_ids: Sequence[int], p
                    cross_layout: T.AttentionLayout) -> tuple[list[Tensor], Tensor]:
     """Decoder over stacked input rows attending to stacked encoder rows."""
     cfg = params.config
-    x = _embed(params, input_ids, positions)
+    x = T.embed(params["tok_emb"], params["pos_emb"], input_ids, positions)
     blocks: list[Tensor] = []
     for i in range(cfg.n_dec_layers):
-        x = _sublayer(params, f"dec{i}.self", x,
-                      lambda a, i=i: _attention(params, f"dec{i}.self", a, a, self_layout))
-        x = _sublayer(params, f"dec{i}.cross", x,
-                      lambda a, i=i: _attention(params, f"dec{i}.cross", a, h_e,
-                                                cross_layout))
-        x = _sublayer(params, f"dec{i}.ffn", x,
-                      lambda a, i=i: _ffn(params, f"dec{i}.ffn", a))
+        x = T.attention_sublayer(x, *_weights(params, f"dec{i}.self", "wq", "wk", "wv", "wo"),
+                                 cfg.n_heads, self_layout)
+        x = T.attention_sublayer(x, *_weights(params, f"dec{i}.cross", "wq", "wk", "wv", "wo"),
+                                 cfg.n_heads, cross_layout, h_e)
+        x = T.ffn_sublayer(x, *_weights(params, f"dec{i}.ffn", "w1", "b1", "w2", "b2"))
         blocks.append(x)
     h = T.layer_norm(x, params["dec_ln.g"], params["dec_ln.b"])
     # The last reported layer state is exactly the CG head's input.
@@ -254,13 +246,13 @@ def encode(params: ModelParams, *contexts: Sequence[int]) -> EncoderOutput:
     cfg = params.config
     if not contexts:
         raise ValueError("encode needs at least one context")
-    for context_ids in contexts:
-        check_length(cfg, len(context_ids), "context")
     lengths = [len(context_ids) for context_ids in contexts]
-    ids = [int(i) for context_ids in contexts for i in context_ids]
-    if cfg.pad_id in ids:
+    for n in lengths:
+        check_length(cfg, n, "context")
+    ids = np.fromiter(chain.from_iterable(contexts), np.int64, sum(lengths))
+    if (ids == cfg.pad_id).any():
         raise ValueError(f"context must not contain the PAD id {cfg.pad_id}")
-    h_e = _encoder_stack(params, ids, np.concatenate([np.arange(n) for n in lengths]),
+    h_e = _encoder_stack(params, ids, _positions(lengths),
                          T.AttentionLayout(lengths, lengths))
     return EncoderOutput(h_e=h_e, lengths=lengths)
 
@@ -288,7 +280,7 @@ def _decode(params: ModelParams, enc: EncoderOutput, branches_of: Sequence[Seque
     dec_ids = np.array([i for b in order for i in inputs[b]], dtype=np.int64)
     rows_per_context = [sum(len(inputs[b]) for b in group) for group in branches_of]
     layer_states, h = _decoder_stack(
-        params, enc.h_e, dec_ids, np.concatenate([np.arange(n) for n in dec_lens]),
+        params, enc.h_e, dec_ids, _positions(dec_lens),
         T.AttentionLayout(dec_lens, dec_lens, causal=True),
         T.AttentionLayout(rows_per_context, enc.lengths))
     ends = np.cumsum(dec_lens)
@@ -311,7 +303,7 @@ def decode_teacher_forced(params: ModelParams, enc: EncoderOutput,
     if len(enc.lengths) != 1:
         raise ValueError(f"decode_teacher_forced needs the encoding of one context, "
                          f"got {len(enc.lengths)}")
-    return _decode(params, enc, [[0]], [_decoder_input(params.config, target_ids)])
+    return _decode(params, enc, [[0]], _decoder_inputs(params.config, [target_ids]))
 
 
 def decode_packed(params: ModelParams,
@@ -323,7 +315,7 @@ def decode_packed(params: ModelParams,
     branches_of: dict[tuple[int, ...], list[int]] = {}
     for b, (context_ids, _) in enumerate(examples):
         branches_of.setdefault(tuple(context_ids), []).append(b)
-    inputs = [_decoder_input(params.config, target_ids) for _, target_ids in examples]
+    inputs = _decoder_inputs(params.config, [target_ids for _, target_ids in examples])
     return _decode(params, encode(params, *branches_of), list(branches_of.values()), inputs)
 
 
@@ -399,7 +391,7 @@ def decode_step(params: ModelParams, state: DecoderState,
         return out.reshape(rows, cfg.d_model) @ w[f"{prefix}.wo"]
 
     def layer_norm(x, ln):
-        return T.normalize(x)[0] * w[f"{ln}.g"] + w[f"{ln}.b"]
+        return T.layer_norm_arrays(x, w[f"{ln}.g"], w[f"{ln}.b"])[0]
 
     self_kv = []
     for i, ((k_past, v_past), (k_enc, v_enc)) in enumerate(zip(state.self_kv, state.cross_kv)):

@@ -257,9 +257,10 @@ def tmean(x: Tensor) -> Tensor:
     return _emit((x,), np.asarray(x.data.mean()), bwd)
 
 
-def embedding(table: Tensor, ids: Sequence[int]) -> Tensor:
-    """Row gather: out[t] = table[ids[t]]."""
-    if table.data.ndim != 2:
+def _gather(table: np.ndarray, ids: Sequence[int]):
+    """Row gather table[ids] on plain arrays, and the backward that maps its
+    gradient to the table's."""
+    if table.ndim != 2:
         raise ShapeError(f"embedding table must be 2-D, got {table.shape}")
     idx = np.asarray(ids, dtype=np.int64)
     if idx.ndim != 1:
@@ -272,9 +273,25 @@ def embedding(table: Tensor, ids: Sequence[int]) -> Tensor:
         # row's contributions in id order, from 0.0, as np.add.at would.
         n, d = table.shape
         flat = (idx[:, None] * d + np.arange(d)).ravel()
-        return (np.bincount(flat, weights=g.ravel(), minlength=n * d).reshape(n, d),)
+        return np.bincount(flat, weights=g.ravel(), minlength=n * d).reshape(n, d)
 
-    return _emit((table,), table.data[idx], bwd)
+    return table[idx], bwd
+
+
+def embedding(table: Tensor, ids: Sequence[int]) -> Tensor:
+    """Row gather: out[t] = table[ids[t]]."""
+    rows, bwd = _gather(table.data, ids)
+    return _emit((table,), rows, lambda g: (bwd(g),))
+
+
+def embed(tok: Tensor, pos: Tensor, ids: Sequence[int], positions: Sequence[int]) -> Tensor:
+    """Token plus position embedding, tok[ids] + pos[positions], as one op."""
+    tok_rows, tok_bwd = _gather(tok.data, ids)
+    pos_rows, pos_bwd = _gather(pos.data, positions)
+    if tok_rows.shape != pos_rows.shape:
+        raise ShapeError(f"embed: token rows {tok_rows.shape} vs position rows {pos_rows.shape}")
+    # pos first: a reverse sweep over the separate ops reaches its gather first.
+    return _emit((pos, tok), tok_rows + pos_rows, lambda g: (pos_bwd(g), tok_bwd(g)))
 
 
 def slice_cols(x: Tensor, lo: int, hi: int) -> Tensor:
@@ -342,14 +359,14 @@ class AttentionLayout:
         lq, lk = max(q_lens), max(k_lens)
         # Slot masks of the zero-padded [segments, L] blocks.
         self.q_slots = np.arange(lq) < np.array(q_lens)[:, None]
-        self.k_slots = np.arange(lk) < np.array(k_lens)[:, None]
-        # Pad query slots see every key: their rows are dropped, and this
-        # keeps them free of all -inf rows.
-        hidden = ~self.k_slots[:, None, :] & self.q_slots[:, :, None]
-        if causal:
-            hidden |= ~np.tri(lq, lk, dtype=bool)
-        self.bias = (np.where(hidden, -np.inf, 0.0)[:, None]          # [S, 1, Lq, Lk]
-                     if hidden.any() else None)
+        self.k_slots = (self.q_slots if q_lens == k_lens
+                        else np.arange(lk) < np.array(k_lens)[:, None])
+        # Causal: the [Lq, Lk] triangle; it hides every padded key from the real
+        # query rows. Else the key mask [S, 1, 1, Lk]: a padded query row (dropped)
+        # still sees its segment's first key, so no row is all -inf.
+        hidden = (np.arange(lk) > np.arange(lq)[:, None] if causal
+                  else ~self.k_slots[:, None, None, :])
+        self.bias = np.where(hidden, -np.inf, 0.0) if hidden.any() else None
 
 
 def to_blocks(x: np.ndarray, slots: np.ndarray) -> np.ndarray:
@@ -421,79 +438,85 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     return _emit((q, k, v), out, bwd)
 
 
-def multi_head_attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
-                         wo: Tensor, n_heads: int, layout: AttentionLayout) -> Tensor:
-    """A whole attention sublayer as one op: `attention` of the projections
-    x_q @ wq, x_kv @ wk and x_kv @ wv, projected by wo. Pass one tensor as
-    both x_q and x_kv for self-attention."""
-    if (any(t.data.ndim != 2 for t in (x_q, x_kv, wq, wk, wv, wo))
-            or wq.shape[0] != x_q.shape[1] or wk.shape != (x_kv.shape[1], wq.shape[1])
-            or wv.shape != wk.shape or wo.shape[0] != wq.shape[1]):
-        raise ShapeError(f"attention shapes incompatible: x_q {x_q.shape}, x_kv {x_kv.shape}, "
+def layer_norm_arrays(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+    """Layer norm on plain arrays along the last axis, with population
+    variance (plus 1e-6 under the square root): gain * xhat + bias, and the
+    backward that maps its gradient to (dx, dgain, dbias)."""
+    d = x.shape[-1] if x.ndim else 0
+    if gain.shape != (d,) or bias.shape != (d,):
+        raise ShapeError(f"layer_norm gain/bias must be ({d},), got {gain.shape}/{bias.shape}")
+    centered = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(np.add.reduce(centered * centered, axis=-1, keepdims=True) / d + 1e-6)
+    xhat = centered * inv
+
+    def bwd(g):
+        dxhat = g * gain
+        # Standard layer-norm backward along the last axis.
+        m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+        m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d
+        return (inv * (dxhat - m1 - xhat * m2), (g * xhat).reshape(-1, d).sum(axis=0),
+                g.reshape(-1, d).sum(axis=0))
+
+    return xhat * gain + bias, bwd
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """`layer_norm_arrays` as an op."""
+    return _emit((x, gain, bias), *layer_norm_arrays(x.data, gain.data, bias.data))
+
+
+# Each pre-norm sublayer below is one op. It runs the numpy expressions of the
+# separate ops it replaces (layer_norm, the body, the residual add), and its
+# backward returns gradients in the order a reverse sweep over those ops adds
+# them: the residual's, then the norm's; through v, then k, then q.
+
+
+def attention_sublayer(x: Tensor, gain: Tensor, bias: Tensor, wq: Tensor, wk: Tensor,
+                       wv: Tensor, wo: Tensor, n_heads: int, layout: AttentionLayout,
+                       h_e: Tensor | None = None) -> Tensor:
+    """x + attention(a @ wq, kv @ wk, kv @ wv) @ wo with a = layer_norm(x):
+    kv is a for self-attention, or the encoder rows h_e for cross-attention."""
+    kv_in = x if h_e is None else h_e
+    if (any(t.data.ndim != 2 for t in (x, kv_in, wq, wk, wv, wo)) or wq.shape[0] != x.shape[1]
+            or wk.shape != (kv_in.shape[1], wq.shape[1]) or wv.shape != wk.shape
+            or wo.shape != (wq.shape[1], x.shape[1])):
+        raise ShapeError(f"attention shapes incompatible: x {x.shape}, kv {kv_in.shape}, "
                          f"wq {wq.shape}, wk {wk.shape}, wv {wv.shape}, wo {wo.shape}")
-    a, attend_bwd = _attend(x_q.data @ wq.data, x_kv.data @ wk.data, x_kv.data @ wv.data,
-                            n_heads, layout)
+    a, ln_bwd = layer_norm_arrays(x.data, gain.data, bias.data)
+    kv = a if h_e is None else h_e.data
+    att, attend_bwd = _attend(a @ wq.data, kv @ wk.data, kv @ wv.data, n_heads, layout)
 
     def bwd(g):
         gq, gk, gv = attend_bwd(g @ wo.data.T)
-        return (gv @ wv.data.T, gk @ wk.data.T, gq @ wq.data.T,
-                x_q.data.T @ gq, x_kv.data.T @ gk, x_kv.data.T @ gv, a.T @ g)
+        gw = (a.T @ gq, kv.T @ gk, kv.T @ gv, att.T @ g)
+        gkv = (gv @ wv.data.T, gk @ wk.data.T)
+        if h_e is not None:
+            return (g, *ln_bwd(gq @ wq.data.T), *gw, *gkv)
+        return (g, *ln_bwd(gkv[0] + gkv[1] + gq @ wq.data.T), *gw)
 
-    # x_kv is listed once per projection, and the inputs in the order in which
-    # a reverse sweep over the separate ops would add their gradients: through
-    # v, then k, then q.
-    return _emit((x_kv, x_kv, x_q, wq, wk, wv, wo), a @ wo.data, bwd)
+    inputs = (x, x, gain, bias, wq, wk, wv, wo) + (() if h_e is None else (h_e, h_e))
+    return _emit(inputs, x.data + att @ wo.data, bwd)
 
 
-def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """The position-wise feed-forward sublayer relu(x @ w1 + b1) @ w2 + b2
-    as one op."""
+def ffn_sublayer(x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor,
+                 w2: Tensor, b2: Tensor) -> Tensor:
+    """x + relu(a @ w1 + b1) @ w2 + b2 with a = layer_norm(x)."""
     if (x.data.ndim != 2 or w1.data.ndim != 2 or w2.data.ndim != 2
             or w1.shape[0] != x.shape[1] or b1.shape != (w1.shape[1],)
-            or w2.shape[0] != w1.shape[1] or b2.shape != (w2.shape[1],)):
+            or w2.shape != (w1.shape[1], x.shape[1]) or b2.shape != (x.shape[1],)):
         raise ShapeError(f"ffn shapes incompatible: x {x.shape}, w1 {w1.shape}, "
                          f"b1 {b1.shape}, w2 {w2.shape}, b2 {b2.shape}")
-    pre = x.data @ w1.data + b1.data
+    a, ln_bwd = layer_norm_arrays(x.data, gain.data, bias.data)
+    pre = a @ w1.data + b1.data
     mask = pre > 0
     h = np.where(mask, pre, 0.0)
 
     def bwd(g):
         gpre = (g @ w2.data.T) * mask
-        return (gpre @ w1.data.T, x.data.T @ gpre, gpre.sum(axis=0),
+        return (g, *ln_bwd(gpre @ w1.data.T), a.T @ gpre, gpre.sum(axis=0),
                 h.T @ g, g.sum(axis=0))
 
-    return _emit((x, w1, b1, w2, b2), h @ w2.data + b2.data, bwd)
-
-
-def normalize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """x centred and scaled along the last axis by its population variance
-    (plus 1e-6 under the square root), and that inverse deviation."""
-    d = x.shape[-1]
-    centered = x - np.add.reduce(x, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(np.add.reduce(centered * centered, axis=-1, keepdims=True) / d + 1e-6)
-    return centered * inv, inv
-
-
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize along the last axis with population variance (plus 1e-6 under
-    the square root); y = g*xhat + b."""
-    d = x.shape[-1] if x.data.ndim else 0
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeError(f"layer_norm gain/bias must be ({d},), got {gain.shape}/{bias.shape}")
-    xhat, inv = normalize(x.data)
-
-    def bwd(g):
-        dxhat = g * gain.data
-        # Standard layer-norm backward along the last axis.
-        m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / d
-        m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d
-        dx = inv * (dxhat - m1 - xhat * m2)
-        flat_g = (g * xhat).reshape(-1, d)
-        dgain = flat_g.sum(axis=0)
-        dbias = g.reshape(-1, d).sum(axis=0)
-        return dx, dgain, dbias
-
-    return _emit((x, gain, bias), xhat * gain.data + bias.data, bwd)
+    return _emit((x, x, gain, bias, w1, b1, w2, b2), x.data + (h @ w2.data + b2.data), bwd)
 
 
 def mean_pool_sequence(states: Tensor, mask: Sequence[bool]) -> Tensor:

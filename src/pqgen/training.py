@@ -238,7 +238,11 @@ def mean_cg(params: ModelParams, records: Sequence[ProductRecord], vocab: Vocab,
     from packed forwards over at most batch_size products each."""
     if not records:
         raise C.DataSplitError("cannot evaluate CG loss on an empty record list")
-    per_product = _product_items(records, vocab, params.config)
+    return _mean_cg(params, _product_items(records, vocab, params.config), batch_size)
+
+
+def _mean_cg(params: ModelParams, per_product: list[list], batch_size: int) -> float:
+    """`mean_cg` of the items `_product_items` built from the records."""
     losses = []
     with T.no_grad():
         for start in range(0, len(per_product), batch_size):
@@ -284,7 +288,7 @@ def train(split: SplitCorpus, vocab: Vocab, model_config: ModelConfig,
     if not split.train or not split.validation:
         raise C.DataSplitError("train and validation splits must be non-empty")
     per_product = _product_items(split.train, vocab, model_config, mode, train_config)
-    _product_items(split.validation, vocab, model_config)
+    val_items = _product_items(split.validation, vocab, model_config)
     lam = train_config.lambda_div
     params = init_params(model_config, train_config.seed)
     state = AdamState(params)
@@ -328,7 +332,7 @@ def train(split: SplitCorpus, vocab: Vocab, model_config: ModelConfig,
             row.update(objective=value, grad_norm=grad_norm, clipped=grad_norm > CLIP_NORM)
             rows.append(row)
         T.reset_tape()
-        final_val = mean_cg(params, split.validation, vocab, train_config.batch_size)
+        final_val = _mean_cg(params, val_items, train_config.batch_size)
         if not math.isfinite(final_val):
             raise NonFiniteOutputError(f"non-finite validation loss {final_val}")
         rows.append({"kind": "epoch", "epoch": epoch, "val_cg": final_val})

@@ -12,10 +12,15 @@ together, one position at a time, and must return the same candidates.
 `greedy_decode` is the argmax rollout on `pqgen.decoding.decode_step`, one
 row a step; beam search of one beam must follow it.
 
-`multi_head_attention` and `ffn` are the separate tape ops (four matmuls
-around `attention`; matmul, bias add, relu, matmul, bias add) that the fused
-sublayer ops of `pqgen.tensor` replace; they must give the same floats,
-forward and backward.
+`attention_sublayer`, `ffn_sublayer` and `embed` are the separate tape ops
+that the fused ops of `pqgen.tensor` of those names replace: `layer_norm`,
+the body and the residual `add` for a sublayer, where the body is
+`multi_head_attention` (four matmuls around `attention`) or `ffn` (matmul,
+bias add, relu, matmul, bias add), and two `embedding` gathers and an `add`
+for the embedding. They must give the same floats, forward and backward.
+`full_mask_bias` is the full [S, 1, Lq, Lk] mask that `AttentionLayout`
+built before its causal triangle and key-only masks; attention under either
+must give the same floats.
 
 `bleu` recounts the hypothesis and every reference for each n-gram order on
 each call and clips each n-gram by a max over the references' counts.
@@ -54,6 +59,37 @@ def multi_head_attention(x_q: T.Tensor, x_kv: T.Tensor, wq: T.Tensor, wk: T.Tens
 def ffn(x: T.Tensor, w1: T.Tensor, b1: T.Tensor, w2: T.Tensor, b2: T.Tensor) -> T.Tensor:
     h = T.relu(T.add(T.matmul(x, w1), b1))
     return T.add(T.matmul(h, w2), b2)
+
+
+def attention_sublayer(x: T.Tensor, gain: T.Tensor, bias: T.Tensor, wq: T.Tensor,
+                       wk: T.Tensor, wv: T.Tensor, wo: T.Tensor, n_heads: int,
+                       layout: T.AttentionLayout, h_e: T.Tensor | None = None) -> T.Tensor:
+    a = T.layer_norm(x, gain, bias)
+    return T.add(x, multi_head_attention(a, a if h_e is None else h_e, wq, wk, wv, wo,
+                                         n_heads, layout))
+
+
+def ffn_sublayer(x: T.Tensor, gain: T.Tensor, bias: T.Tensor, w1: T.Tensor, b1: T.Tensor,
+                 w2: T.Tensor, b2: T.Tensor) -> T.Tensor:
+    return T.add(x, ffn(T.layer_norm(x, gain, bias), w1, b1, w2, b2))
+
+
+def embed(tok: T.Tensor, pos: T.Tensor, ids: Sequence[int],
+          positions: Sequence[int]) -> T.Tensor:
+    return T.add(T.embedding(tok, ids), T.embedding(pos, positions))
+
+
+def full_mask_bias(q_lens: Sequence[int], k_lens: Sequence[int],
+                   causal: bool) -> np.ndarray | None:
+    """0 where a query slot may see a key slot, -inf elsewhere, per segment:
+    padded query slots see every key (within the causal triangle)."""
+    lq, lk = max(q_lens), max(k_lens)
+    q_slots = np.arange(lq) < np.array(q_lens)[:, None]
+    k_slots = np.arange(lk) < np.array(k_lens)[:, None]
+    hidden = ~k_slots[:, None, :] & q_slots[:, :, None]
+    if causal:
+        hidden |= ~np.tri(lq, lk, dtype=bool)
+    return np.where(hidden, -np.inf, 0.0)[:, None] if hidden.any() else None
 
 
 def decode_step(params: M.ModelParams, enc: M.EncoderOutput,

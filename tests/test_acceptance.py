@@ -111,29 +111,35 @@ def test_criterion_1_gradient_fidelity():
             (lambda t: T.cosine_similarity(t[0], t[1]), [u5, v5]),
             (lambda t: T.cross_entropy(t[0], [2, 5, 0, 3], pad_id=0), [logits]),
         ]
-        # The fused sublayer ops: self-attention over one and over several
-        # causal segments, whose shorter segments leave padded key slots,
-        # cross-attention with two query segments sharing key segments, and
-        # the FFN.
+        # The fused sublayer ops, each with its layer norm and residual:
+        # self-attention over one and over several causal segments, whose
+        # shorter segments leave padded key slots, cross-attention with two
+        # query segments sharing key segments, and the FFN.
         w44 = [rng.normal(size=(4, 4)) for _ in range(4)]
+        ln4 = [rng.normal(size=4), rng.normal(size=4)]
         for q_lens, k_lens, causal in (([5], [5], True), ([3, 2, 4], [3, 2, 4], True),
                                        ([5, 2], [4, 3], False)):
             layout = T.AttentionLayout(q_lens, k_lens, causal=causal)
             out_w = rng.normal(size=(sum(q_lens), 4))
             if causal:
-                cases.append((lambda t, layout=layout: T.tsum(T.mul(T.multi_head_attention(
-                    t[0], t[0], *t[1:5], 2, layout), t[5])),
-                    [rng.normal(size=(sum(q_lens), 4))] + w44 + [out_w]))
+                cases.append((lambda t, layout=layout: T.tsum(T.mul(T.attention_sublayer(
+                    *t[:7], 2, layout), t[7])),
+                    [rng.normal(size=(sum(q_lens), 4))] + ln4 + w44 + [out_w]))
             else:
-                cases.append((lambda t, layout=layout: T.tsum(T.mul(T.multi_head_attention(
-                    *t[:6], 2, layout), t[6])),
-                    [rng.normal(size=(sum(q_lens), 4)), rng.normal(size=(sum(k_lens), 4))]
-                    + w44 + [out_w]))
-        ffn_in = [x34, rng.normal(size=(4, 6)), rng.normal(size=6),
-                  rng.normal(size=(6, 4)), rng.normal(size=4)]
+                cases.append((lambda t, layout=layout: T.tsum(T.mul(T.attention_sublayer(
+                    *t[:7], 2, layout, t[7]), t[8])),
+                    [rng.normal(size=(sum(q_lens), 4))] + ln4 + w44
+                    + [rng.normal(size=(sum(k_lens), 4)), out_w]))
+        ffn_in = [x34, rng.normal(size=4), rng.normal(size=4), rng.normal(size=(4, 6)),
+                  rng.normal(size=6), rng.normal(size=(6, 4)), rng.normal(size=4)]
         # Keep the hidden relu inputs away from the kink, as above.
-        assert np.abs(x34 @ ffn_in[1] + ffn_in[2]).min() > 0.01
-        cases.append((lambda t: T.tsum(T.mul(T.ffn(*t[:5]), t[5])), ffn_in + [y34]))
+        normed = T.layer_norm_arrays(x34, ffn_in[1], ffn_in[2])[0]
+        assert np.abs(normed @ ffn_in[3] + ffn_in[4]).min() > 0.01
+        cases.append((lambda t: T.tsum(T.mul(T.ffn_sublayer(*t[:7]), t[7])), ffn_in + [y34]))
+        # Token plus position embedding, with repeated token and position ids.
+        cases.append((lambda t: T.tsum(T.mul(T.embed(t[0], t[1], [1, 3, 3, 0], [0, 2, 1, 2]),
+                                             t[2])),
+                      [x54, rng.normal(size=(3, 4)), rng.normal(size=(4, 4))]))
         for build, arrays in cases:
             analytic_vs_fd(build, arrays)
 

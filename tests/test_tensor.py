@@ -278,23 +278,29 @@ def test_fused_sublayer_ops_equal_the_separate_ops(layout_name):
     layout = T.AttentionLayout(q_lens, k_lens, causal=causal)
     rng = np.random.default_rng(13)
     d, d_ff = 4, 6
-    x_q, x_kv = rng.normal(size=(sum(q_lens), d)), rng.normal(size=(sum(k_lens), d))
+    x, h_e = rng.normal(size=(sum(q_lens), d)), rng.normal(size=(sum(k_lens), d))
+    norm = [rng.normal(size=d) + 1.0, rng.normal(size=d)]
     weights = [rng.normal(size=(d, d)) for _ in range(4)]
-    ffn_arrays = [x_q, rng.normal(size=(d, d_ff)), rng.normal(size=d_ff),
-                  rng.normal(size=(d_ff, d)), rng.normal(size=d)]
-    if causal:  # self-attention: one input tensor feeds queries, keys and values
-        arrays = [x_q] + weights
+    ffn_arrays = [x] + norm + [rng.normal(size=(d, d_ff)), rng.normal(size=d_ff),
+                               rng.normal(size=(d_ff, d)), rng.normal(size=d)]
+    # Self-attention reads keys and values from the norm of x; cross-attention
+    # from the encoder rows h_e.
+    attention_arrays = [x] + norm + weights + ([] if causal else [h_e])
+    tables = [rng.normal(size=(5, d)), rng.normal(size=(max(q_lens), d))]
+    ids = rng.integers(0, 5, size=sum(q_lens))  # repeats ids
+    positions = np.concatenate([np.arange(n) for n in q_lens])
 
-        def attend(op):
-            return lambda t: op(t[0], t[0], *t[1:], 2, layout)
-    else:
-        arrays = [x_q, x_kv] + weights
+    def attend(op):
+        return lambda t: op(*t[:7], 2, layout, *t[7:])
 
-        def attend(op):
-            return lambda t: op(*t, 2, layout)
+    def embed(op):
+        return lambda t: op(*t, ids, positions)
+
     for fused_op, separate_op, inputs in (
-            (attend(T.multi_head_attention), attend(reference.multi_head_attention), arrays),
-            (lambda t: T.ffn(*t), lambda t: reference.ffn(*t), ffn_arrays)):
+            (attend(T.attention_sublayer), attend(reference.attention_sublayer),
+             attention_arrays),
+            (lambda t: T.ffn_sublayer(*t), lambda t: reference.ffn_sublayer(*t), ffn_arrays),
+            (embed(T.embed), embed(reference.embed), tables)):
         fused, separate = run_sublayer(fused_op, inputs), run_sublayer(separate_op, inputs)
         assert np.array_equal(fused[0], separate[0])
         for g, r in zip(fused[1], separate[1]):
@@ -303,17 +309,64 @@ def test_fused_sublayer_ops_equal_the_separate_ops(layout_name):
 
 def test_fused_sublayer_ops_shape_validation():
     x, w = T.Tensor(np.zeros((3, 4))), T.Tensor(np.zeros((4, 4)))
+    g, b = T.Tensor(np.ones(4)), T.Tensor(np.zeros(4))
     layout = T.AttentionLayout([3], [3])
     with pytest.raises(T.ShapeError):
-        T.multi_head_attention(x, x, w, T.Tensor(np.zeros((3, 4))), w, w, 2, layout)
+        T.attention_sublayer(x, g, b, w, T.Tensor(np.zeros((3, 4))), w, w, 2, layout)
     with pytest.raises(T.ShapeError):
-        T.multi_head_attention(x, x, w, w, w, T.Tensor(np.zeros(4)), 2, layout)
+        T.attention_sublayer(x, g, b, w, w, w, T.Tensor(np.zeros(4)), 2, layout)
     with pytest.raises(T.ShapeError):
-        T.multi_head_attention(x, x, w, w, w, w, 2, T.AttentionLayout([2], [2]))
+        T.attention_sublayer(x, T.Tensor(np.ones(3)), b, w, w, w, w, 2, layout)
     with pytest.raises(T.ShapeError):
-        T.ffn(x, w, T.Tensor(np.zeros(3)), w, T.Tensor(np.zeros(4)))
+        T.attention_sublayer(x, g, b, w, w, w, w, 2, T.AttentionLayout([2], [2]))
     with pytest.raises(T.ShapeError):
-        T.ffn(x, w, T.Tensor(np.zeros(4)), T.Tensor(np.zeros((5, 4))), T.Tensor(np.zeros(4)))
+        T.attention_sublayer(x, g, b, w, w, w, w, 2, layout, T.Tensor(np.zeros((3, 5))))
+    with pytest.raises(T.ShapeError):
+        T.ffn_sublayer(x, g, b, w, T.Tensor(np.zeros(3)), w, T.Tensor(np.zeros(4)))
+    with pytest.raises(T.ShapeError):
+        T.ffn_sublayer(x, g, b, w, T.Tensor(np.zeros(4)), T.Tensor(np.zeros((5, 4))),
+                       T.Tensor(np.zeros(4)))
+    with pytest.raises(T.ShapeError):
+        T.ffn_sublayer(x, g, T.Tensor(np.zeros(5)), w, T.Tensor(np.zeros(4)), w,
+                       T.Tensor(np.zeros(4)))
+    with pytest.raises(T.ShapeError):
+        T.embed(w, T.Tensor(np.zeros((4, 3))), [0, 1], [0, 1])
+    with pytest.raises(T.ShapeError):
+        T.embed(w, w, [0, 1], [0])
+    with pytest.raises(IndexError):
+        T.embed(w, w, [0, 1], [0, 4])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(min_value=1, max_value=9),
+                          st.integers(min_value=1, max_value=9)), min_size=1, max_size=5),
+       st.booleans(), st.integers(min_value=0, max_value=2 ** 31 - 1))
+@example([(1, 1), (1, 1), (1, 1)], True, 0)
+@example([(1, 1), (1, 4), (3, 1)], False, 1)
+@example([(6, 6)], True, 2)
+@example([(6, 2)], False, 3)
+@example([(70, 70), (3, 3)], True, 4)
+@example([(5, 70), (2, 3)], False, 5)
+def test_attention_masks_equal_the_full_mask(segments, causal, seed):
+    """A causal layout's [Lq, Lk] triangle and a cross layout's [S, 1, 1, Lk]
+    key mask give the bits of the full [S, 1, Lq, Lk] mask, forward and
+    backward. Each pair is a segment's (query, key) length; a causal segment
+    uses its query length for both."""
+    q_lens = [q for q, _ in segments]
+    k_lens = q_lens if causal else [k for _, k in segments]
+    layout = T.AttentionLayout(q_lens, k_lens, causal=causal)
+    full = T.AttentionLayout(q_lens, k_lens, causal=causal)
+    full.bias = reference.full_mask_bias(q_lens, k_lens, causal)
+    if layout.bias is not None:
+        assert layout.bias.shape == ((max(q_lens), max(k_lens)) if causal
+                                     else (len(segments), 1, 1, max(k_lens)))
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=(n, 4)) for n in (sum(q_lens), sum(k_lens), sum(k_lens))]
+    (out, grads), (full_out, full_grads) = (
+        run_sublayer(lambda t, lay=lay: T.attention(*t, 2, lay), arrays) for lay in (layout, full))
+    assert out.tobytes() == full_out.tobytes()
+    for g, r in zip(grads, full_grads):
+        assert g.tobytes() == r.tobytes()
 
 
 def test_cross_entropy_segments_matches_per_segment_and_grad():
@@ -531,7 +584,9 @@ def test_layer_norm_backward_means_equal_ndarray_mean(seed):
     T.reset_tape()
     T.layer_norm(leaf(x), leaf(gain), leaf(np.zeros(7)))
     (_, _, bwd), = T.active_tape()
-    xhat, inv = T.normalize(x)
+    centered = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + 1e-6)
+    xhat = centered * inv
     dxhat = g * gain
     want = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
                   - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))

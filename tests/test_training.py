@@ -382,8 +382,8 @@ def test_fused_sublayers_equal_the_separate_ops_on_a_packed_batch(monkeypatch):
     runs = []
     for fused in (True, False):
         if not fused:
-            monkeypatch.setattr(T, "multi_head_attention", reference.multi_head_attention)
-            monkeypatch.setattr(T, "ffn", reference.ffn)
+            for op in ("attention_sublayer", "ffn_sublayer", "embed"):
+                monkeypatch.setattr(T, op, getattr(reference, op))
         T.reset_tape()
         T.zero_grad(params.tensors())
         losses, total = TR.batch_loss(params, items, 0.1)
@@ -394,8 +394,47 @@ def test_fused_sublayers_equal_the_separate_ops_on_a_packed_batch(monkeypatch):
     for field in ("cg1", "cg2", "div", "single_cg"):
         assert np.array_equal(getattr(losses, field), getattr(r_losses, field)), field
     assert np.array_equal(grad, r_grad)
-    # Two decoder layers and two encoder layers: 6 attention and 4 FFN sublayers.
-    assert r_n_ops - n_ops == 6 * 4 + 4 * 4
+    # Two decoder layers and two encoder layers: 6 attention and 4 FFN
+    # sublayers of 7 separate ops each, and two embeddings of 3.
+    assert r_n_ops - n_ops == 6 * 6 + 4 * 6 + 2 * 2
+
+
+@pytest.mark.parametrize("mode, n_ops", [("ltd", 21), ("traditional", 13)])
+def test_benchmark_shaped_step_records_one_op_per_sublayer(monkeypatch, mode, n_ops):
+    """On one layer each side, as the benchmark trains: one op per embedding,
+    sublayer and final norm (4 encoder, 5 decoder), the CG head, then the
+    loss: 3 ops of CG for every step, and 8 more of div for `ltd`."""
+    recs = C.synth_corpus(0, 24)
+    v = C.build_vocab(recs)
+    cfg = M.ModelConfig(vocab_size=len(v), d_model=32, n_heads=2, n_enc_layers=1,
+                        n_dec_layers=1, d_ff=64, max_len=64)
+    counts = []
+    backward = T.backward
+
+    def counted(loss):
+        counts.append(len(T.active_tape()))
+        backward(loss)
+
+    monkeypatch.setattr(T, "backward", counted)
+    TR.train(fixed_split(recs), v, cfg, TR.TrainConfig(lambda_div=0.1, batch_size=8, epochs=1),
+             mode=mode)
+    assert len(counts) > 1 and set(counts) == {n_ops}
+
+
+def test_train_tokenizes_each_record_once(monkeypatch):
+    recs = tiny_corpus(12)
+    split = fixed_split(recs)
+    v = C.build_vocab(recs)
+    calls = []
+    encode_record = TR._encode_record
+
+    def counted(rec, vocab):
+        calls.append(rec.product_id)
+        return encode_record(rec, vocab)
+
+    monkeypatch.setattr(TR, "_encode_record", counted)
+    TR.train(split, v, toy_config(v), TR.TrainConfig(batch_size=4, epochs=3), mode="ltd")
+    assert len(calls) == len(split.train) + len(split.validation)
 
 
 # ---------------------------------------------------------------------------
