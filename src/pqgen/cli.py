@@ -20,6 +20,7 @@ import sys
 from dataclasses import asdict
 
 from .corpus import (
+    RESERVED_TOKENS,
     CorpusSchemaError,
     Vocab,
     build_vocab,
@@ -32,7 +33,7 @@ from .corpus import (
 from .decoding import DecodingStuckError, GenerationConfig, generate_split
 from .fileio import atomic_write
 from .metrics import cluster_curve_csv, evaluate, format_report_table
-from .model import ConfigError, ModelConfig, ModelParams, load_checkpoint, save_checkpoint
+from .model import ConfigError, ModelConfig, load_checkpoint, save_checkpoint
 from .training import TrainConfig, train
 
 
@@ -229,7 +230,7 @@ def cmd_train(ns: argparse.Namespace) -> int:
     result = train(corpus_split, vocab, model_config, train_config,
                    mode=eff["mode"], log_path=log_path)
     save_checkpoint(eff["out"], result.params,
-                    vocab_tokens=list(vocab.id_to_token[4:]))
+                    vocab_tokens=list(vocab.id_to_token[len(RESERVED_TOKENS):]))
     _say(f"checkpoint: {eff['out']}")
     _say(f"log: {log_path}")
     _say(f"best_epoch={result.best_epoch}")
@@ -238,16 +239,10 @@ def cmd_train(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _load_model(path: str) -> tuple[ModelParams, Vocab]:
-    """A checkpoint's parameters and its vocabulary."""
-    params, tokens = load_checkpoint(path)
-    return params, Vocab(tokens)
-
-
 def cmd_generate(ns: argparse.Namespace) -> int:
     eff = _resolve(ns, GENERATE_OPTIONS)
     _require(eff, "checkpoint", "corpus", "out")
-    params, vocab = _load_model(eff["checkpoint"])
+    params, tokens = load_checkpoint(eff["checkpoint"])
     records = load_jsonl(eff["corpus"])
     corpus_split = split(records, seed=eff["split_seed"])
     chosen = getattr(corpus_split, eff["corpus_split"])
@@ -257,7 +252,7 @@ def cmd_generate(ns: argparse.Namespace) -> int:
         length_penalty=eff["length_penalty"],
         no_repeat_ngram=eff["no_repeat"], max_new_tokens=eff["max_new"],
         questions_per_product=eff["questions"])
-    results = generate_split(params, vocab, chosen, config)
+    results = generate_split(params, Vocab(tokens), chosen, config)
     with atomic_write(eff["out"]) as f:
         # The output path is not decoding config; leaving it out keeps reruns
         # byte-identical wherever they write.
@@ -291,8 +286,8 @@ def cmd_evaluate(ns: argparse.Namespace) -> int:
     _require(eff, "generations", "gold", "checkpoint", "report")
     generations = _load_generations(eff["generations"])
     gold = load_jsonl(eff["gold"])
-    params, vocab = _load_model(eff["checkpoint"])
-    report = evaluate(generations, gold, params, vocab)
+    params, tokens = load_checkpoint(eff["checkpoint"])
+    report = evaluate(generations, gold, params, Vocab(tokens))
     prefix = eff["report"]
     table = format_report_table(report)
     with atomic_write(prefix + ".txt") as f:
@@ -347,7 +342,3 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -14,11 +14,12 @@ import math
 import struct
 from dataclasses import asdict, dataclass
 from itertools import chain, islice
-from typing import Iterator, Sequence
+from typing import ClassVar, Iterator, Sequence
 
 import numpy as np
 
 from . import tensor as T
+from .corpus import BOS, EOS, PAD, RESERVED_TOKENS
 from .fileio import atomic_write
 from .tensor import Tensor
 
@@ -53,9 +54,9 @@ class ModelConfig:
     n_dec_layers: int = 2
     d_ff: int = 128
     max_len: int = 64
-    pad_id: int = 0
-    bos_id: int = 1
-    eos_id: int = 2
+    pad_id: ClassVar[int] = PAD
+    bos_id: ClassVar[int] = BOS
+    eos_id: ClassVar[int] = EOS
 
     def __post_init__(self):
         for name, value in asdict(self).items():
@@ -67,10 +68,8 @@ class ModelConfig:
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}")
-        if self.vocab_size <= 4:
+        if self.vocab_size <= len(RESERVED_TOKENS):
             raise ConfigError(f"vocab_size={self.vocab_size} leaves no real tokens")
-        if len({self.pad_id, self.bos_id, self.eos_id}) != 3:
-            raise ConfigError("pad/bos/eos ids must be distinct")
 
 
 def _param_manifest(cfg: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
@@ -426,15 +425,20 @@ def sequence_log_likelihood(params: ModelParams, context_ids: Sequence[int],
 # manifest order).
 
 
+# Written into every checkpoint's config; a checkpoint that sets other values is refused.
+_RESERVED_IDS = {"pad_id": PAD, "bos_id": BOS, "eos_id": EOS}
+
+
 def _check_vocab(config: ModelConfig, vocab_tokens, path) -> None:
     """A checkpoint's vocabulary names every non-reserved token id."""
     if vocab_tokens is None:
         raise CheckpointError(f"checkpoint {path} stores no vocabulary; "
                               "generate and evaluate need one")
-    if (not isinstance(vocab_tokens, list) or len(vocab_tokens) != config.vocab_size - 4
+    n = config.vocab_size - len(RESERVED_TOKENS)
+    if (not isinstance(vocab_tokens, list) or len(vocab_tokens) != n
             or not all(isinstance(t, str) for t in vocab_tokens)):
-        raise CheckpointError(f"checkpoint vocab must be a list of "
-                              f"{config.vocab_size - 4} strings (vocab_size - 4)")
+        raise CheckpointError(f"checkpoint vocab must be a list of {n} strings, one per "
+                              "non-reserved id")
 
 
 def save_checkpoint(path, params: ModelParams, vocab_tokens: Sequence[str]) -> None:
@@ -442,7 +446,7 @@ def save_checkpoint(path, params: ModelParams, vocab_tokens: Sequence[str]) -> N
     _check_vocab(params.config, vocab, path)
     header = {
         "format_version": FORMAT_VERSION,
-        "config": asdict(params.config),
+        "config": {**asdict(params.config), **_RESERVED_IDS},
         "vocab": vocab,
         "tensors": [(name, list(shape)) for name, shape in _param_manifest(params.config)],
     }
@@ -479,7 +483,11 @@ def load_checkpoint(path) -> tuple[ModelParams, list[str]]:
         raise CheckpointError(
             f"unsupported checkpoint version {header.get('format_version')!r}")
     try:
-        config = ModelConfig(**header["config"])
+        fields = {**header["config"]}
+        ids = {name: fields.pop(name, fixed) for name, fixed in _RESERVED_IDS.items()}
+        if ids != _RESERVED_IDS:
+            raise ConfigError(f"the reserved ids are fixed at {_RESERVED_IDS}, not {ids}")
+        config = ModelConfig(**fields)
     except (TypeError, KeyError, ConfigError) as e:
         raise CheckpointError(f"invalid config in checkpoint: {e}") from e
     try:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,16 +36,11 @@ ADAM_EPS = 1e-8
 CLIP_NORM = 1.0
 
 
-@dataclass(frozen=True)
-class Triplet:
-    product_id: str
+class Triplet(NamedTuple):
+    """An `ltd` item: a context and two distinct questions; a single is (context_ids, q_ids)."""
     context_ids: tuple[int, ...]
     q1_ids: tuple[int, ...]
     q2_ids: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.q1_ids == self.q2_ids:
-            raise ValueError(f"triplet questions must differ: {self.q1_ids}")
 
 
 @dataclass(frozen=True)
@@ -83,14 +78,14 @@ def _encode_record(rec: ProductRecord, vocab: Vocab):
             [tuple(vocab.encode_text(q)) for q in rec.questions])
 
 
-def _triplets(product_id: str, ctx: tuple[int, ...], qs: Sequence[tuple[int, ...]],
-              max_pairs: int, seed: int, idx: int) -> list[Triplet]:
+def _triplets(ctx: tuple[int, ...], qs: Sequence[tuple[int, ...]], max_pairs: int,
+              seed: int, idx: int) -> list[Triplet]:
     """All unordered distinct-question pairs of record `idx`, shuffled by
     `default_rng([seed, idx])` and capped at max_pairs."""
     pairs = [(qs[i], qs[j]) for i in range(len(qs)) for j in range(i + 1, len(qs))
              if qs[i] != qs[j]]
     order = np.random.default_rng([seed, idx]).permutation(len(pairs))[:max_pairs]
-    return [Triplet(product_id, ctx, *pairs[k]) for k in order]
+    return [Triplet(ctx, *pairs[k]) for k in order]
 
 
 def build_triplets(records: Sequence[ProductRecord], vocab: Vocab,
@@ -101,8 +96,7 @@ def build_triplets(records: Sequence[ProductRecord], vocab: Vocab,
     if not records:
         raise C.CorpusSchemaError("cannot build triplets from an empty corpus")
     return [t for idx, rec in enumerate(records)
-            for t in _triplets(rec.product_id, *_encode_record(rec, vocab),
-                               max_pairs_per_product, seed, idx)]
+            for t in _triplets(*_encode_record(rec, vocab), max_pairs_per_product, seed, idx)]
 
 
 def cg_loss(trace: PackedTrace, target_ids: Sequence[int]) -> Tensor:
@@ -133,47 +127,41 @@ class BatchLosses:
     cg1: np.ndarray        # per triplet: CG loss of its first question
     cg2: np.ndarray        # per triplet: CG loss of its second question
     div: np.ndarray        # per triplet
-    single_cg: np.ndarray  # per single (product_id, context_ids, q_ids) item
+    single_cg: np.ndarray  # per single (context_ids, q_ids) item
     n_branches: int        # teacher-forced branches: 2 per triplet, 1 per single
 
 
 def batch_loss(params: ModelParams, items: Sequence,
                lambda_div: float) -> tuple[BatchLosses, Tensor]:
-    """One packed forward over a batch of Triplets and singles; returns the
+    """One packed forward over a batch of triplets and singles; returns the
     per-item values and the differentiable sum of every branch's CG loss
-    plus lambda times every triplet's div."""
+    plus lambda times every triplet's div. Each item's questions are
+    consecutive branches."""
     examples: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    firsts: list[int] = []
-    seconds: list[int] = []
-    singles: list[int] = []
-    for item in items:
-        if isinstance(item, Triplet):
-            firsts.append(len(examples))
-            seconds.append(len(examples) + 1)
-            examples += [(item.context_ids, item.q1_ids), (item.context_ids, item.q2_ids)]
-        else:
-            _, ctx, q_ids = item
-            singles.append(len(examples))
-            examples.append((ctx, q_ids))
+    firsts, singles = [], []  # each triplet's first branch; each single's branch
+    for context_ids, *questions in items:
+        {1: singles, 2: firsts}[len(questions)].append(len(examples))
+        examples += [(context_ids, q_ids) for q_ids in questions]
     trace = decode_packed(params, examples)
     cg = T.cross_entropy_segments(trace.logits, trace.predict_ids, trace.branch_of_row,
                                   len(examples))
     total = T.tsum(cg)
+    firsts = np.array(firsts, dtype=np.intp)
     div = np.zeros(0)
-    if firsts:
-        div_t = _packed_div(trace, firsts, seconds)
+    if firsts.size:
+        div_t = _packed_div(trace, firsts)
         total = T.add(total, T.scale(T.tsum(div_t), lambda_div))
         div = div_t.data
-    losses = BatchLosses(cg1=cg.data[firsts], cg2=cg.data[seconds], div=div,
+    losses = BatchLosses(cg1=cg.data[firsts], cg2=cg.data[firsts + 1], div=div,
                          single_cg=cg.data[singles], n_branches=len(examples))
     return losses, total
 
 
-def _packed_div(trace: PackedTrace, firsts: list[int], seconds: list[int]) -> Tensor:
-    """`div_loss` of every (firsts[p], seconds[p]) pair of branches, as a vector."""
+def _packed_div(trace: PackedTrace, firsts: np.ndarray) -> Tensor:
+    """`div_loss` of every (f, f + 1) pair of branches, f in `firsts`, as a vector."""
     n_branches = int(trace.branch_of_row.max()) + 1
     ids = []
-    for side in (firsts, seconds):
+    for side in (firsts, firsts + 1):
         pair_of_branch = np.full(n_branches, -1)
         pair_of_branch[side] = np.arange(len(side))
         ids.append(np.where(trace.target_mask, pair_of_branch[trace.branch_of_row], -1))
@@ -254,8 +242,8 @@ def _mean_cg(params: ModelParams, per_product: list[list], batch_size: int) -> f
 def _product_items(records: Sequence[ProductRecord], vocab: Vocab, model_config: ModelConfig,
                    mode: str = "traditional", cfg: TrainConfig = TrainConfig()) -> list[list]:
     """Per-product training items, tokenizing each record once. An item is
-    either a Triplet or a (product_id, context_ids, q_ids) single. Every
-    context and question must fit the model; the error names its product."""
+    either a Triplet or a (context_ids, q_ids) single. Every context and
+    question must fit the model; the error names its product."""
     items: list[list] = []
     for idx, rec in enumerate(records):
         ctx, qs = _encode_record(rec, vocab)
@@ -265,12 +253,12 @@ def _product_items(records: Sequence[ProductRecord], vocab: Vocab, model_config:
             # The decoder reads the question after BOS.
             check_length(model_config, len(q) + 1, f"{what} question plus BOS")
         if mode == "traditional":
-            items.append([(rec.product_id, ctx, q) for q in qs])
+            items.append([(ctx, q) for q in qs])
         else:
             # A product without a distinct question pair trains one CG
             # branch and no pair regularizer.
-            items.append(_triplets(rec.product_id, ctx, qs, cfg.max_pairs_per_product,
-                                   cfg.seed, idx) or [(rec.product_id, ctx, qs[0])])
+            items.append(_triplets(ctx, qs, cfg.max_pairs_per_product, cfg.seed, idx)
+                         or [(ctx, qs[0])])
     return items
 
 

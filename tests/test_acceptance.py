@@ -148,8 +148,7 @@ def test_criterion_1_gradient_fidelity():
                             n_enc_layers=2, n_dec_layers=2, d_ff=16,
                             max_len=16)
         params = M.init_params(cfg, seed=0)
-        trip = TR.Triplet("toy", (4, 7, 9, 12, 15), (5, 8, 11),
-                          (6, 10, 13, 14))
+        trip = TR.Triplet((4, 7, 9, 12, 15), (5, 8, 11), (6, 10, 13, 14))
         T.reset_tape()
         _, total = TR.batch_loss(params, [trip], 0.1)
         T.backward(total)

@@ -5,8 +5,11 @@ generation files)."""
 import dataclasses
 import json
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -14,12 +17,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pqgen
 from pqgen import cli, training
 from pqgen.cli import main
 from pqgen.corpus import load_jsonl, save_jsonl, split, tokenize
 from pqgen.model import MAGIC, ConfigError, ModelParams, load_checkpoint, save_checkpoint
 
-from .test_model import with_header
+from .test_model import header_of, with_header
 
 
 def run(capsys, *argv):
@@ -340,6 +344,53 @@ def test_train_long_validation_context_exits_2_naming_it_before_any_step(
                    f"{len(tokenize(context))} exceeds max_len 32\n")
     assert steps == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "long.jsonl"]
+
+
+def child_env(**overrides) -> dict:
+    """This environment, with the pqgen under test first on the import path."""
+    env = {**os.environ, **overrides}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(pqgen.__file__).resolve().parent.parent)]
+        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return env
+
+
+def test_train_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # The benchmark model on 500 products is large enough for OpenBLAS to
+    # thread its products, and two threads round some of them differently.
+    # `python -m pqgen` pins BLAS to one thread, so both runs match.
+    corpus = tmp_path / "corpus.jsonl"
+    assert main(["synth", "--seed", "0", "--products", "500", "--out", str(corpus)]) == 0
+    runs = []
+    for threads in ("1", "2"):
+        ckpt = tmp_path / f"threads{threads}.ckpt"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pqgen", "train", "--corpus", str(corpus), "--out", str(ckpt),
+             "--d-model", "32", "--n-heads", "2", "--enc-layers", "1", "--dec-layers", "1",
+             "--d-ff", "64", "--max-len", "64", "--epochs", "1", "--seed", "3"],
+            env=child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads),
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        runs.append((ckpt.read_bytes(), Path(f"{ckpt}.log.jsonl").read_bytes()))
+    assert runs[0][0] == runs[1][0], "checkpoints differ"
+    assert runs[0][1] == runs[1][1], "logs differ"
+
+
+def test_the_pqgen_script_enters_through_the_pinning_module():
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert 'pqgen = "pqgen.__main__:main"' in pyproject.read_text().splitlines()
+
+
+def test_importing_pqgen_changes_no_environment():
+    # Only running the command pins the thread pools; a library import leaves
+    # the host program's environment alone.
+    env = child_env(OPENBLAS_NUM_THREADS="2")
+    env.pop("OMP_NUM_THREADS", None)
+    code = ("import os, pqgen.__main__, pqgen.cli, pqgen.training; "
+            "print(os.environ['OPENBLAS_NUM_THREADS'], 'OMP_NUM_THREADS' in os.environ)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "2 False\n"
 
 
 # ---------------------------------------------------------------------------
@@ -775,6 +826,21 @@ def test_checkpoint_config_value_that_is_not_a_dimension_exits_2(pipeline, tmp_p
     assert err.startswith("data error: invalid config in checkpoint: ")
     assert err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.ckpt"]
+
+
+def test_generate_on_checkpoint_that_redefines_eos_exits_2(pipeline, tmp_path, capsys):
+    # A checkpoint saying EOS is token 9 would cut every question at that
+    # token; it is refused with one named line and no output file.
+    corpus, ckpt = pipeline
+    raw = ckpt.read_bytes()
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(with_header(raw, config={**header_of(raw)["config"], "eos_id": 9}))
+    out = tmp_path / "g.jsonl"
+    code, _, err = run(capsys, *generate_args(corpus, bad, out))
+    assert code == 2
+    assert err.startswith("data error: invalid config in checkpoint: the reserved ids ")
+    assert err.count("\n") == 1 and "'eos_id': 9" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("vocab", [5, [1, 2], {"a": 1}], ids=["int", "ints", "object"])

@@ -1,10 +1,12 @@
 import json
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pqgen import corpus as C
 from pqgen import model as M
 from pqgen import tensor as T
 
@@ -268,6 +270,12 @@ def test_checkpoint_round_trip(tmp_path, params):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def header_of(raw: bytes) -> dict:
+    """A checkpoint's JSON header."""
+    n = struct.unpack_from("<I", raw, len(M.MAGIC))[0]
+    return json.loads(raw[len(M.MAGIC) + 4:len(M.MAGIC) + 4 + n])
+
+
 def with_header(raw: bytes, **fields) -> bytes:
     """A checkpoint's bytes with some header fields replaced."""
     n = struct.unpack_from("<I", raw, len(M.MAGIC))[0]
@@ -318,6 +326,39 @@ def test_checkpoint_validation_errors(tmp_path, params):
     with pytest.raises(M.CheckpointError, match="vocab"):
         M.save_checkpoint(tmp_path / "bad5.ckpt", params, vocab_tokens=VOCAB_TOKENS[:3])
     assert not (tmp_path / "bad5.ckpt").exists()
+
+
+LTD6 = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "ltd6.ckpt"
+
+
+def test_reserved_ids_are_the_corpus_ids_and_no_option():
+    assert (M.ModelConfig.pad_id, M.ModelConfig.bos_id, M.ModelConfig.eos_id) == \
+        (C.PAD, C.BOS, C.EOS)
+    for name in ("pad_id", "bos_id", "eos_id"):
+        with pytest.raises(TypeError):
+            M.ModelConfig(vocab_size=12, **{name: 5})
+
+
+def test_resaving_a_loaded_checkpoint_gives_its_bytes(tmp_path):
+    # The reserved ids are written into the header's config as before, so a
+    # checkpoint of an earlier version round-trips byte for byte.
+    params, tokens = M.load_checkpoint(LTD6)
+    M.save_checkpoint(tmp_path / "again.ckpt", params, tokens)
+    assert (tmp_path / "again.ckpt").read_bytes() == LTD6.read_bytes()
+
+
+@pytest.mark.parametrize("field, value", [("eos_id", 9), ("pad_id", 3), ("bos_id", "1")])
+def test_checkpoint_that_redefines_a_reserved_id_is_refused(tmp_path, field, value):
+    raw = LTD6.read_bytes()
+    config = header_of(raw)["config"]
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(with_header(raw, config={**config, field: value}))
+    with pytest.raises(M.CheckpointError, match=f"reserved ids .*'{field}': {value!r}"):
+        M.load_checkpoint(bad)
+    # A header that leaves the reserved ids out loads as before.
+    del config[field]
+    bad.write_bytes(with_header(raw, config=config))
+    assert np.array_equal(M.load_checkpoint(bad)[0].vector, M.load_checkpoint(LTD6)[0].vector)
 
 
 def test_checkpoint_every_truncation_raises_checkpoint_error(tmp_path):

@@ -46,16 +46,12 @@ def fake_trace(states, mask):
 # Triplets
 
 
-def test_triplet_rejects_identical_questions():
-    with pytest.raises(ValueError):
-        TR.Triplet("p", (5,), (6, 7), (6, 7))
-
-
 def test_build_triplets_enumerates_pairs():
     recs = [C.ProductRecord("p", "red pan", ("a ?", "b ?", "c ?"))]
     v = C.build_vocab(recs)
     trips = TR.build_triplets(recs, v, max_pairs_per_product=10, seed=0)
     assert len(trips) == 3
+    assert all(t.q1_ids != t.q2_ids for t in trips)
     pairs = {frozenset([t.q1_ids, t.q2_ids]) for t in trips}
     a, b, c = (tuple(v.encode_text(q)) for q in ("a ?", "b ?", "c ?"))
     assert pairs == {frozenset([a, b]), frozenset([a, c]), frozenset([b, c])}
@@ -234,15 +230,15 @@ def reference_step(params, items, lam):
     """The per-example step the packed forward replaces: one encode per
     context, one teacher-forced decode per branch, scalar losses summed."""
     encs, scalars, cgs, divs = {}, [], [], []
-    for item in items:
-        ctx = item.context_ids if isinstance(item, TR.Triplet) else item[1]
+    for ctx, *questions in items:
         enc = encs.get(ctx)
         if enc is None:
             enc = encs[ctx] = M.encode(params, ctx)
-        if isinstance(item, TR.Triplet):
-            t1 = M.decode_teacher_forced(params, enc, item.q1_ids)
-            t2 = M.decode_teacher_forced(params, enc, item.q2_ids)
-            cg1, cg2 = TR.cg_loss(t1, item.q1_ids), TR.cg_loss(t2, item.q2_ids)
+        if len(questions) == 2:
+            q1, q2 = questions
+            t1 = M.decode_teacher_forced(params, enc, q1)
+            t2 = M.decode_teacher_forced(params, enc, q2)
+            cg1, cg2 = TR.cg_loss(t1, q1), TR.cg_loss(t2, q2)
             scalars += [cg1, cg2]
             cgs += [cg1.item(), cg2.item()]
             if lam > 0:
@@ -253,8 +249,8 @@ def reference_step(params, items, lam):
                     div = TR.div_loss(t1, t2)
             divs.append(div.item())
         else:
-            trace = M.decode_teacher_forced(params, enc, item[2])
-            cg = TR.cg_loss(trace, item[2])
+            trace = M.decode_teacher_forced(params, enc, questions[0])
+            cg = TR.cg_loss(trace, questions[0])
             scalars.append(cg)
             cgs.append(cg.item())
     return T.scale(T.add_n(scalars), 1.0 / len(cgs)), cgs, divs
@@ -271,7 +267,7 @@ def packed_and_reference(params, items, lam):
             objective = T.scale(total, 1.0 / losses.n_branches)
             cgs, k1, k2 = [], 0, 0
             for item in items:  # back to batch branch order
-                if isinstance(item, TR.Triplet):
+                if len(item) == 3:
                     cgs += [losses.cg1[k1], losses.cg2[k1]]
                     k1 += 1
                 else:
@@ -315,7 +311,7 @@ def test_packed_ltd_step_matches_reference(lam):
 
 def test_packed_traditional_step_matches_reference():
     recs, v, params = packed_setup()
-    items = [(r.product_id, tuple(v.encode_text(r.context)), tuple(v.encode_text(q)))
+    items = [(tuple(v.encode_text(r.context)), tuple(v.encode_text(q)))
              for r in recs[:3] for q in r.questions]
     assert_packed_matches_reference(params, items, 0.0)
 
@@ -324,8 +320,7 @@ def test_packed_ltd_step_with_single_question_product_matches_reference():
     recs, v, params = packed_setup()
     trips = TR.build_triplets(recs, v, seed=0)
     lone = recs[-1]
-    single = (lone.product_id, tuple(v.encode_text(lone.context)),
-              tuple(v.encode_text(lone.questions[0])))
+    single = (tuple(v.encode_text(lone.context)), tuple(v.encode_text(lone.questions[0])))
     items = [trips[0], single, trips[1]]
     assert_packed_matches_reference(params, items, 0.1)
 
@@ -337,12 +332,12 @@ def test_packed_step_refuses_pads_in_contexts_and_targets():
     pad = params.config.pad_id
     trips = TR.build_triplets(recs, v, seed=0)[:3]
     t = trips[0]
-    bad = [TR.Triplet(t.product_id, (pad,) + t.context_ids, t.q1_ids, t.q2_ids),
-           TR.Triplet(t.product_id, t.context_ids + (pad, pad), t.q1_ids, t.q2_ids),
-           TR.Triplet(t.product_id, t.context_ids, t.q1_ids + (pad,), t.q2_ids),
-           TR.Triplet(t.product_id, t.context_ids, t.q1_ids, t.q2_ids[:1] + (pad,) + t.q2_ids[1:]),
-           ("s", (pad,) + t.context_ids, t.q1_ids),
-           ("s", t.context_ids, t.q1_ids + (pad, pad))]
+    bad = [TR.Triplet((pad,) + t.context_ids, t.q1_ids, t.q2_ids),
+           TR.Triplet(t.context_ids + (pad, pad), t.q1_ids, t.q2_ids),
+           TR.Triplet(t.context_ids, t.q1_ids + (pad,), t.q2_ids),
+           TR.Triplet(t.context_ids, t.q1_ids, t.q2_ids[:1] + (pad,) + t.q2_ids[1:]),
+           ((pad,) + t.context_ids, t.q1_ids),
+           (t.context_ids, t.q1_ids + (pad, pad))]
     for item in bad:
         for lam in (0.1, 0.0):
             T.reset_tape()
@@ -374,10 +369,10 @@ def test_fused_sublayers_equal_the_separate_ops_on_a_packed_batch(monkeypatch):
     recs, v, params = packed_setup()
     trips = TR.build_triplets(recs, v, seed=0)[:4]
     t = trips[0]  # a longer context and first question make a segment of new lengths
-    longer = TR.Triplet(t.product_id, t.context_ids[:1] + t.context_ids + t.context_ids[-1:],
+    longer = TR.Triplet(t.context_ids[:1] + t.context_ids + t.context_ids[-1:],
                         t.q1_ids + t.q1_ids[-1:], t.q2_ids)
     lone = recs[-1]
-    items = trips + [longer, (lone.product_id, tuple(v.encode_text(lone.context)),
+    items = trips + [longer, (tuple(v.encode_text(lone.context)),
                               tuple(v.encode_text(lone.questions[0])))]
     runs = []
     for fused in (True, False):
@@ -703,7 +698,7 @@ def test_ltd_product_items_hold_build_triplets_in_order():
     cfg = TR.TrainConfig(max_pairs_per_product=3, seed=4)
     per_product = TR._product_items(records, v, toy_config(v), "ltd", cfg)
     assert len(per_product) == len(records)
-    inside = [item for items in per_product for item in items if isinstance(item, TR.Triplet)]
+    inside = [item for items in per_product for item in items if len(item) == 3]
     assert inside == TR.build_triplets(records, v, cfg.max_pairs_per_product, cfg.seed)
     assert len(inside) > len(records)
 
