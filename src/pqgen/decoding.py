@@ -1,6 +1,7 @@
-"""Inference-time question generation: beam search, and diverse beam search
-whose groups advance together under group-wise Hamming penalties. One search
-decodes a chunk of products: each decoder step feeds the beams of all.
+"""Inference-time question generation by diverse beam search, whose groups
+advance together under group-wise Hamming penalties (one group is plain beam
+search). One search decodes a chunk of products: each decoder step feeds the
+beams of all.
 
 Scores carried on candidates are raw model log-probabilities; the length
 penalty (score / len^alpha) applies at ranking time only. PAD and BOS are
@@ -203,30 +204,11 @@ def _start(params: ModelParams, *contexts: Sequence[int], names: Sequence[str] =
     return start_decoding(params, enc)
 
 
-def beam_search(params: ModelParams, context_ids: Sequence[int],
-                config: GenerationConfig) -> list[Candidate]:
-    """Standard length-penalized beam search over beams_per_group beams."""
-    return _search(params, [context_ids], config, 1)[0][0]
-
-
-def diverse_beam_search(params: ModelParams, context_ids: Sequence[int],
-                        config: GenerationConfig) -> list[list[Candidate]]:
-    """Beam-search groups, each penalized by diversity_penalty times the count
-    of same-step token choices made by all earlier groups. Returns one ranked
-    candidate list per group."""
-    _check_groups(params, config)
-    return _search(params, [context_ids], config, config.num_groups)[0]
-
-
-def _check_groups(params: ModelParams, config: GenerationConfig) -> None:
+def _check_generation(params: ModelParams, config: GenerationConfig) -> None:
+    """Refuse, as a config error, a generation config the model cannot serve."""
     if (size := config.num_groups * config.beams_per_group) > params.config.vocab_size:
         raise ConfigError(f"num_groups*beams_per_group = {size} exceeds vocab size "
                           f"{params.config.vocab_size}")
-
-
-def _check_generation(params: ModelParams, config: GenerationConfig) -> None:
-    """Refuse, as a config error, a generation config the model cannot serve."""
-    _check_groups(params, config)
     if config.max_new_tokens + 1 > params.config.max_len:
         raise ConfigError(f"max_new_tokens {config.max_new_tokens} cannot fit under "
                           f"max_len {params.config.max_len}")

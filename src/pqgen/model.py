@@ -171,6 +171,7 @@ class EncoderOutput:
     """The encoder rows of one or more contexts, stacked in context order."""
     h_e: Tensor                      # [sum(lengths), d_model]
     lengths: list[int]               # rows of each context
+    layout: T.AttentionLayout        # the encoder's self-attention segments
 
 
 def check_length(cfg: ModelConfig, n: int, what: str) -> None:
@@ -251,9 +252,9 @@ def encode(params: ModelParams, *contexts: Sequence[int]) -> EncoderOutput:
     ids = np.fromiter(chain.from_iterable(contexts), np.int64, sum(lengths))
     if (ids == cfg.pad_id).any():
         raise ValueError(f"context must not contain the PAD id {cfg.pad_id}")
-    h_e = _encoder_stack(params, ids, _positions(lengths),
-                         T.AttentionLayout(lengths, lengths))
-    return EncoderOutput(h_e=h_e, lengths=lengths)
+    layout = T.AttentionLayout(lengths, lengths)
+    return EncoderOutput(h_e=_encoder_stack(params, ids, _positions(lengths), layout),
+                         lengths=lengths, layout=layout)
 
 
 @dataclass
@@ -350,17 +351,17 @@ def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
 
 def start_decoding(params: ModelParams, enc: EncoderOutput) -> DecoderState:
     """The state of one beam per context of `enc`, in order, before its first
-    input (BOS at position 0). Shorter contexts are padded with masked keys."""
+    input (BOS at position 0). Shorter contexts are padded with the keys the
+    encoder's layout masks."""
     cfg = params.config
-    slots = np.arange(max(enc.lengths)) < np.array(enc.lengths)[:, None]   # [P, n]
+    slots = enc.layout.k_slots  # [P, n]
     h_e = T.to_blocks(enc.h_e.data, slots)
     cross_kv = tuple(
         (_heads(h_e @ params[f"dec{i}.cross.wk"].data, cfg.n_heads),
          _heads(h_e @ params[f"dec{i}.cross.wv"].data, cfg.n_heads))
         for i in range(cfg.n_dec_layers))
-    cross_bias = None if slots.all() else np.where(slots, 0.0, -np.inf)[:, None, None]
     empty = np.zeros((len(slots), 0, cfg.d_model))
-    return DecoderState(cross_kv, cross_bias, ((empty, empty),) * cfg.n_dec_layers,
+    return DecoderState(cross_kv, enc.layout.bias, ((empty, empty),) * cfg.n_dec_layers,
                         np.arange(len(slots)))
 
 

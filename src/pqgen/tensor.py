@@ -55,17 +55,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single element, got shape {self.shape}")
         return float(self.data)
 
-    def sum(self) -> "Tensor":
-        return tsum(self)
-
-    def __add__(self, other):
-        return add(self, other if isinstance(other, Tensor) else Tensor(other))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -153,18 +142,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit((a, b), out, bwd)
 
 
-def matmul_t(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b.T without materializing a transpose op."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ShapeError(f"matmul_t shapes incompatible: {a.shape} @ {b.shape}.T")
-    out = a.data @ b.data.T
-
-    def bwd(g):
-        return g @ b.data, g.T @ a.data
-
-    return _emit((a, b), out, bwd)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; also accepts a 1-D bias broadcast over the rows of a 2-D a."""
     if a.shape == b.shape:
@@ -196,17 +173,6 @@ def add_n(tensors: Sequence[Tensor]) -> Tensor:
     return _emit(tuple(tensors), out, bwd)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product of same-shaped tensors."""
-    if a.shape != b.shape:
-        raise ShapeError(f"mul shapes incompatible: {a.shape} * {b.shape}")
-
-    def bwd(g):
-        return g * b.data, g * a.data
-
-    return _emit((a, b), a.data * b.data, bwd)
-
-
 def scale(x: Tensor, s: float) -> Tensor:
     s = float(s)
 
@@ -216,45 +182,12 @@ def scale(x: Tensor, s: float) -> Tensor:
     return _emit((x,), x.data * s, bwd)
 
 
-def add_const(x: Tensor, c) -> Tensor:
-    """Add a constant array (no gradient into c); result keeps x's shape."""
-    c = np.asarray(c, dtype=np.float64)
-    if np.broadcast_shapes(x.shape, c.shape) != x.shape:
-        raise ShapeError(f"add_const would change shape: {x.shape} + {c.shape}")
-
-    def bwd(g):
-        return (g,)
-
-    return _emit((x,), x.data + c, bwd)
-
-
-def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-
-    def bwd(g):
-        return (g * mask,)
-
-    return _emit((x,), np.where(mask, x.data, 0.0), bwd)
-
-
 def tsum(x: Tensor) -> Tensor:
     """Sum over all elements, yielding a 0-d scalar."""
     def bwd(g):
         return (np.broadcast_to(g, x.shape).copy(),)
 
     return _emit((x,), np.asarray(x.data.sum()), bwd)
-
-
-def tmean(x: Tensor) -> Tensor:
-    """Mean over all elements, yielding a 0-d scalar."""
-    n = x.data.size
-    if n == 0:
-        raise EmptyPoolError("mean over an empty tensor")
-
-    def bwd(g):
-        return (np.broadcast_to(g / n, x.shape).copy(),)
-
-    return _emit((x,), np.asarray(x.data.mean()), bwd)
 
 
 def _gather(table: np.ndarray, ids: Sequence[int]):
@@ -278,12 +211,6 @@ def _gather(table: np.ndarray, ids: Sequence[int]):
     return table[idx], bwd
 
 
-def embedding(table: Tensor, ids: Sequence[int]) -> Tensor:
-    """Row gather: out[t] = table[ids[t]]."""
-    rows, bwd = _gather(table.data, ids)
-    return _emit((table,), rows, lambda g: (bwd(g),))
-
-
 def embed(tok: Tensor, pos: Tensor, ids: Sequence[int], positions: Sequence[int]) -> Tensor:
     """Token plus position embedding, tok[ids] + pos[positions], as one op."""
     tok_rows, tok_bwd = _gather(tok.data, ids)
@@ -294,50 +221,8 @@ def embed(tok: Tensor, pos: Tensor, ids: Sequence[int], positions: Sequence[int]
     return _emit((pos, tok), tok_rows + pos_rows, lambda g: (pos_bwd(g), tok_bwd(g)))
 
 
-def slice_cols(x: Tensor, lo: int, hi: int) -> Tensor:
-    if x.data.ndim != 2 or not (0 <= lo < hi <= x.shape[1]):
-        raise ShapeError(f"slice_cols [{lo}:{hi}] invalid for shape {x.shape}")
-
-    def bwd(g):
-        gx = np.zeros_like(x.data)
-        gx[:, lo:hi] = g
-        return (gx,)
-
-    return _emit((x,), x.data[:, lo:hi].copy(), bwd)
-
-
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    if not parts:
-        raise ShapeError("concat_cols needs at least one tensor")
-    rows = parts[0].shape[0]
-    for p in parts:
-        if p.data.ndim != 2 or p.shape[0] != rows:
-            raise ShapeError(f"concat_cols row mismatch: {[p.shape for p in parts]}")
-    widths = [p.shape[1] for p in parts]
-    offsets = np.cumsum([0] + widths)
-
-    def bwd(g):
-        return tuple(g[:, offsets[i]:offsets[i + 1]].copy() for i in range(len(parts)))
-
-    return _emit(tuple(parts), np.concatenate([p.data for p in parts], axis=1), bwd)
-
-
-def softmax(x: Tensor) -> Tensor:
-    """Numerically stable softmax along the last axis (max subtraction);
-    -inf entries become 0."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
-
-    def bwd(g):
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        return (s * (g - dot),)
-
-    return _emit((x,), s, bwd)
-
-
 class AttentionLayout:
-    """Which key rows each query row of `attention` may see.
+    """Which key rows each query row of an attention op may see.
 
     Segment s pairs the next q_lens[s] query rows with the next k_lens[s] key
     rows: the segments tile both row blocks in order, and no row sees a row of
@@ -430,14 +315,6 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
     return merge(out, layout.q_slots), bwd
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
-              layout: AttentionLayout) -> Tensor:
-    """Multi-head scaled dot-product attention over stacked rows: q is
-    [n_q, d]; k and v are [n_k, d]."""
-    out, bwd = _attend(q.data, k.data, v.data, n_heads, layout)
-    return _emit((q, k, v), out, bwd)
-
-
 def layer_norm_arrays(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     """Layer norm on plain arrays along the last axis, with population
     variance (plus 1e-6 under the square root): gain * xhat + bias, and the
@@ -519,78 +396,12 @@ def ffn_sublayer(x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor,
     return _emit((x, x, gain, bias, w1, b1, w2, b2), x.data + (h @ w2.data + b2.data), bwd)
 
 
-def mean_pool_sequence(states: Tensor, mask: Sequence[bool]) -> Tensor:
-    """Mean over the rows of states[T, d] where mask is True."""
-    if states.data.ndim != 2 or len(mask) != states.shape[0]:
-        raise ShapeError(f"mean_pool_sequence: states {states.shape} vs mask length {len(mask)}")
-    idx = np.flatnonzero(np.asarray(mask, dtype=bool))
-    if idx.size == 0:
-        raise EmptyPoolError("mean_pool_sequence: every position is masked out")
-
-    def bwd(g):
-        gx = np.zeros_like(states.data)
-        gx[idx] = g / idx.size
-        return (gx,)
-
-    return _emit((states,), states.data[idx].mean(axis=0), bwd)
-
-
-def cosine_similarity(u: Tensor, v: Tensor) -> Tensor:
-    """Cosine of the angle between two 1-D vectors, as a 0-d scalar."""
-    if u.data.ndim != 1 or u.shape != v.shape:
-        raise ShapeError(f"cosine_similarity needs matching 1-D vectors: {u.shape} vs {v.shape}")
-    nu = float(np.linalg.norm(u.data))
-    nv = float(np.linalg.norm(v.data))
-    if nu < 1e-12 or nv < 1e-12:
-        raise DegenerateVectorError(f"cosine_similarity: norms {nu:.3e}, {nv:.3e} below 1e-12")
-    c = float(u.data @ v.data) / (nu * nv)
-
-    def bwd(g):
-        g = float(g)
-        du = g * (v.data / (nu * nv) - c * u.data / (nu * nu))
-        dv = g * (u.data / (nu * nv) - c * v.data / (nv * nv))
-        return du, dv
-
-    return _emit((u, v), np.asarray(c), bwd)
-
-
 def logsumexp(x: np.ndarray) -> np.ndarray:
     """log(sum(exp(x))) along the last axis (one value per row of a 2-D x),
     shifted by the maximum so that large entries do not overflow."""
     m = np.maximum.reduce(x, axis=-1, keepdims=True)
     e = x - m
     return np.log(np.add.reduce(np.exp(e, out=e), axis=-1)) + m[..., 0]
-
-
-def cross_entropy(logits: Tensor, targets: Sequence[int], pad_id: int) -> Tensor:
-    """Token-mean negative log-likelihood over non-pad target positions.
-
-    logits is [T, V]; targets is a length-T id sequence. Positions whose
-    target equals pad_id are excluded from the mean.
-    """
-    if logits.data.ndim != 2:
-        raise ShapeError(f"cross_entropy logits must be 2-D, got {logits.shape}")
-    tgt = np.asarray(targets, dtype=np.int64)
-    if tgt.ndim != 1 or tgt.shape[0] != logits.shape[0]:
-        raise ShapeError(f"cross_entropy: logits {logits.shape} vs targets length {tgt.shape}")
-    vocab = logits.shape[1]
-    if tgt.size and (tgt.min() < 0 or tgt.max() >= vocab):
-        raise IndexError(f"cross_entropy target id out of range [0, {vocab}): {tgt.tolist()}")
-    keep = np.flatnonzero(tgt != pad_id)
-    if keep.size == 0:
-        raise EmptyPoolError("cross_entropy: all target positions are pad")
-    lse = logsumexp(logits.data)
-    nll = lse - logits.data[np.arange(tgt.size), tgt]
-    loss = nll[keep].mean()
-
-    def bwd(g):
-        p = np.exp(logits.data - lse[:, None])  # softmax rows
-        gx = np.zeros_like(logits.data)
-        gx[keep] = p[keep]
-        gx[keep, tgt[keep]] -= 1.0
-        return (gx * (float(g) / keep.size),)
-
-    return _emit((logits,), np.asarray(loss), bwd)
 
 
 def _segment_counts(segment_ids: np.ndarray, n_segments: int, what: str) -> np.ndarray:
@@ -676,3 +487,152 @@ def cosine_similarity_rows(u: Tensor, v: Tensor) -> Tensor:
         return du, dv
 
     return _emit((u, v), c, bwd)
+
+
+# Nothing in this package calls the ops below; perfbench's traced run wraps each by
+# name (`perfbench/layers.py`, `TENSOR_OPS`), so they stay until that list changes.
+def matmul_t(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b.T without materializing a transpose op."""
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise ShapeError(f"matmul_t shapes incompatible: {a.shape} @ {b.shape}.T")
+    out = a.data @ b.data.T
+
+    def bwd(g):
+        return g @ b.data, g.T @ a.data
+
+    return _emit((a, b), out, bwd)
+
+
+def add_const(x: Tensor, c) -> Tensor:
+    """Add a constant array (no gradient into c); result keeps x's shape."""
+    c = np.asarray(c, dtype=np.float64)
+    if np.broadcast_shapes(x.shape, c.shape) != x.shape:
+        raise ShapeError(f"add_const would change shape: {x.shape} + {c.shape}")
+
+    def bwd(g):
+        return (g,)
+
+    return _emit((x,), x.data + c, bwd)
+
+
+def relu(x: Tensor) -> Tensor:
+    mask = x.data > 0
+
+    def bwd(g):
+        return (g * mask,)
+
+    return _emit((x,), np.where(mask, x.data, 0.0), bwd)
+
+
+def embedding(table: Tensor, ids: Sequence[int]) -> Tensor:
+    """Row gather: out[t] = table[ids[t]]."""
+    rows, bwd = _gather(table.data, ids)
+    return _emit((table,), rows, lambda g: (bwd(g),))
+
+
+def slice_cols(x: Tensor, lo: int, hi: int) -> Tensor:
+    if x.data.ndim != 2 or not (0 <= lo < hi <= x.shape[1]):
+        raise ShapeError(f"slice_cols [{lo}:{hi}] invalid for shape {x.shape}")
+
+    def bwd(g):
+        gx = np.zeros_like(x.data)
+        gx[:, lo:hi] = g
+        return (gx,)
+
+    return _emit((x,), x.data[:, lo:hi].copy(), bwd)
+
+
+def concat_cols(parts: Sequence[Tensor]) -> Tensor:
+    if not parts:
+        raise ShapeError("concat_cols needs at least one tensor")
+    rows = parts[0].shape[0]
+    for p in parts:
+        if p.data.ndim != 2 or p.shape[0] != rows:
+            raise ShapeError(f"concat_cols row mismatch: {[p.shape for p in parts]}")
+    widths = [p.shape[1] for p in parts]
+    offsets = np.cumsum([0] + widths)
+
+    def bwd(g):
+        return tuple(g[:, offsets[i]:offsets[i + 1]].copy() for i in range(len(parts)))
+
+    return _emit(tuple(parts), np.concatenate([p.data for p in parts], axis=1), bwd)
+
+
+def softmax(x: Tensor) -> Tensor:
+    """Numerically stable softmax along the last axis (max subtraction);
+    -inf entries become 0."""
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    s = e / e.sum(axis=-1, keepdims=True)
+
+    def bwd(g):
+        dot = (g * s).sum(axis=-1, keepdims=True)
+        return (s * (g - dot),)
+
+    return _emit((x,), s, bwd)
+
+
+def cross_entropy(logits: Tensor, targets: Sequence[int], pad_id: int) -> Tensor:
+    """Token-mean negative log-likelihood over non-pad target positions.
+
+    logits is [T, V]; targets is a length-T id sequence. Positions whose
+    target equals pad_id are excluded from the mean.
+    """
+    if logits.data.ndim != 2:
+        raise ShapeError(f"cross_entropy logits must be 2-D, got {logits.shape}")
+    tgt = np.asarray(targets, dtype=np.int64)
+    if tgt.ndim != 1 or tgt.shape[0] != logits.shape[0]:
+        raise ShapeError(f"cross_entropy: logits {logits.shape} vs targets length {tgt.shape}")
+    vocab = logits.shape[1]
+    if tgt.size and (tgt.min() < 0 or tgt.max() >= vocab):
+        raise IndexError(f"cross_entropy target id out of range [0, {vocab}): {tgt.tolist()}")
+    keep = np.flatnonzero(tgt != pad_id)
+    if keep.size == 0:
+        raise EmptyPoolError("cross_entropy: all target positions are pad")
+    lse = logsumexp(logits.data)
+    nll = lse - logits.data[np.arange(tgt.size), tgt]
+    loss = nll[keep].mean()
+
+    def bwd(g):
+        p = np.exp(logits.data - lse[:, None])  # softmax rows
+        gx = np.zeros_like(logits.data)
+        gx[keep] = p[keep]
+        gx[keep, tgt[keep]] -= 1.0
+        return (gx * (float(g) / keep.size),)
+
+    return _emit((logits,), np.asarray(loss), bwd)
+
+
+def mean_pool_sequence(states: Tensor, mask: Sequence[bool]) -> Tensor:
+    """Mean over the rows of states[T, d] where mask is True."""
+    if states.data.ndim != 2 or len(mask) != states.shape[0]:
+        raise ShapeError(f"mean_pool_sequence: states {states.shape} vs mask length {len(mask)}")
+    idx = np.flatnonzero(np.asarray(mask, dtype=bool))
+    if idx.size == 0:
+        raise EmptyPoolError("mean_pool_sequence: every position is masked out")
+
+    def bwd(g):
+        gx = np.zeros_like(states.data)
+        gx[idx] = g / idx.size
+        return (gx,)
+
+    return _emit((states,), states.data[idx].mean(axis=0), bwd)
+
+
+def cosine_similarity(u: Tensor, v: Tensor) -> Tensor:
+    """Cosine of the angle between two 1-D vectors, as a 0-d scalar."""
+    if u.data.ndim != 1 or u.shape != v.shape:
+        raise ShapeError(f"cosine_similarity needs matching 1-D vectors: {u.shape} vs {v.shape}")
+    nu = float(np.linalg.norm(u.data))
+    nv = float(np.linalg.norm(v.data))
+    if nu < 1e-12 or nv < 1e-12:
+        raise DegenerateVectorError(f"cosine_similarity: norms {nu:.3e}, {nv:.3e} below 1e-12")
+    c = float(u.data @ v.data) / (nu * nv)
+
+    def bwd(g):
+        g = float(g)
+        du = g * (v.data / (nu * nv) - c * u.data / (nu * nu))
+        dv = g * (u.data / (nu * nv) - c * v.data / (nv * nv))
+        return du, dv
+
+    return _emit((u, v), np.asarray(c), bwd)

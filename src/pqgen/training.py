@@ -88,17 +88,6 @@ def _triplets(ctx: tuple[int, ...], qs: Sequence[tuple[int, ...]], max_pairs: in
     return [Triplet(ctx, *pairs[k]) for k in order]
 
 
-def build_triplets(records: Sequence[ProductRecord], vocab: Vocab,
-                   max_pairs_per_product: int = TrainConfig.max_pairs_per_product,
-                   seed: int = TrainConfig.seed) -> list[Triplet]:
-    """Every product's triplets in record order; single-question products
-    contribute nothing here."""
-    if not records:
-        raise C.CorpusSchemaError("cannot build triplets from an empty corpus")
-    return [t for idx, rec in enumerate(records)
-            for t in _triplets(*_encode_record(rec, vocab), max_pairs_per_product, seed, idx)]
-
-
 def cg_loss(trace: PackedTrace, target_ids: Sequence[int]) -> Tensor:
     """Token-mean cross entropy of a one-branch trace against its shifted target."""
     if tuple(int(i) for i in target_ids) != tuple(int(i) for i in trace.predict_ids[:-1]):

@@ -1,4 +1,14 @@
-"""Slow reference paths the fast ones are tested against.
+"""Slow reference paths the fast ones are tested against, and the helpers
+only tests call.
+
+`mul`, `tmean` and `attention` are tape ops that nothing in `pqgen` records:
+the elementwise product, the mean over all elements, and multi-head
+attention over q/k/v rows (`pqgen.tensor._attend`, which both fused
+sublayer ops run). `beam_search` and `diverse_beam_search` are the
+one-product cases of `pqgen.decoding._search`, with one group or with
+`num_groups`; unlike `generate_questions` they check nothing about the
+config. `build_triplets` is every product's `ltd` triplets in record order,
+as `pqgen.training` samples them.
 
 `decode_step` is the uncached, full-prefix decoder step: it runs the whole
 BOS-prefixed prefix through the Tensor forward for every next-token
@@ -43,8 +53,57 @@ import numpy as np
 from pqgen import decoding as D
 from pqgen import model as M
 from pqgen import tensor as T
-from pqgen.corpus import ProductRecord, tokenize
+from pqgen import training as TR
+from pqgen.corpus import CorpusSchemaError, ProductRecord, Vocab, tokenize
 from pqgen.metrics import BLEU_MAX_N, MetricInputError, meteor_lite
+
+
+def mul(a: T.Tensor, b: T.Tensor) -> T.Tensor:
+    """Elementwise product of same-shaped tensors."""
+    if a.shape != b.shape:
+        raise T.ShapeError(f"mul shapes incompatible: {a.shape} * {b.shape}")
+    return T._emit((a, b), a.data * b.data, lambda g: (g * b.data, g * a.data))
+
+
+def tmean(x: T.Tensor) -> T.Tensor:
+    """Mean over all elements, yielding a 0-d scalar."""
+    n = x.data.size
+    if n == 0:
+        raise T.EmptyPoolError("mean over an empty tensor")
+    return T._emit((x,), np.asarray(x.data.mean()),
+                   lambda g: (np.broadcast_to(g / n, x.shape).copy(),))
+
+
+def attention(q: T.Tensor, k: T.Tensor, v: T.Tensor, n_heads: int,
+              layout: T.AttentionLayout) -> T.Tensor:
+    """Multi-head scaled dot-product attention over stacked rows: q is
+    [n_q, d]; k and v are [n_k, d]."""
+    out, bwd = T._attend(q.data, k.data, v.data, n_heads, layout)
+    return T._emit((q, k, v), out, bwd)
+
+
+def beam_search(params: M.ModelParams, context_ids: Sequence[int],
+                config: D.GenerationConfig) -> list[D.Candidate]:
+    """Standard length-penalized beam search over beams_per_group beams."""
+    return D._search(params, [context_ids], config, 1)[0][0]
+
+
+def diverse_beam_search(params: M.ModelParams, context_ids: Sequence[int],
+                        config: D.GenerationConfig) -> list[list[D.Candidate]]:
+    """One ranked candidate list per group of `pqgen.decoding._search`."""
+    return D._search(params, [context_ids], config, config.num_groups)[0]
+
+
+def build_triplets(records: Sequence[ProductRecord], vocab: Vocab,
+                   max_pairs_per_product: int = TR.TrainConfig.max_pairs_per_product,
+                   seed: int = TR.TrainConfig.seed) -> list[TR.Triplet]:
+    """Every product's triplets in record order; single-question products
+    contribute nothing here."""
+    if not records:
+        raise CorpusSchemaError("cannot build triplets from an empty corpus")
+    return [t for idx, rec in enumerate(records)
+            for t in TR._triplets(*TR._encode_record(rec, vocab), max_pairs_per_product,
+                                  seed, idx)]
 
 
 def multi_head_attention(x_q: T.Tensor, x_kv: T.Tensor, wq: T.Tensor, wk: T.Tensor,
@@ -53,7 +112,7 @@ def multi_head_attention(x_q: T.Tensor, x_kv: T.Tensor, wq: T.Tensor, wk: T.Tens
     q = T.matmul(x_q, wq)
     k = T.matmul(x_kv, wk)
     v = T.matmul(x_kv, wv)
-    return T.matmul(T.attention(q, k, v, n_heads, layout), wo)
+    return T.matmul(attention(q, k, v, n_heads, layout), wo)
 
 
 def ffn(x: T.Tensor, w1: T.Tensor, b1: T.Tensor, w2: T.Tensor, b2: T.Tensor) -> T.Tensor:

@@ -27,7 +27,8 @@ from pqgen import tensor as T
 from pqgen import training as TR
 
 from . import reference
-from .reference import greedy_decode
+from .reference import (beam_search, build_triplets, diverse_beam_search, greedy_decode, mul,
+                        tmean)
 from .oracles import (
     bleu_oracle,
     cluster_counts_scipy,
@@ -90,23 +91,23 @@ def test_criterion_1_gradient_fidelity():
         u5, v5 = rng.normal(size=5), rng.normal(size=5)
         logits = rng.normal(size=(4, 6))
         cases = [
-            (lambda t: T.matmul(t[0], t[1]).sum(), [x34, x42]),
-            (lambda t: T.matmul_t(t[0], t[1]).sum(), [x34, x54]),
-            (lambda t: T.add(t[0], t[1]).sum(), [x34, b4]),
-            (lambda t: T.add_n([t[0], t[1], t[2]]).sum(), [x34, y34, z34]),
-            (lambda t: T.mul(t[0], t[1]).sum(), [x34, y34]),
-            (lambda t: T.scale(t[0], 1.7).sum(), [x34]),
-            (lambda t: T.add_const(t[0], 0.3).sum(), [x34]),
-            (lambda t: T.relu(t[0]).sum(), [off_kink]),
+            (lambda t: T.tsum(T.matmul(t[0], t[1])), [x34, x42]),
+            (lambda t: T.tsum(T.matmul_t(t[0], t[1])), [x34, x54]),
+            (lambda t: T.tsum(T.add(t[0], t[1])), [x34, b4]),
+            (lambda t: T.tsum(T.add_n([t[0], t[1], t[2]])), [x34, y34, z34]),
+            (lambda t: T.tsum(mul(t[0], t[1])), [x34, y34]),
+            (lambda t: T.tsum(T.scale(t[0], 1.7)), [x34]),
+            (lambda t: T.tsum(T.add_const(t[0], 0.3)), [x34]),
+            (lambda t: T.tsum(T.relu(t[0])), [off_kink]),
             (lambda t: T.tsum(t[0]), [x34]),
-            (lambda t: T.tmean(t[0]), [x34]),
-            (lambda t: T.embedding(t[0], [1, 3, 3, 0]).sum(), [x54]),
-            (lambda t: T.slice_cols(t[0], 1, 4).sum(), [x36]),
-            (lambda t: T.concat_cols([t[0], t[1]]).sum(), [x34, x36]),
-            (lambda t: T.tsum(T.mul(T.softmax(t[0]), t[1])), [x36, w6]),
-            (lambda t: T.tsum(T.mul(T.layer_norm(t[0], t[1], t[2]), t[3])),
+            (lambda t: tmean(t[0]), [x34]),
+            (lambda t: T.tsum(T.embedding(t[0], [1, 3, 3, 0])), [x54]),
+            (lambda t: T.tsum(T.slice_cols(t[0], 1, 4)), [x36]),
+            (lambda t: T.tsum(T.concat_cols([t[0], t[1]])), [x34, x36]),
+            (lambda t: T.tsum(mul(T.softmax(t[0]), t[1])), [x36, w6]),
+            (lambda t: T.tsum(mul(T.layer_norm(t[0], t[1], t[2]), t[3])),
              [x36, rng.normal(size=6), rng.normal(size=6), w6]),
-            (lambda t: T.tsum(T.mul(T.mean_pool_sequence(t[0], mask), t[1])),
+            (lambda t: T.tsum(mul(T.mean_pool_sequence(t[0], mask), t[1])),
              [states, w3]),
             (lambda t: T.cosine_similarity(t[0], t[1]), [u5, v5]),
             (lambda t: T.cross_entropy(t[0], [2, 5, 0, 3], pad_id=0), [logits]),
@@ -122,11 +123,11 @@ def test_criterion_1_gradient_fidelity():
             layout = T.AttentionLayout(q_lens, k_lens, causal=causal)
             out_w = rng.normal(size=(sum(q_lens), 4))
             if causal:
-                cases.append((lambda t, layout=layout: T.tsum(T.mul(T.attention_sublayer(
+                cases.append((lambda t, layout=layout: T.tsum(mul(T.attention_sublayer(
                     *t[:7], 2, layout), t[7])),
                     [rng.normal(size=(sum(q_lens), 4))] + ln4 + w44 + [out_w]))
             else:
-                cases.append((lambda t, layout=layout: T.tsum(T.mul(T.attention_sublayer(
+                cases.append((lambda t, layout=layout: T.tsum(mul(T.attention_sublayer(
                     *t[:7], 2, layout, t[7]), t[8])),
                     [rng.normal(size=(sum(q_lens), 4))] + ln4 + w44
                     + [rng.normal(size=(sum(k_lens), 4)), out_w]))
@@ -135,11 +136,22 @@ def test_criterion_1_gradient_fidelity():
         # Keep the hidden relu inputs away from the kink, as above.
         normed = T.layer_norm_arrays(x34, ffn_in[1], ffn_in[2])[0]
         assert np.abs(normed @ ffn_in[3] + ffn_in[4]).min() > 0.01
-        cases.append((lambda t: T.tsum(T.mul(T.ffn_sublayer(*t[:7]), t[7])), ffn_in + [y34]))
+        cases.append((lambda t: T.tsum(mul(T.ffn_sublayer(*t[:7]), t[7])), ffn_in + [y34]))
         # Token plus position embedding, with repeated token and position ids.
-        cases.append((lambda t: T.tsum(T.mul(T.embed(t[0], t[1], [1, 3, 3, 0], [0, 2, 1, 2]),
+        cases.append((lambda t: T.tsum(mul(T.embed(t[0], t[1], [1, 3, 3, 0], [0, 2, 1, 2]),
                                              t[2])),
                       [x54, rng.normal(size=(3, 4)), rng.normal(size=(4, 4))]))
+        # The segment ops of the packed step: per-branch CG over two segments,
+        # pooling in which a BOS row (id -1) joins no segment, and row cosines.
+        cases += [
+            (lambda t: T.tsum(mul(T.cross_entropy_segments(t[0], [2, 5, 0, 3], [0, 1, 1, 0],
+                                                           2), t[1])),
+             [logits, rng.normal(size=2)]),
+            (lambda t: T.tsum(mul(T.mean_pool_segments(t[0], [1, -1, 0, 1, 0], 2), t[1])),
+             [rng.normal(size=(5, 3)), rng.normal(size=(2, 3))]),
+            (lambda t: T.tsum(mul(T.cosine_similarity_rows(t[0], t[1]), t[2])),
+             [x34, y34, rng.normal(size=3)]),
+        ]
         for build, arrays in cases:
             analytic_vs_fd(build, arrays)
 
@@ -214,7 +226,7 @@ def test_criterion_2_loss_identities():
             assert abs(row["total"]
                        - (row["cg1"] + row["cg2"] + lam * row["div"])) <= 1e-12
         # and each triplet's differentiable total agrees with its losses
-        for trip in TR.build_triplets(recs, vocab)[:5]:
+        for trip in build_triplets(recs, vocab)[:5]:
             T.reset_tape()
             losses, total = TR.batch_loss(res.params, [trip], lam)
             cg1, cg2, div = losses.cg1[0], losses.cg2[0], losses.div[0]
@@ -323,20 +335,20 @@ def test_criterion_4_decoding_reductions():
                                   questions_per_product=6)
 
         # one group == plain beam search
-        assert D.diverse_beam_search(params, ctx, base) \
-            == [D.beam_search(params, ctx, base)]
+        assert diverse_beam_search(params, ctx, base) \
+            == [beam_search(params, ctx, base)]
 
         # zero penalty: every group collapses to the same beam result
         zero = dataclasses.replace(base, num_groups=3, diversity_penalty=0.0)
-        reference = D.beam_search(params, ctx, zero)
+        reference = beam_search(params, ctx, zero)
         assert all(g == reference
-                   for g in D.diverse_beam_search(params, ctx, zero))
+                   for g in diverse_beam_search(params, ctx, zero))
 
         # a single beam follows the greedy path
         single = dataclasses.replace(base, beams_per_group=1,
                                      diversity_penalty=0.0,
                                      no_repeat_ngram=0, max_new_tokens=10)
-        (cand,) = D.beam_search(params, [5, 7], single)
+        (cand,) = beam_search(params, [5, 7], single)
         tokens = list(cand.token_ids)
         if cand.finished:
             tokens = tokens[:-1]
@@ -351,7 +363,7 @@ def test_criterion_4_decoding_reductions():
             wide = dataclasses.replace(base, beams_per_group=60,
                                        diversity_penalty=0.0,
                                        no_repeat_ngram=0, max_new_tokens=3)
-            got = D.beam_search(toy, [4, 4], wide)
+            got = beam_search(toy, [4, 4], wide)
             want = exhaustive_decode(toy, [4, 4], 3)
             assert [g.token_ids for g in got] == [w.token_ids for w in want]
             np.testing.assert_allclose([g.cum_logprob for g in got],

