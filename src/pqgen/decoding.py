@@ -106,7 +106,7 @@ class _Beam(NamedTuple):
 
 @np.errstate(all="ignore")
 def _search(params: ModelParams, contexts: Sequence[Sequence[int]], cfg: GenerationConfig,
-            num_groups: int, names: Sequence[str] = ()) -> list[list[list[Candidate]]]:
+            names: Sequence[str] = ()) -> list[list[list[Candidate]]]:
     """Diverse beam search of several products as one loop over positions
     (Vijayakumar et al. 2016, Alg. 1, batched as in fairseq's
     `SequenceGenerator`): one `decode_step` call advances the unfinished beams
@@ -122,9 +122,10 @@ def _search(params: ModelParams, contexts: Sequence[Sequence[int]], cfg: Generat
     width = cfg.beams_per_group
     # Earlier groups chose at most width * (num_groups - 1) tokens at a step and a penalty
     # only lowers scores, so a beam's best `width` penalized tokens are among its k best.
-    k = min(width * num_groups, mcfg.vocab_size)
+    # Picks past the vocabulary are -inf and stop selection, as banned tokens do.
+    k = width * cfg.num_groups
     state = _start(params, *contexts, names=names)
-    products = [[[_Beam((), 0.0, 0.0, False)] for _ in range(num_groups)] for _ in contexts]
+    products = [[[_Beam((), 0.0, 0.0, False)] for _ in range(cfg.num_groups)] for _ in contexts]
     rows = {(p, ()): p for p in range(len(contexts))}  # state row of each unfinished prefix
     # Position t feeds pos_emb[t], so a beam grows to at most max_len tokens.
     for t in range(min(cfg.max_new_tokens, mcfg.max_len)):
@@ -248,7 +249,7 @@ def _generate(params: ModelParams, vocab: Vocab, contexts: Sequence[Sequence[int
               config: GenerationConfig, names: Sequence[str] = ()) -> list[GenerationResult]:
     eos = params.config.eos_id
     results = []
-    for p, groups in enumerate(_search(params, contexts, config, config.num_groups, names)):
+    for p, groups in enumerate(_search(params, contexts, config, names)):
         seen: set[tuple[int, ...]] = set()
         pool: list[Candidate] = []
         for group in groups:

@@ -129,16 +129,6 @@ def pairwise_bleu(group: Sequence[Sequence[str]]) -> float:
 # METEOR (exact-match variant)
 
 
-def _chunk_count(pairs: list[tuple[int, int]]) -> int:
-    chunks = 0
-    prev = None
-    for h, r in sorted(pairs):
-        if prev is None or h != prev[0] + 1 or r != prev[1] + 1:
-            chunks += 1
-        prev = (h, r)
-    return chunks
-
-
 def _min_chunks_exact(per_type: list[tuple[list[int], list[int], int]],
                       matches: int) -> int:
     """Branch-and-bound over which hypothesis positions match which reference
@@ -185,28 +175,31 @@ def _min_chunks_exact(per_type: list[tuple[list[int], list[int], int]],
     return best
 
 
-def _min_chunks_greedy(per_type: list[tuple[list[int], list[int], int]]) -> int:
-    """Fallback when the exact search space is too large: walk hypothesis
-    positions left to right, preferring the reference position that continues
-    the current chunk, else the smallest available."""
-    slots = sorted((h, ti) for ti, (hps, _, _) in enumerate(per_type) for h in hps)
-    need = [m for _, _, m in per_type]
-    avail = [sorted(rps) for _, rps, _ in per_type]
-    pairs: list[tuple[int, int]] = []
-    prev = None
-    for h, ti in slots:
-        if need[ti] == 0:
-            continue
-        want = prev[1] + 1 if (prev is not None and h == prev[0] + 1) else None
-        if want is not None and want in avail[ti]:
-            r = want
-        else:
-            r = avail[ti][0]
-        avail[ti].remove(r)
-        need[ti] -= 1
-        pairs.append((h, r))
+def _min_chunks_greedy(hyp: list[str], ref: list[str]) -> int:
+    """Fallback when the exact search space is too large: walk the hypothesis
+    left to right, continuing the current chunk where the reference allows,
+    else starting one at the free reference position that begins the longest
+    matching run from here (the lowest on ties)."""
+    free = set(range(len(ref)))
+
+    def run(h: int, r: int) -> int:  # matching free positions from (h, r) on
+        n = 0
+        while h + n < len(hyp) and r + n in free and hyp[h + n] == ref[r + n]:
+            n += 1
+        return n
+
+    chunks, prev = 0, (-2, -2)
+    for h, token in enumerate(hyp):
+        r = prev[1] + 1
+        if h != prev[0] + 1 or not run(h, r):
+            starts = [r for r in free if ref[r] == token]
+            if not starts:  # every match of this token is made
+                continue
+            chunks += 1
+            r = max(starts, key=lambda r: (run(h, r), -r))
+        free.remove(r)
         prev = (h, r)
-    return _chunk_count(pairs)
+    return chunks
 
 
 def meteor_lite(hypothesis: Sequence[str], reference: Sequence[str]) -> float:
@@ -238,7 +231,7 @@ def meteor_lite(hypothesis: Sequence[str], reference: Sequence[str]) -> float:
     if space <= _CHUNK_SEARCH_BUDGET:
         chunks = _min_chunks_exact(per_type, matches)
     else:
-        chunks = _min_chunks_greedy(per_type)
+        chunks = _min_chunks_greedy(hyp, ref)
     precision = matches / len(hyp)
     recall = matches / len(ref)
     f_mean = 10.0 * precision * recall / (recall + 9.0 * precision)

@@ -124,8 +124,7 @@ class ModelParams:
         except (MemoryError, ValueError) as e:  # ValueError: past numpy's size limit
             raise ConfigError(f"cannot allocate a model of {sum(sizes)} parameters: {e}") from None
         cuts = np.cumsum(sizes)[:-1]
-        self._tensors = {name: Tensor(piece.reshape(shape), requires_grad=True,
-                                      grad=gpiece.reshape(shape))
+        self._tensors = {name: Tensor(piece.reshape(shape), gpiece.reshape(shape))
                          for (name, shape), piece, gpiece in zip(
                              manifest, np.split(self.vector, cuts), np.split(self._grad, cuts))}
 
@@ -344,11 +343,6 @@ class DecoderState:
                             self.product[parents])
 
 
-def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
-    """[..., L, d] -> [..., H, L, d/H]: head h takes columns h*d/H..(h+1)*d/H."""
-    return x.reshape(x.shape[:-1] + (n_heads, -1)).swapaxes(-2, -3)
-
-
 def start_decoding(params: ModelParams, enc: EncoderOutput) -> DecoderState:
     """The state of one beam per context of `enc`, in order, before its first
     input (BOS at position 0). Shorter contexts are padded with the keys the
@@ -357,8 +351,8 @@ def start_decoding(params: ModelParams, enc: EncoderOutput) -> DecoderState:
     slots = enc.layout.k_slots  # [P, n]
     h_e = T.to_blocks(enc.h_e.data, slots)
     cross_kv = tuple(
-        (_heads(h_e @ params[f"dec{i}.cross.wk"].data, cfg.n_heads),
-         _heads(h_e @ params[f"dec{i}.cross.wv"].data, cfg.n_heads))
+        (T.split_heads(h_e @ params[f"dec{i}.cross.wk"].data, cfg.n_heads),
+         T.split_heads(h_e @ params[f"dec{i}.cross.wv"].data, cfg.n_heads))
         for i in range(cfg.n_dec_layers))
     empty = np.zeros((len(slots), 0, cfg.d_model))
     return DecoderState(cross_kv, enc.layout.bias, ((empty, empty),) * cfg.n_dec_layers,
@@ -399,12 +393,12 @@ def decode_step(params: ModelParams, state: DecoderState,
         k = np.concatenate([k_past, (a @ w[f"dec{i}.self.wk"])[:, None]], axis=1)
         v = np.concatenate([v_past, (a @ w[f"dec{i}.self.wv"])[:, None]], axis=1)
         self_kv.append((k, v))
-        x = x + attend(f"dec{i}.self", a, _heads(k, cfg.n_heads), _heads(v, cfg.n_heads))
+        x = x + attend(f"dec{i}.self", a, T.split_heads(k, cfg.n_heads),
+                       T.split_heads(v, cfg.n_heads))
         x = x + attend(f"dec{i}.cross", layer_norm(x, f"dec{i}.cross.ln"), per_row(k_enc),
                        per_row(v_enc), cross_bias)
-        a = layer_norm(x, f"dec{i}.ffn.ln")
-        h = np.maximum(a @ w[f"dec{i}.ffn.w1"] + w[f"dec{i}.ffn.b1"], 0.0)
-        x = x + (h @ w[f"dec{i}.ffn.w2"] + w[f"dec{i}.ffn.b2"])
+        ffn = _weights(params, f"dec{i}.ffn", "w1", "b1", "w2", "b2")
+        x = T.ffn_arrays(x, *(p.data for p in ffn))[0]
     logits = layer_norm(x, "dec_ln") @ w["cg_head.w"]
     return (logits - T.logsumexp(logits)[:, None],
             DecoderState(state.cross_kv, state.cross_bias, tuple(self_kv), state.product))

@@ -1,11 +1,11 @@
 """Reverse-mode automatic differentiation over float64 numpy arrays.
 
 Every operation validates shapes eagerly, computes forward with numpy, and
-records a closure on a global tape. `backward` replays the tape once in
-reverse and adds each leaf's gradient into its `.grad` buffer in place
-(repeated calls keep accumulating); op outputs get no `.grad`. A leaf
-without a buffer gets one on its first backward, and `zero_grad` fills
-every buffer with zeros.
+records a closure on a global tape unless it runs under `no_grad`.
+`backward` replays the tape once in reverse and adds each leaf's gradient
+into its `.grad` buffer in place (repeated calls keep accumulating); a
+tensor without a buffer is a constant, and op outputs get none. `zero_grad`
+fills every buffer with zeros.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ class DegenerateVectorError(ValueError):
 
 
 class Tensor:
-    """A float64 ndarray plus gradient metadata.
+    """A float64 ndarray and, on a leaf that learns, its gradient buffer.
 
     `data` is treated as immutable by all ops, and backward closures read the
     arrays their forward saw. A model's parameter `data` is a view of one
@@ -39,11 +39,10 @@ class Tensor:
     vector.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "grad")
 
-    def __init__(self, data, requires_grad: bool = False, grad: np.ndarray | None = None):
+    def __init__(self, data, grad: np.ndarray | None = None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad)
         self.grad = grad
 
     @property
@@ -56,7 +55,7 @@ class Tensor:
         return float(self.data)
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape})"
 
 
 # The tape lists executed ops in order. An entry is (inputs, output,
@@ -88,8 +87,8 @@ def no_grad():
 
 
 def _emit(inputs: tuple[Tensor, ...], out_data: np.ndarray, bwd) -> Tensor:
-    out = Tensor(out_data, requires_grad=_GRAD_ENABLED and any(t.requires_grad for t in inputs))
-    if out.requires_grad:
+    out = Tensor(out_data)
+    if _GRAD_ENABLED:
         _TAPE.append((inputs, out, bwd))
     return out
 
@@ -97,11 +96,10 @@ def _emit(inputs: tuple[Tensor, ...], out_data: np.ndarray, bwd) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Reverse sweep from a scalar loss; visits each recorded op exactly once.
 
-    Each requires_grad leaf reachable from `loss` (a tensor no recorded op
-    produced) has its gradient added (+=) in place into its `.grad` buffer,
-    so calling backward twice on the same tape doubles the gradients. A leaf
-    without a buffer gets a copy of its first gradient, since an op's
-    backward may hand one array to several inputs. Op outputs keep no `.grad`.
+    Each leaf reachable from `loss` (a tensor no recorded op produced) that
+    has a `.grad` buffer gets its gradient added (+=) into it in place, so
+    calling backward twice on the same tape doubles the gradients. A leaf
+    without a buffer is a constant, and op outputs keep no `.grad`.
     """
     if loss.data.shape != ():
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -111,16 +109,12 @@ def backward(loss: Tensor) -> None:
         if g is None:
             continue
         for inp, gi in zip(inputs, bwd(g)):
-            if gi is None or not inp.requires_grad:
-                continue
             prev = flowing.get(inp)
             flowing[inp] = gi if prev is None else prev + gi
     # Whatever never appeared as an op output is a leaf.
     for leaf, g in flowing.items():
         if leaf.grad is not None:
             np.add(leaf.grad, g, out=leaf.grad)
-        elif leaf.requires_grad:
-            leaf.grad = np.array(g, dtype=np.float64)
 
 
 def zero_grad(tensors: Iterable[Tensor]) -> None:
@@ -275,13 +269,18 @@ def softmax_attention(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray,
     return p @ vh, p
 
 
+def split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+    """[..., L, d] -> [..., H, L, d/H]: head h takes columns h*d/H..(h+1)*d/H."""
+    return x.reshape(x.shape[:-1] + (n_heads, -1)).swapaxes(-2, -3)
+
+
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
             layout: AttentionLayout):
     """Multi-head attention on plain stacked rows: the output rows and the
-    backward that maps their gradient to (gq, gk, gv). Head h uses columns
-    h*d/H..(h+1)*d/H and the head outputs are concatenated in that order.
-    Each segment of `layout` is gathered into a padded [segments, heads,
-    Lq, Lk] block; only that block's softmax is kept for the backward pass."""
+    backward that maps their gradient to (gq, gk, gv). The head outputs are
+    concatenated in `split_heads` order. Each segment of `layout` is gathered
+    into a padded [segments, heads, Lq, Lk] block; only that block's softmax
+    is kept for the backward pass."""
     if q.ndim != 2 or k.ndim != 2 or k.shape != v.shape or q.shape[1] != k.shape[1]:
         raise ShapeError(f"attention shapes incompatible: q {q.shape}, k {k.shape}, v {v.shape}")
     if (q.shape[0], k.shape[0]) != (layout.n_q, layout.n_k):
@@ -290,11 +289,10 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
     d = q.shape[1]
     if n_heads < 1 or d % n_heads:
         raise ShapeError(f"attention width {d} not divisible into {n_heads} heads")
-    dh = d // n_heads
-    scale_ = 1.0 / np.sqrt(dh)
+    scale_ = 1.0 / np.sqrt(d // n_heads)
 
     def split(x, slots):                                   # -> [S, H, L, dh]
-        return to_blocks(x, slots).reshape(*slots.shape, n_heads, dh).transpose(0, 2, 1, 3)
+        return split_heads(to_blocks(x, slots), n_heads)
 
     def merge(xh, slots):                                  # [S, H, L, dh] -> rows
         return xh.transpose(0, 2, 1, 3).reshape(*slots.shape, d)[slots]
@@ -375,25 +373,32 @@ def attention_sublayer(x: Tensor, gain: Tensor, bias: Tensor, wq: Tensor, wk: Te
     return _emit(inputs, x.data + att @ wo.data, bwd)
 
 
+def ffn_arrays(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, w1: np.ndarray,
+               b1: np.ndarray, w2: np.ndarray, b2: np.ndarray):
+    """x + relu(a @ w1 + b1) @ w2 + b2 with a = layer_norm(x) on plain arrays,
+    and the backward that maps its gradient to `ffn_sublayer`'s inputs."""
+    a, ln_bwd = layer_norm_arrays(x, gain, bias)
+    pre = a @ w1 + b1
+    mask = pre > 0
+    h = np.where(mask, pre, 0.0)
+
+    def bwd(g):
+        gpre = (g @ w2.T) * mask
+        return (g, *ln_bwd(gpre @ w1.T), a.T @ gpre, gpre.sum(axis=0), h.T @ g, g.sum(axis=0))
+
+    return x + (h @ w2 + b2), bwd
+
+
 def ffn_sublayer(x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor,
                  w2: Tensor, b2: Tensor) -> Tensor:
-    """x + relu(a @ w1 + b1) @ w2 + b2 with a = layer_norm(x)."""
+    """`ffn_arrays` as an op."""
     if (x.data.ndim != 2 or w1.data.ndim != 2 or w2.data.ndim != 2
             or w1.shape[0] != x.shape[1] or b1.shape != (w1.shape[1],)
             or w2.shape != (w1.shape[1], x.shape[1]) or b2.shape != (x.shape[1],)):
         raise ShapeError(f"ffn shapes incompatible: x {x.shape}, w1 {w1.shape}, "
                          f"b1 {b1.shape}, w2 {w2.shape}, b2 {b2.shape}")
-    a, ln_bwd = layer_norm_arrays(x.data, gain.data, bias.data)
-    pre = a @ w1.data + b1.data
-    mask = pre > 0
-    h = np.where(mask, pre, 0.0)
-
-    def bwd(g):
-        gpre = (g @ w2.data.T) * mask
-        return (g, *ln_bwd(gpre @ w1.data.T), a.T @ gpre, gpre.sum(axis=0),
-                h.T @ g, g.sum(axis=0))
-
-    return _emit((x, x, gain, bias, w1, b1, w2, b2), x.data + (h @ w2.data + b2.data), bwd)
+    inputs = (x, x, gain, bias, w1, b1, w2, b2)
+    return _emit(inputs, *ffn_arrays(*(t.data for t in inputs[1:])))
 
 
 def logsumexp(x: np.ndarray) -> np.ndarray:

@@ -298,14 +298,14 @@ def train(split: SplitCorpus, vocab: Vocab, model_config: ModelConfig,
             adam_step(params, grad, state, train_config.learning_rate)
             step += 1
             row = {"kind": "step", "step": step, "epoch": epoch}
-            if losses.cg1.size:
-                cg1 = math.fsum(losses.cg1) / losses.cg1.size
-                cg2 = math.fsum(losses.cg2) / losses.cg2.size
-                div = math.fsum(losses.div) / losses.div.size
-                row.update(cg1=cg1, cg2=cg2, div=div, total=cg1 + cg2 + lam * div)
+            cg1, cg2, div, single_cg = (math.fsum(v) / v.size if v.size else None for v in (
+                losses.cg1, losses.cg2, losses.div, losses.single_cg))
+            if cg1 is None:
+                row.update(cg1=single_cg, cg2=None, div=None, total=single_cg)
             else:
-                cg = math.fsum(losses.single_cg) / losses.single_cg.size
-                row.update(cg1=cg, cg2=None, div=None, total=cg)
+                row.update(cg1=cg1, cg2=cg2, div=div, total=cg1 + cg2 + lam * div)
+                if single_cg is not None:  # the triplet means leave the singles out
+                    row.update(single_cg=single_cg)
             row.update(objective=value, grad_norm=grad_norm, clipped=grad_norm > CLIP_NORM)
             rows.append(row)
         T.reset_tape()

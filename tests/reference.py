@@ -5,10 +5,10 @@ only tests call.
 the elementwise product, the mean over all elements, and multi-head
 attention over q/k/v rows (`pqgen.tensor._attend`, which both fused
 sublayer ops run). `beam_search` and `diverse_beam_search` are the
-one-product cases of `pqgen.decoding._search`, with one group or with
-`num_groups`; unlike `generate_questions` they check nothing about the
-config. `build_triplets` is every product's `ltd` triplets in record order,
-as `pqgen.training` samples them.
+one-product cases of `pqgen.decoding._search`, with one group or with the
+config's `num_groups`; unlike `generate_questions` they check nothing
+about the config. `build_triplets` is every product's `ltd` triplets in
+record order, as `pqgen.training` samples them.
 
 `decode_step` is the uncached, full-prefix decoder step: it runs the whole
 BOS-prefixed prefix through the Tensor forward for every next-token
@@ -44,6 +44,7 @@ same floats.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import Counter
 from typing import Sequence
@@ -85,13 +86,13 @@ def attention(q: T.Tensor, k: T.Tensor, v: T.Tensor, n_heads: int,
 def beam_search(params: M.ModelParams, context_ids: Sequence[int],
                 config: D.GenerationConfig) -> list[D.Candidate]:
     """Standard length-penalized beam search over beams_per_group beams."""
-    return D._search(params, [context_ids], config, 1)[0][0]
+    return D._search(params, [context_ids], dataclasses.replace(config, num_groups=1))[0][0]
 
 
 def diverse_beam_search(params: M.ModelParams, context_ids: Sequence[int],
                         config: D.GenerationConfig) -> list[list[D.Candidate]]:
     """One ranked candidate list per group of `pqgen.decoding._search`."""
-    return D._search(params, [context_ids], config, config.num_groups)[0]
+    return D._search(params, [context_ids], config)[0]
 
 
 def build_triplets(records: Sequence[ProductRecord], vocab: Vocab,

@@ -51,7 +51,9 @@ def criterion(num, name):
 
 
 def leaf(arr):
-    return T.Tensor(np.asarray(arr, dtype=np.float64), requires_grad=True)
+    """A tensor that learns: it has a zero gradient buffer."""
+    data = np.asarray(arr, dtype=np.float64)
+    return T.Tensor(data, np.zeros_like(data))
 
 
 def analytic_vs_fd(build, arrays, tol=1e-4):

@@ -5,12 +5,14 @@ import dataclasses
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pqgen import metrics as MX
 from pqgen.corpus import ProductRecord, Vocab, build_vocab, tokenize
 from pqgen.metrics import (
     DEFAULT_THRESHOLDS,
@@ -153,6 +155,29 @@ def test_meteor_duplicate_tokens_pick_minimal_chunks():
                                 abs=1e-9)
     # Minimal alignment is 2 chunks, not the 3 a left-to-right pairing gives.
     assert got == pytest.approx(100.0 * (1.0 - 0.5 * (2.0 / 3.0) ** 3), abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(ALPHABET[:3]), min_size=1, max_size=8),
+       st.lists(st.sampled_from(ALPHABET[:3]), min_size=1, max_size=8))
+def test_meteor_greedy_fallback_never_beats_the_exact_search(hyp, ref):
+    # Same matches, so the score falls as the chunk count rises: the fallback's
+    # alignment is a real one, never fewer chunks than the minimum.
+    exact = meteor_lite(hyp, ref)
+    with mock.patch.object(MX, "_CHUNK_SEARCH_BUDGET", 0):
+        assert meteor_lite(hyp, ref) <= exact
+
+
+def test_meteor_greedy_fallback_starts_chunks_at_the_longest_run():
+    # "a b a"*k against "b a a"*k aligns in 2 chunks: hyp[1:] onto ref[:-1],
+    # then hyp[0] onto the last "a". From k = 4 the exact search is over
+    # budget, so the fallback is what meteor_lite runs.
+    for k in (2, 3, 4, 20):
+        hyp, ref = toks("a b a " * k), toks("b a a " * k)
+        want = 100.0 * (1.0 - 0.5 * (2 / (3 * k)) ** 3)
+        with mock.patch.object(MX, "_CHUNK_SEARCH_BUDGET", 0):
+            assert meteor_lite(hyp, ref) == pytest.approx(want, abs=1e-12)
+        assert meteor_lite(hyp, ref) == pytest.approx(want, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +437,6 @@ def test_embed_questions_shapes_and_determinism():
 
 
 def test_embed_questions_encodes_each_distinct_question_once(monkeypatch):
-    from pqgen import metrics as MX
     from pqgen.model import encode
 
     vocab = Vocab(["is", "it", "safe", "heavy", "?"])
@@ -444,7 +468,6 @@ def test_embed_questions_names_a_question_whose_embedding_is_not_finite():
 
 
 def test_bleu_counts_each_reference_once_per_order(monkeypatch):
-    from pqgen import metrics as MX
 
     counted = []
     real = MX._ngram_counts
@@ -459,7 +482,6 @@ def test_bleu_counts_each_reference_once_per_order(monkeypatch):
 
 
 def test_evaluate_counts_and_scores_each_distinct_input_once_per_call(monkeypatch):
-    from pqgen import metrics as MX
 
     gold, vocab, params = eval_setup()
     gens = [
@@ -497,7 +519,6 @@ def test_evaluate_counts_and_scores_each_distinct_input_once_per_call(monkeypatc
 
 
 def test_evaluate_keeps_no_state_across_calls(monkeypatch):
-    from pqgen import metrics as MX
 
     counted = []
     real = MX._ngram_counts

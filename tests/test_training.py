@@ -748,6 +748,34 @@ def test_train_log_contract_and_counts(tmp_path, monkeypatch):
     assert all(r["clipped"] for r in tight_steps)
 
 
+def test_mixed_batch_rows_add_up_to_the_objective():
+    # Replays train's batching: each epoch's product order, then batch_size
+    # items a step. A row of triplets and singles logs the singles' mean CG.
+    recs = C.synth_corpus(0, 40, questions_range=(1, 3))
+    v = C.build_vocab(recs)
+    split = fixed_split(recs)
+    lam = 0.1
+    tc = TR.TrainConfig(lambda_div=lam, batch_size=4, epochs=1, seed=7)
+    res = TR.train(split, v, toy_config(v), tc, mode="ltd")
+    per_product = TR._product_items(split.train, v, toy_config(v), "ltd", tc)
+    order = np.random.default_rng([tc.seed, 1000]).permutation(len(per_product))
+    flat = [item for p in order for item in per_product[p]]
+    steps = [r for r in res.log_rows if r["kind"] == "step"]
+    batches = [flat[i:i + tc.batch_size] for i in range(0, len(flat), tc.batch_size)]
+    assert len(steps) == len(batches)
+    mixed = 0
+    for row, batch in zip(steps, batches):
+        n_t = sum(len(item) == 3 for item in batch)
+        n_s = len(batch) - n_t
+        if n_t and n_s:
+            mixed += 1
+            parts = n_t * (row["cg1"] + row["cg2"] + lam * row["div"]) + n_s * row["single_cg"]
+            assert row["objective"] * (2 * n_t + n_s) == pytest.approx(parts, abs=1e-12)
+        else:
+            assert "single_cg" not in row
+    assert mixed > 0
+
+
 def test_train_deterministic():
     res1, _ = run_train("ltd", 0.1)
     res2, _ = run_train("ltd", 0.1)
@@ -796,3 +824,29 @@ def test_mean_cg_matches_manual():
             manual.append(-sll / (len(v.encode_text(q)) + 1))
     assert TR.mean_cg(params, recs, v) == pytest.approx(
         math.fsum(manual) / len(manual), abs=1e-10)
+
+
+def test_inference_records_nothing_and_train_leaves_an_empty_tape():
+    # Every op outside `no_grad` is recorded, so an inference path that forgot
+    # it would grow the global tape on every call.
+    from pqgen import decoding as D
+    from pqgen import metrics as MX
+
+    recs = tiny_corpus(12, questions_range=(1, 3))
+    v = C.build_vocab(recs)
+    tc = TR.TrainConfig(batch_size=4, epochs=1, seed=7)
+    params = TR.train(fixed_split(recs), v, toy_config(v), tc, mode="ltd").params
+    assert len(T.active_tape()) == 0
+    ctx, q = v.encode_text(recs[0].context), v.encode_text(recs[0].questions[0])
+    TR.batch_loss(params, [(ctx, q)], 0.0)  # a step's ops, left on the tape
+    before = len(T.active_tape())
+    assert before > 0
+    config = D.GenerationConfig(max_new_tokens=4)
+    gens = [{"product_id": rec.product_id, "questions": list(rec.questions)} for rec in recs]
+    for run in (lambda: D.generate_questions(params, v, ctx, config),
+                lambda: D.generate_split(params, v, recs[:3], config),
+                lambda: MX.evaluate(gens, recs, params, v),
+                lambda: TR.mean_cg(params, recs[:3], v),
+                lambda: M.sequence_log_likelihood(params, ctx, q)):
+        run()
+        assert len(T.active_tape()) == before
