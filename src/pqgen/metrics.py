@@ -41,49 +41,54 @@ _CHUNK_SEARCH_BUDGET = 200_000
 # BLEU
 
 
-def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+def _all_counts(tokens: Sequence[str]) -> tuple[int, tuple[frozenset, ...]]:
+    """A sentence's length and its 1- to 4-grams as level sets, the form
+    `_bleu` scores from: level j holds the n-grams (of every order; a gram's
+    order is its tuple length) that occur more than j times."""
+    grams: list[tuple[str, ...]] = []
+    for n in range(1, BLEU_MAX_N + 1):
+        grams += zip(*(tokens[i:] for i in range(n)))
+    level = frozenset(grams)
+    if len(level) == len(grams):  # no repeats, the usual case: one level
+        return len(tokens), (level,)
+    counts = Counter(grams)
+    return len(tokens), (level, *(frozenset(g for g, k in counts.items() if k > j)
+                                  for j in range(1, max(counts.values()))))
 
 
-def _all_counts(tokens: Sequence[str]) -> list[Counter]:
-    """A sentence's 1- to 4-gram counts, the form `_bleu` scores from."""
-    return [_ngram_counts(tokens, n) for n in range(1, BLEU_MAX_N + 1)]
+def _merge_refs(refs: Sequence[tuple]) -> tuple[list[int], list[frozenset]]:
+    """The lengths of one or more references and, per level, the union of
+    their `_all_counts` levels: an n-gram is in union j when some reference
+    holds it more than j times."""
+    depth = max(len(levels) for _, levels in refs)
+    return [length for length, _ in refs], [
+        frozenset().union(*(levels[j] for _, levels in refs if j < len(levels)))
+        for j in range(depth)]
 
 
-def _merge_refs(refs: Sequence[list[Counter]]) -> list[dict]:
-    """Per order, each n-gram's largest count over the `_all_counts` of one or
-    more references: the bound `_bleu` clips a hypothesis count to."""
-    bounds = [dict(counts) for counts in refs[0]]
-    for ref in refs[1:]:
-        for bound, counts in zip(bounds, ref):
-            for gram, k in counts.items():
-                if k > bound.get(gram, 0):
-                    bound[gram] = k
-    return bounds
-
-
-def _bleu(hyp: list[Counter], bounds: list[dict], ref_lens: Sequence[int]) -> float:
-    """`bleu` of a hypothesis from its `_all_counts`, the `_merge_refs` of its
-    references and their lengths; the hypothesis length is its unigram total.
-    Each n-gram's count is clipped to its largest count in any one reference:
-    the same integers as taking that max per n-gram, so the same floats."""
-    c = sum(hyp[0].values())
+def _bleu(hyp: tuple, refs: tuple[list[int], list[frozenset]]) -> float:
+    """`bleu` of a hypothesis from its `_all_counts` and the `_merge_refs` of
+    its references. A count k clipped to the largest reference count m is
+    min(k, m) = the number of levels j with k > j and m > j, so the clipped
+    counts are the sizes of the level intersections, tallied by order: the
+    same integers as clipping each n-gram, so the same floats."""
+    c, levels = hyp
+    ref_lens, bounds = refs
+    clipped = [0] * (BLEU_MAX_N + 1)
+    for level, bound in zip(levels, bounds):
+        for gram in level & bound:
+            clipped[len(gram)] += 1
     log_sum = 0.0
     for n in range(1, BLEU_MAX_N + 1):
-        counts = hyp[n - 1]
-        total = sum(counts.values())
-        bound = bounds[n - 1]
-        clipped = 0
-        for gram, k in counts.items():
-            clipped += min(k, bound.get(gram, 0))
+        total = max(c - n + 1, 0)
         if total == 0:
             p = 1.0 if n >= 2 else 0.0
-        elif clipped == 0:
+        elif clipped[n] == 0:
             if n == 1:
                 return 0.0
             p = 1.0 / (total + 1.0)
         else:
-            p = clipped / total
+            p = clipped[n] / total
         if p == 0.0:
             return 0.0
         log_sum += math.log(p)
@@ -106,14 +111,12 @@ def avg_bleu(hypotheses: Sequence[Sequence[str]],
         raise MetricInputError("avg_bleu needs at least one hypothesis")
     if not references:
         raise MetricInputError("bleu needs at least one reference")
-    bounds = _merge_refs([_all_counts(r) for r in references])
-    lens = [len(r) for r in references]
-    return math.fsum(_bleu(_all_counts(h), bounds, lens) for h in hypotheses) / len(hypotheses)
+    refs = _merge_refs([_all_counts(r) for r in references])
+    return math.fsum(_bleu(_all_counts(h), refs) for h in hypotheses) / len(hypotheses)
 
 
-def _pairwise_bleu(group: Sequence[list[Counter]], lens: Sequence[int]) -> float:
-    scores = [_bleu(group[i], _merge_refs(group[:i] + group[i + 1:]),
-                    lens[:i] + lens[i + 1:]) for i in range(len(group))]
+def _pairwise_bleu(group: Sequence[tuple]) -> float:
+    scores = [_bleu(group[i], _merge_refs(group[:i] + group[i + 1:])) for i in range(len(group))]
     return math.fsum(scores) / len(scores)
 
 
@@ -122,7 +125,7 @@ def pairwise_bleu(group: Sequence[Sequence[str]]) -> float:
     group is locally more diverse."""
     if len(group) < 2:
         raise MetricInputError("pairwise_bleu needs a group of >= 2 questions")
-    return _pairwise_bleu([_all_counts(q) for q in group], [len(q) for q in group])
+    return _pairwise_bleu([_all_counts(q) for q in group])
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +414,7 @@ def evaluate(generations: Sequence[dict], gold: Sequence[ProductRecord],
     tok = cache(tokenize)
     count = cache(lambda q: _all_counts(tok(q)))
     meteor = cache(lambda hyp, ref: meteor_lite(tok(hyp), tok(ref)))
-    pairwise = cache(lambda *top3: _pairwise_bleu([count(q) for q in top3],
-                                                  [len(tok(q)) for q in top3]))
+    pairwise = cache(lambda *top3: _pairwise_bleu([count(q) for q in top3]))
     degenerate: list[tuple[str, str]] = []
     bleus, avg3s, meteors, pws = [], [], [], []
     top1_tokens: list[list[str]] = []
@@ -430,9 +432,8 @@ def evaluate(generations: Sequence[dict], gold: Sequence[ProductRecord],
             raise MetricInputError(f"product {pid}: no gold questions to score against")
         top1 = tok(top3[0])
         check_length(params.config, len(top1), f"product {pid}: question")
-        bounds = _merge_refs([count(q) for q in refs])
-        ref_lens = [len(tok(q)) for q in refs]
-        scores = [_bleu(count(q), bounds, ref_lens) for q in top3]
+        merged = _merge_refs([count(q) for q in refs])
+        scores = [_bleu(count(q), merged) for q in top3]
         bleus.append(scores[0])
         avg3s.append(math.fsum(scores) / len(scores))
         meteors.append(max(meteor(top3[0], q) for q in refs))

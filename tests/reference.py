@@ -38,8 +38,11 @@ each call and clips each n-gram by a max over the references' counts.
 calls, and its METEOR figure from one `meteor_lite` call per (top-1,
 reference) pair, one product and one score at a time. `pqgen.metrics`
 tokenizes, counts and METEOR-scores each distinct sentence or pair once per
-`evaluate` call, clips against merged reference maxima, and must give the
-same floats.
+`evaluate` call, clips by intersecting level sets with the merged references'
+levels, and must give the same floats.
+
+`tie_key` is the searches' order among equal scores, written out here so
+that no expected order is built with `pqgen.decoding._tie_key` itself.
 """
 
 from __future__ import annotations
@@ -192,6 +195,12 @@ def uncached_seam(enc: M.EncoderOutput):
     return step
 
 
+def tie_key(tokens: Sequence[int]) -> tuple:
+    """Lower last token id first (none at all lowest), then the shorter
+    sequence, then the lexicographically lower ids."""
+    return (tokens[-1] if tokens else -1, len(tokens), tuple(tokens))
+
+
 def _search_group(params: M.ModelParams, state: M.DecoderState, cfg: D.GenerationConfig,
                   prior_choices: list[Counter]) -> tuple[list[D.Candidate], list[list[int]]]:
     """One beam-search group, from the decoder state before BOS.
@@ -237,7 +246,7 @@ def _search_group(params: M.ModelParams, state: M.DecoderState, cfg: D.Generatio
                     break
                 pool.append((D._Beam(beam.token_ids + (v,), beam.cum_logprob + logprob,
                                      beam.score + sel, v == mcfg.eos_id), row))
-        pool.sort(key=lambda e: (-e[0].score, D._tie_key(e[0].token_ids)))
+        pool.sort(key=lambda e: (-e[0].score, tie_key(e[0].token_ids)))
         del pool[width:]
         beams = [beam for beam, _ in pool]
         my_choices.append([beam.token_ids[-1] for beam, parent in pool if parent >= 0])
@@ -245,7 +254,7 @@ def _search_group(params: M.ModelParams, state: M.DecoderState, cfg: D.Generatio
                                if parent >= 0 and not beam.finished])
     ranked = sorted((D.Candidate(b.token_ids, b.cum_logprob, b.finished) for b in beams),
                     key=lambda c: (-D.ranked_score(c, cfg.length_penalty),
-                                   D._tie_key(c.token_ids)))
+                                   tie_key(c.token_ids)))
     return ranked, my_choices
 
 

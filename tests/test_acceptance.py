@@ -320,7 +320,7 @@ def exhaustive_decode(params, ctx, max_steps):
                 rec(tokens + [v], cum + float(lp[v]))
 
     rec([], 0.0)
-    out.sort(key=lambda c: (-D.ranked_score(c, 1.0), D._tie_key(c.token_ids)))
+    out.sort(key=lambda c: (-D.ranked_score(c, 1.0), reference.tie_key(c.token_ids)))
     return out
 
 

@@ -23,7 +23,6 @@ from pqgen.decoding import (
     generate_split,
     ranked_score,
     _ngram_bans,
-    _tie_key,
 )
 from pqgen.model import ModelConfig, ModelParams, encode, init_params
 
@@ -365,7 +364,7 @@ def exhaustive_real_model(params, ctx, max_steps, alpha):
             rec(tokens + [v], cum + float(lp[v]))
 
     rec([], 0.0)
-    out.sort(key=lambda c: (-ranked_score(c, alpha), _tie_key(c.token_ids)))
+    out.sort(key=lambda c: (-ranked_score(c, alpha), reference.tie_key(c.token_ids)))
     return out
 
 
@@ -397,7 +396,7 @@ def test_beam_matches_table_enumeration(monkeypatch):
     want = [Candidate(toks, total, fin)
             for toks, total, fin in enumerate_sequences(tables, eos_id=2)
             if np.isfinite(total)]
-    want.sort(key=lambda c: (-ranked_score(c, 1.0), _tie_key(c.token_ids)))
+    want.sort(key=lambda c: (-ranked_score(c, 1.0), reference.tie_key(c.token_ids)))
     assert [g.token_ids for g in got] == [w.token_ids for w in want]
     np.testing.assert_allclose([g.cum_logprob for g in got],
                                [w.cum_logprob for w in want], atol=1e-12)
@@ -425,6 +424,28 @@ def test_tied_tokens_keep_the_lowest_ids(monkeypatch):
         got = beam_search(params, [4], cfg(beams_per_group=3, max_new_tokens=1))
         want = sorted(finite, key=lambda v: (-row[v], v))[:3]
         assert [c.token_ids for c in got] == [(v,) for v in want]
+
+
+def test_tied_scores_order_by_last_token_then_length_then_ids(monkeypatch):
+    # Every candidate scores -1 (length penalty 0): (2,) finishes at step 0,
+    # and step 1 gives (3, 2), (3, 3), (4, 2) and (4, 3). Four beams keep the
+    # lowest last token first, the shorter of equal last tokens, and the
+    # lower ids of equal length: (4, 2) beats (3, 3), and (4, 3) is cut.
+    tables = [[NI, NI, -1.0, -1.0, -1.0, NI],
+              [NI, NI, 0.0, 0.0, NI, NI]]
+    params = tiny_params(vocab_size=6)
+    monkeypatch.setattr(decoding, "decode_step", fake_step(tables))
+    got = beam_search(params, [4], cfg(beams_per_group=4, max_new_tokens=2,
+                                       length_penalty=0.0))
+    assert [c.token_ids for c in got] == [(2,), (3, 2), (4, 2), (3, 3)]
+    assert [c.cum_logprob for c in got] == [-1.0] * 4
+    # EOS is the lowest id a search emits, so a shorter candidate never ends
+    # in a higher id than a longer one it ties with there: the searches cannot
+    # tell "last token, then length" from "length, then last token". The rule
+    # as documented is pinned on sequences where the two differ.
+    seqs = [(5,), (3, 4), (4, 3), (3, 4, 2), (2,), ()]
+    assert sorted(seqs, key=decoding._tie_key) == [(), (2,), (3, 4, 2), (4, 3), (3, 4), (5,)]
+    assert sorted(seqs, key=reference.tie_key) == [(), (2,), (3, 4, 2), (4, 3), (3, 4), (5,)]
 
 
 def test_length_penalty_changes_ranking(monkeypatch):

@@ -220,6 +220,14 @@ def test_e_div_worked_examples():
         e_div(np.array([[1.0, 2.0]]))
 
 
+def test_e_div_clamps_radii_only_below_1e_12():
+    # Three dimensions of std 1 and one of std 1e-9: the geometric mean is
+    # (1e-9)^(1/4), which a clamp at any radius above 1e-9 would raise.
+    rows = np.array([[1.0, -1.0, 2.0, 0.0], [-1.0, 1.0, 0.0, 2e-9]])
+    assert e_div(rows) == pytest.approx(1e-9 ** 0.25, rel=1e-6)
+    assert e_div(rows) == pytest.approx(e_div_oracle(rows), rel=1e-12)
+
+
 def test_e_div_scale_equivariance():
     rng = np.random.default_rng(0)
     rows = rng.normal(size=(5, 4))
@@ -467,18 +475,37 @@ def test_embed_questions_names_a_question_whose_embedding_is_not_finite():
         embed_questions(params, ids)
 
 
-def test_bleu_counts_each_reference_once_per_order(monkeypatch):
-
+def count_sentences(monkeypatch):
+    """Record the tokens of every sentence `metrics` counts n-grams of."""
     counted = []
-    real = MX._ngram_counts
-    monkeypatch.setattr(MX, "_ngram_counts",
-                        lambda tokens, n: counted.append(n) or real(tokens, n))
+    real = MX._all_counts
+    monkeypatch.setattr(MX, "_all_counts",
+                        lambda tokens: counted.append(" ".join(tokens)) or real(tokens))
+    return counted
+
+
+def test_bleu_counts_each_sentence_once(monkeypatch):
+    counted = count_sentences(monkeypatch)
     hyp = ["a", "b", "c", "d", "e", "a", "b"]
     refs = [["a", "b", "c"], ["b", "c", "d", "e"], ["e", "a", "b", "c", "d"]]
     score = bleu(hyp, refs)
     assert score == pytest.approx(bleu_oracle(hyp, refs), abs=1e-9)
-    # the hypothesis plus each reference, once for each of the four orders
-    assert len(counted) == 4 * (1 + len(refs))
+    # the hypothesis plus each reference, once each, all four orders at once
+    assert sorted(counted) == sorted(" ".join(s) for s in [hyp, *refs])
+
+
+def test_bleu_clips_counts_above_one_on_both_sides():
+    # a: 5 in the hypothesis, at most 4 in a reference; "a a": 3 against 3;
+    # "a a a": 1 against 2. Clipped 5/6, 4/5, 2/4 and 0/3 (smoothed to 1/4);
+    # the closest reference length is 4, so no brevity penalty.
+    hyp, refs = toks("a a a b a a"), [toks("a a b"), toks("a a a a")]
+    assert bleu(hyp, refs) == reference.bleu(hyp, refs)
+    assert bleu(hyp, refs) == pytest.approx(bleu_oracle(hyp, refs), abs=1e-9)
+    assert bleu(hyp, refs) == pytest.approx(100.0 * 12.0 ** -0.25, abs=1e-9)
+    hyps = [hyp, toks("a a a a a"), toks("b a a b")]
+    assert avg_bleu(hyps, refs) == reference.avg_bleu(hyps, refs)
+    for group in ([hyp, *refs], [refs[1], hyp, toks("a a a a a a")]):
+        assert pairwise_bleu(group) == reference.pairwise_bleu(group)
 
 
 def test_evaluate_counts_and_scores_each_distinct_input_once_per_call(monkeypatch):
@@ -492,19 +519,20 @@ def test_evaluate_counts_and_scores_each_distinct_input_once_per_call(monkeypatc
         {"product_id": "p1", "questions": ["is it safe ?", "how loud is it ?"]},
         {"product_id": "p2", "questions": ["is it safe ?", "how loud is it ?"]},
     ]
-    counted, scored, groups = [], [], []
-    real_counts, real_meteor, real_pairwise = MX._ngram_counts, MX.meteor_lite, MX._pairwise_bleu
-    monkeypatch.setattr(MX, "_ngram_counts",
-                        lambda tokens, n: counted.append(n) or real_counts(tokens, n))
+    counted = count_sentences(monkeypatch)
+    scored, groups = [], []
+    real_meteor, real_pairwise = MX.meteor_lite, MX._pairwise_bleu
     monkeypatch.setattr(MX, "meteor_lite", lambda hyp, ref: scored.append(
         (" ".join(hyp), " ".join(ref))) or real_meteor(hyp, ref))
-    monkeypatch.setattr(MX, "_pairwise_bleu",
-                        lambda group, lens: groups.append(lens) or real_pairwise(group, lens))
+    monkeypatch.setattr(MX, "_pairwise_bleu", lambda group: groups.append(
+        [length for length, _ in group]) or real_pairwise(group))
     evaluate(gens, gold, params, vocab)
-    # Five distinct scored sentences: the four references (three of them also
-    # generated) and "is it safe ?"; the fourth question and the empty record
-    # are not scored.
-    assert counted == [1, 2, 3, 4] * 5
+    # Five distinct scored sentences, each counted once: the four references
+    # (three of them also generated) and "is it safe ?"; the fourth question
+    # and the empty record are not scored.
+    assert sorted(counted) == sorted(set(counted))
+    assert set(counted) == {"is it safe ?", "how heavy is it ?", "is it dishwasher safe ?",
+                            "does it have bluetooth ?", "how loud is it ?"}
     # One METEOR score per distinct (top-1, reference) pair: the second p1
     # record repeats the first one's pairs.
     assert sorted(scored) == sorted(set(scored))
@@ -519,11 +547,7 @@ def test_evaluate_counts_and_scores_each_distinct_input_once_per_call(monkeypatc
 
 
 def test_evaluate_keeps_no_state_across_calls(monkeypatch):
-
-    counted = []
-    real = MX._ngram_counts
-    monkeypatch.setattr(MX, "_ngram_counts",
-                        lambda tokens, n: counted.append(n) or real(tokens, n))
+    counted = count_sentences(monkeypatch)
     gold, vocab, params = eval_setup()
     gens_a = [{"product_id": "p1", "questions": ["is it safe ?", "how heavy is it ?"]},
               {"product_id": "p2", "questions": ["how loud is it ?", "is it safe ?"]}]
@@ -539,7 +563,7 @@ def test_evaluate_keeps_no_state_across_calls(monkeypatch):
     again = evaluate(gens_a, gold, params, vocab)
     assert other.bleu_top1 != first.bleu_top1
     # A cache that outlived a call would spare the repeated call some counting.
-    assert len(counted) == first_counts == 4 * 5
+    assert len(counted) == first_counts == 5
     for f in dataclasses.fields(first):
         assert getattr(again, f.name) == getattr(first, f.name), f.name
 

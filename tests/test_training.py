@@ -801,6 +801,20 @@ def test_train_best_checkpoint_retained():
     assert res.best_epoch == vals.index(min(vals))
 
 
+def test_train_keeps_the_first_of_tied_best_epochs(monkeypatch):
+    snapshots = []
+
+    def flat_val(params, per_product, batch_size):
+        snapshots.append(params.vector.copy())
+        return 1.0
+
+    monkeypatch.setattr(TR, "_mean_cg", flat_val)
+    res, _ = run_train("traditional", 0.0, epochs=3)
+    assert len(snapshots) == 3 and not np.array_equal(snapshots[0], snapshots[-1])
+    assert res.best_epoch == 0 and res.best_val_cg == 1.0
+    np.testing.assert_array_equal(res.params.vector, snapshots[0])
+
+
 def test_train_rejects_bad_mode_and_empty_split():
     recs = tiny_corpus(12)
     v = C.build_vocab(recs)
