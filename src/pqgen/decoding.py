@@ -12,9 +12,8 @@ lexicographic token ids.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -97,13 +96,6 @@ def _ngram_bans(generated: tuple[int, ...], n: int) -> set[int]:
     return bans
 
 
-class _Beam(NamedTuple):
-    token_ids: tuple[int, ...]
-    cum_logprob: float               # raw model log-probability
-    score: float                     # the selection score: cum_logprob less penalties
-    finished: bool
-
-
 @np.errstate(all="ignore")
 def _search(params: ModelParams, contexts: Sequence[Sequence[int]], cfg: GenerationConfig,
             names: Sequence[str] = ()) -> list[list[list[Candidate]]]:
@@ -119,13 +111,15 @@ def _search(params: ModelParams, contexts: Sequence[Sequence[int]], cfg: Generat
     Overflow warns nothing: non-finite encoder rows and log-probs are named errors.
     """
     mcfg = params.config
-    width = cfg.beams_per_group
+    width, eos, penalty = cfg.beams_per_group, mcfg.eos_id, cfg.diversity_penalty
     # Earlier groups chose at most width * (num_groups - 1) tokens at a step and a penalty
     # only lowers scores, so a beam's best `width` penalized tokens are among its k best.
-    # Picks past the vocabulary are -inf and stop selection, as banned tokens do.
+    # A pick past the vocabulary is id 0, PAD, always banned: -inf stops selection.
     k = width * cfg.num_groups
     state = _start(params, *contexts, names=names)
-    products = [[[_Beam((), 0.0, 0.0, False)] for _ in range(cfg.num_groups)] for _ in contexts]
+    # A beam is (-score, _tie_key(token_ids), cum_logprob, row), which sorts best first by the
+    # selection score (cum_logprob less penalties), then the tie rule; row: its parent's.
+    products = [[[(0.0, _tie_key(()), 0.0, -1)] for _ in range(cfg.num_groups)] for _ in contexts]
     rows = {(p, ()): p for p in range(len(contexts))}  # state row of each unfinished prefix
     # Position t feeds pos_emb[t], so a beam grows to at most max_len tokens.
     for t in range(min(cfg.max_new_tokens, mcfg.max_len)):
@@ -133,16 +127,16 @@ def _search(params: ModelParams, contexts: Sequence[Sequence[int]], cfg: Generat
             break
         lp, state = decode_step(params, state,
                                 [prefix[-1] if t else mcfg.bos_id for _, prefix in rows])
-        banned = [(row, v) for row, (_, prefix) in enumerate(rows)
-                  for v in (mcfg.pad_id, mcfg.bos_id, *_ngram_bans(prefix, cfg.no_repeat_ngram))]
-        lp[tuple(zip(*banned))] = -np.inf
+        lp[:, [mcfg.pad_id, mcfg.bos_id]] = -np.inf
+        if banned := [(row, v) for row, (_, prefix) in enumerate(rows)
+                      for v in _ngram_bans(prefix, cfg.no_repeat_ngram)]:
+            lp[tuple(zip(*banned))] = -np.inf
         # Each row's k best tokens, best first: argmax takes the lowest id of equal scores.
-        index = np.arange(len(rows))
-        top, top_lp = np.empty((len(rows), k), dtype=np.intp), np.empty((len(rows), k))
+        index, struck, top = np.arange(len(rows)), lp.copy(), np.empty((k, len(rows)), np.intp)
         for j in range(k):
-            top[:, j] = best = lp.argmax(axis=1)
-            top_lp[:, j] = lp[index, best]
-            lp[index, best] = -np.inf
+            top[j] = best = struck.argmax(axis=1)
+            struck[index, best] = -np.inf
+        top, top_lp = top.T, lp[index, top].T
         first = top_lp[:, 0]  # a NaN or +inf is always a row's first pick
         if not np.isfinite(first).all():
             row = int(np.argmin(np.isfinite(first)))
@@ -151,43 +145,46 @@ def _search(params: ModelParams, contexts: Sequence[Sequence[int]], cfg: Generat
             if first[row] == -np.inf:
                 raise DecodingStuckError(f"{at}all {mcfg.vocab_size} tokens banned after {prefix}")
             raise NonFiniteOutputError(f"{at}log-prob {first[row]} at step {t} after {prefix}")
-        top, top_lp = top.tolist(), top_lp.tolist()
+        # Each row's picks as (-selection score, token, log-prob), before any penalty.
+        picks_of = [[(-logprob, v, logprob) for v, logprob in zip(ids, lps)]
+                    for ids, lps in zip(top.tolist(), top_lp.tolist())]
         parents: dict[tuple[int, tuple[int, ...]], int] = {}
         for p, groups in enumerate(products):
-            chosen: Counter = Counter()  # tokens the groups so far selected at this step
+            chosen: dict[int, int] = {}  # times the groups so far chose each token at this step
             for g, beams in enumerate(groups):
-                live = [b for b in beams if not b.finished]
-                if not live:
-                    continue
-                pool = [(beam, -1) for beam in beams if beam.finished]
-                for beam in live:
-                    row = rows[p, beam.token_ids]
-                    picks = [(logprob - cfg.diversity_penalty * chosen.get(v, 0), v, logprob)
-                             for v, logprob in zip(top[row], top_lp[row])]
+                pool = [beam for beam in beams if beam[1][0] == eos]  # finished: kept as is
+                for neg_score, (last, _, prefix), cum_logprob, _ in beams:
+                    if last == eos:
+                        continue
+                    row = rows[p, prefix]
+                    picks = picks_of[row]
                     if chosen:  # the beam's best `width` by penalized score, lower id on ties
-                        picks.sort(key=lambda c: (-c[0], c[1]))
-                    for sel, v, logprob in picks[:width]:
-                        if sel == -np.inf:
+                        picks = sorted((neg + penalty * chosen.get(v, 0), v, logprob)
+                                       for neg, v, logprob in picks)
+                    for neg, v, logprob in picks[:width]:
+                        if neg == np.inf:
                             break
-                        pool.append((_Beam(beam.token_ids + (v,), beam.cum_logprob + logprob,
-                                           beam.score + sel, v == mcfg.eos_id), row))
-                pool.sort(key=lambda e: (-e[0].score, _tie_key(e[0].token_ids)))
+                        pool.append((neg_score + neg, _tie_key(prefix + (v,)),
+                                     cum_logprob + logprob, row))
+                pool.sort()
                 del pool[width:]
-                groups[g] = [beam for beam, _ in pool]
-                chosen.update(beam.token_ids[-1] for beam, row in pool if row >= 0)
-                for beam, row in pool:
-                    if row >= 0 and not beam.finished:
-                        parents.setdefault((p, beam.token_ids), row)
+                groups[g] = pool
+                for _, (last, n, prefix), _, row in pool:
+                    if n > t:  # picked at this step
+                        chosen[last] = chosen.get(last, 0) + 1
+                        if last != eos:
+                            parents.setdefault((p, prefix), row)
         rows = {key: r for r, key in enumerate(parents)}
         state = state.reorder(list(parents.values()))
-    return [[sorted((Candidate(b.token_ids, b.cum_logprob, b.finished) for b in beams),
+    return [[sorted((Candidate(prefix, cum_logprob, last == eos)
+                     for _, (last, _, prefix), cum_logprob, _ in beams),
                     key=lambda c: (-ranked_score(c, cfg.length_penalty), _tie_key(c.token_ids)))
              for beams in groups] for groups in products]
 
 
 # The one decoder step every search calls, kept as a module attribute so that
 # tests can substitute hand-set step tables or the uncached reference step.
-# The searches write their bans and struck picks into the log-probs it returns.
+# The searches write their bans into the log-probs it returns.
 decode_step = _model_decode_step
 
 
@@ -247,20 +244,14 @@ def generate_questions(params: ModelParams, vocab: Vocab,
 
 def _generate(params: ModelParams, vocab: Vocab, contexts: Sequence[Sequence[int]],
               config: GenerationConfig, names: Sequence[str] = ()) -> list[GenerationResult]:
-    eos = params.config.eos_id
+    eos, alpha = params.config.eos_id, config.length_penalty
     results = []
     for p, groups in enumerate(_search(params, contexts, config, names)):
-        seen: set[tuple[int, ...]] = set()
-        pool: list[Candidate] = []
-        for group in groups:
-            for cand in group:
-                if cand.finished and cand.token_ids not in seen:
-                    seen.add(cand.token_ids)
-                    pool.append(cand)
-        pool.sort(key=lambda c: (-ranked_score(c, config.length_penalty),
-                                 _tie_key(c.token_ids)))
+        # Equal token ids are one candidate: a prefix's state row, hence its log-prob, is shared.
+        pool = sorted({c.token_ids: c for group in groups for c in group if c.finished}.values(),
+                      key=lambda c: (-ranked_score(c, alpha), _tie_key(c.token_ids)))
         top = pool[:config.questions_per_product]
-        scores = [ranked_score(c, config.length_penalty) for c in top]
+        scores = [ranked_score(c, alpha) for c in top]
         bad = [s for s in scores if not math.isfinite(s)]
         if bad:
             at = f"product {names[p]}: " if names else ""

@@ -4,7 +4,8 @@ Pre-layer-norm blocks, learned absolute positional embeddings, multi-head
 attention, causal decoder masking, and a linear CG head projecting decoder
 states onto the vocabulary. No dropout, no weight tying, float64 throughout.
 Inference decodes with a cached, beam-batched step on plain arrays
-(`DecoderState`, `decode_step`) that records nothing on the tape.
+(`DecoderState`, `decode_step`) that records nothing on the tape, with the
+decoder's weight arrays that `start_decoding` resolves once per search.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 import struct
 from dataclasses import asdict, dataclass
 from itertools import chain, islice
-from typing import ClassVar, Iterator, Sequence
+from typing import ClassVar, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -208,6 +209,11 @@ def _weights(params: ModelParams, prefix: str, *names: str) -> list[Tensor]:
     return [params[f"{prefix}.{name}"] for name in ("ln.g", "ln.b") + names]
 
 
+def _arrays(params: ModelParams, prefix: str, *names: str) -> list[np.ndarray]:
+    """`_weights` as plain arrays."""
+    return [t.data for t in _weights(params, prefix, *names)]
+
+
 def _encoder_stack(params: ModelParams, ids: Sequence[int], positions,
                    layout: T.AttentionLayout) -> Tensor:
     """Encoder over stacked context rows; `layout` keeps contexts apart."""
@@ -318,14 +324,15 @@ def decode_packed(params: ModelParams,
     return _decode(params, encode(params, *branches_of), list(branches_of.values()), inputs)
 
 
-@dataclass(frozen=True)
-class DecoderState:
+class DecoderState(NamedTuple):
     """Incremental decoder state of B beams of P products after t steps, as in
     fairseq's `incremental_state`. Per decoder layer it holds the
     cross-attention keys and values of each product's encoder output,
     computed once per context, padded to the longest and shared by every beam
     of that product, and the self-attention keys and values of the t inputs
-    fed so far. Row b is a beam of product `product[b]`."""
+    fed so far. Row b is a beam of product `product[b]`. It also carries the
+    decoder's weight arrays, which `start_decoding` resolves once per search."""
+    weights: tuple                                        # arrays: see start_decoding
     cross_kv: tuple[tuple[np.ndarray, np.ndarray], ...]   # per layer, [P, H, n, dh] each
     cross_bias: np.ndarray | None                         # [P, 1, 1, n]: -inf past a context's end
     self_kv: tuple[tuple[np.ndarray, np.ndarray], ...]    # per layer, [B, t, d_model] each
@@ -338,7 +345,7 @@ class DecoderState:
 
     def reorder(self, parents: Sequence[int]) -> "DecoderState":
         """The state of beams whose row r continues row parents[r] of this one."""
-        return DecoderState(self.cross_kv, self.cross_bias,
+        return DecoderState(self.weights, self.cross_kv, self.cross_bias,
                             tuple((k[parents], v[parents]) for k, v in self.self_kv),
                             self.product[parents])
 
@@ -346,17 +353,22 @@ class DecoderState:
 def start_decoding(params: ModelParams, enc: EncoderOutput) -> DecoderState:
     """The state of one beam per context of `enc`, in order, before its first
     input (BOS at position 0). Shorter contexts are padded with the keys the
-    encoder's layout masks."""
+    encoder's layout masks. Its weight arrays, views of `params`, serve the whole search."""
     cfg = params.config
-    slots = enc.layout.k_slots  # [P, n]
-    h_e = T.to_blocks(enc.h_e.data, slots)
+    h_e = T.to_blocks(enc.h_e.data, enc.layout.k_slots)  # [P, n, d_model]
     cross_kv = tuple(
         (T.split_heads(h_e @ params[f"dec{i}.cross.wk"].data, cfg.n_heads),
          T.split_heads(h_e @ params[f"dec{i}.cross.wv"].data, cfg.n_heads))
         for i in range(cfg.n_dec_layers))
-    empty = np.zeros((len(slots), 0, cfg.d_model))
-    return DecoderState(cross_kv, enc.layout.bias, ((empty, empty),) * cfg.n_dec_layers,
-                        np.arange(len(slots)))
+    layers = tuple((_arrays(params, f"dec{i}.self", "wq", "wk", "wv", "wo"),
+                    _arrays(params, f"dec{i}.cross", "wq", "wo"),
+                    _arrays(params, f"dec{i}.ffn", "w1", "b1", "w2", "b2"))
+                   for i in range(cfg.n_dec_layers))
+    weights = (params["tok_emb"].data, params["pos_emb"].data, layers,
+               params["dec_ln.g"].data, params["dec_ln.b"].data, params["cg_head.w"].data)
+    empty = np.zeros((len(h_e), 0, cfg.d_model))
+    return DecoderState(weights, cross_kv, enc.layout.bias,
+                        ((empty, empty),) * cfg.n_dec_layers, np.arange(len(h_e)))
 
 
 def decode_step(params: ModelParams, state: DecoderState,
@@ -365,13 +377,16 @@ def decode_step(params: ModelParams, state: DecoderState,
     at position `state.position` (BOS first, never PAD). Returns the [B, V]
     next-token log-softmax, row for row what the full-prefix decoder gives
     at its last position, and the state after these inputs. Plain arrays:
-    nothing is recorded on the tape."""
+    nothing is recorded on the tape. `params` supplies only the config; the
+    weights are the state's, resolved from the `params` it was started with."""
     cfg = params.config
     t = state.position
     if t >= cfg.max_len:
         raise SequenceLengthError(f"decoder input position {t} is past max_len {cfg.max_len}")
-    w = {name: tensor.data for name, tensor in params.items()}
-    x = w["tok_emb"][np.asarray(tokens, dtype=np.int64)] + w["pos_emb"][t]
+    tok_emb, pos_emb, layers, ln_g, ln_b, head = state.weights
+    if tok_emb is not params["tok_emb"].data:
+        raise ValueError("decoder state was started from other parameters")
+    x = tok_emb[np.asarray(tokens, dtype=np.int64)] + pos_emb[t]
     rows = x.shape[0]
 
     def per_row(a):  # a product's cross-attention arrays on each of its rows
@@ -379,29 +394,26 @@ def decode_step(params: ModelParams, state: DecoderState,
 
     cross_bias = per_row(state.cross_bias)
 
-    def attend(prefix, q_in, kh, vh, bias=None):
-        qh = (q_in @ w[f"{prefix}.wq"]).reshape(rows, cfg.n_heads, 1, -1)
-        out, _ = T.softmax_attention(qh, kh, vh, bias)
-        return out.reshape(rows, cfg.d_model) @ w[f"{prefix}.wo"]
-
-    def layer_norm(x, ln):
-        return T.layer_norm_arrays(x, w[f"{ln}.g"], w[f"{ln}.b"])[0]
+    def attend(q_in, wq, wo, kh, vh, mask=None):
+        qh = (q_in @ wq).reshape(rows, cfg.n_heads, 1, -1)
+        out, _ = T.softmax_attention(qh, kh, vh, mask)
+        return out.reshape(rows, cfg.d_model) @ wo
 
     self_kv = []
-    for i, ((k_past, v_past), (k_enc, v_enc)) in enumerate(zip(state.self_kv, state.cross_kv)):
-        a = layer_norm(x, f"dec{i}.self.ln")
-        k = np.concatenate([k_past, (a @ w[f"dec{i}.self.wk"])[:, None]], axis=1)
-        v = np.concatenate([v_past, (a @ w[f"dec{i}.self.wv"])[:, None]], axis=1)
+    for ((gain, bias, wq, wk, wv, wo), cross, ffn), (k_past, v_past), (k_enc, v_enc) in zip(
+            layers, state.self_kv, state.cross_kv):
+        a = T.layer_norm_arrays(x, gain, bias)[0]
+        k = np.concatenate([k_past, (a @ wk)[:, None]], axis=1)
+        v = np.concatenate([v_past, (a @ wv)[:, None]], axis=1)
         self_kv.append((k, v))
-        x = x + attend(f"dec{i}.self", a, T.split_heads(k, cfg.n_heads),
-                       T.split_heads(v, cfg.n_heads))
-        x = x + attend(f"dec{i}.cross", layer_norm(x, f"dec{i}.cross.ln"), per_row(k_enc),
+        x = x + attend(a, wq, wo, T.split_heads(k, cfg.n_heads), T.split_heads(v, cfg.n_heads))
+        x = x + attend(T.layer_norm_arrays(x, *cross[:2])[0], *cross[2:], per_row(k_enc),
                        per_row(v_enc), cross_bias)
-        ffn = _weights(params, f"dec{i}.ffn", "w1", "b1", "w2", "b2")
-        x = T.ffn_arrays(x, *(p.data for p in ffn))[0]
-    logits = layer_norm(x, "dec_ln") @ w["cg_head.w"]
+        x = T.ffn_arrays(x, *ffn)[0]
+    logits = T.layer_norm_arrays(x, ln_g, ln_b)[0] @ head
     return (logits - T.logsumexp(logits)[:, None],
-            DecoderState(state.cross_kv, state.cross_bias, tuple(self_kv), state.product))
+            DecoderState(state.weights, state.cross_kv, state.cross_bias, tuple(self_kv),
+                         state.product))
 
 
 def sequence_log_likelihood(params: ModelParams, context_ids: Sequence[int],

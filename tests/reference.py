@@ -41,8 +41,10 @@ tokenizes, counts and METEOR-scores each distinct sentence or pair once per
 `evaluate` call, clips by intersecting level sets with the merged references'
 levels, and must give the same floats.
 
-`tie_key` is the searches' order among equal scores, written out here so
-that no expected order is built with `pqgen.decoding._tie_key` itself.
+`tie_key` is the searches' order among equal scores, and `ngram_bans` the
+no-repeat rule, written out here so that no expected order or ban is built
+with `pqgen.decoding._tie_key` or `_ngram_bans` themselves; the searches
+here hold their own `Beam`.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from collections import Counter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -201,6 +203,23 @@ def tie_key(tokens: Sequence[int]) -> tuple:
     return (tokens[-1] if tokens else -1, len(tokens), tuple(tokens))
 
 
+def ngram_bans(generated: Sequence[int], n: int) -> set[int]:
+    """The tokens v for which generated + (v,) would end in an n-gram that
+    generated already holds; none when n is 0."""
+    if n == 0:
+        return set()
+    grams = {tuple(generated[i:i + n]) for i in range(len(generated) - n + 1)}
+    suffix = tuple(generated[len(generated) - (n - 1):])
+    return {gram[-1] for gram in grams if gram[:-1] == suffix}
+
+
+class Beam(NamedTuple):
+    token_ids: tuple[int, ...]
+    cum_logprob: float               # raw model log-probability
+    score: float                     # the selection score: cum_logprob less penalties
+    finished: bool
+
+
 def _search_group(params: M.ModelParams, state: M.DecoderState, cfg: D.GenerationConfig,
                   prior_choices: list[Counter]) -> tuple[list[D.Candidate], list[list[int]]]:
     """One beam-search group, from the decoder state before BOS.
@@ -214,7 +233,7 @@ def _search_group(params: M.ModelParams, state: M.DecoderState, cfg: D.Generatio
     """
     mcfg = params.config
     width = cfg.beams_per_group
-    beams = [D._Beam((), 0.0, 0.0, False)]
+    beams = [Beam((), 0.0, 0.0, False)]
     my_choices: list[list[int]] = []
     for t in range(min(cfg.max_new_tokens, mcfg.max_len)):
         live = [b for b in beams if not b.finished]
@@ -225,7 +244,7 @@ def _search_group(params: M.ModelParams, state: M.DecoderState, cfg: D.Generatio
         lp[:, mcfg.pad_id] = -np.inf
         lp[:, mcfg.bos_id] = -np.inf
         for row, beam in enumerate(live):
-            bans = D._ngram_bans(beam.token_ids, cfg.no_repeat_ngram)
+            bans = ngram_bans(beam.token_ids, cfg.no_repeat_ngram)
             if bans:
                 lp[row, list(bans)] = -np.inf
         sel_lp = lp
@@ -244,8 +263,8 @@ def _search_group(params: M.ModelParams, state: M.DecoderState, cfg: D.Generatio
             for v, sel, logprob in zip(tokens, sels, lps):
                 if sel == -np.inf:
                     break
-                pool.append((D._Beam(beam.token_ids + (v,), beam.cum_logprob + logprob,
-                                     beam.score + sel, v == mcfg.eos_id), row))
+                pool.append((Beam(beam.token_ids + (v,), beam.cum_logprob + logprob,
+                                   beam.score + sel, v == mcfg.eos_id), row))
         pool.sort(key=lambda e: (-e[0].score, tie_key(e[0].token_ids)))
         del pool[width:]
         beams = [beam for beam, _ in pool]

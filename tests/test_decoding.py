@@ -4,6 +4,9 @@ after another, reduction chain (diverse groups -> beam -> greedy),
 exhaustive-enumeration oracles, Hamming penalty semantics on hand-set step
 tables, n-gram bans, and generation plumbing."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -521,12 +524,17 @@ def test_penalty_counts_accumulate_across_groups(monkeypatch):
 
 
 def test_ngram_bans_cases():
-    assert _ngram_bans((1, 2, 3, 1, 2), 2) == {3}
-    assert _ngram_bans((1, 2, 3, 1, 2), 3) == {3}
-    assert _ngram_bans((1, 2, 3, 1, 2), 1) == {1, 2, 3}
-    assert _ngram_bans((1, 2, 3, 1, 2), 0) == set()
-    assert _ngram_bans((), 2) == set()
-    assert _ngram_bans((5,), 3) == set()
+    # Literal prefixes, against the search's rule and the reference's own.
+    cases = [((1, 2, 3, 1, 2), 2, {3}), ((1, 2, 3, 1, 2), 3, {3}),
+             ((1, 2, 3, 1, 2), 1, {1, 2, 3}), ((1, 2, 3, 1, 2), 0, set()),
+             ((), 2, set()), ((5,), 3, set()), ((), 1, set()), ((5,), 1, {5}),
+             # The last window counts: (7, 7) already holds the bigram (7, 7).
+             ((7, 7), 2, {7}), ((7, 7), 3, set()), ((7, 7, 7), 3, {7}),
+             ((1, 2, 1, 2), 2, {1}), ((1, 2, 1, 2), 3, {1}), ((4, 5, 4), 3, set()),
+             ((5, 4, 6, 5, 4), 3, {6}), ((5, 4, 6, 5, 4), 4, set())]
+    for bans in (_ngram_bans, reference.ngram_bans):
+        for generated, n, want in cases:
+            assert bans(generated, n) == want, (bans.__module__, generated, n)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -811,3 +819,32 @@ def test_budget_must_fit_context_window():
 def test_config_validation(bad):
     with pytest.raises(ValueError):
         cfg(**bad)
+
+
+# ---------------------------------------------------------------------------
+# Golden decode: the benchmark's stored checkpoint and generations
+
+
+BENCH_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
+
+
+def test_golden_decode_of_the_benchmark_checkpoint():
+    # The benchmark's 100 held-out products (corpus seed 0, 500 products,
+    # split seed 0), decoded one at a time under the default config, keep the
+    # stored questions and shortage flags exactly and their scores within
+    # 1e-12. Only reads the stored files.
+    params, tokens = M.load_checkpoint(BENCH_INPUTS / "ltd6.ckpt")
+    vocab = Vocab(tokens)
+    with open(BENCH_INPUTS / "generations.jsonl", encoding="utf-8") as fh:
+        stored = {r["product_id"]: r for r in map(json.loads, fh)}
+    split = C.split(C.synth_corpus(0, 500), seed=0)
+    held_out = split.validation + split.test
+    assert len(held_out) == 100
+    for rec in held_out:
+        got = generate_questions(params, vocab, vocab.encode_text(rec.context),
+                                 GenerationConfig())
+        want = stored[rec.product_id]
+        assert (got.questions, got.shortage) == (want["questions"], want["shortage"]), \
+            rec.product_id
+        np.testing.assert_allclose(got.scores, want["scores"], rtol=0, atol=1e-12,
+                                   err_msg=rec.product_id)

@@ -255,6 +255,13 @@ def test_decode_step_records_nothing(params):
     assert len(T.active_tape()) == n_before
 
 
+def test_decode_step_refuses_a_state_of_other_parameters(params):
+    # The state carries its model's weights; `params` gives only the config.
+    state = M.start_decoding(params, M.encode(params, [5, 6]))
+    with pytest.raises(ValueError, match="other parameters"):
+        M.decode_step(params.copy(), state, [1])
+
+
 VOCAB_TOKENS = ["is", "it", "?", "red", "pan", "how", "big", "does"]  # vocab_size - 4
 
 
