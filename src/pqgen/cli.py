@@ -17,11 +17,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from .corpus import (
     RESERVED_TOKENS,
     CorpusSchemaError,
+    SplitCorpus,
     Vocab,
     build_vocab,
     iter_jsonl,
@@ -34,7 +35,7 @@ from .decoding import DecodingStuckError, GenerationConfig, generate_split
 from .fileio import atomic_write
 from .metrics import cluster_curve_csv, evaluate, format_report_table
 from .model import ConfigError, ModelConfig, load_checkpoint, save_checkpoint
-from .training import TrainConfig, train
+from .training import MODES, TrainConfig, train
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,7 +95,7 @@ SYNTH_OPTIONS = (
 )
 TRAIN_OPTIONS = (
     ("corpus", "--corpus", str, None),
-    ("mode", "--mode", str, "ltd", ("traditional", "ltd")),
+    ("mode", "--mode", str, "ltd", MODES),
     ("lambda_div", "--lambda", _finite, TrainConfig.lambda_div),
     ("seed", "--seed", _nonnegative, TrainConfig.seed),
     ("split_seed", "--split-seed", _nonnegative, 0),
@@ -115,7 +116,7 @@ TRAIN_OPTIONS = (
 GENERATE_OPTIONS = (
     ("checkpoint", "--checkpoint", str, None),
     ("corpus", "--corpus", str, None),
-    ("corpus_split", "--corpus-split", str, "test", ("train", "validation", "test")),
+    ("corpus_split", "--corpus-split", str, "test", tuple(f.name for f in fields(SplitCorpus))),
     ("split_seed", "--split-seed", _nonnegative, 0),
     ("out", "--out", str, None),
     ("groups", "--groups", _positive, GenerationConfig.num_groups),

@@ -4,8 +4,8 @@ Pre-layer-norm blocks, learned absolute positional embeddings, multi-head
 attention, causal decoder masking, and a linear CG head projecting decoder
 states onto the vocabulary. No dropout, no weight tying, float64 throughout.
 Inference decodes with a cached, beam-batched step on plain arrays
-(`DecoderState`, `decode_step`) that records nothing on the tape, with the
-decoder's weight arrays that `start_decoding` resolves once per search.
+(`DecoderState`, `decode_step`) that records nothing on the tape. Every
+forward reads each sublayer's tensors from `ModelParams`' layer groups.
 """
 
 from __future__ import annotations
@@ -80,25 +80,22 @@ def _param_manifest(cfg: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
     yield "tok_emb", (v, d)
     yield "pos_emb", (cfg.max_len, d)
 
-    def block(prefix: str, attn_names: Sequence[str]):
-        for a in attn_names:
-            yield f"{prefix}.{a}.ln.g", (d,)
-            yield f"{prefix}.{a}.ln.b", (d,)
-            for w in ("wq", "wk", "wv", "wo"):
-                yield f"{prefix}.{a}.{w}", (d, d)
-        yield f"{prefix}.ffn.ln.g", (d,)
-        yield f"{prefix}.ffn.ln.b", (d,)
-        yield f"{prefix}.ffn.w1", (d, ff)
-        yield f"{prefix}.ffn.b1", (ff,)
-        yield f"{prefix}.ffn.w2", (ff, d)
-        yield f"{prefix}.ffn.b2", (d,)
+    # A sublayer's members in the argument order of `attention_sublayer` and `ffn_sublayer`.
+    norm = (("ln.g", (d,)), ("ln.b", (d,)))
+    attention = (*norm, *((w, (d, d)) for w in ("wq", "wk", "wv", "wo")))
+    ffn = (*norm, ("w1", (d, ff)), ("b1", (ff,)), ("w2", (ff, d)), ("b2", (d,)))
+
+    def layer(prefix: str, *sublayers):
+        for sublayer, members in sublayers:
+            for member, shape in members:
+                yield f"{prefix}.{sublayer}.{member}", shape
 
     for i in range(cfg.n_enc_layers):
-        yield from block(f"enc{i}", ("self",))
+        yield from layer(f"enc{i}", ("self", attention), ("ffn", ffn))
     yield "enc_ln.g", (d,)
     yield "enc_ln.b", (d,)
     for i in range(cfg.n_dec_layers):
-        yield from block(f"dec{i}", ("self", "cross"))
+        yield from layer(f"dec{i}", ("self", attention), ("cross", attention), ("ffn", ffn))
     yield "dec_ln.g", (d,)
     yield "dec_ln.b", (d,)
     yield "cg_head.w", (d, v)
@@ -112,6 +109,11 @@ class ModelParams:
     checkpoints work on `vector` as a whole. Their gradients live the same
     way in one vector, `grad_vector()`, each tensor's `.grad` a fixed view of
     it that `backward` adds into.
+
+    `encoder_layers` and `decoder_layers` group the tensors named
+    `layer.sublayer.member`: per layer a tuple of its sublayers, each a tuple
+    of the tensors `params[name]` returns, in manifest order (the argument
+    order of `attention_sublayer` and `ffn_sublayer`).
     """
 
     def __init__(self, config: ModelConfig, vector: np.ndarray | None = None):
@@ -128,6 +130,14 @@ class ModelParams:
         self._tensors = {name: Tensor(piece.reshape(shape), gpiece.reshape(shape))
                          for (name, shape), piece, gpiece in zip(
                              manifest, np.split(self.vector, cuts), np.split(self._grad, cuts))}
+        layers: dict[str, dict[str, list[Tensor]]] = {}
+        for name, t in self._tensors.items():
+            parts = name.split(".", 2)
+            if len(parts) == 3:
+                layers.setdefault(parts[0], {}).setdefault(parts[1], []).append(t)
+        grouped = [tuple(map(tuple, sublayers.values())) for sublayers in layers.values()]
+        self.encoder_layers = grouped[:config.n_enc_layers]
+        self.decoder_layers = grouped[config.n_enc_layers:]
 
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
@@ -155,13 +165,13 @@ class ModelParams:
 
 
 def init_params(config: ModelConfig, seed: int) -> ModelParams:
-    """Normal(0, 0.02) weights, unit layer-norm gains, zero biases."""
+    """Unit layer-norm gains, zero biases, normal(0, 0.02) matrices in manifest order."""
     rng = np.random.default_rng(seed)
     params = ModelParams(config)
     for name, t in params.items():
-        if name.endswith(".ln.g") or name == "enc_ln.g" or name == "dec_ln.g":
+        if name.endswith("ln.g"):
             t.data[...] = 1.0
-        elif not (name.endswith((".ln.b", ".b1", ".b2")) or name in ("enc_ln.b", "dec_ln.b")):
+        elif t.data.ndim == 2:
             t.data[...] = rng.normal(0.0, 0.02, size=t.shape)
     return params
 
@@ -204,25 +214,14 @@ def _decoder_inputs(cfg: ModelConfig, targets: Sequence[Sequence[int]]) -> list[
     return [(cfg.bos_id, *tgt) for tgt in targets]
 
 
-def _weights(params: ModelParams, prefix: str, *names: str) -> list[Tensor]:
-    """A sublayer's norm gain and bias, then its named weights."""
-    return [params[f"{prefix}.{name}"] for name in ("ln.g", "ln.b") + names]
-
-
-def _arrays(params: ModelParams, prefix: str, *names: str) -> list[np.ndarray]:
-    """`_weights` as plain arrays."""
-    return [t.data for t in _weights(params, prefix, *names)]
-
-
 def _encoder_stack(params: ModelParams, ids: Sequence[int], positions,
                    layout: T.AttentionLayout) -> Tensor:
     """Encoder over stacked context rows; `layout` keeps contexts apart."""
     cfg = params.config
     x = T.embed(params["tok_emb"], params["pos_emb"], ids, positions)
-    for i in range(cfg.n_enc_layers):
-        x = T.attention_sublayer(x, *_weights(params, f"enc{i}.self", "wq", "wk", "wv", "wo"),
-                                 cfg.n_heads, layout)
-        x = T.ffn_sublayer(x, *_weights(params, f"enc{i}.ffn", "w1", "b1", "w2", "b2"))
+    for attn, ffn in params.encoder_layers:
+        x = T.attention_sublayer(x, *attn, cfg.n_heads, layout)
+        x = T.ffn_sublayer(x, *ffn)
     return T.layer_norm(x, params["enc_ln.g"], params["enc_ln.b"])
 
 
@@ -233,12 +232,10 @@ def _decoder_stack(params: ModelParams, h_e: Tensor, input_ids: Sequence[int], p
     cfg = params.config
     x = T.embed(params["tok_emb"], params["pos_emb"], input_ids, positions)
     blocks: list[Tensor] = []
-    for i in range(cfg.n_dec_layers):
-        x = T.attention_sublayer(x, *_weights(params, f"dec{i}.self", "wq", "wk", "wv", "wo"),
-                                 cfg.n_heads, self_layout)
-        x = T.attention_sublayer(x, *_weights(params, f"dec{i}.cross", "wq", "wk", "wv", "wo"),
-                                 cfg.n_heads, cross_layout, h_e)
-        x = T.ffn_sublayer(x, *_weights(params, f"dec{i}.ffn", "w1", "b1", "w2", "b2"))
+    for attn, cross, ffn in params.decoder_layers:
+        x = T.attention_sublayer(x, *attn, cfg.n_heads, self_layout)
+        x = T.attention_sublayer(x, *cross, cfg.n_heads, cross_layout, h_e)
+        x = T.ffn_sublayer(x, *ffn)
         blocks.append(x)
     h = T.layer_norm(x, params["dec_ln.g"], params["dec_ln.b"])
     # The last reported layer state is exactly the CG head's input.
@@ -326,13 +323,11 @@ def decode_packed(params: ModelParams,
 
 class DecoderState(NamedTuple):
     """Incremental decoder state of B beams of P products after t steps, as in
-    fairseq's `incremental_state`. Per decoder layer it holds the
-    cross-attention keys and values of each product's encoder output,
-    computed once per context, padded to the longest and shared by every beam
-    of that product, and the self-attention keys and values of the t inputs
-    fed so far. Row b is a beam of product `product[b]`. It also carries the
-    decoder's weight arrays, which `start_decoding` resolves once per search."""
-    weights: tuple                                        # arrays: see start_decoding
+    fairseq's `incremental_state`: search state only, no weights. Per decoder
+    layer, the cross-attention keys and values of each product's encoder
+    output (computed once per context, padded to the longest, shared by every
+    beam of that product) and the self-attention keys and values of the t
+    inputs fed so far. Row b is a beam of product `product[b]`."""
     cross_kv: tuple[tuple[np.ndarray, np.ndarray], ...]   # per layer, [P, H, n, dh] each
     cross_bias: np.ndarray | None                         # [P, 1, 1, n]: -inf past a context's end
     self_kv: tuple[tuple[np.ndarray, np.ndarray], ...]    # per layer, [B, t, d_model] each
@@ -345,30 +340,22 @@ class DecoderState(NamedTuple):
 
     def reorder(self, parents: Sequence[int]) -> "DecoderState":
         """The state of beams whose row r continues row parents[r] of this one."""
-        return DecoderState(self.weights, self.cross_kv, self.cross_bias,
-                            tuple((k[parents], v[parents]) for k, v in self.self_kv),
-                            self.product[parents])
+        return self._replace(self_kv=tuple((k[parents], v[parents]) for k, v in self.self_kv),
+                             product=self.product[parents])
 
 
 def start_decoding(params: ModelParams, enc: EncoderOutput) -> DecoderState:
     """The state of one beam per context of `enc`, in order, before its first
     input (BOS at position 0). Shorter contexts are padded with the keys the
-    encoder's layout masks. Its weight arrays, views of `params`, serve the whole search."""
+    encoder's layout masks."""
     cfg = params.config
     h_e = T.to_blocks(enc.h_e.data, enc.layout.k_slots)  # [P, n, d_model]
-    cross_kv = tuple(
-        (T.split_heads(h_e @ params[f"dec{i}.cross.wk"].data, cfg.n_heads),
-         T.split_heads(h_e @ params[f"dec{i}.cross.wv"].data, cfg.n_heads))
-        for i in range(cfg.n_dec_layers))
-    layers = tuple((_arrays(params, f"dec{i}.self", "wq", "wk", "wv", "wo"),
-                    _arrays(params, f"dec{i}.cross", "wq", "wo"),
-                    _arrays(params, f"dec{i}.ffn", "w1", "b1", "w2", "b2"))
-                   for i in range(cfg.n_dec_layers))
-    weights = (params["tok_emb"].data, params["pos_emb"].data, layers,
-               params["dec_ln.g"].data, params["dec_ln.b"].data, params["cg_head.w"].data)
+    cross_kv = tuple((T.split_heads(h_e @ wk.data, cfg.n_heads),
+                      T.split_heads(h_e @ wv.data, cfg.n_heads))
+                     for _, (_, _, _, wk, wv, _), _ in params.decoder_layers)
     empty = np.zeros((len(h_e), 0, cfg.d_model))
-    return DecoderState(weights, cross_kv, enc.layout.bias,
-                        ((empty, empty),) * cfg.n_dec_layers, np.arange(len(h_e)))
+    return DecoderState(cross_kv, enc.layout.bias, ((empty, empty),) * cfg.n_dec_layers,
+                        np.arange(len(h_e)))
 
 
 def decode_step(params: ModelParams, state: DecoderState,
@@ -376,17 +363,13 @@ def decode_step(params: ModelParams, state: DecoderState,
     """Advance B beams by one input each: row b of `tokens` is beam b's input
     at position `state.position` (BOS first, never PAD). Returns the [B, V]
     next-token log-softmax, row for row what the full-prefix decoder gives
-    at its last position, and the state after these inputs. Plain arrays:
-    nothing is recorded on the tape. `params` supplies only the config; the
-    weights are the state's, resolved from the `params` it was started with."""
+    at its last position, and the state after these inputs. Plain arrays
+    read from the tensors of `params`: nothing is recorded on the tape."""
     cfg = params.config
     t = state.position
     if t >= cfg.max_len:
         raise SequenceLengthError(f"decoder input position {t} is past max_len {cfg.max_len}")
-    tok_emb, pos_emb, layers, ln_g, ln_b, head = state.weights
-    if tok_emb is not params["tok_emb"].data:
-        raise ValueError("decoder state was started from other parameters")
-    x = tok_emb[np.asarray(tokens, dtype=np.int64)] + pos_emb[t]
+    x = params["tok_emb"].data[np.asarray(tokens, dtype=np.int64)] + params["pos_emb"].data[t]
     rows = x.shape[0]
 
     def per_row(a):  # a product's cross-attention arrays on each of its rows
@@ -400,20 +383,21 @@ def decode_step(params: ModelParams, state: DecoderState,
         return out.reshape(rows, cfg.d_model) @ wo
 
     self_kv = []
-    for ((gain, bias, wq, wk, wv, wo), cross, ffn), (k_past, v_past), (k_enc, v_enc) in zip(
-            layers, state.self_kv, state.cross_kv):
+    for (attn, cross, ffn), (k_past, v_past), (k_enc, v_enc) in zip(
+            params.decoder_layers, state.self_kv, state.cross_kv):
+        gain, bias, wq, wk, wv, wo = (w.data for w in attn)
         a = T.layer_norm_arrays(x, gain, bias)[0]
         k = np.concatenate([k_past, (a @ wk)[:, None]], axis=1)
         v = np.concatenate([v_past, (a @ wv)[:, None]], axis=1)
         self_kv.append((k, v))
         x = x + attend(a, wq, wo, T.split_heads(k, cfg.n_heads), T.split_heads(v, cfg.n_heads))
-        x = x + attend(T.layer_norm_arrays(x, *cross[:2])[0], *cross[2:], per_row(k_enc),
+        gain, bias, wq, _, _, wo = (w.data for w in cross)
+        x = x + attend(T.layer_norm_arrays(x, gain, bias)[0], wq, wo, per_row(k_enc),
                        per_row(v_enc), cross_bias)
-        x = T.ffn_arrays(x, *ffn)[0]
-    logits = T.layer_norm_arrays(x, ln_g, ln_b)[0] @ head
-    return (logits - T.logsumexp(logits)[:, None],
-            DecoderState(state.weights, state.cross_kv, state.cross_bias, tuple(self_kv),
-                         state.product))
+        x = T.ffn_arrays(x, *(w.data for w in ffn))[0]
+    logits = (T.layer_norm_arrays(x, params["dec_ln.g"].data, params["dec_ln.b"].data)[0]
+              @ params["cg_head.w"].data)
+    return logits - T.logsumexp(logits)[:, None], state._replace(self_kv=tuple(self_kv))
 
 
 def sequence_log_likelihood(params: ModelParams, context_ids: Sequence[int],

@@ -258,6 +258,29 @@ def test_train_same_seed_identical_checkpoint_bytes(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("mode", training.MODES)
+def test_training_reproduces_the_golden_record(tmp_path, capsys, mode):
+    # tests/golden holds the checkpoint and log of each regime, written by the
+    # command README's test section gives; a change that moves training on
+    # purpose rewrites them with it. The tolerance leaves room for the
+    # last-digit differences between BLAS builds.
+    corpus = make_corpus(capsys, tmp_path / "c.jsonl", seed=3)
+    out = tmp_path / f"train-{mode}.ckpt"
+    train_tiny(capsys, corpus, out, "--mode", mode, "--lr", "3e-3")
+    got, got_vocab = load_checkpoint(out)
+    want, want_vocab = load_checkpoint(GOLDEN / out.name)
+    assert got.config == want.config and got_vocab == want_vocab
+    np.testing.assert_allclose(got.vector, want.vector, rtol=0, atol=1e-10)
+    got_log, want_log = ([json.loads(line) for line in (d / f"{out.name}.log.jsonl").open()]
+                         for d in (tmp_path, GOLDEN))
+    assert [row.keys() for row in got_log] == [row.keys() for row in want_log]
+    for g, w in zip(got_log, want_log):
+        assert g == pytest.approx(w, rel=0, abs=1e-10)
+
+
 def test_train_ltd_lambda0_matches_traditional(tmp_path, capsys):
     # Every product contributes one two-question pair, so ltd at batch 4
     # consumes the same questions per step as traditional at batch 8.

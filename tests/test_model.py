@@ -46,7 +46,42 @@ def test_init_deterministic_and_seed_sensitive():
 
 def test_init_norm_gains_and_biases(params):
     np.testing.assert_array_equal(params["enc0.self.ln.g"].data, np.ones(8))
+    np.testing.assert_array_equal(params["dec_ln.g"].data, np.ones(8))
     np.testing.assert_array_equal(params["dec1.ffn.b2"].data, np.zeros(8))
+    np.testing.assert_array_equal(params["enc_ln.b"].data, np.zeros(8))
+    # Every gain is one and every other vector zero; the matrices are drawn
+    # in manifest order from one generator seeded with the seed.
+    rng = np.random.default_rng(0)
+    for name, t in params.items():
+        if name.endswith("ln.g"):
+            np.testing.assert_array_equal(t.data, np.ones(t.shape))
+        elif t.data.ndim == 1:
+            np.testing.assert_array_equal(t.data, np.zeros(t.shape))
+        else:
+            np.testing.assert_array_equal(t.data, rng.normal(0.0, 0.02, size=t.shape))
+
+
+@pytest.mark.parametrize("n_enc, n_dec", [(1, 1), (2, 3), (3, 1)])
+def test_layer_groups_hold_each_layer_tensor_once_in_manifest_order(n_enc, n_dec):
+    params = M.init_params(toy_config(n_enc_layers=n_enc, n_dec_layers=n_dec), seed=0)
+    groups = [(f"enc{i}", layer) for i, layer in enumerate(params.encoder_layers)]
+    groups += [(f"dec{i}", layer) for i, layer in enumerate(params.decoder_layers)]
+    assert [len(layer) for _, layer in groups] == [2] * n_enc + [3] * n_dec
+    for prefix, layer in groups:
+        names = [n for n in params.names() if n.startswith(prefix + ".")]
+        grouped = [t for sublayer in layer for t in sublayer]
+        assert len(grouped) == len(names)
+        assert all(t is params[n] for t, n in zip(grouped, names))
+    # The sublayers take their tensors in the argument order of the ops.
+    attn, cross, ffn = params.decoder_layers[0]
+    assert [t.shape for t in attn] == [(8,), (8,)] + [(8, 8)] * 4
+    assert all(a is params[f"dec0.cross.{m}"]
+               for a, m in zip(cross, ("ln.g", "ln.b", "wq", "wk", "wv", "wo")))
+    assert all(a is params[f"dec0.ffn.{m}"]
+               for a, m in zip(ffn, ("ln.g", "ln.b", "w1", "b1", "w2", "b2")))
+    # Views of the one vector: a write through the vector shows in the groups.
+    params.vector[...] = 3.0
+    assert all((t.data == 3.0).all() for _, layer in groups for sub in layer for t in sub)
 
 
 def test_parameter_count_pure_function_of_config():
@@ -255,11 +290,15 @@ def test_decode_step_records_nothing(params):
     assert len(T.active_tape()) == n_before
 
 
-def test_decode_step_refuses_a_state_of_other_parameters(params):
-    # The state carries its model's weights; `params` gives only the config.
-    state = M.start_decoding(params, M.encode(params, [5, 6]))
-    with pytest.raises(ValueError, match="other parameters"):
-        M.decode_step(params.copy(), state, [1])
+def test_decode_step_reads_its_weights_from_params(params):
+    # The state holds search state only: the same state stepped with other
+    # weights gives what those weights give from the start.
+    enc = M.encode(params, [5, 6])
+    other = params.copy()
+    other["dec0.ffn.w2"].data[...] *= 2.0
+    lp, _ = M.decode_step(other, M.start_decoding(params, enc), [1])
+    np.testing.assert_array_equal(lp, M.decode_step(other, M.start_decoding(other, enc), [1])[0])
+    assert not np.array_equal(lp, M.decode_step(params, M.start_decoding(params, enc), [1])[0])
 
 
 VOCAB_TOKENS = ["is", "it", "?", "red", "pan", "how", "big", "does"]  # vocab_size - 4
