@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pqgen import metrics as MX
-from pqgen.corpus import ProductRecord, Vocab, build_vocab, tokenize
+from pqgen.corpus import ProductRecord, Vocab, build_vocab, split, synth_corpus, tokenize
 from pqgen.metrics import (
     DEFAULT_THRESHOLDS,
     EmbeddingMatrix,
@@ -32,7 +33,7 @@ from pqgen.metrics import (
     meteor_lite,
     pairwise_bleu,
 )
-from pqgen.model import ModelConfig, init_params
+from pqgen.model import ModelConfig, init_params, load_checkpoint
 from pqgen.tensor import DegenerateVectorError
 
 from . import reference
@@ -677,6 +678,39 @@ def test_report_rendering():
     lines = csv.strip().split("\n")
     assert lines[0] == "threshold,count"
     assert len(lines) == 1 + len(DEFAULT_THRESHOLDS)
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+BENCH_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
+
+
+def no_repeat_generations(gold):
+    """Each train-split product's first three gold questions with its
+    product_id appended, so that no generated question repeats."""
+    return [{"product_id": rec.product_id,
+             "questions": [f"{q} {rec.product_id}" for q in rec.questions[:3]]}
+            for rec in split(gold, seed=0).train]
+
+
+@pytest.mark.parametrize("name", ["stored", "no-repeat"])
+def test_evaluate_reproduces_the_golden_record(name):
+    # tests/golden holds the JSON report of `pqgen evaluate` on the benchmark's
+    # stored generations and on the no-repeat input, with the benchmark's
+    # checkpoint and corpus, written by the command README's test section
+    # gives. Every figure but e-Div is exact; e-Div's tolerance leaves room
+    # for the last-digit differences between BLAS builds.
+    gold = synth_corpus(0, 500)
+    params, tokens = load_checkpoint(BENCH_INPUTS / "ltd6.ckpt")
+    if name == "stored":
+        with open(BENCH_INPUTS / "generations.jsonl", encoding="utf-8") as fh:
+            gens = [json.loads(line) for line in fh]
+    else:
+        gens = no_repeat_generations(gold)
+    report = evaluate(gens, gold, params, Vocab(tokens))
+    got = json.loads(json.dumps(dataclasses.asdict(report)))
+    want = json.loads((GOLDEN / f"evaluate-{name}.json").read_text(encoding="utf-8"))
+    assert got.pop("e_div") == pytest.approx(want.pop("e_div"), rel=0, abs=1e-12)
+    assert got == want
 
 
 # One alphabet with repeats and short questions; the pool makes duplicate
