@@ -66,33 +66,40 @@ def _merge_refs(refs: Sequence[tuple]) -> tuple[list[int], list[frozenset]]:
         for j in range(depth)]
 
 
-def _bleu(hyp: tuple, refs: tuple[list[int], list[frozenset]]) -> float:
-    """`bleu` of a hypothesis from its `_all_counts` and the `_merge_refs` of
-    its references. A count k clipped to the largest reference count m is
-    min(k, m) = the number of levels j with k > j and m > j, so the clipped
-    counts are the sizes of the level intersections, tallied by order: the
-    same integers as clipping each n-gram, so the same floats."""
+def _bleu_key(hyp: tuple, refs: tuple[list[int], list[frozenset]]) -> tuple[int, ...]:
+    """The integers `bleu` scores from, given a hypothesis's `_all_counts` and
+    the `_merge_refs` of its references: the effective reference length, the
+    hypothesis length and the 1- to 4-gram clipped counts. A count k clipped
+    to the largest reference count m is min(k, m) = the number of levels j
+    with k > j and m > j, so the clipped counts are the sizes of the level
+    intersections, tallied by order."""
     c, levels = hyp
     ref_lens, bounds = refs
     clipped = [0] * (BLEU_MAX_N + 1)
     for level, bound in zip(levels, bounds):
         for gram in level & bound:
             clipped[len(gram)] += 1
+    return min((abs(length - c), length) for length in ref_lens)[1], c, *clipped[1:]
+
+
+def _bleu_score(key: tuple[int, ...]) -> float:
+    """BLEU from its `_bleu_key`: float arithmetic on six small integers only,
+    so `evaluate` runs it once per distinct key."""
+    r, c, *clipped = key
     log_sum = 0.0
-    for n in range(1, BLEU_MAX_N + 1):
+    for n, matched in enumerate(clipped, 1):
         total = max(c - n + 1, 0)
         if total == 0:
             p = 1.0 if n >= 2 else 0.0
-        elif clipped[n] == 0:
+        elif matched == 0:
             if n == 1:
                 return 0.0
             p = 1.0 / (total + 1.0)
         else:
-            p = clipped[n] / total
+            p = matched / total
         if p == 0.0:
             return 0.0
         log_sum += math.log(p)
-    r = min((abs(length - c), length) for length in ref_lens)[1]
     bp = 1.0 if c >= r else math.exp(1.0 - r / c)
     return 100.0 * bp * math.exp(log_sum / BLEU_MAX_N)
 
@@ -112,11 +119,13 @@ def avg_bleu(hypotheses: Sequence[Sequence[str]],
     if not references:
         raise MetricInputError("bleu needs at least one reference")
     refs = _merge_refs([_all_counts(r) for r in references])
-    return math.fsum(_bleu(_all_counts(h), refs) for h in hypotheses) / len(hypotheses)
+    return math.fsum(_bleu_score(_bleu_key(_all_counts(h), refs))
+                     for h in hypotheses) / len(hypotheses)
 
 
-def _pairwise_bleu(group: Sequence[tuple]) -> float:
-    scores = [_bleu(group[i], _merge_refs(group[:i] + group[i + 1:])) for i in range(len(group))]
+def _pairwise_bleu(group: Sequence[tuple], score=_bleu_score) -> float:
+    scores = [score(_bleu_key(group[i], _merge_refs(group[:i] + group[i + 1:])))
+              for i in range(len(group))]
     return math.fsum(scores) / len(scores)
 
 
@@ -253,9 +262,9 @@ def distinct_n(questions: Sequence[Sequence[str]], n: int) -> float | None:
         raise MetricInputError(f"distinct_n needs n >= 1, got {n}")
     total = 0
     unique = set()
-    for q in questions:
-        grams = [tuple(q[i:i + n]) for i in range(len(q) - n + 1)]
-        total += len(grams)
+    for q, k in Counter(map(tuple, questions)).items():  # each distinct question once
+        grams = [q[i:i + n] for i in range(len(q) - n + 1)]
+        total += k * len(grams)
         unique.update(grams)
     if total == 0:
         return None
@@ -287,22 +296,25 @@ def embed_questions(params: ModelParams, question_ids: Sequence[Sequence[int]],
     error naming its question, from `names` or else by its ids."""
     if not question_ids:
         raise MetricInputError("embed_questions needs at least one question")
-    rows = []
+    keys = [tuple(ids) for ids in question_ids]
+    if not all(keys):
+        raise MetricInputError("cannot embed an empty question")
+    # Each distinct question is encoded once, in one stacked pass per length:
+    # equal lengths need no padding, so each row keeps the bits it has alone.
+    distinct = dict.fromkeys(keys)  # in first-occurrence order
+    by_length: dict[int, list[tuple[int, ...]]] = {}
+    for key in distinct:
+        by_length.setdefault(len(key), []).append(key)
     seen: dict[tuple[int, ...], np.ndarray] = {}
     with T.no_grad():
-        for q, ids in enumerate(question_ids):
-            if not ids:
-                raise MetricInputError("cannot embed an empty question")
-            key = tuple(ids)
-            row = seen.get(key)
-            if row is None:
-                # A repeated question reuses its row: the encoder is deterministic.
-                row = seen[key] = encode(params, key).h_e.data.mean(axis=0)
-                if not np.isfinite(row).all():
-                    raise NonFiniteOutputError(f"question {(names[q] if names else key)!r}: "
-                                               "embedding is not finite")
-            rows.append(row)
-    return EmbeddingMatrix(rows=np.stack(rows))
+        for n, block in by_length.items():
+            h = encode(params, *block).h_e.data
+            seen.update(zip(block, h.reshape(len(block), n, -1).mean(axis=1)))
+    for key in distinct:  # the first one not finite is the first such question
+        if not np.isfinite(seen[key]).all():
+            name = names[keys.index(key)] if names else key
+            raise NonFiniteOutputError(f"question {name!r}: embedding is not finite")
+    return EmbeddingMatrix(rows=np.stack([seen[key] for key in keys]))
 
 
 def _rows_of(embeddings) -> np.ndarray:
@@ -409,12 +421,14 @@ def evaluate(generations: Sequence[dict], gold: Sequence[ProductRecord],
             f"generation product ids missing from gold corpus: {missing}")
     # Generated questions repeat (the paper's finding) and gold questions share
     # templates, so within this call each distinct string is tokenized and
-    # counted once, each distinct (top-1, reference) pair METEOR-scored once and
-    # each distinct top-3 Pairwise-BLEU-scored once.
+    # counted once, each distinct (top-1, reference) pair METEOR-scored once,
+    # each distinct top-3 Pairwise-BLEU-scored once and each distinct BLEU key
+    # (a few small integers) scored once.
     tok = cache(tokenize)
     count = cache(lambda q: _all_counts(tok(q)))
+    score = cache(_bleu_score)
     meteor = cache(lambda hyp, ref: meteor_lite(tok(hyp), tok(ref)))
-    pairwise = cache(lambda *top3: _pairwise_bleu([count(q) for q in top3]))
+    pairwise = cache(lambda *top3: _pairwise_bleu([count(q) for q in top3], score))
     degenerate: list[tuple[str, str]] = []
     bleus, avg3s, meteors, pws = [], [], [], []
     top1_tokens: list[list[str]] = []
@@ -433,7 +447,7 @@ def evaluate(generations: Sequence[dict], gold: Sequence[ProductRecord],
         top1 = tok(top3[0])
         check_length(params.config, len(top1), f"product {pid}: question")
         merged = _merge_refs([count(q) for q in refs])
-        scores = [_bleu(count(q), merged) for q in top3]
+        scores = [score(_bleu_key(count(q), merged)) for q in top3]
         bleus.append(scores[0])
         avg3s.append(math.fsum(scores) / len(scores))
         meteors.append(max(meteor(top3[0], q) for q in refs))

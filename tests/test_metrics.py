@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pqgen import metrics as MX
+from pqgen import tensor as T
 from pqgen.corpus import ProductRecord, Vocab, build_vocab, split, synth_corpus, tokenize
 from pqgen.metrics import (
     DEFAULT_THRESHOLDS,
@@ -191,6 +192,12 @@ def test_distinct_n_worked_examples():
     repeated = [toks("a b c")] * 4
     assert distinct_n(repeated, 2) == pytest.approx(1.0 / 4.0)
     assert distinct_n([toks("a b c")], 3) == 1.0
+    # Each distinct question counts by its multiplicity. Bigrams: "a b c"
+    # gives ab, bc three times, "c a b" gives ca, ab, and "a" none: 3 unique
+    # of 8. Trigrams: abc three times and cab, 2 of 4.
+    qs = [toks("a b c"), toks("a"), toks("a b c"), toks("c a b"), toks("a b c")]
+    assert distinct_n(qs, 2) == distinct_n_oracle(qs, 2) == 3 / 8
+    assert distinct_n(qs[::-1], 3) == distinct_n_oracle(qs, 3) == 2 / 4
 
 
 def test_distinct_n_zero_total_is_none():
@@ -414,6 +421,26 @@ def test_lexical_metrics_match_oracles(seed):
     assert e_div(rows) == pytest.approx(e_div_oracle(rows), abs=1e-9)
 
 
+@given(st.lists(st.lists(st.sampled_from(["a", "b", "c"]), max_size=7), min_size=2, max_size=5))
+@settings(max_examples=150, deadline=None)
+def test_bleu_and_pairwise_bleu_match_the_oracle(group):
+    # Three tokens make repeated n-grams common, so clipping crosses levels.
+    hyp, refs = group[0], group[1:]
+    assert bleu(hyp, refs) == pytest.approx(bleu_oracle(hyp, refs), rel=0, abs=1e-9)
+    want = np.mean([bleu_oracle(q, group[:i] + group[i + 1:]) for i, q in enumerate(group)])
+    assert pairwise_bleu(group) == pytest.approx(want, rel=0, abs=1e-9)
+
+
+@given(st.data(), st.integers(1, 4))
+@settings(max_examples=100, deadline=None)
+def test_distinct_n_over_repeated_and_reordered_questions_equals_the_oracle(data, n):
+    distinct = data.draw(st.lists(st.lists(st.sampled_from(["a", "b", "c"]), max_size=5),
+                                  min_size=1, max_size=4))
+    questions = data.draw(st.permutations(distinct * data.draw(st.integers(1, 3))
+                                          + distinct[:1]))
+    assert distinct_n(questions, n) == distinct_n_oracle(questions, n)
+
+
 @given(st.lists(st.sampled_from(ALPHABET), min_size=1, max_size=8))
 @settings(max_examples=60, deadline=None)
 def test_bleu_self_and_added_reference(hyp):
@@ -455,7 +482,8 @@ def test_embed_questions_encodes_each_distinct_question_once(monkeypatch):
     ids = [vocab.encode_text(t) for t in texts]
     alone = [embed_questions(params, [i]).rows[0] for i in ids]
     calls = []
-    monkeypatch.setattr(MX, "encode", lambda p, q: calls.append(q) or encode(p, q))
+    monkeypatch.setattr(MX, "encode",
+                        lambda p, *contexts: calls.extend(contexts) or encode(p, *contexts))
     emb = embed_questions(params, ids)
     assert len(calls) == 2
     for row, want in zip(emb.rows, alone):
@@ -474,6 +502,33 @@ def test_embed_questions_names_a_question_whose_embedding_is_not_finite():
         embed_questions(params, ids, ["is it safe ?", "is it heavy ?"])
     with pytest.raises(NonFiniteOutputError, match=re.escape(f"question {tuple(ids[1])}: ")):
         embed_questions(params, ids)
+    # The first offending question in input order is named, though the
+    # 4-token questions are encoded before the 2-token one.
+    texts = ["is it safe ?", "heavy ?", "is it heavy ?"]
+    with pytest.raises(NonFiniteOutputError, match=r"^question 'heavy \?': "):
+        embed_questions(params, [vocab.encode_text(t) for t in texts], texts)
+
+
+def test_embed_questions_encodes_once_per_length_and_keeps_each_row_alone(monkeypatch):
+    from pqgen.model import encode
+
+    vocab = Vocab(["is", "it", "safe", "heavy", "?"])
+    params = small_params(vocab)
+    texts = ["is it safe ?", "heavy ?", "is it heavy ?", "is heavy ?", "heavy ?",
+             "is it safe ?", "safe ?", "it is safe ?", "is heavy ?"]
+    ids = [vocab.encode_text(t) for t in texts]
+    with T.no_grad():
+        alone = [encode(params, i).h_e.data.mean(axis=0) for i in ids]
+    calls = []
+    monkeypatch.setattr(MX, "encode",
+                        lambda p, *contexts: calls.append(contexts) or encode(p, *contexts))
+    emb = embed_questions(params, ids)
+    # One call per distinct length, in first-occurrence order, and each
+    # distinct question seen once.
+    assert [[len(q) for q in c] for c in calls] == [[4, 4, 4], [2, 2], [3]]
+    assert sorted(q for c in calls for q in c) == sorted({tuple(i) for i in ids})
+    for row, want in zip(emb.rows, alone, strict=True):
+        np.testing.assert_array_equal(row, want)  # the bits of a one-question encode
 
 
 def count_sentences(monkeypatch):
@@ -525,8 +580,8 @@ def test_evaluate_counts_and_scores_each_distinct_input_once_per_call(monkeypatc
     real_meteor, real_pairwise = MX.meteor_lite, MX._pairwise_bleu
     monkeypatch.setattr(MX, "meteor_lite", lambda hyp, ref: scored.append(
         (" ".join(hyp), " ".join(ref))) or real_meteor(hyp, ref))
-    monkeypatch.setattr(MX, "_pairwise_bleu", lambda group: groups.append(
-        [length for length, _ in group]) or real_pairwise(group))
+    monkeypatch.setattr(MX, "_pairwise_bleu", lambda group, score: groups.append(
+        [length for length, _ in group]) or real_pairwise(group, score))
     evaluate(gens, gold, params, vocab)
     # Five distinct scored sentences, each counted once: the four references
     # (three of them also generated) and "is it safe ?"; the fourth question
@@ -549,6 +604,11 @@ def test_evaluate_counts_and_scores_each_distinct_input_once_per_call(monkeypatc
 
 def test_evaluate_keeps_no_state_across_calls(monkeypatch):
     counted = count_sentences(monkeypatch)
+    keyed, scored = [], []  # BLEU keys taken, and those whose arithmetic ran
+    real_key, real_score = MX._bleu_key, MX._bleu_score
+    monkeypatch.setattr(MX, "_bleu_key",
+                        lambda hyp, refs: keyed.append(real_key(hyp, refs)) or keyed[-1])
+    monkeypatch.setattr(MX, "_bleu_score", lambda key: scored.append(key) or real_score(key))
     gold, vocab, params = eval_setup()
     gens_a = [{"product_id": "p1", "questions": ["is it safe ?", "how heavy is it ?"]},
               {"product_id": "p2", "questions": ["how loud is it ?", "is it safe ?"]}]
@@ -559,12 +619,18 @@ def test_evaluate_keeps_no_state_across_calls(monkeypatch):
               {"product_id": "p2", "questions": ["how loud is it ?"]}]
     first = evaluate(gens_a, gold, params, vocab)
     first_counts = len(counted)
+    # The arithmetic runs once per distinct key: 8 keys, 4 of them distinct
+    # (the top-3 scores and the pairwise scores share some).
+    assert len(keyed) == 8 and scored == list(dict.fromkeys(keyed))
+    first_scored = scored[:]
     other = evaluate(gens_b, gold_b, params, vocab)
-    del counted[:]
+    del counted[:], scored[:]
     again = evaluate(gens_a, gold, params, vocab)
     assert other.bleu_top1 != first.bleu_top1
-    # A cache that outlived a call would spare the repeated call some counting.
+    # A cache that outlived a call would spare the repeated call some counting
+    # and some scoring.
     assert len(counted) == first_counts == 5
+    assert scored == first_scored
     for f in dataclasses.fields(first):
         assert getattr(again, f.name) == getattr(first, f.name), f.name
 
@@ -684,14 +750,6 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 BENCH_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
 
 
-def no_repeat_generations(gold):
-    """Each train-split product's first three gold questions with its
-    product_id appended, so that no generated question repeats."""
-    return [{"product_id": rec.product_id,
-             "questions": [f"{q} {rec.product_id}" for q in rec.questions[:3]]}
-            for rec in split(gold, seed=0).train]
-
-
 @pytest.mark.parametrize("name", ["stored", "no-repeat"])
 def test_evaluate_reproduces_the_golden_record(name):
     # tests/golden holds the JSON report of `pqgen evaluate` on the benchmark's
@@ -704,8 +762,10 @@ def test_evaluate_reproduces_the_golden_record(name):
     if name == "stored":
         with open(BENCH_INPUTS / "generations.jsonl", encoding="utf-8") as fh:
             gens = [json.loads(line) for line in fh]
-    else:
-        gens = no_repeat_generations(gold)
+    else:  # each train-split product's first three gold questions, made unique
+        gens = [{"product_id": rec.product_id,
+                 "questions": [f"{q} {rec.product_id}" for q in rec.questions[:3]]}
+                for rec in split(gold, seed=0).train]
     report = evaluate(gens, gold, params, Vocab(tokens))
     got = json.loads(json.dumps(dataclasses.asdict(report)))
     want = json.loads((GOLDEN / f"evaluate-{name}.json").read_text(encoding="utf-8"))
