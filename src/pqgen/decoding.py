@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -82,18 +82,22 @@ def _tie_key(tokens: tuple[int, ...]):
     return (tokens[-1] if tokens else -1, len(tokens), tokens)
 
 
+def _ranked(cands: Iterable[Candidate], alpha: float) -> list[Candidate]:
+    return sorted(cands, key=lambda c: (-ranked_score(c, alpha), _tie_key(c.token_ids)))
+
+
+def _at(names: Sequence[str], p: int) -> str:
+    """An error message's prefix naming product p, if it has a name."""
+    return f"product {names[p]}: " if names else ""
+
+
 def _ngram_bans(generated: tuple[int, ...], n: int) -> set[int]:
     """Tokens that would complete an n-gram already present in `generated`."""
     if n == 0 or len(generated) < n - 1:
         return set()
-    if n == 1:
-        return set(generated)
-    suffix = generated[-(n - 1):]
-    bans = set()
-    for i in range(len(generated) - n + 1):
-        if generated[i:i + n - 1] == suffix:
-            bans.add(generated[i + n - 1])
-    return bans
+    suffix = generated[len(generated) - n + 1:]  # the last n - 1 tokens
+    return {generated[i + n - 1] for i in range(len(generated) - n + 1)
+            if generated[i:i + n - 1] == suffix}
 
 
 @np.errstate(all="ignore")
@@ -141,7 +145,7 @@ def _search(params: ModelParams, contexts: Sequence[Sequence[int]], cfg: Generat
         if not np.isfinite(first).all():
             row = int(np.argmin(np.isfinite(first)))
             p, prefix = list(rows)[row]
-            at = f"product {names[p]}: " if names else ""
+            at = _at(names, p)
             if first[row] == -np.inf:
                 raise DecodingStuckError(f"{at}all {mcfg.vocab_size} tokens banned after {prefix}")
             raise NonFiniteOutputError(f"{at}log-prob {first[row]} at step {t} after {prefix}")
@@ -176,9 +180,8 @@ def _search(params: ModelParams, contexts: Sequence[Sequence[int]], cfg: Generat
                             parents.setdefault((p, prefix), row)
         rows = {key: r for r, key in enumerate(parents)}
         state = state.reorder(list(parents.values()))
-    return [[sorted((Candidate(prefix, cum_logprob, last == eos)
-                     for _, (last, _, prefix), cum_logprob, _ in beams),
-                    key=lambda c: (-ranked_score(c, cfg.length_penalty), _tie_key(c.token_ids)))
+    return [[_ranked((Candidate(prefix, cum_logprob, last == eos)
+                      for _, (last, _, prefix), cum_logprob, _ in beams), cfg.length_penalty)
              for beams in groups] for groups in products]
 
 
@@ -197,8 +200,7 @@ def _start(params: ModelParams, *contexts: Sequence[int], names: Sequence[str] =
     bad = ~np.isfinite(enc.h_e.data).all(axis=1)
     if bad.any():
         p = int(np.searchsorted(np.cumsum(enc.lengths), bad.argmax(), side="right"))
-        at = f"product {names[p]}: " if names else ""
-        raise NonFiniteOutputError(f"{at}encoder output is not finite")
+        raise NonFiniteOutputError(f"{_at(names, p)}encoder output is not finite")
     return start_decoding(params, enc)
 
 
@@ -248,14 +250,13 @@ def _generate(params: ModelParams, vocab: Vocab, contexts: Sequence[Sequence[int
     results = []
     for p, groups in enumerate(_search(params, contexts, config, names)):
         # Equal token ids are one candidate: a prefix's state row, hence its log-prob, is shared.
-        pool = sorted({c.token_ids: c for group in groups for c in group if c.finished}.values(),
-                      key=lambda c: (-ranked_score(c, alpha), _tie_key(c.token_ids)))
+        pool = _ranked({c.token_ids: c for group in groups for c in group if c.finished}.values(),
+                       alpha)
         top = pool[:config.questions_per_product]
         scores = [ranked_score(c, alpha) for c in top]
-        bad = [s for s in scores if not math.isfinite(s)]
-        if bad:
-            at = f"product {names[p]}: " if names else ""
-            raise NonFiniteOutputError(f"{at}length-penalized score {bad[0]} is not finite")
+        if bad := [s for s in scores if not math.isfinite(s)]:
+            raise NonFiniteOutputError(
+                f"{_at(names, p)}length-penalized score {bad[0]} is not finite")
         results.append(GenerationResult(
             questions=[detokenize(vocab.decode([t for t in c.token_ids if t != eos]))
                        for c in top],

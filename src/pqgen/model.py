@@ -63,9 +63,10 @@ class ModelConfig:
         for name, value in asdict(self).items():
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if min(self.d_model, self.n_heads, self.n_enc_layers, self.n_dec_layers,
-               self.d_ff) < 1 or self.max_len < 2:
+        if min(self.d_model, self.n_heads, self.n_enc_layers, self.n_dec_layers, self.d_ff) < 1:
             raise ConfigError(f"non-positive dimension in {self}")
+        if self.max_len < 2:
+            raise ConfigError(f"max_len={self.max_len} must be at least 2: BOS and one token")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}")

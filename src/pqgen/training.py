@@ -271,9 +271,7 @@ def train(split: SplitCorpus, vocab: Vocab, model_config: ModelConfig,
     state = AdamState(params)
 
     rows: list[dict] = []
-    best_val = math.inf
-    best_epoch = -1
-    best_params = params.copy()
+    best_val = math.inf  # epoch 0 sets the best epoch and params: its loss is checked finite
     final_val = math.nan
     step = 0
     for epoch in range(train_config.epochs):

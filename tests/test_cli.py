@@ -2,6 +2,7 @@
 and the determinism contracts (byte-identical corpora, checkpoints, and
 generation files)."""
 
+import ast
 import dataclasses
 import json
 import math
@@ -23,6 +24,7 @@ from pqgen.cli import main
 from pqgen.corpus import load_jsonl, save_jsonl, split, tokenize
 from pqgen.model import MAGIC, ConfigError, ModelParams, load_checkpoint, save_checkpoint
 
+from .test_metrics import BENCH_INPUTS
 from .test_model import header_of, with_header
 
 
@@ -250,12 +252,21 @@ def test_train_writes_checkpoint_and_log(tmp_path, capsys):
 
 
 def test_train_same_seed_identical_checkpoint_bytes(tmp_path, capsys):
-    corpus = make_corpus(capsys, tmp_path / "c.jsonl")
-    a = tmp_path / "a.ckpt"
-    b = tmp_path / "b.ckpt"
-    train_tiny(capsys, corpus, a)
-    train_tiny(capsys, corpus, b)
-    assert a.read_bytes() == b.read_bytes()
+    # The gradient and optimiser buffers carry no state between runs, in either
+    # regime; 1-3 questions a product gives ltd batches that mix triplets with
+    # single-question products, whose rows log single_cg.
+    for mode, (qmin, qmax) in [("ltd", (2, 2)), ("traditional", (2, 2)), ("ltd", (1, 3))]:
+        run_dir = tmp_path / f"{mode}-{qmin}-{qmax}"
+        run_dir.mkdir()
+        corpus = make_corpus(capsys, run_dir / "c.jsonl", qmin=qmin, qmax=qmax)
+        a = run_dir / "a.ckpt"
+        b = run_dir / "b.ckpt"
+        train_tiny(capsys, corpus, a, "--mode", mode)
+        train_tiny(capsys, corpus, b, "--mode", mode)
+        assert a.read_bytes() == b.read_bytes(), run_dir.name
+        log_a, log_b = (Path(f"{ckpt}.log.jsonl").read_bytes() for ckpt in (a, b))
+        assert log_a == log_b, run_dir.name
+        assert (b'"single_cg": ' in log_a) == (qmin < qmax), run_dir.name
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -319,11 +330,18 @@ def test_train_bad_corpus_schema_exits_2(tmp_path, capsys):
 
 
 def test_train_bad_model_dims_exit_1(tmp_path, capsys):
+    # A decoder input holds BOS and at least one token, so max_len 1 is refused
+    # by its own bound: it is positive.
     corpus = make_corpus(capsys, tmp_path / "c.jsonl")
-    code, _, _ = run(capsys, "train", "--corpus", str(corpus),
-                     "--out", str(tmp_path / "m.ckpt"),
-                     "--d-model", "7", "--n-heads", "2")
-    assert code == 1
+    for dims, reason in [
+            (("--d-model", "7", "--n-heads", "2"), "d_model=7 not divisible by n_heads=2"),
+            (("--max-len", "1"), "max_len=1 must be at least 2: BOS and one token")]:
+        code, _, err = run(capsys, "train", "--corpus", str(corpus),
+                           "--out", str(tmp_path / "m.ckpt"), *dims)
+        assert code == 1
+        assert [line for line in err.splitlines() if line.startswith("error: ")] == [
+            f"error: {reason}"]
+        assert list(tmp_path.iterdir()) == [corpus]
 
 
 # Any numpy overflow warning fails the test: the named error is all of stderr.
@@ -404,6 +422,25 @@ def test_the_pqgen_script_enters_through_the_pinning_module():
     assert 'pqgen = "pqgen.__main__:main"' in pyproject.read_text().splitlines()
 
 
+def test_the_package_imports_only_the_standard_library_and_numpy():
+    # The runtime is numpy-only and the package ships without tests/, where
+    # the reference code lives: every import in src/pqgen, inside functions
+    # too, names the standard library, numpy or pqgen itself.
+    allowed = set(sys.stdlib_module_names) | {"numpy", "pqgen"}
+    outside = []
+    for path in sorted(Path(pqgen.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}:{node.lineno}: {name}" for name in names
+                        if name.partition(".")[0] not in allowed]
+    assert outside == []
+
+
 def test_importing_pqgen_changes_no_environment():
     # Only running the command pins the thread pools; a library import leaves
     # the host program's environment alone.
@@ -462,12 +499,16 @@ def test_generate_record_count_and_header(pipeline, tmp_path, capsys):
 
 
 def test_generate_is_deterministic(pipeline, tmp_path, capsys):
+    # The train split's 10 products make one chunk of several products.
     corpus, ckpt = pipeline
-    a = tmp_path / "a.jsonl"
-    b = tmp_path / "b.jsonl"
-    assert run(capsys, *generate_args(corpus, ckpt, a))[0] == 0
-    assert run(capsys, *generate_args(corpus, ckpt, b))[0] == 0
-    assert a.read_bytes() == b.read_bytes()
+    for split_name, products in [("test", 1), ("train", 10)]:
+        a = tmp_path / f"{split_name}-a.jsonl"
+        b = tmp_path / f"{split_name}-b.jsonl"
+        for out in (a, b):
+            assert run(capsys, *generate_args(corpus, ckpt, out,
+                                              "--corpus-split", split_name))[0] == 0
+        assert a.read_bytes() == b.read_bytes(), split_name
+        assert len(a.read_text().splitlines()) == 1 + products, split_name
 
 
 def test_generate_in_process_loads_the_checkpoint_once(pipeline, tmp_path, capsys,
@@ -636,7 +677,24 @@ def test_evaluate_gold_vs_gold_is_100(pipeline, tmp_path, capsys):
                      "--report", str(prefix))
     assert code == 0
     report = json.loads((tmp_path / "report.json").read_text())
-    assert report["bleu_top1"] == pytest.approx(100.0)
+    assert report["bleu_top1"] == report["avg_bleu_top3"] == 100.0
+
+
+def test_evaluate_reports_do_not_depend_on_the_string_hash_seed(tmp_path):
+    # BLEU's level sets and evaluate's per-call caches are sets and dicts keyed
+    # on strings, so no figure may depend on their iteration order: fresh
+    # interpreters under two hash seeds write the same report bytes.
+    gold = tmp_path / "corpus.jsonl"
+    assert main(["synth", "--seed", "0", "--products", "500", "--out", str(gold)]) == 0
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pqgen", "evaluate",
+             "--generations", str(BENCH_INPUTS / "generations.jsonl"), "--gold", str(gold),
+             "--checkpoint", str(BENCH_INPUTS / "ltd6.ckpt"), "--report", str(tmp_path / seed)],
+            env=child_env(PYTHONHASHSEED=seed), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+    for ext in ("txt", "json", "csv"):
+        assert (tmp_path / f"0.{ext}").read_bytes() == (tmp_path / f"1.{ext}").read_bytes(), ext
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

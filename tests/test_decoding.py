@@ -830,9 +830,9 @@ BENCH_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
 
 def test_golden_decode_of_the_benchmark_checkpoint():
     # The benchmark's 100 held-out products (corpus seed 0, 500 products,
-    # split seed 0), decoded one at a time under the default config, keep the
-    # stored questions and shortage flags exactly and their scores within
-    # 1e-12. Only reads the stored files.
+    # split seed 0), decoded under the default config one at a time and in
+    # the CLI's chunks, keep the stored questions and shortage flags exactly
+    # and their scores within 1e-12. Only reads the stored files.
     params, tokens = M.load_checkpoint(BENCH_INPUTS / "ltd6.ckpt")
     vocab = Vocab(tokens)
     with open(BENCH_INPUTS / "generations.jsonl", encoding="utf-8") as fh:
@@ -840,11 +840,13 @@ def test_golden_decode_of_the_benchmark_checkpoint():
     split = C.split(C.synth_corpus(0, 500), seed=0)
     held_out = split.validation + split.test
     assert len(held_out) == 100
-    for rec in held_out:
-        got = generate_questions(params, vocab, vocab.encode_text(rec.context),
-                                 GenerationConfig())
+    chunked = generate_split(params, vocab, held_out, GenerationConfig())
+    for rec, in_chunk in zip(held_out, chunked, strict=True):
+        alone = generate_questions(params, vocab, vocab.encode_text(rec.context),
+                                   GenerationConfig())
         want = stored[rec.product_id]
-        assert (got.questions, got.shortage) == (want["questions"], want["shortage"]), \
-            rec.product_id
-        np.testing.assert_allclose(got.scores, want["scores"], rtol=0, atol=1e-12,
-                                   err_msg=rec.product_id)
+        for how, got in [("alone", alone), ("chunked", in_chunk)]:
+            at = f"{rec.product_id} {how}"
+            assert (got.questions, got.shortage) == (want["questions"], want["shortage"]), at
+            np.testing.assert_allclose(got.scores, want["scores"], rtol=0, atol=1e-12,
+                                       err_msg=at)
