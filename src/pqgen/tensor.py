@@ -176,12 +176,13 @@ def scale(x: Tensor, s: float) -> Tensor:
     return _emit((x,), x.data * s, bwd)
 
 
-def tsum(x: Tensor) -> Tensor:
-    """Sum over all elements, yielding a 0-d scalar."""
-    def bwd(g):
-        return (np.broadcast_to(g, x.shape).copy(),)
-
-    return _emit((x,), np.asarray(x.data.sum()), bwd)
+def tsum(x: Tensor, weights: np.ndarray | None = None) -> Tensor:
+    """Sum over all elements, yielding a 0-d scalar; with constant `weights`
+    shaped like x, the weighted sum (x * weights).sum()."""
+    w = np.ones(x.shape) if weights is None else np.asarray(weights, dtype=np.float64)
+    if w.shape != x.shape:
+        raise ShapeError(f"tsum weights {w.shape} do not match {x.shape}")
+    return _emit((x,), np.asarray((x.data * w).sum()), lambda g: (g * w,))
 
 
 def _gather(table: np.ndarray, ids: Sequence[int]):
@@ -193,7 +194,7 @@ def _gather(table: np.ndarray, ids: Sequence[int]):
     if idx.ndim != 1:
         raise ShapeError(f"embedding ids must be 1-D, got {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-        raise IndexError(f"embedding id out of range [0, {table.shape[0]}): {idx.tolist()}")
+        raise IndexError(f"row id out of range [0, {table.shape[0]}): {idx.tolist()}")
 
     def bwd(g):
         # One bincount over the flat (id, column) indices adds each table
@@ -473,25 +474,30 @@ def mean_pool_segments(states: Tensor, segment_ids: Sequence[int], n_segments: i
     return _emit((states,), weights @ states.data, bwd)
 
 
-def cosine_similarity_rows(u: Tensor, v: Tensor) -> Tensor:
-    """Row-wise cosine similarity of two [n, d] matrices, as an [n] vector."""
-    if u.data.ndim != 2 or u.shape != v.shape:
-        raise ShapeError(f"cosine_similarity_rows needs matching 2-D inputs: "
-                         f"{u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u.data, axis=1)
-    nv = np.linalg.norm(v.data, axis=1)
+def cosine_similarity_rows(x: Tensor, first: Sequence[int], second: Sequence[int]) -> Tensor:
+    """Cosine similarity of rows first[k] and second[k] of a 2-D x, as an
+    [n] vector. The backward adds each row's gradients by one bincount, as
+    an embedding gather's does."""
+    i, j = np.asarray(first, dtype=np.int64), np.asarray(second, dtype=np.int64)
+    if x.data.ndim != 2 or i.ndim != 1 or i.shape != j.shape:
+        raise ShapeError(f"cosine_similarity_rows needs a 2-D x and matching 1-D row ids: "
+                         f"{x.shape}, {i.shape} vs {j.shape}")
+    rows, gather_bwd = _gather(x.data, np.concatenate([i, j]))
+    u, v = rows[:i.size], rows[i.size:]
+    nu = np.linalg.norm(u, axis=1)
+    nv = np.linalg.norm(v, axis=1)
     if nu.size and min(nu.min(), nv.min()) < 1e-12:
         raise DegenerateVectorError(f"cosine_similarity_rows: a row norm is below 1e-12 "
                                     f"(min {min(nu.min(), nv.min()):.3e})")
     nuv = nu * nv
-    c = (u.data * v.data).sum(axis=1) / nuv
+    c = (u * v).sum(axis=1) / nuv
 
     def bwd(g):
-        du = g[:, None] * (v.data / nuv[:, None] - (c / (nu * nu))[:, None] * u.data)
-        dv = g[:, None] * (u.data / nuv[:, None] - (c / (nv * nv))[:, None] * v.data)
-        return du, dv
+        du = g[:, None] * (v / nuv[:, None] - (c / (nu * nu))[:, None] * u)
+        dv = g[:, None] * (u / nuv[:, None] - (c / (nv * nv))[:, None] * v)
+        return (gather_bwd(np.concatenate([du, dv])),)
 
-    return _emit((u, v), c, bwd)
+    return _emit((x,), c, bwd)
 
 
 # Nothing in this package calls the ops below; perfbench's traced run wraps each by

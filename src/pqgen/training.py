@@ -125,38 +125,35 @@ def batch_loss(params: ModelParams, items: Sequence,
     """One packed forward over a batch of triplets and singles; returns the
     per-item values and the differentiable sum of every branch's CG loss
     plus lambda times every triplet's div. Each item's questions are
-    consecutive branches."""
-    examples: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    firsts, singles = [], []  # each triplet's first branch; each single's branch
+    consecutive branches. Branches with one (context, question) share one
+    decoded example, whose CG loss counts once per branch."""
+    example_of: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    branches, firsts, singles = [], [], []  # each branch's example; item starts
     for context_ids, *questions in items:
-        {1: singles, 2: firsts}[len(questions)].append(len(examples))
-        examples += [(context_ids, q_ids) for q_ids in questions]
-    trace = decode_packed(params, examples)
-    cg = T.cross_entropy_segments(trace.logits, trace.predict_ids, trace.branch_of_row,
-                                  len(examples))
-    total = T.tsum(cg)
-    firsts = np.array(firsts, dtype=np.intp)
+        {1: singles, 2: firsts}[len(questions)].append(len(branches))
+        branches += [example_of.setdefault((tuple(context_ids), tuple(q_ids)), len(example_of))
+                     for q_ids in questions]
+    trace = decode_packed(params, list(example_of))
+    n = len(example_of)
+    cg = T.cross_entropy_segments(trace.logits, trace.predict_ids, trace.branch_of_row, n)
+    branches, firsts = np.array(branches, dtype=np.intp), np.array(firsts, dtype=np.intp)
+    total = T.tsum(cg, np.bincount(branches, minlength=n))
+    first, second = branches[firsts], branches[firsts + 1]
     div = np.zeros(0)
     if firsts.size:
-        div_t = _packed_div(trace, firsts)
+        div_t = _packed_div(trace, n, first, second)
         total = T.add(total, T.scale(T.tsum(div_t), lambda_div))
         div = div_t.data
-    losses = BatchLosses(cg1=cg.data[firsts], cg2=cg.data[firsts + 1], div=div,
-                         single_cg=cg.data[singles], n_branches=len(examples))
+    losses = BatchLosses(cg1=cg.data[first], cg2=cg.data[second], div=div,
+                         single_cg=cg.data[branches[singles]], n_branches=branches.size)
     return losses, total
 
 
-def _packed_div(trace: PackedTrace, firsts: np.ndarray) -> Tensor:
-    """`div_loss` of every (f, f + 1) pair of branches, f in `firsts`, as a vector."""
-    n_branches = int(trace.branch_of_row.max()) + 1
-    ids = []
-    for side in (firsts, firsts + 1):
-        pair_of_branch = np.full(n_branches, -1)
-        pair_of_branch[side] = np.arange(len(side))
-        ids.append(np.where(trace.target_mask, pair_of_branch[trace.branch_of_row], -1))
-    n = len(firsts)
-    cosines = [T.cosine_similarity_rows(T.mean_pool_segments(states, ids[0], n),
-                                        T.mean_pool_segments(states, ids[1], n))
+def _packed_div(trace: PackedTrace, n: int, first: np.ndarray, second: np.ndarray) -> Tensor:
+    """`div_loss` of every (first[k], second[k]) pair of the n examples of
+    `trace`, as a vector: each layer pools each example once."""
+    ids = np.where(trace.target_mask, trace.branch_of_row, -1)
+    cosines = [T.cosine_similarity_rows(T.mean_pool_segments(states, ids, n), first, second)
                for states in trace.layer_states]
     return T.scale(T.add_n(cosines), 1.0 / len(cosines))
 

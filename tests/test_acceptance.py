@@ -144,15 +144,19 @@ def test_criterion_1_gradient_fidelity():
                                              t[2])),
                       [x54, rng.normal(size=(3, 4)), rng.normal(size=(4, 4))]))
         # The segment ops of the packed step: per-branch CG over two segments,
-        # pooling in which a BOS row (id -1) joins no segment, and row cosines.
+        # pooling in which a BOS row (id -1) joins no segment, cosines of
+        # row pairs in which a row recurs and pairs with itself, and a sum
+        # weighted by constant branch counts.
         cases += [
             (lambda t: T.tsum(mul(T.cross_entropy_segments(t[0], [2, 5, 0, 3], [0, 1, 1, 0],
                                                            2), t[1])),
              [logits, rng.normal(size=2)]),
             (lambda t: T.tsum(mul(T.mean_pool_segments(t[0], [1, -1, 0, 1, 0], 2), t[1])),
              [rng.normal(size=(5, 3)), rng.normal(size=(2, 3))]),
-            (lambda t: T.tsum(mul(T.cosine_similarity_rows(t[0], t[1]), t[2])),
-             [x34, y34, rng.normal(size=3)]),
+            (lambda t: T.tsum(mul(T.cosine_similarity_rows(t[0], [0, 2, 2, 4], [1, 2, 3, 0]),
+                                  t[1])),
+             [x54, rng.normal(size=4)]),
+            (lambda t: T.tsum(mul(t[0], t[0]), [[1.0, 3.0, 2.0, 1.0]] * 3), [x34]),
         ]
         for build, arrays in cases:
             analytic_vs_fd(build, arrays)

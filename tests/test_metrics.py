@@ -182,6 +182,18 @@ def test_meteor_greedy_fallback_starts_chunks_at_the_longest_run():
         assert meteor_lite(hyp, ref) == pytest.approx(want, abs=1e-12)
 
 
+def test_meteor_searches_an_alignment_space_under_200_000_exactly():
+    # 3 * 126 * 120 = 45,360 alignments: hyp[1:7] onto the whole reference is
+    # one chunk. The greedy fallback starts a chunk at hyp[0] and needs two.
+    hyp, ref = toks("a a b b b b b b b b b a"), toks("a b b b b b")
+    f_mean = 10.0 * 0.5 * 1.0 / (1.0 + 9.0 * 0.5)
+    assert meteor_lite(hyp, ref) == pytest.approx(
+        100.0 * f_mean * (1.0 - 0.5 * (1 / 6) ** 3), abs=1e-12)
+    with mock.patch.object(MX, "_CHUNK_SEARCH_BUDGET", 0):
+        assert meteor_lite(hyp, ref) == pytest.approx(
+            100.0 * f_mean * (1.0 - 0.5 * (2 / 6) ** 3), abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Distinct-N
 
@@ -262,6 +274,22 @@ def test_cluster_single_row():
     assert sweep == [(0.1, 1), (0.5, 1)]
     # One row never merges, so even a zero-norm one is a cluster, not an error.
     assert cluster_count_sweep(np.zeros((1, 2)), [0.1]) == [(0.1, 1)]
+
+
+def test_cluster_cut_counts_a_merge_at_exactly_the_threshold():
+    # Orthogonal rows merge at cosine distance exactly 1.0: "at or below each
+    # threshold", as scipy's fcluster(criterion="distance") cuts.
+    rows = np.array([[1.0, 0.0], [0.0, 1.0]])
+    assert _merge_heights(rows) == [1.0]
+    assert cluster_count_sweep(rows, [0.5, 1.0, 1.5]) == [(0.5, 2), (1.0, 1), (1.5, 1)]
+
+
+def test_cosine_distances_refuse_a_row_of_norm_below_1e_12():
+    with pytest.raises(DegenerateVectorError):
+        _cosine_distances(np.array([[1e-13, 0.0], [1.0, 0.0]]))
+    with pytest.raises(DegenerateVectorError):
+        cluster_count_sweep(np.array([[0.0, 1e-13], [1.0, 1.0]]))
+    assert _cosine_distances(np.array([[1e-11, 0.0], [0.0, 1.0]]))[0, 1] == 1.0
 
 
 @pytest.mark.parametrize("rows", [

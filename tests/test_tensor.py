@@ -401,15 +401,32 @@ def test_mean_pool_segments_matches_per_segment_and_grad():
 
 
 def test_cosine_similarity_rows_matches_pairwise_and_grad():
-    u, v = RNG.normal(size=(3, 4)) + 1.0, RNG.normal(size=(3, 4)) - 1.0
-    got = T.cosine_similarity_rows(T.Tensor(u), T.Tensor(v)).data
-    for i in range(3):
-        want = T.cosine_similarity(T.Tensor(u[i]), T.Tensor(v[i])).item()
-        assert got[i] == pytest.approx(want, abs=1e-12)
-    check_grads(lambda ts: T.tsum(mul(T.cosine_similarity_rows(ts[0], ts[1]), ts[2])),
-                [u, v, RNG.normal(size=3)])
+    # Pairs of rows of one matrix: row 1 recurs on both sides, row 3 pairs
+    # with itself, and row 2 is in no pair.
+    x = RNG.normal(size=(5, 4)) + 1.0
+    first, second = [0, 1, 3, 4], [1, 4, 3, 1]
+    got = T.cosine_similarity_rows(T.Tensor(x), first, second).data
+    for k, (i, j) in enumerate(zip(first, second)):
+        want = T.cosine_similarity(T.Tensor(x[i]), T.Tensor(x[j])).item()
+        assert got[k] == pytest.approx(want, abs=1e-12)
+    check_grads(lambda ts: T.tsum(mul(T.cosine_similarity_rows(ts[0], first, second), ts[1])),
+                [x, RNG.normal(size=4)])
     with pytest.raises(T.DegenerateVectorError):
-        T.cosine_similarity_rows(T.Tensor(np.zeros((1, 4))), T.Tensor(v[:1]))
+        T.cosine_similarity_rows(T.Tensor(np.vstack([np.zeros(4), x[0]])), [0], [1])
+    with pytest.raises(T.ShapeError):
+        T.cosine_similarity_rows(T.Tensor(x), [0, 1], [1])
+    with pytest.raises(IndexError):
+        T.cosine_similarity_rows(T.Tensor(x), [0], [5])
+
+
+def test_weighted_tsum_is_the_weighted_sum_and_all_ones_keep_the_plain_sum_bits():
+    x = RNG.normal(size=(7,)) * 1e3
+    w = np.array([2.0, 1.0, 3.0, 1.0, 1.0, 2.0, 1.0])
+    assert T.tsum(T.Tensor(x), w).item() == pytest.approx(float(x @ w), rel=1e-14)
+    assert T.tsum(T.Tensor(x)).item() == T.tsum(T.Tensor(x), np.ones(7)).item() == x.sum()
+    check_grads(lambda ts: T.tsum(mul(ts[0], ts[0]), w), [x / 1e3])
+    with pytest.raises(T.ShapeError):
+        T.tsum(T.Tensor(x), np.ones(6))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -325,6 +326,57 @@ def test_packed_ltd_step_with_single_question_product_matches_reference():
     assert_packed_matches_reference(params, items, 0.1)
 
 
+def test_packed_ltd_step_with_a_question_in_three_pairs_matches_reference():
+    # A four-question product pairs each question with the three others, so
+    # each of its four examples is the branch of three triplets.
+    recs, v, params = packed_setup(questions_range=(4, 4))
+    items = reference.build_triplets(recs[:2], v, seed=0)[:8]
+    branches = Counter((t.context_ids, q) for t in items for q in (t.q1_ids, t.q2_ids))
+    assert len(items) == 8 and len({t.context_ids for t in items}) == 2
+    assert sorted(branches.values())[-4:] == [3, 3, 3, 3]
+    assert_packed_matches_reference(params, items, 0.1)
+
+
+def test_packed_ltd_step_with_a_triplet_of_two_equal_questions_matches_reference():
+    # `_triplets` never pairs a question with itself, but `batch_loss` takes
+    # such a pair: both branches are one example, and its div is 1.
+    recs, v, params = packed_setup()
+    trips = reference.build_triplets(recs, v, seed=0)[:3]
+    t = trips[1]
+    same = TR.Triplet(t.context_ids, t.q1_ids, t.q1_ids)
+    items = [trips[0], same, trips[2]]
+    assert_packed_matches_reference(params, items, 0.1)
+    losses, _ = TR.batch_loss(params, items, 0.1)
+    assert losses.cg1[1] == losses.cg2[1] and losses.div[1] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_benchmark_shaped_ltd_batch_decodes_each_distinct_example_once(monkeypatch):
+    """Eight `ltd` triplets of the benchmark's corpus and model shape: the
+    one `decode_packed` call gets each distinct (context, question) once, in
+    first-seen order, and decodes sum(len(q) + 1) rows over them."""
+    recs = C.synth_corpus(0, 24)
+    v = C.build_vocab(recs)
+    cfg = M.ModelConfig(vocab_size=len(v), d_model=32, n_heads=2, n_enc_layers=1,
+                        n_dec_layers=1, d_ff=64, max_len=64)
+    per_product = TR._product_items(recs, v, cfg, "ltd", TR.TrainConfig())
+    items = [t for p in per_product for t in p][:8]
+    branches = [(t.context_ids, q) for t in items for q in (t.q1_ids, t.q2_ids)]
+    distinct = list(dict.fromkeys(branches))
+    assert len(distinct) < len(branches) == 16
+    calls = []
+    decode_packed = TR.decode_packed
+
+    def recorded(params, examples):
+        trace = decode_packed(params, examples)
+        calls.append((list(examples), trace.logits.shape[0]))
+        return trace
+
+    monkeypatch.setattr(TR, "decode_packed", recorded)
+    losses, _ = TR.batch_loss(M.init_params(cfg, seed=0), items, 0.1)
+    assert calls == [(distinct, sum(len(q) + 1 for _, q in distinct))]
+    assert losses.n_branches == 16 and losses.cg1.size == losses.div.size == 8
+
+
 def test_packed_step_refuses_pads_in_contexts_and_targets():
     # Batches are packed, never padded: a PAD in any context or target of a
     # batch is refused before the forward pass records anything.
@@ -394,11 +446,12 @@ def test_fused_sublayers_equal_the_separate_ops_on_a_packed_batch(monkeypatch):
     assert r_n_ops - n_ops == 6 * 6 + 4 * 6 + 2 * 2
 
 
-@pytest.mark.parametrize("mode, n_ops", [("ltd", 21), ("traditional", 13)])
+@pytest.mark.parametrize("mode, n_ops", [("ltd", 20), ("traditional", 13)])
 def test_benchmark_shaped_step_records_one_op_per_sublayer(monkeypatch, mode, n_ops):
     """On one layer each side, as the benchmark trains: one op per embedding,
     sublayer and final norm (4 encoder, 5 decoder), the CG head, then the
-    loss: 3 ops of CG for every step, and 8 more of div for `ltd`."""
+    loss: 3 ops of CG for every step, and 7 more of div for `ltd` (one pool
+    and one cosine op per decoder layer, then the layer mean and lambda)."""
     recs = C.synth_corpus(0, 24)
     v = C.build_vocab(recs)
     cfg = M.ModelConfig(vocab_size=len(v), d_model=32, n_heads=2, n_enc_layers=1,
