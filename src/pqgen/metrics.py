@@ -11,9 +11,12 @@ deviation.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from bisect import bisect_left
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, reduce
+from itertools import chain, count, zip_longest
+from operator import or_
 from typing import Sequence
 
 import numpy as np
@@ -32,6 +35,8 @@ DEFAULT_THRESHOLDS = tuple(round(0.05 * k, 2) for k in range(1, 20))
 
 # BLEU-4: geometric mean of the 1- to 4-gram precisions.
 BLEU_MAX_N = 4
+# The n-grams a BLEU bit table holds before it starts over: masks stay narrow.
+_GRAM_TABLE_BOUND = 4096
 
 # Alignment search budget before meteor falls back to a greedy chunker.
 _CHUNK_SEARCH_BUDGET = 200_000
@@ -41,45 +46,43 @@ _CHUNK_SEARCH_BUDGET = 200_000
 # BLEU
 
 
-def _all_counts(tokens: Sequence[str]) -> tuple[int, tuple[frozenset, ...]]:
-    """A sentence's length and its 1- to 4-grams as level sets, the form
-    `_bleu` scores from: level j holds the n-grams (of every order; a gram's
-    order is its tuple length) that occur more than j times."""
-    grams: list[tuple[str, ...]] = []
-    for n in range(1, BLEU_MAX_N + 1):
-        grams += zip(*(tokens[i:] for i in range(n)))
-    level = frozenset(grams)
-    if len(level) == len(grams):  # no repeats, the usual case: one level
-        return len(tokens), (level,)
-    counts = Counter(grams)
-    return len(tokens), (level, *(frozenset(g for g, k in counts.items() if k > j)
-                                  for j in range(1, max(counts.values()))))
+def _all_counts(tokens: Sequence[str], bits: defaultdict) -> tuple[int, tuple[tuple, ...]]:
+    """A sentence's length and its 1- to 4-grams as level bitsets: level j
+    holds one mask per order, the OR of the `bits` of the n-grams that occur
+    more than j times. `bits` gives each new n-gram the next free bit."""
+    shifted = [tokens[i:] for i in range(BLEU_MAX_N)]
+    orders = [list(zip(*shifted[:n])) for n in range(1, BLEU_MAX_N + 1)]
+    if len(set(chain.from_iterable(orders))) == sum(map(len, orders)):  # no repeats: one level
+        return len(tokens), (tuple(sum(map(bits.__getitem__, o)) for o in orders),)
+    counts = Counter(chain.from_iterable(orders))
+    return len(tokens), tuple(tuple(sum(bits[g] for g in dict.fromkeys(o) if counts[g] > j)
+                                    for o in orders) for j in range(max(counts.values())))
 
 
-def _merge_refs(refs: Sequence[tuple]) -> tuple[list[int], list[frozenset]]:
-    """The lengths of one or more references and, per level, the union of
-    their `_all_counts` levels: an n-gram is in union j when some reference
-    holds it more than j times."""
-    depth = max(len(levels) for _, levels in refs)
-    return [length for length, _ in refs], [
-        frozenset().union(*(levels[j] for _, levels in refs if j < len(levels)))
-        for j in range(depth)]
+def _merge_refs(refs: Sequence[tuple]) -> tuple[list[int], list[list[int]]]:
+    """The sorted lengths of one or more references and, per level j and order,
+    the OR of their masks: the n-grams some reference holds more than j times."""
+    lengths, levels = zip(*refs)
+    return sorted(lengths), [[reduce(or_, masks) for masks in zip(*filter(None, level))]
+                             for level in zip_longest(*levels)]
 
 
-def _bleu_key(hyp: tuple, refs: tuple[list[int], list[frozenset]]) -> tuple[int, ...]:
+def _bleu_key(hyp: tuple, refs: tuple) -> tuple[int, ...]:
     """The integers `bleu` scores from, given a hypothesis's `_all_counts` and
-    the `_merge_refs` of its references: the effective reference length, the
-    hypothesis length and the 1- to 4-gram clipped counts. A count k clipped
-    to the largest reference count m is min(k, m) = the number of levels j
-    with k > j and m > j, so the clipped counts are the sizes of the level
-    intersections, tallied by order."""
+    the `_merge_refs` of its references: the effective reference length (the
+    closest, ties to the shorter), the hypothesis length and the 1- to 4-gram
+    clipped counts. A count k clipped to the largest reference count m is
+    min(k, m) = the number of levels j with k > j and m > j, so the clipped
+    counts are the bit counts of the level intersections, order by order."""
     c, levels = hyp
-    ref_lens, bounds = refs
-    clipped = [0] * (BLEU_MAX_N + 1)
+    lens, bounds = refs
+    i = bisect_left(lens, c)  # lens[i - 1] < c <= lens[i]
+    r = lens[i - 1] if i == len(lens) or i and c - lens[i - 1] <= lens[i] - c else lens[i]
+    clipped = [0] * BLEU_MAX_N
     for level, bound in zip(levels, bounds):
-        for gram in level & bound:
-            clipped[len(gram)] += 1
-    return min((abs(length - c), length) for length in ref_lens)[1], c, *clipped[1:]
+        for n in range(BLEU_MAX_N):
+            clipped[n] += (level[n] & bound[n]).bit_count()
+    return r, c, *clipped
 
 
 def _bleu_score(key: tuple[int, ...]) -> float:
@@ -118,9 +121,13 @@ def avg_bleu(hypotheses: Sequence[Sequence[str]],
         raise MetricInputError("avg_bleu needs at least one hypothesis")
     if not references:
         raise MetricInputError("bleu needs at least one reference")
-    refs = _merge_refs([_all_counts(r) for r in references])
-    return math.fsum(_bleu_score(_bleu_key(_all_counts(h), refs))
-                     for h in hypotheses) / len(hypotheses)
+    scores = []
+    for h in hypotheses:
+        if not scores or len(bits) > _GRAM_TABLE_BOUND:  # start the table (over)
+            bits = defaultdict(map((1).__lshift__, count()).__next__)  # a new n-gram: next bit
+            refs = _merge_refs([_all_counts(r, bits) for r in references])
+        scores.append(_bleu_score(_bleu_key(_all_counts(h, bits), refs)))
+    return math.fsum(scores) / len(scores)
 
 
 def _pairwise_bleu(group: Sequence[tuple], score=_bleu_score) -> float:
@@ -134,7 +141,8 @@ def pairwise_bleu(group: Sequence[Sequence[str]]) -> float:
     group is locally more diverse."""
     if len(group) < 2:
         raise MetricInputError("pairwise_bleu needs a group of >= 2 questions")
-    return _pairwise_bleu([_all_counts(q) for q in group])
+    bits = defaultdict(map((1).__lshift__, count()).__next__)
+    return _pairwise_bleu([_all_counts(q, bits) for q in group])
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +248,10 @@ def meteor_lite(hypothesis: Sequence[str], reference: Sequence[str]) -> float:
         space *= math.comb(len(hps), m) * math.perm(len(rps), m)
     if matches == 0:
         return 0.0
-    if space <= _CHUNK_SEARCH_BUDGET:
+    if space == 1:  # each matched token once on each side: one alignment
+        pairs = sorted((hps[0], rps[0]) for hps, rps, _ in per_type)
+        chunks = 1 + sum((h + 1, r + 1) != pair for (h, r), pair in zip(pairs, pairs[1:]))
+    elif space <= _CHUNK_SEARCH_BUDGET:
         chunks = _min_chunks_exact(per_type, matches)
     else:
         chunks = _min_chunks_greedy(hyp, ref)
@@ -420,19 +431,22 @@ def evaluate(generations: Sequence[dict], gold: Sequence[ProductRecord],
         raise MetricInputError(
             f"generation product ids missing from gold corpus: {missing}")
     # Generated questions repeat (the paper's finding) and gold questions share
-    # templates, so within this call each distinct string is tokenized and
-    # counted once, each distinct (top-1, reference) pair METEOR-scored once,
-    # each distinct top-3 Pairwise-BLEU-scored once and each distinct BLEU key
-    # (a few small integers) scored once.
+    # templates, so within this call each distinct string is tokenized once and
+    # counted once per bit table, each distinct (top-1, reference) pair and top-3
+    # METEOR- or Pairwise-BLEU-scored once and each distinct BLEU key (a few
+    # small integers) scored once.
     tok = cache(tokenize)
-    count = cache(lambda q: _all_counts(tok(q)))
+    masks = cache(lambda q: _all_counts(tok(q), bits))  # bits: the n-gram table, below
     score = cache(_bleu_score)
     meteor = cache(lambda hyp, ref: meteor_lite(tok(hyp), tok(ref)))
-    pairwise = cache(lambda *top3: _pairwise_bleu([count(q) for q in top3], score))
+    pairwise = cache(lambda *top3: _pairwise_bleu([masks(q) for q in top3], score))
     degenerate: list[tuple[str, str]] = []
     bleus, avg3s, meteors, pws = [], [], [], []
     top1_tokens: list[list[str]] = []
     for r in generations:
+        if not bleus or len(bits) > _GRAM_TABLE_BOUND:  # start the table (over)
+            bits = defaultdict(map((1).__lshift__, count()).__next__)  # a new n-gram: next bit
+            masks.cache_clear()  # masks of the old table
         pid = r["product_id"]
         top3 = r["questions"][:3]
         if not top3 or not tok(top3[0]):
@@ -446,8 +460,8 @@ def evaluate(generations: Sequence[dict], gold: Sequence[ProductRecord],
             raise MetricInputError(f"product {pid}: no gold questions to score against")
         top1 = tok(top3[0])
         check_length(params.config, len(top1), f"product {pid}: question")
-        merged = _merge_refs([count(q) for q in refs])
-        scores = [score(_bleu_key(count(q), merged)) for q in top3]
+        merged = _merge_refs([masks(q) for q in refs])
+        scores = [score(_bleu_key(masks(q), merged)) for q in top3]
         bleus.append(scores[0])
         avg3s.append(math.fsum(scores) / len(scores))
         meteors.append(max(meteor(top3[0], q) for q in refs))

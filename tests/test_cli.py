@@ -681,8 +681,8 @@ def test_evaluate_gold_vs_gold_is_100(pipeline, tmp_path, capsys):
 
 
 def test_evaluate_reports_do_not_depend_on_the_string_hash_seed(tmp_path):
-    # BLEU's level sets and evaluate's per-call caches are sets and dicts keyed
-    # on strings, so no figure may depend on their iteration order: fresh
+    # BLEU's n-gram bit table and evaluate's per-call caches are sets and dicts
+    # keyed on strings, so no figure may depend on their iteration order: fresh
     # interpreters under two hash seeds write the same report bytes.
     gold = tmp_path / "corpus.jsonl"
     assert main(["synth", "--seed", "0", "--products", "500", "--out", str(gold)]) == 0

@@ -182,6 +182,33 @@ def test_meteor_greedy_fallback_starts_chunks_at_the_longest_run():
         assert meteor_lite(hyp, ref) == pytest.approx(want, abs=1e-12)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(ALPHABET + ["g", "h"]), unique=True, min_size=1, max_size=8),
+       st.lists(st.sampled_from(ALPHABET + ["g", "h"]), unique=True, min_size=1, max_size=8),
+       st.lists(st.sampled_from(["x", "y"]), max_size=3))
+def test_meteor_counts_the_chunks_of_a_unique_alignment_as_the_exact_search(hyp, ref, extra):
+    # Every matched token once on each side (a token only the hypothesis
+    # holds may repeat): one alignment, whose chunks meteor_lite counts
+    # directly, without the search.
+    hyp = hyp + extra
+    per_type = [([hyp.index(t)], [ref.index(t)], 1) for t in dict.fromkeys(hyp) if t in ref]
+    matches = len(per_type)
+    searched = []
+    real = MX._min_chunks_exact
+    with mock.patch.object(MX, "_min_chunks_exact",
+                           lambda *args: searched.append(args) or real(*args)):
+        got = meteor_lite(hyp, ref)
+    assert searched == []
+    if not matches:
+        assert got == 0.0
+        return
+    chunks = real(per_type, matches)
+    precision, recall = matches / len(hyp), matches / len(ref)
+    f_mean = 10.0 * precision * recall / (recall + 9.0 * precision)
+    assert got == 100.0 * f_mean * (1.0 - 0.5 * (chunks / matches) ** 3)
+    assert got == pytest.approx(meteor_oracle(hyp, ref), abs=1e-9)
+
+
 def test_meteor_searches_an_alignment_space_under_200_000_exactly():
     # 3 * 126 * 120 = 45,360 alignments: hyp[1:7] onto the whole reference is
     # one chunk. The greedy fallback starts a chunk at hyp[0] and needs two.
@@ -564,7 +591,8 @@ def count_sentences(monkeypatch):
     counted = []
     real = MX._all_counts
     monkeypatch.setattr(MX, "_all_counts",
-                        lambda tokens: counted.append(" ".join(tokens)) or real(tokens))
+                        lambda tokens, *rest: counted.append(" ".join(tokens))
+                        or real(tokens, *rest))
     return counted
 
 
@@ -661,6 +689,69 @@ def test_evaluate_keeps_no_state_across_calls(monkeypatch):
     assert scored == first_scored
     for f in dataclasses.fields(first):
         assert getattr(again, f.name) == getattr(first, f.name), f.name
+
+
+def _distinct_grams(sentences):
+    return {tuple(t[i:i + n]) for t in sentences
+            for n in range(1, MX.BLEU_MAX_N + 1) for i in range(len(t) - n + 1)}
+
+
+def record_tables(monkeypatch):
+    """Record, for every sentence `metrics` counts n-grams of, the size of the
+    bit table before the call and the width of the widest mask it returns."""
+    seen = []
+    real = MX._all_counts
+
+    def counts(tokens, bits):
+        before = len(bits)
+        out = real(tokens, bits)
+        seen.append((before, max(mask.bit_length() for level in out[1] for mask in level)))
+        return out
+    monkeypatch.setattr(MX, "_all_counts", counts)
+    return seen
+
+
+def restarts(seen):
+    return sum(b < a for (a, _), (b, _) in zip(seen, seen[1:]))
+
+
+def test_evaluate_restarts_its_bit_table_between_products_with_the_same_report(monkeypatch):
+    # synth's gold questions share templates, so a mask cached before a
+    # restart would index a table that no longer exists.
+    gold = synth_corpus(0, 24)
+    gens = [{"product_id": r.product_id,
+             "questions": [f"{q} {r.product_id}" for q in r.questions[:2]] + [r.questions[-1]]}
+            for r in gold]
+    vocab = build_vocab(gold)
+    params = small_params(vocab)
+    seen = record_tables(monkeypatch)
+    plain = evaluate(gens, gold, params, vocab)
+    assert restarts(seen) == 0
+    del seen[:]
+    bound = 60
+    monkeypatch.setattr(MX, "_GRAM_TABLE_BOUND", bound)
+    restarted = evaluate(gens, gold, params, vocab)
+    assert restarts(seen) >= 3
+    for f in dataclasses.fields(plain):
+        assert getattr(restarted, f.name) == getattr(plain, f.name), f.name
+    assert (restarted.bleu_top1, restarted.avg_bleu_top3, restarted.meteor_top1,
+            restarted.pairwise_bleu) == reference.evaluate_relevance(gens, gold)
+    product = max(len(_distinct_grams([tokenize(q) for q in [*r.questions, *g["questions"][:3]]]))
+                  for r, g in zip(gold, gens))
+    assert max(width for _, width in seen) <= bound + product
+
+
+def test_avg_bleu_restarts_its_bit_table_between_hypotheses(monkeypatch):
+    refs = [toks("is it safe for the top rack ?"), toks("how heavy is it ?")]
+    hyps = [toks(f"is it safe for rack {k} ? {k} heavy") for k in range(40)]
+    plain = avg_bleu(hyps, refs)
+    bound = 50
+    monkeypatch.setattr(MX, "_GRAM_TABLE_BOUND", bound)
+    seen = record_tables(monkeypatch)
+    assert avg_bleu(hyps, refs) == plain == reference.avg_bleu(hyps, refs)
+    assert restarts(seen) >= 3
+    unit = max(len(_distinct_grams([*refs, h])) for h in hyps)
+    assert max(width for _, width in seen) <= bound + unit
 
 
 def test_embed_questions_position_sensitive():
