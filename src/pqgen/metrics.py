@@ -14,9 +14,8 @@ import math
 from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from functools import cache, reduce
-from itertools import chain, count, zip_longest
-from operator import or_
+from functools import cache
+from itertools import chain, count
 from typing import Sequence
 
 import numpy as np
@@ -38,8 +37,8 @@ BLEU_MAX_N = 4
 # The n-grams a BLEU bit table holds before it starts over: masks stay narrow.
 _GRAM_TABLE_BOUND = 4096
 
-# Alignment search budget before meteor falls back to a greedy chunker.
-_CHUNK_SEARCH_BUDGET = 200_000
+# Nodes the exact alignment search visits before meteor falls back to a greedy chunker.
+_CHUNK_SEARCH_BUDGET = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -62,9 +61,19 @@ def _all_counts(tokens: Sequence[str], bits: defaultdict) -> tuple[int, tuple[tu
 def _merge_refs(refs: Sequence[tuple]) -> tuple[list[int], list[list[int]]]:
     """The sorted lengths of one or more references and, per level j and order,
     the OR of their masks: the n-grams some reference holds more than j times."""
-    lengths, levels = zip(*refs)
-    return sorted(lengths), [[reduce(or_, masks) for masks in zip(*filter(None, level))]
-                             for level in zip_longest(*levels)]
+    lengths, merged = [], []
+    for length, levels in refs:
+        lengths.append(length)
+        for j, (m1, m2, m3, m4) in enumerate(levels):
+            if j == len(merged):  # a level no earlier reference reached
+                merged.append([m1, m2, m3, m4])
+                continue
+            bound = merged[j]
+            bound[0] |= m1
+            bound[1] |= m2
+            bound[2] |= m3
+            bound[3] |= m4
+    return sorted(lengths), merged
 
 
 def _bleu_key(hyp: tuple, refs: tuple) -> tuple[int, ...]:
@@ -78,11 +87,13 @@ def _bleu_key(hyp: tuple, refs: tuple) -> tuple[int, ...]:
     lens, bounds = refs
     i = bisect_left(lens, c)  # lens[i - 1] < c <= lens[i]
     r = lens[i - 1] if i == len(lens) or i and c - lens[i - 1] <= lens[i] - c else lens[i]
-    clipped = [0] * BLEU_MAX_N
-    for level, bound in zip(levels, bounds):
-        for n in range(BLEU_MAX_N):
-            clipped[n] += (level[n] & bound[n]).bit_count()
-    return r, c, *clipped
+    c1 = c2 = c3 = c4 = 0
+    for (h1, h2, h3, h4), (b1, b2, b3, b4) in zip(levels, bounds):
+        c1 += (h1 & b1).bit_count()
+        c2 += (h2 & b2).bit_count()
+        c3 += (h3 & b3).bit_count()
+        c4 += (h4 & b4).bit_count()
+    return r, c, c1, c2, c3, c4
 
 
 def _bleu_score(key: tuple[int, ...]) -> float:
@@ -150,23 +161,21 @@ def pairwise_bleu(group: Sequence[Sequence[str]]) -> float:
 
 
 def _min_chunks_exact(per_type: list[tuple[list[int], list[int], int]],
-                      matches: int) -> int:
+                      matches: int) -> int | None:
     """Branch-and-bound over which hypothesis positions match which reference
-    positions, minimizing the chunk count of the combined alignment."""
-    # Flatten to per-hyp-position decisions ordered left to right.
-    slots: list[tuple[int, int]] = []  # (hyp_pos, type_index)
-    for ti, (hps, _, _) in enumerate(per_type):
-        for h in hps:
-            slots.append((h, ti))
-    slots.sort()
+    positions for the fewest chunks; None past `_CHUNK_SEARCH_BUDGET` nodes."""
+    # Per-hyp-position decisions, (hyp_pos, type_index), ordered left to right.
+    slots = sorted((h, ti) for ti, (hps, _, _) in enumerate(per_type) for h in hps)
     need = [m for _, _, m in per_type]
     hyp_left = [len(hps) for hps, _, _ in per_type]
     used_ref: list[set[int]] = [set() for _ in per_type]
     best = matches + 1
+    budget = _CHUNK_SEARCH_BUDGET
 
     def rec(idx: int, prev: tuple[int, int] | None, chunks: int, remaining: int):
-        nonlocal best
-        if chunks >= best:
+        nonlocal best, budget
+        budget -= 1
+        if chunks >= best or budget < 0:
             return
         if remaining == 0:
             best = chunks
@@ -192,7 +201,7 @@ def _min_chunks_exact(per_type: list[tuple[list[int], list[int], int]],
         hyp_left[ti] += 1
 
     rec(0, None, 0, matches)
-    return best
+    return best if budget >= 0 else None
 
 
 def _min_chunks_greedy(hyp: list[str], ref: list[str]) -> int:
@@ -222,39 +231,47 @@ def _min_chunks_greedy(hyp: list[str], ref: list[str]) -> int:
     return chunks
 
 
+def _positions(tokens: Sequence[str]) -> tuple[Sequence[str], dict[str, int]]:
+    """A sentence's tokens and, per token, the bitmask of its positions."""
+    where: dict[str, int] = {}
+    for i, t in enumerate(tokens):
+        where[t] = where.get(t, 0) | 1 << i
+    return tokens, where
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of a `_positions` bitmask, lowest first."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 def meteor_lite(hypothesis: Sequence[str], reference: Sequence[str]) -> float:
     """Exact-match unigram alignment chosen to minimize the chunk count;
     F_mean = 10PR/(R+9P), fragmentation penalty 0.5*(chunks/matches)^3."""
-    hyp = list(hypothesis)
-    ref = list(reference)
+    return _meteor(*_positions(hypothesis), *_positions(reference))
+
+
+def _meteor(hyp: Sequence[str], hyp_pos: dict, ref: Sequence[str], ref_pos: dict) -> float:
+    """`meteor_lite` from each side's `_positions`."""
     if not hyp or not ref:
         return 0.0
-    hyp_pos: dict[str, list[int]] = {}
-    ref_pos: dict[str, list[int]] = {}
-    for i, t in enumerate(hyp):
-        hyp_pos.setdefault(t, []).append(i)
-    for i, t in enumerate(ref):
-        ref_pos.setdefault(t, []).append(i)
     per_type = []
-    matches = 0
-    space = 1
-    for t, hps in hyp_pos.items():
-        rps = ref_pos.get(t, [])
-        m = min(len(hps), len(rps))
-        if m == 0:
-            continue
-        matches += m
-        per_type.append((hps, rps, m))
-        space *= math.comb(len(hps), m) * math.perm(len(rps), m)
+    matches = candidates = 0
+    for t, hmask in hyp_pos.items():
+        rmask = ref_pos.get(t)
+        if rmask:
+            a, b = hmask.bit_count(), rmask.bit_count()
+            m = min(a, b)
+            matches += m
+            candidates += a * b
+            per_type.append((hmask, rmask, m))
     if matches == 0:
         return 0.0
-    if space == 1:  # each matched token once on each side: one alignment
-        pairs = sorted((hps[0], rps[0]) for hps, rps, _ in per_type)
+    if candidates == matches:  # each matched token once on each side: one alignment
+        pairs = sorted((h.bit_length(), r.bit_length()) for h, r, _ in per_type)  # positions + 1
         chunks = 1 + sum((h + 1, r + 1) != pair for (h, r), pair in zip(pairs, pairs[1:]))
-    elif space <= _CHUNK_SEARCH_BUDGET:
-        chunks = _min_chunks_exact(per_type, matches)
-    else:
-        chunks = _min_chunks_greedy(hyp, ref)
+    else:  # the exact search, or past its budget the greedy chunker
+        chunks = (_min_chunks_exact([(_bits(h), _bits(r), m) for h, r, m in per_type], matches)
+                  or _min_chunks_greedy(hyp, ref))
     precision = matches / len(hyp)
     recall = matches / len(ref)
     f_mean = 10.0 * precision * recall / (recall + 9.0 * precision)
@@ -431,18 +448,19 @@ def evaluate(generations: Sequence[dict], gold: Sequence[ProductRecord],
         raise MetricInputError(
             f"generation product ids missing from gold corpus: {missing}")
     # Generated questions repeat (the paper's finding) and gold questions share
-    # templates, so within this call each distinct string is tokenized once and
-    # counted once per bit table, each distinct (top-1, reference) pair and top-3
-    # METEOR- or Pairwise-BLEU-scored once and each distinct BLEU key (a few
-    # small integers) scored once.
+    # templates, so within this call each distinct string is tokenized and
+    # positioned once and counted once per bit table, each distinct (top-1,
+    # reference) pair and top-3 METEOR- or Pairwise-BLEU-scored once and each
+    # distinct BLEU key (a few small integers) scored once.
     tok = cache(tokenize)
     masks = cache(lambda q: _all_counts(tok(q), bits))  # bits: the n-gram table, below
     score = cache(_bleu_score)
-    meteor = cache(lambda hyp, ref: meteor_lite(tok(hyp), tok(ref)))
+    where = cache(lambda q: _positions(tok(q)))
+    meteor = cache(lambda hyp, ref: _meteor(*where(hyp), *where(ref)))
     pairwise = cache(lambda *top3: _pairwise_bleu([masks(q) for q in top3], score))
     degenerate: list[tuple[str, str]] = []
     bleus, avg3s, meteors, pws = [], [], [], []
-    top1_tokens: list[list[str]] = []
+    top1s: list[str] = []
     for r in generations:
         if not bleus or len(bits) > _GRAM_TABLE_BOUND:  # start the table (over)
             bits = defaultdict(map((1).__lshift__, count()).__next__)  # a new n-gram: next bit
@@ -469,14 +487,15 @@ def evaluate(generations: Sequence[dict], gold: Sequence[ProductRecord],
             pws.append(pairwise(*top3))
         else:
             degenerate.append((pid, "fewer than 2 questions for pairwise metrics"))
-        top1_tokens.append(top1)
+        top1s.append(top3[0])
     n = len(generations)
+    top1_tokens = list(map(tok, top1s))
     dn = {k: distinct_n(top1_tokens, k) for k in (1, 2, 3)}
     ediv = None
     curve: list[tuple[float, int]] = []
-    if top1_tokens:
-        emb = embed_questions(params, [vocab.encode(t) for t in top1_tokens],
-                              [" ".join(t) for t in top1_tokens])
+    if top1s:  # ids and name of each distinct top-1 question, made once
+        named = {q: (tuple(vocab.encode(tok(q))), " ".join(tok(q))) for q in dict.fromkeys(top1s)}
+        emb = embed_questions(params, *zip(*map(named.__getitem__, top1s)))
         curve = cluster_count_sweep(emb)
         if len(emb) >= 2:
             ediv = e_div(emb)

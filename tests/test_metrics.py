@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import re
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -172,8 +173,8 @@ def test_meteor_greedy_fallback_never_beats_the_exact_search(hyp, ref):
 
 def test_meteor_greedy_fallback_starts_chunks_at_the_longest_run():
     # "a b a"*k against "b a a"*k aligns in 2 chunks: hyp[1:] onto ref[:-1],
-    # then hyp[0] onto the last "a". From k = 4 the exact search is over
-    # budget, so the fallback is what meteor_lite runs.
+    # then hyp[0] onto the last "a". From k = 6 the exact search visits more
+    # nodes than its budget, so the fallback is what meteor_lite runs.
     for k in (2, 3, 4, 20):
         hyp, ref = toks("a b a " * k), toks("b a a " * k)
         want = 100.0 * (1.0 - 0.5 * (2 / (3 * k)) ** 3)
@@ -209,16 +210,61 @@ def test_meteor_counts_the_chunks_of_a_unique_alignment_as_the_exact_search(hyp,
     assert got == pytest.approx(meteor_oracle(hyp, ref), abs=1e-9)
 
 
-def test_meteor_searches_an_alignment_space_under_200_000_exactly():
+def meteor_and_search_nodes(hyp, ref):
+    """`meteor_lite`'s score and the number of nodes its exact search visits
+    (calls of the search's inner `rec`)."""
+    rec = next(c for c in MX._min_chunks_exact.__code__.co_consts
+               if getattr(c, "co_name", None) == "rec")
+    nodes = []
+    before = sys.getprofile()
+    sys.setprofile(lambda frame, event, arg: event == "call" and frame.f_code is rec
+                   and nodes.append(frame))
+    try:
+        score = meteor_lite(hyp, ref)
+    finally:
+        sys.setprofile(before)
+    return score, len(nodes)
+
+
+def test_meteor_searches_45_360_alignments_exactly_within_its_node_budget():
     # 3 * 126 * 120 = 45,360 alignments: hyp[1:7] onto the whole reference is
     # one chunk. The greedy fallback starts a chunk at hyp[0] and needs two.
+    # The search proves one chunk the minimum long before its budget.
     hyp, ref = toks("a a b b b b b b b b b a"), toks("a b b b b b")
     f_mean = 10.0 * 0.5 * 1.0 / (1.0 + 9.0 * 0.5)
-    assert meteor_lite(hyp, ref) == pytest.approx(
-        100.0 * f_mean * (1.0 - 0.5 * (1 / 6) ** 3), abs=1e-12)
+    score, nodes = meteor_and_search_nodes(hyp, ref)
+    assert score == pytest.approx(100.0 * f_mean * (1.0 - 0.5 * (1 / 6) ** 3), abs=1e-12)
+    assert nodes <= 1_000
     with mock.patch.object(MX, "_CHUNK_SEARCH_BUDGET", 0):
         assert meteor_lite(hyp, ref) == pytest.approx(
             100.0 * f_mean * (1.0 - 0.5 * (2 / 6) ** 3), abs=1e-12)
+
+
+def test_meteor_searches_exactly_up_to_10_000_nodes():
+    # 7 matches in 4 chunks: the exact search takes between 1,000 and 10,000
+    # nodes to prove it, and the greedy fallback finds 6 chunks. A budget of
+    # 1,000 nodes would score this input as the fallback does.
+    hyp, ref = toks("a b b b a a a a b"), toks("a a b a b a b")
+    f_mean = 10.0 * (7 / 9) * 1.0 / (1.0 + 9.0 * (7 / 9))
+    score, nodes = meteor_and_search_nodes(hyp, ref)
+    assert 1_000 < nodes <= MX._CHUNK_SEARCH_BUDGET == 10_000
+    assert score == pytest.approx(meteor_oracle(hyp, ref), abs=1e-12)
+    assert score == pytest.approx(100.0 * f_mean * (1.0 - 0.5 * (4 / 7) ** 3), abs=1e-12)
+    with mock.patch.object(MX, "_CHUNK_SEARCH_BUDGET", 0):
+        assert meteor_lite(hyp, ref) == pytest.approx(
+            100.0 * f_mean * (1.0 - 0.5 * (6 / 7) ** 3), abs=1e-12)
+
+
+def test_meteor_bounds_its_search_by_nodes_not_alignments():
+    # 172,800 alignments, and the exact search would visit 693,842 nodes
+    # (0.3-0.5 s). It stops after its budget, plus at most one call per
+    # remaining branch on its stack, and meteor_lite scores the greedy
+    # fallback's alignment.
+    hyp, ref = toks("d a c d c d a a c c d c d a"), toks("c a b a d b c c a d d d d b a")
+    score, nodes = meteor_and_search_nodes(hyp, ref)
+    assert nodes <= MX._CHUNK_SEARCH_BUDGET + len(hyp) * (len(ref) + 1)
+    with mock.patch.object(MX, "_CHUNK_SEARCH_BUDGET", 0):
+        assert meteor_lite(hyp, ref) == score
 
 
 # ---------------------------------------------------------------------------
@@ -633,9 +679,9 @@ def test_evaluate_counts_and_scores_each_distinct_input_once_per_call(monkeypatc
     ]
     counted = count_sentences(monkeypatch)
     scored, groups = [], []
-    real_meteor, real_pairwise = MX.meteor_lite, MX._pairwise_bleu
-    monkeypatch.setattr(MX, "meteor_lite", lambda hyp, ref: scored.append(
-        (" ".join(hyp), " ".join(ref))) or real_meteor(hyp, ref))
+    real_meteor, real_pairwise = MX._meteor, MX._pairwise_bleu
+    monkeypatch.setattr(MX, "_meteor", lambda hyp, hyp_at, ref, ref_at: scored.append(
+        (" ".join(hyp), " ".join(ref))) or real_meteor(hyp, hyp_at, ref, ref_at))
     monkeypatch.setattr(MX, "_pairwise_bleu", lambda group, score: groups.append(
         [length for length, _ in group]) or real_pairwise(group, score))
     evaluate(gens, gold, params, vocab)
@@ -656,6 +702,32 @@ def test_evaluate_counts_and_scores_each_distinct_input_once_per_call(monkeypatc
                            ("is it safe ?", "how loud is it ?")}
     # One Pairwise-BLEU score per distinct top-3: the last two records share one.
     assert groups == [[4, 5, 4], [4, 5]]
+
+
+def test_evaluate_encodes_each_top1_and_positions_each_sentence_once_per_call(monkeypatch):
+    gold, vocab, params = eval_setup()
+    gens = [{"product_id": "p1", "questions": ["is it safe ?", "how heavy is it ?"]},
+            {"product_id": "p2", "questions": ["is it safe ?"]},
+            {"product_id": "p1", "questions": ["is it safe ?", "is it dishwasher safe ?"]},
+            {"product_id": "p2", "questions": ["how loud is it ?"]}]
+    encoded, positioned = [], []
+    real_encode, real_positions = vocab.encode, MX._positions
+    monkeypatch.setattr(vocab, "encode", lambda tokens: encoded.append(" ".join(tokens))
+                        or real_encode(tokens))
+    monkeypatch.setattr(MX, "_positions", lambda tokens: positioned.append(" ".join(tokens))
+                        or real_positions(tokens))
+    report = evaluate(gens, gold, params, vocab)
+    # Four top-1 questions, two of them distinct: each is encoded once, and the
+    # embeddings still hold a row per product.
+    assert sorted(encoded) == ["how loud is it ?", "is it safe ?"]
+    rows = embed_questions(params, [real_encode(tokenize(g["questions"][0])) for g in gens])
+    assert report.cluster_curve == cluster_count_sweep(rows)
+    assert report.e_div == e_div(rows)
+    # METEOR takes the positions of each distinct top-1 and reference once;
+    # "how loud is it ?" is both.
+    assert sorted(positioned) == sorted({"is it safe ?", "how loud is it ?",
+                                         "is it dishwasher safe ?", "how heavy is it ?",
+                                         "does it have bluetooth ?"})
 
 
 def test_evaluate_keeps_no_state_across_calls(monkeypatch):
