@@ -15,7 +15,7 @@ from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import chain, count
+from itertools import count
 from typing import Sequence
 
 import numpy as np
@@ -34,7 +34,7 @@ DEFAULT_THRESHOLDS = tuple(round(0.05 * k, 2) for k in range(1, 20))
 
 # BLEU-4: geometric mean of the 1- to 4-gram precisions.
 BLEU_MAX_N = 4
-# The n-grams a BLEU bit table holds before it starts over: masks stay narrow.
+# The keys a BLEU bit table holds before it starts over: masks stay narrow.
 _GRAM_TABLE_BOUND = 4096
 
 # Nodes the exact alignment search visits before meteor falls back to a greedy chunker.
@@ -45,35 +45,38 @@ _CHUNK_SEARCH_BUDGET = 10_000
 # BLEU
 
 
-def _all_counts(tokens: Sequence[str], bits: defaultdict) -> tuple[int, tuple[tuple, ...]]:
-    """A sentence's length and its 1- to 4-grams as level bitsets: level j
-    holds one mask per order, the OR of the `bits` of the n-grams that occur
-    more than j times. `bits` gives each new n-gram the next free bit."""
-    shifted = [tokens[i:] for i in range(BLEU_MAX_N)]
-    orders = [list(zip(*shifted[:n])) for n in range(1, BLEU_MAX_N + 1)]
-    if len(set(chain.from_iterable(orders))) == sum(map(len, orders)):  # no repeats: one level
-        return len(tokens), (tuple(sum(map(bits.__getitem__, o)) for o in orders),)
-    counts = Counter(chain.from_iterable(orders))
-    return len(tokens), tuple(tuple(sum(bits[g] for g in dict.fromkeys(o) if counts[g] > j)
-                                    for o in orders) for j in range(max(counts.values())))
+def _bit_table() -> defaultdict:
+    """A BLEU bit table: each new key gets the next free bit."""
+    return defaultdict(map((1).__lshift__, count()).__next__)
 
 
-def _merge_refs(refs: Sequence[tuple]) -> tuple[list[int], list[list[int]]]:
-    """The sorted lengths of one or more references and, per level j and order,
-    the OR of their masks: the n-grams some reference holds more than j times."""
-    lengths, merged = [], []
-    for length, levels in refs:
+def _all_counts(tokens: Sequence[str], bits: defaultdict) -> tuple[int, tuple[int, ...]]:
+    """A sentence's length and, per order 1-4, the OR of the `bits` of its
+    n-gram occurrences: the k-th occurrence of an n-gram g is keyed g for
+    k = 1 and (g, k) after that, so each occurrence has a bit of its own."""
+    seen: dict[tuple, int] = {}
+    masks = []
+    for n in range(1, BLEU_MAX_N + 1):
+        mask = 0
+        for g in zip(*[tokens[i:] for i in range(n)]):
+            k = seen[g] = seen.get(g, 0) + 1
+            mask |= bits[(g, k) if k > 1 else g]
+        masks.append(mask)
+    return len(tokens), tuple(masks)
+
+
+def _merge_refs(refs: Sequence[tuple]) -> tuple[list[int], tuple[int, ...]]:
+    """The sorted lengths of one or more references and, per order, the OR of
+    their masks: the n-gram occurrences some reference holds."""
+    lengths = []
+    b1 = b2 = b3 = b4 = 0
+    for length, (m1, m2, m3, m4) in refs:
         lengths.append(length)
-        for j, (m1, m2, m3, m4) in enumerate(levels):
-            if j == len(merged):  # a level no earlier reference reached
-                merged.append([m1, m2, m3, m4])
-                continue
-            bound = merged[j]
-            bound[0] |= m1
-            bound[1] |= m2
-            bound[2] |= m3
-            bound[3] |= m4
-    return sorted(lengths), merged
+        b1 |= m1
+        b2 |= m2
+        b3 |= m3
+        b4 |= m4
+    return sorted(lengths), (b1, b2, b3, b4)
 
 
 def _bleu_key(hyp: tuple, refs: tuple) -> tuple[int, ...]:
@@ -81,19 +84,15 @@ def _bleu_key(hyp: tuple, refs: tuple) -> tuple[int, ...]:
     the `_merge_refs` of its references: the effective reference length (the
     closest, ties to the shorter), the hypothesis length and the 1- to 4-gram
     clipped counts. A count k clipped to the largest reference count m is
-    min(k, m) = the number of levels j with k > j and m > j, so the clipped
-    counts are the bit counts of the level intersections, order by order."""
-    c, levels = hyp
-    lens, bounds = refs
+    min(k, m) = the number of g's first k occurrence keys that some reference
+    also holds, so the clipped counts are the bit counts of the ANDs, order by
+    order."""
+    c, (h1, h2, h3, h4) = hyp
+    lens, (b1, b2, b3, b4) = refs
     i = bisect_left(lens, c)  # lens[i - 1] < c <= lens[i]
     r = lens[i - 1] if i == len(lens) or i and c - lens[i - 1] <= lens[i] - c else lens[i]
-    c1 = c2 = c3 = c4 = 0
-    for (h1, h2, h3, h4), (b1, b2, b3, b4) in zip(levels, bounds):
-        c1 += (h1 & b1).bit_count()
-        c2 += (h2 & b2).bit_count()
-        c3 += (h3 & b3).bit_count()
-        c4 += (h4 & b4).bit_count()
-    return r, c, c1, c2, c3, c4
+    return (r, c, (h1 & b1).bit_count(), (h2 & b2).bit_count(), (h3 & b3).bit_count(),
+            (h4 & b4).bit_count())
 
 
 def _bleu_score(key: tuple[int, ...]) -> float:
@@ -135,7 +134,7 @@ def avg_bleu(hypotheses: Sequence[Sequence[str]],
     scores = []
     for h in hypotheses:
         if not scores or len(bits) > _GRAM_TABLE_BOUND:  # start the table (over)
-            bits = defaultdict(map((1).__lshift__, count()).__next__)  # a new n-gram: next bit
+            bits = _bit_table()
             refs = _merge_refs([_all_counts(r, bits) for r in references])
         scores.append(_bleu_score(_bleu_key(_all_counts(h, bits), refs)))
     return math.fsum(scores) / len(scores)
@@ -152,7 +151,7 @@ def pairwise_bleu(group: Sequence[Sequence[str]]) -> float:
     group is locally more diverse."""
     if len(group) < 2:
         raise MetricInputError("pairwise_bleu needs a group of >= 2 questions")
-    bits = defaultdict(map((1).__lshift__, count()).__next__)
+    bits = _bit_table()
     return _pairwise_bleu([_all_counts(q, bits) for q in group])
 
 
@@ -453,7 +452,7 @@ def evaluate(generations: Sequence[dict], gold: Sequence[ProductRecord],
     # reference) pair and top-3 METEOR- or Pairwise-BLEU-scored once and each
     # distinct BLEU key (a few small integers) scored once.
     tok = cache(tokenize)
-    masks = cache(lambda q: _all_counts(tok(q), bits))  # bits: the n-gram table, below
+    masks = cache(lambda q: _all_counts(tok(q), bits))  # bits: the bit table, below
     score = cache(_bleu_score)
     where = cache(lambda q: _positions(tok(q)))
     meteor = cache(lambda hyp, ref: _meteor(*where(hyp), *where(ref)))
@@ -463,7 +462,7 @@ def evaluate(generations: Sequence[dict], gold: Sequence[ProductRecord],
     top1s: list[str] = []
     for r in generations:
         if not bleus or len(bits) > _GRAM_TABLE_BOUND:  # start the table (over)
-            bits = defaultdict(map((1).__lshift__, count()).__next__)  # a new n-gram: next bit
+            bits = _bit_table()
             masks.cache_clear()  # masks of the old table
         pid = r["product_id"]
         top3 = r["questions"][:3]

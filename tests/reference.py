@@ -38,8 +38,9 @@ each call and clips each n-gram by a max over the references' counts.
 calls, and its METEOR figure from one `meteor_lite` call per (top-1,
 reference) pair, one product and one score at a time. `pqgen.metrics`
 tokenizes, counts and METEOR-scores each distinct sentence or pair once per
-`evaluate` call, clips with n-gram bitsets (the `bit_count` of each
-hypothesis level mask ANDed with the OR of the references' masks, in a bit
+`evaluate` call, clips with bitsets of n-gram occurrences (one bit for each
+k-th occurrence of an n-gram in a sentence; per order, the `bit_count` of
+the hypothesis mask ANDed with the OR of the references' masks, in a bit
 table it starts over past a bound), and must give the same floats.
 
 `tie_key` is the searches' order among equal scores, and `ngram_bans` the

@@ -525,7 +525,8 @@ def test_lexical_metrics_match_oracles(seed):
 @given(st.lists(st.lists(st.sampled_from(["a", "b", "c"]), max_size=7), min_size=2, max_size=5))
 @settings(max_examples=150, deadline=None)
 def test_bleu_and_pairwise_bleu_match_the_oracle(group):
-    # Three tokens make repeated n-grams common, so clipping crosses levels.
+    # Three tokens make repeated n-grams common, so clipping counts occurrence
+    # keys (g, k) beyond the first on both sides.
     hyp, refs = group[0], group[1:]
     assert bleu(hyp, refs) == pytest.approx(bleu_oracle(hyp, refs), rel=0, abs=1e-9)
     want = np.mean([bleu_oracle(q, group[:i] + group[i + 1:]) for i, q in enumerate(group)])
@@ -764,8 +765,14 @@ def test_evaluate_keeps_no_state_across_calls(monkeypatch):
 
 
 def _distinct_grams(sentences):
-    return {tuple(t[i:i + n]) for t in sentences
-            for n in range(1, MX.BLEU_MAX_N + 1) for i in range(len(t) - n + 1)}
+    """The occurrence keys of `sentences`: (g, k) for the k-th occurrence of
+    n-gram g in one sentence, as many as a bit table gives them bits."""
+    keys = set()
+    for t in sentences:
+        grams = [tuple(t[i:i + n]) for n in range(1, MX.BLEU_MAX_N + 1)
+                 for i in range(len(t) - n + 1)]
+        keys.update((g, grams[:i].count(g) + 1) for i, g in enumerate(grams))
+    return keys
 
 
 def record_tables(monkeypatch):
@@ -777,7 +784,7 @@ def record_tables(monkeypatch):
     def counts(tokens, bits):
         before = len(bits)
         out = real(tokens, bits)
-        seen.append((before, max(mask.bit_length() for level in out[1] for mask in level)))
+        seen.append((before, max(mask.bit_length() for mask in out[1])))
         return out
     monkeypatch.setattr(MX, "_all_counts", counts)
     return seen
@@ -789,10 +796,12 @@ def restarts(seen):
 
 def test_evaluate_restarts_its_bit_table_between_products_with_the_same_report(monkeypatch):
     # synth's gold questions share templates, so a mask cached before a
-    # restart would index a table that no longer exists.
+    # restart would index a table that no longer exists. Each product id is
+    # written twice, so (g, k) keys of repeated n-grams cross the restarts too.
     gold = synth_corpus(0, 24)
     gens = [{"product_id": r.product_id,
-             "questions": [f"{q} {r.product_id}" for q in r.questions[:2]] + [r.questions[-1]]}
+             "questions": [f"{q} {r.product_id} {r.product_id}" for q in r.questions[:2]]
+             + [r.questions[-1]]}
             for r in gold]
     vocab = build_vocab(gold)
     params = small_params(vocab)
