@@ -37,7 +37,7 @@ BLEU_MAX_N = 4
 # The keys a BLEU bit table holds before it starts over: masks stay narrow.
 _GRAM_TABLE_BOUND = 4096
 
-# Nodes the exact alignment search visits before meteor falls back to a greedy chunker.
+# Nodes the exact alignment search visits before meteor also asks a greedy chunker.
 _CHUNK_SEARCH_BUDGET = 10_000
 
 
@@ -159,10 +159,9 @@ def pairwise_bleu(group: Sequence[Sequence[str]]) -> float:
 # METEOR (exact-match variant)
 
 
-def _min_chunks_exact(per_type: list[tuple[list[int], list[int], int]],
-                      matches: int) -> int | None:
-    """Branch-and-bound over which hypothesis positions match which reference
-    positions for the fewest chunks; None past `_CHUNK_SEARCH_BUDGET` nodes."""
+def _min_chunks_exact(per_type: list[tuple[list[int], list[int], int]], matches: int) -> int:
+    """Branch-and-bound over which hypothesis positions match which reference positions
+    for the fewest chunks; past `_CHUNK_SEARCH_BUDGET` nodes, the fewest found (or matches + 1)."""
     # Per-hyp-position decisions, (hyp_pos, type_index), ordered left to right.
     slots = sorted((h, ti) for ti, (hps, _, _) in enumerate(per_type) for h in hps)
     need = [m for _, _, m in per_type]
@@ -200,14 +199,14 @@ def _min_chunks_exact(per_type: list[tuple[list[int], list[int], int]],
         hyp_left[ti] += 1
 
     rec(0, None, 0, matches)
-    return best if budget >= 0 else None
+    return best
 
 
 def _min_chunks_greedy(hyp: list[str], ref: list[str]) -> int:
-    """Fallback when the exact search space is too large: walk the hypothesis
-    left to right, continuing the current chunk where the reference allows,
-    else starting one at the free reference position that begins the longest
-    matching run from here (the lowest on ties)."""
+    """The chunks of one alignment, which can beat the exact search only past
+    its budget: walk the hypothesis left to right, continuing the current chunk
+    where the reference allows, else starting one at the free reference
+    position that begins the longest matching run from here (the lowest on ties)."""
     free = set(range(len(ref)))
 
     def run(h: int, r: int) -> int:  # matching free positions from (h, r) on
@@ -268,9 +267,9 @@ def _meteor(hyp: Sequence[str], hyp_pos: dict, ref: Sequence[str], ref_pos: dict
     if candidates == matches:  # each matched token once on each side: one alignment
         pairs = sorted((h.bit_length(), r.bit_length()) for h, r, _ in per_type)  # positions + 1
         chunks = 1 + sum((h + 1, r + 1) != pair for (h, r), pair in zip(pairs, pairs[1:]))
-    else:  # the exact search, or past its budget the greedy chunker
-        chunks = (_min_chunks_exact([(_bits(h), _bits(r), m) for h, r, m in per_type], matches)
-                  or _min_chunks_greedy(hyp, ref))
+    else:  # the exact minimum; past the search's budget, the better of its best and greedy's
+        chunks = min(_min_chunks_exact([(_bits(h), _bits(r), m) for h, r, m in per_type], matches),
+                     _min_chunks_greedy(hyp, ref))
     precision = matches / len(hyp)
     recall = matches / len(ref)
     f_mean = 10.0 * precision * recall / (recall + 9.0 * precision)

@@ -500,8 +500,9 @@ def cosine_similarity_rows(x: Tensor, first: Sequence[int], second: Sequence[int
     return _emit((x,), c, bwd)
 
 
-# Nothing in this package calls the ops below; perfbench's traced run wraps each by
-# name (`perfbench/layers.py`, `TENSOR_OPS`), so they stay until that list changes.
+# Of the ops below, `training.div_loss` (the per-example reference of the packed step) runs
+# `mean_pool_sequence` and `cosine_similarity`. The rest serve only the tests and perfbench's
+# traced run, which wraps each by name (`perfbench/layers.py`, `TENSOR_OPS`).
 def matmul_t(a: Tensor, b: Tensor) -> Tensor:
     """a @ b.T without materializing a transpose op."""
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:

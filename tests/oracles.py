@@ -1,8 +1,14 @@
 """Independent brute-force reference implementations used as test oracles.
 
 Everything here is written directly from first principles (finite
-differences, exhaustive enumeration, counting) and deliberately shares no
-code with the package under test.
+differences, exhaustive enumeration, counting) and imports nothing from
+`pqgen`, so `perfbench/oracle_checks.py` can check a report against it
+without trusting the code that made it. It holds `fd_grad` and `max_rel_err`
+for gradient checks; `bleu_oracle`, `meteor_oracle` (every alignment),
+`distinct_n_oracle` and `e_div_oracle` for the report's metrics;
+`merge_heights_oracle` (every pair rescanned per merge) and
+`cluster_counts_scipy` for the cluster sweep; and `enumerate_sequences`, every
+sequence from per-step log-prob tables.
 """
 
 from __future__ import annotations

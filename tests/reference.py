@@ -12,7 +12,9 @@ record order, as `pqgen.training` samples them.
 
 `decode_step` is the uncached, full-prefix decoder step: it runs the whole
 BOS-prefixed prefix through the Tensor forward for every next-token
-distribution. `uncached_seam` drives the searches in `pqgen.decoding` with it.
+distribution. `uncached_seam` drives the searches in `pqgen.decoding` with it,
+and `exhaustive_decode` enumerates every sequence it can emit, ranked as the
+searches rank them: a beam as wide as the leaf count must return them all.
 
 `sequential_diverse_beam_search` is diverse beam search run one group after
 another: each group searches alone, to the end, penalized by the per-step
@@ -21,6 +23,9 @@ together, one position at a time, and must return the same candidates.
 
 `greedy_decode` is the argmax rollout on `pqgen.decoding.decode_step`, one
 row a step; beam search of one beam must follow it.
+
+`leaf` is a tensor with a gradient buffer, and `check_grads` the gradient
+check of every tape op: backward against `oracles.fd_grad` for each input.
 
 `attention_sublayer`, `ffn_sublayer` and `embed` are the separate tape ops
 that the fused ops of `pqgen.tensor` of those names replace: `layer_norm`,
@@ -32,8 +37,8 @@ for the embedding. They must give the same floats, forward and backward.
 built before its causal triangle and key-only masks; attention under either
 must give the same floats.
 
-`bleu` recounts the hypothesis and every reference for each n-gram order on
-each call and clips each n-gram by a max over the references' counts.
+`bleu` is `oracles.bleu_oracle`, which recounts every sentence for each n-gram
+order on each call and clips each n-gram by a max over the references' counts.
 `evaluate_relevance` composes the report's three BLEU figures from such
 calls, and its METEOR figure from one `meteor_lite` call per (top-1,
 reference) pair, one product and one score at a time. `pqgen.metrics`
@@ -64,6 +69,30 @@ from pqgen import tensor as T
 from pqgen import training as TR
 from pqgen.corpus import CorpusSchemaError, ProductRecord, Vocab, tokenize
 from pqgen.metrics import BLEU_MAX_N, MetricInputError, meteor_lite
+
+from .oracles import bleu_oracle, fd_grad, max_rel_err
+
+
+def leaf(arr) -> T.Tensor:
+    """A tensor that learns: it has a zero gradient buffer."""
+    data = np.asarray(arr, dtype=np.float64)
+    return T.Tensor(data, np.zeros_like(data))
+
+
+def check_grads(build, arrays, tol: float = 1e-4) -> None:
+    """build(list of Tensors) -> scalar Tensor; each input's backward gradient
+    must match its central finite differences within max_rel_err < tol."""
+    leaves = [leaf(a) for a in arrays]
+    T.reset_tape()
+    T.backward(build(leaves))
+    analytic = [lf.grad.copy() for lf in leaves]
+    for i, arr in enumerate(arrays):
+        def f(x, i=i):
+            vals = [a.copy() for a in arrays]
+            vals[i] = x
+            with T.no_grad():
+                return build([T.Tensor(v) for v in vals]).item()
+        assert max_rel_err(analytic[i], fd_grad(f, arr.copy())) < tol, f"input {i}"
 
 
 def mul(a: T.Tensor, b: T.Tensor) -> T.Tensor:
@@ -174,6 +203,32 @@ def decode_step(params: M.ModelParams, enc: M.EncoderOutput,
             T.AttentionLayout([n], [n], causal=True), T.AttentionLayout([n], enc.lengths))
         logits = T.matmul(h, params["cg_head.w"]).data[-1]
     return logits - T.logsumexp(logits)
+
+
+def exhaustive_decode(params: M.ModelParams, context_ids: Sequence[int], max_steps: int,
+                      alpha: float) -> list[D.Candidate]:
+    """Every sequence of at most max_steps tokens, depth first on the full-prefix
+    `decode_step`, ranked as the searches rank candidates at length penalty alpha."""
+    mcfg = params.config
+    with T.no_grad():
+        enc = M.encode(params, context_ids)
+    out = []
+
+    def rec(tokens, cum):
+        if tokens and tokens[-1] == mcfg.eos_id:
+            out.append(D.Candidate(tuple(tokens), cum, True))
+            return
+        if len(tokens) == max_steps:
+            out.append(D.Candidate(tuple(tokens), cum, False))
+            return
+        lp = decode_step(params, enc, (mcfg.bos_id,) + tuple(tokens))
+        for v in range(mcfg.vocab_size):
+            if v not in (mcfg.pad_id, mcfg.bos_id):
+                rec(tokens + [v], cum + float(lp[v]))
+
+    rec([], 0.0)
+    out.sort(key=lambda c: (-D.ranked_score(c, alpha), tie_key(c.token_ids)))
+    return out
 
 
 class PrefixState:
@@ -318,43 +373,11 @@ def greedy_decode(params: M.ModelParams, context_ids: Sequence[int],
     return out
 
 
-def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
-
-
 def bleu(hypothesis: Sequence[str], references: Sequence[Sequence[str]]) -> float:
-    """BLEU with multi-reference clipping and brevity penalty against the
-    closest reference length (ties to the shorter reference). Zero raw counts
-    at n >= 2 are add-one smoothed; a zero-total n >= 2 level counts as
-    precision 1; zero matched unigrams give 0. Empty hypothesis gives 0."""
+    """`oracles.bleu_oracle`, with `pqgen.metrics.bleu`'s error for no references."""
     if not references:
         raise MetricInputError("bleu needs at least one reference")
-    hyp = list(hypothesis)
-    if not hyp:
-        return 0.0
-    log_sum = 0.0
-    for n in range(1, BLEU_MAX_N + 1):
-        counts = _ngram_counts(hyp, n)
-        total = sum(counts.values())
-        ref_counts = [_ngram_counts(r, n) for r in references]
-        clipped = 0
-        for gram, c in counts.items():
-            clipped += min(c, max(rc[gram] for rc in ref_counts))
-        if total == 0:
-            p = 1.0 if n >= 2 else 0.0
-        elif clipped == 0:
-            if n == 1:
-                return 0.0
-            p = 1.0 / (total + 1.0)
-        else:
-            p = clipped / total
-        if p == 0.0:
-            return 0.0
-        log_sum += math.log(p)
-    c = len(hyp)
-    r = min((abs(len(ref) - c), len(ref)) for ref in references)[1]
-    bp = 1.0 if c >= r else math.exp(1.0 - r / c)
-    return 100.0 * bp * math.exp(log_sum / BLEU_MAX_N)
+    return bleu_oracle(list(hypothesis), references, BLEU_MAX_N)
 
 
 def avg_bleu(hypotheses: Sequence[Sequence[str]],

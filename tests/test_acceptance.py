@@ -26,16 +26,13 @@ from pqgen import model as M
 from pqgen import tensor as T
 from pqgen import training as TR
 
-from . import reference
-from .reference import (beam_search, build_triplets, diverse_beam_search, greedy_decode, mul,
-                        tmean)
+from .reference import (beam_search, build_triplets, check_grads, diverse_beam_search,
+                        exhaustive_decode, greedy_decode, mul, tmean)
 from .oracles import (
     bleu_oracle,
     cluster_counts_scipy,
     distinct_n_oracle,
     e_div_oracle,
-    fd_grad,
-    max_rel_err,
     meteor_oracle,
 )
 
@@ -48,25 +45,6 @@ def criterion(num, name):
         print(f"ACCEPTANCE {num} ({name}): FAIL")
         raise
     print(f"ACCEPTANCE {num} ({name}): PASS")
-
-
-def leaf(arr):
-    """A tensor that learns: it has a zero gradient buffer."""
-    data = np.asarray(arr, dtype=np.float64)
-    return T.Tensor(data, np.zeros_like(data))
-
-
-def analytic_vs_fd(build, arrays, tol=1e-4):
-    leaves = [leaf(a) for a in arrays]
-    T.reset_tape()
-    T.backward(build(leaves))
-    for i, arr in enumerate(arrays):
-        def f(x, i=i):
-            vals = [a.copy() for a in arrays]
-            vals[i] = x
-            with T.no_grad():
-                return build([T.Tensor(v) for v in vals]).item()
-        assert max_rel_err(leaves[i].grad, fd_grad(f, arr.copy())) < tol
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +137,7 @@ def test_criterion_1_gradient_fidelity():
             (lambda t: T.tsum(mul(t[0], t[0]), [[1.0, 3.0, 2.0, 1.0]] * 3), [x34]),
         ]
         for build, arrays in cases:
-            analytic_vs_fd(build, arrays)
+            check_grads(build, arrays)
 
         # Whole-loss check: central FD over every parameter of a toy model.
         cfg = M.ModelConfig(vocab_size=20, d_model=8, n_heads=2,
@@ -302,32 +280,6 @@ def test_criterion_3_overfit_sanity():
 # 4. Decoding reductions
 
 
-def exhaustive_decode(params, ctx, max_steps):
-    """Depth-first enumeration of every decodable sequence on the uncached
-    reference step, ranked like the beam: an independent oracle for width >=
-    leaf count."""
-    mcfg = params.config
-    with T.no_grad():
-        enc = M.encode(params, ctx)
-    out = []
-
-    def rec(tokens, cum):
-        if tokens and tokens[-1] == mcfg.eos_id:
-            out.append(D.Candidate(tuple(tokens), cum, True))
-            return
-        if len(tokens) == max_steps:
-            out.append(D.Candidate(tuple(tokens), cum, False))
-            return
-        lp = reference.decode_step(params, enc, (mcfg.bos_id,) + tuple(tokens))
-        for v in range(mcfg.vocab_size):
-            if v not in (mcfg.pad_id, mcfg.bos_id):
-                rec(tokens + [v], cum + float(lp[v]))
-
-    rec([], 0.0)
-    out.sort(key=lambda c: (-D.ranked_score(c, 1.0), reference.tie_key(c.token_ids)))
-    return out
-
-
 def test_criterion_4_decoding_reductions():
     with criterion(4, "decoding reductions"):
         mcfg = M.ModelConfig(vocab_size=8, d_model=8, n_heads=2,
@@ -370,7 +322,7 @@ def test_criterion_4_decoding_reductions():
                                        diversity_penalty=0.0,
                                        no_repeat_ngram=0, max_new_tokens=3)
             got = beam_search(toy, [4, 4], wide)
-            want = exhaustive_decode(toy, [4, 4], 3)
+            want = exhaustive_decode(toy, [4, 4], 3, 1.0)
             assert [g.token_ids for g in got] == [w.token_ids for w in want]
             np.testing.assert_allclose([g.cum_logprob for g in got],
                                        [w.cum_logprob for w in want],

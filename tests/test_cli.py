@@ -422,23 +422,36 @@ def test_the_pqgen_script_enters_through_the_pinning_module():
     assert 'pqgen = "pqgen.__main__:main"' in pyproject.read_text().splitlines()
 
 
+def imports_outside(path: Path, allowed: set[str]) -> list[str]:
+    """Every import in the file, inside functions too, that names a top-level
+    module not in allowed; a relative import names the package it sits in."""
+    outside = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module if node.level == 0 else path.parent.name]
+        else:
+            continue
+        outside += [f"{path.name}:{node.lineno}: {name}" for name in names
+                    if name.partition(".")[0] not in allowed]
+    return outside
+
+
 def test_the_package_imports_only_the_standard_library_and_numpy():
     # The runtime is numpy-only and the package ships without tests/, where
     # the reference code lives: every import in src/pqgen, inside functions
     # too, names the standard library, numpy or pqgen itself.
     allowed = set(sys.stdlib_module_names) | {"numpy", "pqgen"}
-    outside = []
-    for path in sorted(Path(pqgen.__file__).resolve().parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            outside += [f"{path.name}:{node.lineno}: {name}" for name in names
-                        if name.partition(".")[0] not in allowed]
-    assert outside == []
+    assert [line for path in sorted(Path(pqgen.__file__).resolve().parent.glob("*.py"))
+            for line in imports_outside(path, allowed)] == []
+
+
+def test_the_oracles_import_nothing_from_pqgen():
+    # perfbench/oracle_checks.py trusts tests/oracles.py because it shares no
+    # code with pqgen: not even through another module of tests/.
+    allowed = set(sys.stdlib_module_names) | {"numpy", "scipy"}
+    assert imports_outside(Path(__file__).resolve().parent / "oracles.py", allowed) == []
 
 
 def test_importing_pqgen_changes_no_environment():

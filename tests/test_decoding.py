@@ -347,30 +347,6 @@ def test_single_beam_matches_greedy():
 # Exhaustive enumeration oracles
 
 
-def exhaustive_real_model(params, ctx, max_steps, alpha):
-    mcfg = params.config
-    with T.no_grad():
-        enc = encode(params, ctx)
-    out = []
-
-    def rec(tokens, cum):
-        if tokens and tokens[-1] == mcfg.eos_id:
-            out.append(Candidate(tuple(tokens), cum, True))
-            return
-        if len(tokens) == max_steps:
-            out.append(Candidate(tuple(tokens), cum, False))
-            return
-        lp = reference.decode_step(params, enc, (mcfg.bos_id,) + tuple(tokens))
-        for v in range(mcfg.vocab_size):
-            if v in (mcfg.pad_id, mcfg.bos_id):
-                continue
-            rec(tokens + [v], cum + float(lp[v]))
-
-    rec([], 0.0)
-    out.sort(key=lambda c: (-ranked_score(c, alpha), reference.tie_key(c.token_ids)))
-    return out
-
-
 def test_wide_beam_matches_exhaustive_enumeration():
     # vocab 5 leaves three emittable tokens (eos, unk, one word): the full
     # candidate tree to depth 3 has 15 leaves, so width 50 enumerates it.
@@ -378,7 +354,7 @@ def test_wide_beam_matches_exhaustive_enumeration():
     ctx = [4, 4]
     c = cfg(beams_per_group=50, max_new_tokens=3, length_penalty=1.0)
     got = beam_search(params, ctx, c)
-    want = exhaustive_real_model(params, ctx, 3, 1.0)
+    want = reference.exhaustive_decode(params, ctx, 3, 1.0)
     assert [g.token_ids for g in got] == [w.token_ids for w in want]
     assert [g.finished for g in got] == [w.finished for w in want]
     np.testing.assert_allclose([g.cum_logprob for g in got],

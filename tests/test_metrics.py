@@ -174,7 +174,8 @@ def test_meteor_greedy_fallback_never_beats_the_exact_search(hyp, ref):
 def test_meteor_greedy_fallback_starts_chunks_at_the_longest_run():
     # "a b a"*k against "b a a"*k aligns in 2 chunks: hyp[1:] onto ref[:-1],
     # then hyp[0] onto the last "a". From k = 6 the exact search visits more
-    # nodes than its budget, so the fallback is what meteor_lite runs.
+    # nodes than its budget, and the fallback's count is the one meteor_lite
+    # keeps (at k = 20 the search's best so far is 46 chunks).
     for k in (2, 3, 4, 20):
         hyp, ref = toks("a b a " * k), toks("b a a " * k)
         want = 100.0 * (1.0 - 0.5 * (2 / (3 * k)) ** 3)
@@ -243,7 +244,7 @@ def test_meteor_searches_45_360_alignments_exactly_within_its_node_budget():
 def test_meteor_searches_exactly_up_to_10_000_nodes():
     # 7 matches in 4 chunks: the exact search takes between 1,000 and 10,000
     # nodes to prove it, and the greedy fallback finds 6 chunks. A budget of
-    # 1,000 nodes would score this input as the fallback does.
+    # 1,000 nodes would stop the search at 5.
     hyp, ref = toks("a b b b a a a a b"), toks("a a b a b a b")
     f_mean = 10.0 * (7 / 9) * 1.0 / (1.0 + 9.0 * (7 / 9))
     score, nodes = meteor_and_search_nodes(hyp, ref)
@@ -258,13 +259,16 @@ def test_meteor_searches_exactly_up_to_10_000_nodes():
 def test_meteor_bounds_its_search_by_nodes_not_alignments():
     # 172,800 alignments, and the exact search would visit 693,842 nodes
     # (0.3-0.5 s). It stops after its budget, plus at most one call per
-    # remaining branch on its stack, and meteor_lite scores the greedy
-    # fallback's alignment.
+    # remaining branch on its stack, and meteor_lite scores the better of
+    # its best so far and the greedy fallback: the search's 11 chunks of 12
+    # matches (the minimum), where the fallback alone finds 12.
     hyp, ref = toks("d a c d c d a a c c d c d a"), toks("c a b a d b c c a d d d d b a")
+    f_mean = 10.0 * (12 / 14) * (12 / 15) / (12 / 15 + 9.0 * (12 / 14))
     score, nodes = meteor_and_search_nodes(hyp, ref)
     assert nodes <= MX._CHUNK_SEARCH_BUDGET + len(hyp) * (len(ref) + 1)
+    assert score == pytest.approx(100.0 * f_mean * (1.0 - 0.5 * (11 / 12) ** 3), abs=1e-12)
     with mock.patch.object(MX, "_CHUNK_SEARCH_BUDGET", 0):
-        assert meteor_lite(hyp, ref) == score
+        assert meteor_lite(hyp, ref) == pytest.approx(100.0 * f_mean * 0.5, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

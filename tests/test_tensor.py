@@ -7,33 +7,9 @@ from hypothesis import strategies as st
 
 from pqgen import tensor as T
 from . import reference
-from .reference import attention, mul
-from .oracles import fd_grad, max_rel_err
+from .reference import attention, check_grads, leaf, mul
 
 RNG = np.random.default_rng(7)
-
-
-def leaf(arr):
-    """A tensor that learns: it has a zero gradient buffer."""
-    data = np.asarray(arr, dtype=np.float64)
-    return T.Tensor(data, np.zeros_like(data))
-
-
-def check_grads(build, arrays, tol=1e-4):
-    """build(list of Tensors) -> scalar Tensor; compares backward vs FD."""
-    leaves = [leaf(a) for a in arrays]
-    T.reset_tape()
-    loss = build(leaves)
-    T.backward(loss)
-    analytic = [lf.grad.copy() for lf in leaves]
-    for i, arr in enumerate(arrays):
-        def f(x, i=i):
-            vals = [a.copy() for a in arrays]
-            vals[i] = x
-            with T.no_grad():
-                return build([T.Tensor(v) for v in vals]).item()
-        numeric = fd_grad(f, arrays[i].copy())
-        assert max_rel_err(analytic[i], numeric) < tol, f"input {i}"
 
 
 # ---------------------------------------------------------------------------
@@ -193,15 +169,9 @@ def test_attention_one_segment_matches_per_head_composition(causal):
     bias = np.where(np.tril(np.ones((n, n), dtype=bool)), 0.0, -np.inf) if causal else None
     layout = T.AttentionLayout([n], [n], causal=causal)
 
-    results = []
-    for build in (lambda q, k, v: attention(q, k, v, heads, layout),
-                  lambda q, k, v: per_head_attention(q, k, v, heads, bias)):
-        leaves = [leaf(a) for a in arrays]
-        T.reset_tape()
-        out = build(*leaves)
-        T.backward(T.tsum(mul(out, T.Tensor(w))))
-        results.append((out.data, [lf.grad for lf in leaves]))
-    (fused, fused_grads), (ref, ref_grads) = results
+    (fused, fused_grads), (ref, ref_grads) = (
+        run_op(op, arrays, w) for op in (lambda t: attention(*t, heads, layout),
+                                         lambda t: per_head_attention(*t, heads, bias)))
     np.testing.assert_allclose(fused, ref, rtol=0, atol=1e-12)
     for g, r in zip(fused_grads, ref_grads):
         np.testing.assert_allclose(g, r, rtol=0, atol=1e-12)
@@ -264,14 +234,15 @@ SUBLAYER_LAYOUTS = {
 }
 
 
-def run_sublayer(op, arrays):
+def run_op(op, arrays, w=None):
     """Forward of op over leaves of `arrays`, and every leaf's gradient of
-    sum(out * w) for a fixed weight w."""
+    sum(out * w), by default for a fixed ramp w over out's elements."""
     leaves = [leaf(a) for a in arrays]
     T.reset_tape()
     out = op(leaves)
-    T.backward(T.tsum(mul(out, T.Tensor(np.linspace(-1.0, 1.0, out.data.size)
-                                          .reshape(out.shape)))))
+    if w is None:
+        w = np.linspace(-1.0, 1.0, out.data.size).reshape(out.shape)
+    T.backward(T.tsum(mul(out, T.Tensor(w))))
     return out.data, [lf.grad for lf in leaves]
 
 
@@ -304,7 +275,7 @@ def test_fused_sublayer_ops_equal_the_separate_ops(layout_name):
              attention_arrays),
             (lambda t: T.ffn_sublayer(*t), lambda t: reference.ffn_sublayer(*t), ffn_arrays),
             (embed(T.embed), embed(reference.embed), tables)):
-        fused, separate = run_sublayer(fused_op, inputs), run_sublayer(separate_op, inputs)
+        fused, separate = run_op(fused_op, inputs), run_op(separate_op, inputs)
         assert np.array_equal(fused[0], separate[0])
         for g, r in zip(fused[1], separate[1]):
             assert np.array_equal(g, r)
@@ -366,7 +337,7 @@ def test_attention_masks_equal_the_full_mask(segments, causal, seed):
     rng = np.random.default_rng(seed)
     arrays = [rng.normal(size=(n, 4)) for n in (sum(q_lens), sum(k_lens), sum(k_lens))]
     (out, grads), (full_out, full_grads) = (
-        run_sublayer(lambda t, lay=lay: attention(*t, 2, lay), arrays) for lay in (layout, full))
+        run_op(lambda t, lay=lay: attention(*t, 2, lay), arrays) for lay in (layout, full))
     assert out.tobytes() == full_out.tobytes()
     for g, r in zip(grads, full_grads):
         assert g.tobytes() == r.tobytes()

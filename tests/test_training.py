@@ -12,7 +12,7 @@ from pqgen import model as M
 from pqgen import tensor as T
 from pqgen import training as TR
 from . import reference
-from .oracles import fd_grad, max_rel_err
+from .oracles import max_rel_err
 
 
 def tiny_corpus(n=12, questions_range=(2, 2), seed=5):
