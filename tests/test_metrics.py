@@ -164,11 +164,13 @@ def test_meteor_duplicate_tokens_pick_minimal_chunks():
 @given(st.lists(st.sampled_from(ALPHABET[:3]), min_size=1, max_size=8),
        st.lists(st.sampled_from(ALPHABET[:3]), min_size=1, max_size=8))
 def test_meteor_greedy_fallback_never_beats_the_exact_search(hyp, ref):
-    # Same matches, so the score falls as the chunk count rises: the fallback's
-    # alignment is a real one, never fewer chunks than the minimum.
-    exact = meteor_lite(hyp, ref)
+    # Same matches, so the score falls as the chunk count rises. Within the
+    # budget meteor_lite is the exhaustive oracle's score; at budget 0 it is
+    # the fallback's, a real alignment, never fewer chunks than the minimum.
+    exact = meteor_oracle(hyp, ref)
+    assert meteor_lite(hyp, ref) == pytest.approx(exact, abs=1e-9)
     with mock.patch.object(MX, "_CHUNK_SEARCH_BUDGET", 0):
-        assert meteor_lite(hyp, ref) <= exact
+        assert meteor_lite(hyp, ref) <= exact + 1e-9
 
 
 def test_meteor_greedy_fallback_starts_chunks_at_the_longest_run():
